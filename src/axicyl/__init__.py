@@ -8,8 +8,6 @@ from .evolution import (
     Stepper,
     drift_diffusion_run,
     picard_iterate,
-    rhs_swirl,
-    rhs_vorticity,
     run_simulation,
 )
 from .fields import (
@@ -36,8 +34,6 @@ __all__ = [
     "lp_norm",
     "make_initial_data",
     "picard_iterate",
-    "rhs_swirl",
-    "rhs_vorticity",
     "run_simulation",
     "semigroup_decay_fit",
     "weighted_integral",

@@ -154,6 +154,7 @@ class DiagnosticsRecord:
     margin_1_6: float
     margin_1_7: float
     dev_5_3: float
+    h1: float  # h1_proxy of the state; not a CSV column
     l2_grad_om_over_r: float = math.nan
     l2_grad_om: float = math.nan
     ratio_1_7: float = math.nan
@@ -166,28 +167,7 @@ class DiagnosticsRecord:
     ratio_5_8: float = math.nan
 
     def csv_row(self) -> tuple[float, ...]:
-        return (
-            self.t,
-            self.e_kin,
-            self.diss_v,
-            self.diss_uth,
-            self.diss_swirl_weight,
-            self.bdry_flux,
-            self.budget_residual_1_5,
-            self.sup_gamma,
-            self.l4_uth,
-            self.l2_om_over_r,
-            self.l2_om,
-            self.e_bound_1_11,
-            self.lhs_1_11,
-            self.lhs_1_12,
-            self.margin_1_6,
-            self.margin_1_7,
-            self.dev_5_3,
-        )
-
-    def finite(self) -> bool:
-        return all(np.isfinite(v) for v in self.csv_row())
+        return tuple(getattr(self, c.lower()) for c in CSV_COLUMNS)
 
 
 def identity_5_3_check(state: AxisymState) -> float:
@@ -458,7 +438,7 @@ class EpsSummary:
 
 def _summarize_eps_run(eps: float, result) -> EpsSummary:
     recs = result.records
-    sup_h1 = max(r_.h1 for r_ in result.h1_series) if result.h1_series else math.nan
+    sup_h1 = max(r_.h1 for r_ in recs)
     vort = vorticity_budgets_check(recs)
     first = recs[0]
     l2_om0 = first.l2_om

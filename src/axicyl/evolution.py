@@ -76,58 +76,63 @@ def swirl_vorticity_source(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     return ddz(grid, gamma**2) / grid.rcol**3
 
 
-def rhs_swirl(
-    state: AxisymState,
-    solver: EllipticSolver,
-    source=None,
-    t: float = 0.0,
-    advection: str = "centered2",
-) -> np.ndarray:
-    """Full swirl-momentum tendency -v.grad Gamma + L1 Gamma (+ source).
+def _advection(name: str):
+    return advect_upwind if name == "upwind1" else advect_centered
 
-    Boundary rows follow the evolved system: the Robin row at the inner
-    wall is live, the truncation row is pinned to zero.
+
+def _coupled_rates(grid: Grid, advection: str, gamma, omega, ur, uz, gamma_feed):
+    """Advection, reaction and swirl-feed tendencies of (Gamma, omega).
+
+    The velocity (ur, uz) advects both fields and sets the reaction
+    (u_r/r) omega; gamma_feed drives d_z(Gamma^2)/r^3.  The coupled run
+    passes its own stage fields, Picard the previous iterate's history.
     """
-    g = state.grid
-    advect = advect_upwind if advection == "upwind1" else advect_centered
-    k = advect(g, state.Gamma.values, state.ur.values, state.uz.values)
-    k += solver.apply_heat_operator(state.Gamma.values, "L1")
-    if source is not None:
-        k = k + source(t)
-    k[-1, :] = 0.0
-    return k
+    advect = _advection(advection)
+    kg = advect(grid, gamma, ur, uz)
+    kw = (
+        advect(grid, omega, ur, uz)
+        + (ur / grid.rcol) * omega
+        + swirl_vorticity_source(grid, gamma_feed)
+    )
+    return kg, kw
 
 
-def rhs_vorticity(
-    state: AxisymState,
-    solver: EllipticSolver,
-    source=None,
-    t: float = 0.0,
-    advection: str = "centered2",
-) -> np.ndarray:
-    """Full vorticity tendency
-    -v.grad om + (u_r/r) om + (Delta - 1/r^2) om + d_z(Gamma^2)/r^3 (+ source),
-    with both wall rows pinned (Dirichlet)."""
-    g = state.grid
-    advect = advect_upwind if advection == "upwind1" else advect_centered
-    om = state.omega.values
-    k = advect(g, om, state.ur.values, state.uz.values)
-    k += (state.ur.values / g.rcol) * om
-    k += solver.apply_heat_operator(om, "L0p")
-    k += swirl_vorticity_source(g, state.Gamma.values)
-    if source is not None:
-        k = k + source(t)
-    k[0, :] = 0.0
-    k[-1, :] = 0.0
-    return k
+def _strang_heun(solver: EllipticSolver, fields, ops, dt: float, tendency, diffusion: str):
+    """One Strang-split step of d_t f_i = ops[i] f_i + tendency_i.
 
+    Crank-Nicolson half-steps of the heat operators bracket one Heun (RK2)
+    step of the tendencies; with diffusion = "explicit" the operators join
+    the Heun tendencies instead.  tendency(stage_fields, stage) returns one
+    fresh array per field, with stage 0 at the start of the step and stage 1
+    at its end.  Every field's truncation row is pinned to zero, and so is
+    the inner-wall row of a Dirichlet (L0p) field.  The input arrays are
+    not modified.
+    """
+    implicit = diffusion == "crank_nicolson"
 
-class _H1Entry:
-    __slots__ = ("t", "h1")
+    def pinned(f, op):
+        f[-1, :] = 0.0
+        if op == "L0p":
+            f[0, :] = 0.0
+        return f
 
-    def __init__(self, t, h1):
-        self.t = t
-        self.h1 = h1
+    def rates(fs, stage):
+        ks = tendency(fs, stage)
+        if not implicit:
+            ks = [k + solver.apply_heat_operator(f, op) for k, f, op in zip(ks, fs, ops)]
+        return [pinned(k, op) for k, op in zip(ks, ops)]
+
+    def half_diffusion(fs):
+        return [solver.heat_step(f, 0.5 * dt, op) for f, op in zip(fs, ops)]
+
+    if implicit:
+        fields = half_diffusion(fields)
+    k1 = rates(fields, 0)
+    k2 = rates([pinned(f + dt * k, op) for f, k, op in zip(fields, k1, ops)], 1)
+    fields = [pinned(f + 0.5 * dt * (a + b), op) for f, a, b, op in zip(fields, k1, k2, ops)]
+    if implicit:
+        fields = half_diffusion(fields)
+    return fields
 
 
 @dataclass
@@ -136,7 +141,6 @@ class SimulationResult:
     final_state: AxisymState
     status: str  # completed | halted_blowup
     max_leakage: float
-    h1_series: list[_H1Entry] = field(default_factory=list)
     checkpoints: list[str] = field(default_factory=list)
 
 
@@ -201,40 +205,6 @@ class Stepper:
 
     # -- one step -------------------------------------------------------------
 
-    def _derive_velocities(self, gamma: np.ndarray, omega: np.ndarray):
-        psi = self.solver.solve_stream(omega)
-        ur, uz = velocity_from_stream(psi)
-        return ur.values, gamma / self.grid.rcol, uz.values
-
-    def _tendencies(self, gamma, omega, ur, uth, uz, t):
-        g = self.grid
-        advect = advect_upwind if self.cfg.advection == "upwind1" else advect_centered
-        kg = advect(g, gamma, ur, uz)
-        kw = (
-            advect(g, omega, ur, uz)
-            + (ur / g.rcol) * omega
-            + swirl_vorticity_source(g, gamma)
-        )
-        if self.cfg.diffusion == "explicit":
-            kg += self.solver.apply_heat_operator(gamma, "L1")
-            kw += self.solver.apply_heat_operator(omega, "L0p")
-        if self.sources is not None:
-            sg, so = self.sources
-            if sg is not None:
-                kg = kg + sg(t)
-            if so is not None:
-                kw = kw + so(t)
-        kg[-1, :] = 0.0
-        kw[0, :] = 0.0
-        kw[-1, :] = 0.0
-        return kg, kw
-
-    @staticmethod
-    def _pin(gamma: np.ndarray, omega: np.ndarray) -> None:
-        gamma[-1, :] = 0.0
-        omega[0, :] = 0.0
-        omega[-1, :] = 0.0
-
     def step(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -244,26 +214,31 @@ class Stepper:
                 f"dt = {dt:.3e} exceeds cfl * bound = {self.cfg.cfl * bound:.3e} "
                 f"({self.cfg.advection}/{self.cfg.diffusion})"
             )
-        implicit = self.cfg.diffusion == "crank_nicolson"
         t = self.state.t
-        gamma = self.state.Gamma.values.copy()
-        omega = self.state.omega.values.copy()
-        if implicit:
-            gamma = self.solver.heat_step(gamma, 0.5 * dt, "L1")
-            omega = self.solver.heat_step(omega, 0.5 * dt, "L0p")
-        ur, uth, uz = self._derive_velocities(gamma, omega)
-        k1g, k1w = self._tendencies(gamma, omega, ur, uth, uz, t)
-        g1 = gamma + dt * k1g
-        w1 = omega + dt * k1w
-        self._pin(g1, w1)
-        ur, uth, uz = self._derive_velocities(g1, w1)
-        k2g, k2w = self._tendencies(g1, w1, ur, uth, uz, t + dt)
-        gamma = gamma + 0.5 * dt * (k1g + k2g)
-        omega = omega + 0.5 * dt * (k1w + k2w)
-        self._pin(gamma, omega)
-        if implicit:
-            gamma = self.solver.heat_step(gamma, 0.5 * dt, "L1")
-            omega = self.solver.heat_step(omega, 0.5 * dt, "L0p")
+        times = (t, t + dt)
+
+        def tendency(fields, stage):
+            gamma, omega = fields
+            ur, uz = velocity_from_stream(self.solver.solve_stream(omega))
+            kg, kw = _coupled_rates(
+                self.grid, self.cfg.advection, gamma, omega, ur.values, uz.values, gamma
+            )
+            if self.sources is not None:
+                sg, so = self.sources
+                if sg is not None:
+                    kg = kg + sg(times[stage])
+                if so is not None:
+                    kw = kw + so(times[stage])
+            return kg, kw
+
+        gamma, omega = _strang_heun(
+            self.solver,
+            (self.state.Gamma.values, self.state.omega.values),
+            ("L1", "L0p"),
+            dt,
+            tendency,
+            self.cfg.diffusion,
+        )
 
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(omega))):
             raise BlowupError(f"non-finite fields at t = {t + dt:.6g}")
@@ -327,6 +302,7 @@ class Stepper:
             margin_1_6=margin_1_6,
             margin_1_7=margin_1_7,
             dev_5_3=identity_5_3_check(st),
+            h1=h1_proxy(st),
             l2_grad_om_over_r=math.sqrt(self._prev.grad_om_over_r),
             l2_grad_om=math.sqrt(
                 max(self._prev.om_diss - l2_q**2, 0.0)
@@ -345,6 +321,22 @@ class Stepper:
         return rec
 
 
+def configured_initial_state(cfg: SolverConfig, solver: EllipticSolver) -> AxisymState:
+    """The initial data cfg describes, on the solver's grid."""
+    return make_initial_data(
+        solver.grid,
+        cfg.init_kind,
+        amplitude=cfg.amplitude,
+        r_support=cfg.r_support,
+        z_mode=cfg.z_mode,
+        seed=cfg.seed,
+        omega_amplitude=cfg.omega_amplitude,
+        n_modes=cfg.n_modes,
+        z_support=cfg.z_support,
+        solver=solver,
+    )
+
+
 def run_simulation(
     cfg: SolverConfig,
     sources=None,
@@ -360,31 +352,15 @@ def run_simulation(
     """
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
     solver = EllipticSolver(grid)
-    if initial_state is None:
-        state = make_initial_data(
-            grid,
-            cfg.init_kind,
-            amplitude=cfg.amplitude,
-            r_support=cfg.r_support,
-            z_mode=cfg.z_mode,
-            seed=cfg.seed,
-            omega_amplitude=cfg.omega_amplitude,
-            n_modes=cfg.n_modes,
-            z_support=cfg.z_support,
-            solver=solver,
-        )
-    else:
-        state = initial_state
+    state = initial_state if initial_state is not None else configured_initial_state(cfg, solver)
     stepper = Stepper(cfg, grid, solver, state, sources=sources)
     records = [stepper.record()]
-    h1_series = [_H1Entry(state.t, h1_proxy(state))]
     status = "completed"
     eps = 1e-12 * max(cfg.t_end, 1.0)
     next_out = cfg.output_interval
 
     def emit():
         records.append(stepper.record())
-        h1_series.append(_H1Entry(stepper.state.t, h1_proxy(stepper.state)))
 
     while stepper.state.t < cfg.t_end - eps:
         remaining = cfg.t_end - stepper.state.t
@@ -427,68 +403,7 @@ def run_simulation(
         path = Path(out_dir) / "final_state.axns"
         checkpoint_save(stepper.state, path)
         checkpoints.append(str(path))
-    return SimulationResult(
-        records, stepper.state, status, stepper.max_leakage, h1_series, checkpoints
-    )
-
-
-# -- scalar linear advancer (drift-diffusion and Picard building block) --------
-
-
-def advance_scalar(
-    solver: EllipticSolver,
-    values: np.ndarray,
-    t: float,
-    dt: float,
-    op: str,
-    drift,
-    reaction=None,
-    source=None,
-    advection: str = "centered2",
-    diffusion: str = "crank_nicolson",
-) -> np.ndarray:
-    """One split step of d_t f + b.grad f = op f (+ reaction f + source).
-
-    drift(t) -> (b_r, b_z); reaction(t) -> coefficient array; source(t) ->
-    array.  The same Strang/Heun layout as the coupled stepper, so linear
-    runs with frozen coefficients reproduce its scheme.
-    """
-    grid = solver.grid
-    advect = advect_upwind if advection == "upwind1" else advect_centered
-    pin_inner = op == "L0p"
-
-    def pin(f):
-        f[-1, :] = 0.0
-        if pin_inner:
-            f[0, :] = 0.0
-
-    def tendency(f, tt):
-        br, bz = drift(tt)
-        k = advect(grid, f, br, bz)
-        if reaction is not None:
-            k = k + reaction(tt) * f
-        if source is not None:
-            k = k + source(tt)
-        if diffusion == "explicit":
-            k = k + solver.apply_heat_operator(f, op)
-        k[-1, :] = 0.0
-        if pin_inner:
-            k[0, :] = 0.0
-        return k
-
-    f = np.array(values, dtype=float)
-    implicit = diffusion == "crank_nicolson"
-    if implicit:
-        f = solver.heat_step(f, 0.5 * dt, op)
-    k1 = tendency(f, t)
-    f1 = f + dt * k1
-    pin(f1)
-    k2 = tendency(f1, t + dt)
-    f = f + 0.5 * dt * (k1 + k2)
-    pin(f)
-    if implicit:
-        f = solver.heat_step(f, 0.5 * dt, op)
-    return f
+    return SimulationResult(records, stepper.state, status, stepper.max_leakage, checkpoints)
 
 
 # -- drift-diffusion runner -----------------------------------------------------
@@ -556,6 +471,7 @@ def drift_diffusion_run(
     (upwind1/explicit) the discrete maximum principle is exact.
     """
     grid = solver.grid
+    advect = _advection(advection)
     if np.max(np.abs(drift.br[0, :])) > 0 or np.max(np.abs(drift.br[-1, :])) > 0:
         raise ValueError("drift must satisfy b.n = 0 at the radial walls")
     f = np.array(gamma0, dtype=float)
@@ -585,16 +501,13 @@ def drift_diffusion_run(
         step_dt = min(dt if dt is not None else cfl * bound, cfl * bound, t_end - t)
         if step_dt <= 0 or not math.isfinite(step_dt):
             step_dt = min(t_end - t, out_iv)
-        f = advance_scalar(
-            solver,
-            f,
-            t,
-            step_dt,
-            "L1",
-            drift=lambda tt: drift.at(tt, step_dt),
-            advection=advection,
-            diffusion=diffusion,
-        )
+        times = (t, t + step_dt)
+
+        def tendency(fields, stage):
+            br, bz = drift.at(times[stage], step_dt)
+            return [advect(grid, fields[0], br, bz)]
+
+        (f,) = _strang_heun(solver, (f,), ("L1",), step_dt, tendency, diffusion)
         t += step_dt
         if t >= next_out - eps or t >= t_end - eps:
             records.append(rec(t, f))
@@ -694,40 +607,20 @@ def picard_iterate(
         snaps: dict[int, tuple] = {}
         k_val = 0.0
         for n in range(n_steps):
-            t_n = n * dt
+            def tendency(fields, stage):
+                i = n + stage  # history index of the stage time
+                return _coupled_rates(
+                    grid, advection, *fields, prev_ur[i], prev_uz[i], prev_gamma[i]
+                )
 
-            def drift(tt, n=n):
-                idx = n if abs(tt - t_n) < 1e-12 else n + 1
-                return prev_ur[idx], prev_uz[idx]
-
-            def reaction(tt, n=n):
-                idx = n if abs(tt - t_n) < 1e-12 else n + 1
-                return prev_ur[idx] / grid.rcol
-
-            def src(tt, n=n):
-                idx = n if abs(tt - t_n) < 1e-12 else n + 1
-                return swirl_vorticity_source(grid, prev_gamma[idx])
-
-            gamma = advance_scalar(
-                solver, gamma, t_n, dt, "L1", drift, advection=advection, diffusion=diffusion
-            )
-            omega = advance_scalar(
-                solver,
-                omega,
-                t_n,
-                dt,
-                "L0p",
-                drift,
-                reaction=reaction,
-                source=src,
-                advection=advection,
-                diffusion=diffusion,
+            gamma, omega = _strang_heun(
+                solver, (gamma, omega), ("L1", "L0p"), dt, tendency, diffusion
             )
             psi = solver.solve_stream(omega)
             urf, uzf = velocity_from_stream(psi)
             ur_hist.append(urf.values)
             uz_hist.append(uzf.values)
-            gamma_hist.append(gamma.copy())
+            gamma_hist.append(gamma)
             step_idx = n + 1
             if step_idx in out_idx:
                 uth = gamma / grid.rcol

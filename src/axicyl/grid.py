@@ -16,9 +16,9 @@ Scalar elliptic operators, with Delta = d_rr + (1/r) d_r + d_zz:
     L1  f = Delta f - (2/r) d_r f      (swirl momentum operator)
     L0' f = Delta f - f / r^2          (vorticity operator; Dirichlet)
 
-L0 and L0' differ only in the boundary condition they are paired with,
-which is not this module's business: `apply_l0` etc. evaluate the pure
-interior stencil.  Boundary-aware application lives in `elliptic`.
+L0 and L0' differ only in the boundary condition they are paired with.
+Their stencils, with the boundary rows, live in `elliptic`
+(`EllipticSolver.apply_heat_operator`).
 """
 
 from __future__ import annotations
@@ -152,34 +152,3 @@ def grad(grid: Grid, f) -> tuple[np.ndarray, np.ndarray]:
     """(d_r f, d_z f) with the stencils above."""
     return ddr(grid, f), ddz(grid, f)
 
-
-def _interior_radial_parts(grid: Grid, vals: np.ndarray):
-    h = grid.h_r
-    d2r = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h**2
-    d1r = (vals[2:] - vals[:-2]) / (2.0 * h)
-    return d2r, d1r
-
-
-def apply_l0(grid: Grid, f) -> np.ndarray:
-    """(Delta - 1/r^2) f on interior radial nodes; wall rows returned as 0."""
-    vals = _values(f)
-    out = np.zeros_like(vals)
-    d2r, d1r = _interior_radial_parts(grid, vals)
-    r_in = grid.rcol[1:-1]
-    out[1:-1] = d2r + d1r / r_in + d2z(grid, vals)[1:-1] - vals[1:-1] / r_in**2
-    return out
-
-
-def apply_l1(grid: Grid, f) -> np.ndarray:
-    """(Delta - (2/r) d_r) f on interior radial nodes; wall rows returned as 0."""
-    vals = _values(f)
-    out = np.zeros_like(vals)
-    d2r, d1r = _interior_radial_parts(grid, vals)
-    r_in = grid.rcol[1:-1]
-    out[1:-1] = d2r - d1r / r_in + d2z(grid, vals)[1:-1]
-    return out
-
-
-def apply_l0p(grid: Grid, f) -> np.ndarray:
-    """Same stencil as L0; the Dirichlet pairing is handled by the caller."""
-    return apply_l0(grid, f)

@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from axicyl import cli
 from axicyl.cli import main
 from axicyl.config import ConfigError, SolverConfig, parse_config_text
 from axicyl.diagnostics import CSV_COLUMNS
+from axicyl.evolution import run_simulation
 
 RUN_CFG = """
 # small deterministic run
@@ -121,6 +125,47 @@ def test_cmd_mms_single_level_empty_order(tmp_path):
     assert rows[1].endswith(",")  # empty observed_order column
 
 
+def test_cmd_mms_bad_levels_keeps_config_echo(tmp_path):
+    cfg = write_cfg(tmp_path, "mms.levels = 0\n")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["config"] == {"mms.levels": "0"}
+    assert "mms.levels" in manifest["extra"]["error"]
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("mms", "mms.levels = abc"),
+        ("mms", "mms.n_base = 8.5"),
+        ("mms", "mms.t_end = soon"),
+        ("semigroup", "semigroup.n = abc"),
+        ("semigroup", "semigroup.dt = abc"),
+        ("semigroup", "semigroup.commutation_t = abc"),
+        ("semigroup", "semigroup.cases = L9:2:0"),
+        ("semigroup", "semigroup.cases = L1:2"),
+        ("semigroup", "semigroup.cases = L1:abc:0"),
+        ("semigroup", "semigroup.cases = L1:2:5"),
+        ("picard", "picard.t_end = abc"),
+        ("picard", "picard.j_max = abc"),
+        ("picard", "picard.p = abc"),
+        ("picard", "picard.dt = abc"),
+        ("inequalities", "ineq.samples = abc"),
+        ("inequalities", "ineq.q = abc"),
+        ("inequalities", "ineq.p = abc"),
+        ("sweep-eps", "sweep.eps = 1,abc"),
+    ],
+)
+def test_malformed_experiment_key_exits_2(tmp_path, command, line):
+    cfg = write_cfg(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "config error" in manifest["extra"]["error"]
+
+
 def test_cmd_inequalities_rejects_bad_sigma(tmp_path):
     cfg = write_cfg(tmp_path, "ineq.q = 1.0\nineq.p = 6.0\nineq.samples = 4\n")
     assert main(["inequalities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -171,6 +216,28 @@ def test_cmd_picard_small(tmp_path):
     assert len(rows) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extra"]["direct_match_l2"] < manifest["extra"]["direct_match_tolerance"]
+
+
+def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):
+    text = (
+        "grid.n_r = 17\ngrid.n_z = 16\ninit.kind = random_modes\ninit.n_modes = 2\n"
+        "init.seed = 3\ninit.amplitude = 0.2\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
+        "picard.t_end = 0.02\npicard.j_max = 2\npicard.dt = 0.01\n"
+    )
+    starts = []
+    real = cli.picard_iterate
+
+    def spy(solver, state0, **kw):
+        starts.append(state0.copy())
+        return real(solver, state0, **kw)
+
+    monkeypatch.setattr(cli, "picard_iterate", spy)
+    cfg = write_cfg(tmp_path, text)
+    assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    run_cfg = SolverConfig.from_mapping(parse_config_text(text))
+    start = run_simulation(replace(run_cfg, t_end=0.0, checkpoint="none")).final_state
+    np.testing.assert_array_equal(starts[0].Gamma.values, start.Gamma.values)
+    np.testing.assert_array_equal(starts[0].omega.values, start.omega.values)
 
 
 def test_cmd_semigroup_tiny(tmp_path):

@@ -184,7 +184,7 @@ def test_eps_sweep_single_eps_matches_run():
     assert s.status == "completed"
     direct = run_simulation(template)
     assert s.res_energy_6_1 == pytest.approx(energy_budget_check(direct.records), rel=1e-12)
-    assert s.sup_h1_proxy == pytest.approx(max(h.h1 for h in direct.h1_series), rel=1e-12)
+    assert s.sup_h1_proxy == pytest.approx(max(r.h1 for r in direct.records), rel=1e-12)
 
 
 def test_eps_sweep_rejects_data_below_one():

@@ -10,12 +10,10 @@ from axicyl.evolution import (
     CFLError,
     DriftSpec,
     Stepper,
-    advance_scalar,
+    _coupled_rates,
     drift_diffusion_run,
     make_divergence_free_drift,
     picard_iterate,
-    rhs_swirl,
-    rhs_vorticity,
     run_simulation,
     swirl_vorticity_source,
 )
@@ -65,21 +63,26 @@ def test_zero_state_stays_zero(small_grid, small_solver):
 
 
 def test_rhs_swirl_annihilates_r_squared(small_grid, small_solver):
-    # v = 0 and Gamma = r^2: L1 Gamma = 0 discretely (including the Robin row,
-    # whose ghost extrapolation is exact for r^2), so the tendency vanishes
+    # with v = 0 the swirl right-hand side is L1 Gamma, and L1 r^2 = 0
+    # discretely, including the Robin row, whose ghost extrapolation is
+    # exact for r^2
     gamma = np.broadcast_to(small_grid.rcol**2, small_grid.shape).copy()
     state = state_from_dynamic(small_grid, 0.0, gamma, np.zeros(small_grid.shape), small_solver)
     assert np.all(state.ur.values == 0.0)
-    out = rhs_swirl(state, small_solver)
+    out = small_solver.apply_heat_operator(gamma, "L1")
     assert np.allclose(out, 0.0, atol=1e-10)
 
 
 def test_rhs_zero_state(small_grid, small_solver):
-    zero = state_from_dynamic(
-        small_grid, 0.0, np.zeros(small_grid.shape), np.zeros(small_grid.shape), small_solver
-    )
-    assert np.all(rhs_swirl(zero, small_solver) == 0.0)
-    assert np.all(rhs_vorticity(zero, small_solver) == 0.0)
+    zero = np.zeros(small_grid.shape)
+    for advection in ("centered2", "upwind1"):
+        for diffusion in ("crank_nicolson", "explicit"):
+            cfg = make_cfg(advection=advection, diffusion=diffusion)
+            state = state_from_dynamic(small_grid, 0.0, zero, zero, small_solver)
+            stepper = Stepper(cfg, small_grid, small_solver, state)
+            stepper.step(min(0.01, 0.5 * cfg.cfl * stepper.dt_bound()))
+            assert np.all(stepper.state.Gamma.values == 0.0)
+            assert np.all(stepper.state.omega.values == 0.0)
 
 
 def test_rhs_vorticity_z_independent_swirl_has_no_source(small_grid, small_solver):
@@ -88,11 +91,10 @@ def test_rhs_vorticity_z_independent_swirl_has_no_source(small_grid, small_solve
         2 * np.pi * small_grid.z / small_grid.L_z
     )
     state = state_from_dynamic(small_grid, 0.0, gamma, omega, small_solver)
-    with_swirl = rhs_vorticity(state, small_solver)
-    no_swirl = state_from_dynamic(
-        small_grid, 0.0, np.zeros(small_grid.shape), omega, small_solver
-    )
-    without = rhs_vorticity(no_swirl, small_solver)
+    ur, uz = state.ur.values, state.uz.values
+    _, with_swirl = _coupled_rates(small_grid, "centered2", gamma, omega, ur, uz, gamma)
+    zero = np.zeros(small_grid.shape)
+    _, without = _coupled_rates(small_grid, "centered2", zero, omega, ur, uz, zero)
     # z-independent Gamma contributes nothing: d_z(Gamma^2) = 0
     assert np.allclose(with_swirl, without, atol=1e-12)
 
@@ -265,15 +267,20 @@ def test_picard_validates_args(small_grid, small_solver):
         picard_iterate(small_solver, state0, T=0.1, j_max=3, p=2.0, dt=0.01)
 
 
-def test_advance_scalar_matches_heat_step_without_drift(small_grid, small_solver):
+def test_drift_diffusion_matches_heat_step_without_drift(small_grid, small_solver):
     f0 = bump_profile(small_grid.r, 1.3, 2.5)[:, None] * np.ones(small_grid.shape)
-    zero = lambda t: (np.zeros(small_grid.shape), np.zeros(small_grid.shape))
-    out = advance_scalar(small_solver, f0, 0.0, 0.01, "L1", zero)
-    # two half CN steps equal one CN step of the same total width here
-    ref = small_solver.heat_step(
-        small_solver.heat_step(f0, 0.005, "L1"), 0.005, "L1"
-    )
-    assert np.allclose(out, ref, atol=1e-13)
+    zero = np.zeros(small_grid.shape)
+    recs = drift_diffusion_run(small_solver, f0, DriftSpec(zero, zero), t_end=0.05, dt=0.01)
+    # with zero drift each step is two Crank-Nicolson half steps
+    ref = f0
+    for _ in range(10):
+        ref = small_solver.heat_step(ref, 0.005, "L1")
+    last = recs[-1]
+    assert last.t == pytest.approx(0.05)
+    assert last.sup == pytest.approx(np.max(ref), abs=1e-13)
+    assert last.inf == pytest.approx(np.min(ref), abs=1e-13)
+    for p, val in last.norms.items():
+        assert val == pytest.approx(lp_norm(small_grid, ref, p), rel=1e-13)
 
 
 def test_accumulated_budget_nonnegative_terms():
