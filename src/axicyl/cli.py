@@ -45,6 +45,7 @@ from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
     HEAT_OPS,
     EllipticSolver,
+    FitWindowError,
     commutation_check,
     semigroup_experiment,
 )
@@ -181,6 +182,8 @@ def cmd_mms(args, mapping, ctx):
     t_end = _get_float(mapping, "mms.t_end", 0.25)
     if levels < 1:
         raise ConfigError("mms.levels must be >= 1")
+    if n_base < 4:
+        raise ConfigError(f"mms.n_base must be >= 4, got {n_base}")
     results = mms_convergence_study(levels=levels, n_base=n_base, t_end=t_end)
     rows = [
         (
@@ -226,7 +229,16 @@ def cmd_semigroup(args, mapping, ctx):
     dt = _get_float(mapping, "semigroup.dt", 1.0 / 300.0)
     cases = _get(mapping, "semigroup.cases", DEFAULT_SEMIGROUP_CASES, _parse_cases)
     t_comm = _get_float(mapping, "semigroup.commutation_t", 0.05)
-    results = semigroup_experiment(n=n, dt=dt, cases=cases)
+    if n < 5:
+        raise ConfigError(f"semigroup.n must be >= 5, got {n}")
+    if not (dt > 0 and t_comm > 0):
+        raise ConfigError(
+            f"semigroup.dt and semigroup.commutation_t must be positive, got {dt}, {t_comm}"
+        )
+    try:
+        results = semigroup_experiment(n=n, dt=dt, cases=cases)
+    except FitWindowError as exc:
+        raise ConfigError(f"semigroup.n = {n} with semigroup.dt = {dt}: {exc}") from exc
     write_csv(
         ctx.add_output(ctx.out_dir / "semigroup_fits.csv"),
         ("op", "p", "k", "target_exponent", "fitted_exponent", "stderr", "prefactor"),
@@ -263,6 +275,12 @@ def cmd_picard(args, mapping, ctx):
     j_max = _get_int(mapping, "picard.j_max", 7)
     p = _get_float(mapping, "picard.p", 6.0)
     dt = _get_float(mapping, "picard.dt", 0.004)
+    if not (T > 0 and dt > 0):
+        raise ConfigError(f"picard.t_end and picard.dt must be positive, got {T}, {dt}")
+    if j_max < 2:
+        raise ConfigError(f"picard.j_max must be >= 2, got {j_max}")
+    if not 3.0 < p < math.inf:
+        raise ConfigError(f"picard.p must lie in (3, inf), got {p}")
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
     solver = EllipticSolver(grid)
     state0 = configured_initial_state(cfg, solver)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import axicyl
 from axicyl import cli
 from axicyl.cli import main
 from axicyl.config import ConfigError, SolverConfig, parse_config_text
@@ -164,6 +169,35 @@ def test_malformed_experiment_key_exits_2(tmp_path, command, line):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert "config error" in manifest["extra"]["error"]
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("picard", "picard.j_max = 1"),
+        ("picard", "picard.p = 2"),
+        ("picard", "picard.dt = 0"),
+        ("semigroup", "semigroup.n = 3"),
+        ("semigroup", "semigroup.n = 9"),  # parses, but leaves no decay-fit window
+        ("semigroup", "semigroup.commutation_t = 0"),
+        ("mms", "mms.n_base = 0"),
+        ("mms", "mms.n_base = 2"),
+    ],
+)
+def test_out_of_range_experiment_key_exits_2(tmp_path, command, line):
+    cfg = write_cfg(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "config error" in manifest["extra"]["error"]
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.linalg alone about doubles a bare process's resident memory
+    src = str(Path(axicyl.__file__).resolve().parents[1])
+    code = "import sys, axicyl.cli; sys.exit('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_cmd_inequalities_rejects_bad_sigma(tmp_path):

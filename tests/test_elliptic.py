@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from axicyl import elliptic
 from axicyl.elliptic import (
     EllipticSolver,
+    TridiagBatch,
     commutation_check,
     default_bc,
     power_spike,
@@ -27,6 +29,84 @@ def grid():
 @pytest.fixture(scope="module")
 def solver(grid):
     return EllipticSolver(grid)
+
+
+def _thomas_rows(sub, diag, sup, rhs):
+    """Reference: the row-by-row Thomas sweep over all systems at once."""
+    n = diag.shape[1]
+    cp = np.empty_like(diag)
+    d = np.empty_like(rhs)
+    cp[:, 0] = sup[:, 0] / diag[:, 0]
+    d[:, 0] = rhs[:, 0] / diag[:, 0]
+    for i in range(1, n):
+        denom = diag[:, i] - sub[:, i] * cp[:, i - 1]
+        cp[:, i] = sup[:, i] / denom
+        d[:, i] = (rhs[:, i] - sub[:, i] * d[:, i - 1]) / denom
+    for i in range(n - 2, -1, -1):
+        d[:, i] -= cp[:, i] * d[:, i + 1]
+    return d
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 127, 128, 383])
+@pytest.mark.parametrize("M", [1, 3, 65])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiag_batch_matches_dense_solve(n, M, dtype):
+    rng = np.random.default_rng(n * 100 + M)
+    # diagonally dominant, like every operator the solver factors; the
+    # corner entries sub[:, 0] and sup[:, -1] are set and must be ignored
+    sub = rng.uniform(-1.0, 1.0, (M, n))
+    sup = rng.uniform(-1.0, 1.0, (M, n))
+    diag = rng.choice([-1.0, 1.0], (M, n)) * rng.uniform(2.5, 3.5, (M, n))
+    rhs = rng.normal(size=(M, n)).astype(dtype)
+    if dtype is complex:
+        rhs += 1j * rng.normal(size=(M, n))
+    batch = TridiagBatch(sub, diag, sup)
+    assert (batch.M, batch.n) == (M, n)
+    dense = np.stack(
+        [np.diag(diag[m]) + np.diag(sub[m, 1:], -1) + np.diag(sup[m, :-1], 1) for m in range(M)]
+    )
+    expect = np.linalg.solve(dense, rhs[:, :, None])[:, :, 0]
+    rows = _thomas_rows(sub, diag, sup, rhs)
+    # C-ordered (M, n), and the transposed (n, M) view the z-FFT hands over
+    for given in (rhs, np.ascontiguousarray(rhs.T).T):
+        x = batch.solve(given)
+        assert x.shape == (M, n) and x.dtype == rhs.dtype
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(x - expect)) <= 1e-12 * scale
+        assert np.max(np.abs(x - rows)) <= 64 * np.finfo(float).eps * scale
+        assert np.array_equal(given, rhs)
+
+
+@pytest.mark.parametrize(
+    "diag, sub",
+    [
+        ([[0.0, 1.0, 1.0]], [[0.0, 1.0, 1.0]]),  # zero first pivot
+        ([[1.0, 1.0, 1.0]], [[0.0, 1.0, 1.0]]),  # second pivot 1 - 1*1 = 0
+    ],
+)
+def test_tridiag_batch_singular_raises(diag, sub):
+    diag, sub = np.array(diag), np.array(sub)
+    with pytest.raises(FloatingPointError):
+        TridiagBatch(sub, diag, np.ones_like(diag))
+
+
+def test_heat_steps_build_no_stream_factorization(grid, monkeypatch):
+    shapes = []
+
+    class Counting(TridiagBatch):
+        def __init__(self, sub, diag, sup):
+            super().__init__(sub, diag, sup)
+            shapes.append((self.M, self.n))
+
+    monkeypatch.setattr(elliptic, "TridiagBatch", Counting)
+    s = EllipticSolver(grid)
+    f = bump_profile(grid.r, 1.3, 2.6)[:, None] * np.ones(grid.shape)
+    for _ in range(3):
+        f = s.heat_step(f, 0.01, "L1")
+    assert len(shapes) == 1
+    s.solve_stream(f)
+    s.solve_stream(f)
+    assert shapes[1:] == [(grid.n_z // 2 + 1, grid.n_r - 2)]
 
 
 def manufactured_pair(R_out, L_z):
