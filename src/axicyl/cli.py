@@ -4,7 +4,7 @@
     axicyl mms          --config mms.cfg
     axicyl semigroup    --config semi.cfg
     axicyl picard       --config picard.cfg
-    axicyl sweep-eps    --config sweep.cfg --threads 4
+    axicyl sweep-eps    --config sweep.cfg
     axicyl inequalities --config ineq.cfg
     axicyl info
 
@@ -14,6 +14,11 @@ output directory (--out, else $AXICYL_OUT, else the working directory).
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files.
 
+A config key the command does not read (COMMAND_KEYS) is a config error.
+sweep-eps runs its eps values in threads, one per value up to the CPU
+count; the error column of eps_sweep.csv and the manifest's
+extra.failures hold the exception of each failed run.
+
 Exit codes: 0 success, 2 config error, 3 numerical halt, 4 I/O failure,
 1 unexpected error.
 """
@@ -21,6 +26,7 @@ Exit codes: 0 success, 2 config error, 3 numerical halt, 4 I/O failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -33,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, SolverConfig, _get, _get_float, _get_int, load_config
+from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, _get_float, _get_int, load_config
 from .diagnostics import (
     CSV_COLUMNS,
     eps_sweep,
@@ -43,7 +49,7 @@ from .diagnostics import (
 )
 from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
-    HEAT_OPS,
+    HEAT_WALLS,
     EllipticSolver,
     FitWindowError,
     commutation_check,
@@ -65,6 +71,17 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# the config keys each command reads
+_SOLVER = frozenset(SOLVER_KEYS)
+COMMAND_KEYS = {
+    "run": _SOLVER,
+    "mms": {"mms.levels", "mms.n_base", "mms.t_end"},
+    "semigroup": {"semigroup.n", "semigroup.dt", "semigroup.cases", "semigroup.commutation_t"},
+    "picard": _SOLVER | {"picard.t_end", "picard.j_max", "picard.p", "picard.dt"},
+    "sweep-eps": _SOLVER | {"sweep.eps"},
+    "inequalities": _SOLVER | {"ineq.samples", "ineq.q", "ineq.p"},
+}
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -75,10 +92,11 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Comma-separated rows; a value holding a comma, quote or newline is quoted."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_fmt(v) for v in row] for row in rows)
 
 
 class RunContext:
@@ -123,9 +141,10 @@ def _resolve_out(args) -> Path:
 def _command(body):
     """A subcommand running body(args, mapping, ctx) -> (status, exit code).
 
-    Writes one manifest whatever happens.  A ConfigError exits 2, a
-    CFLError or BlowupError 3 and an OSError 4; the message goes to stderr
-    and to the manifest's extra.error, next to the config echo.
+    Writes one manifest whatever happens.  A config key the command does
+    not read, or a ConfigError, exits 2, a CFLError or BlowupError 3 and an
+    OSError 4; the message goes to stderr and to the manifest's
+    extra.error, next to the config echo.
     """
 
     @functools.wraps(body)
@@ -135,6 +154,7 @@ def _command(body):
         try:
             mapping = {} if args.config is None else load_config(args.config)
             ctx.config_echo = dict(sorted(mapping.items()))
+            _check_keys(args.command, mapping)
             status, code = body(args, mapping, ctx)
         except ConfigError as exc:
             code, error = EXIT_CONFIG, f"config error: {exc}"
@@ -150,6 +170,12 @@ def _command(body):
         return code
 
     return run
+
+
+def _check_keys(command: str, mapping) -> None:
+    unknown = sorted(set(mapping) - COMMAND_KEYS[command])
+    if unknown:
+        raise ConfigError(f"unknown key(s) for {command}: {', '.join(unknown)}")
 
 
 def _exponent(raw: str) -> float:
@@ -215,7 +241,7 @@ def _parse_cases(raw: str):
             continue
         op, p_s, k_s = chunk.split(":")
         op, p, k = op.strip(), _exponent(p_s), int(k_s)
-        if op not in HEAT_OPS or not p >= 1 or k not in (0, 1):
+        if op not in HEAT_WALLS or not p >= 1 or k not in (0, 1):
             raise ValueError(f"bad semigroup case {chunk!r}")
         cases.append((op, p, k))
     if not cases:
@@ -327,7 +353,7 @@ def cmd_sweep_eps(args, mapping, ctx):
     )
     if not eps_list:
         raise ConfigError("sweep.eps must list at least one value")
-    summaries = eps_sweep(template, eps_list, threads=max(1, args.threads))
+    summaries = eps_sweep(template, eps_list)
     write_csv(
         ctx.add_output(ctx.out_dir / "eps_sweep.csv"),
         (
@@ -338,6 +364,7 @@ def cmd_sweep_eps(args, mapping, ctx):
             "closure_6_2",
             "fitted_c_6_3",
             "max_leakage",
+            "error",
         ),
         (
             (
@@ -348,11 +375,13 @@ def cmd_sweep_eps(args, mapping, ctx):
                 s.closure_6_2,
                 s.fitted_c_6_3,
                 s.max_leakage,
+                s.error,
             )
             for s in summaries
         ),
     )
     ctx.extra["n_failed"] = sum(1 for s in summaries if s.status != "completed")
+    ctx.extra["failures"] = {_fmt(s.eps): s.error for s in summaries if s.error}
     return "completed", EXIT_OK
 
 
@@ -453,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory (default $AXICYL_OUT or .)")
         p.add_argument("--seed", type=int, default=None, help="override init.seed")
-        if name == "sweep-eps":
-            p.add_argument("--threads", type=int, default=1, help="runs of the sweep in parallel")
         p.set_defaults(handler=fn)
     return parser
 

@@ -62,16 +62,43 @@ def _get_int(mapping, key, default):
     return _get(mapping, key, default, int)
 
 
-def _get_choice(mapping, key, default, choices):
-    val = mapping.get(key, default)
-    if val not in choices:
-        raise ConfigError(f"{key} must be one of {choices}, got {val!r}")
-    return val
-
-
 ADVECTION_SCHEMES = ("centered2", "upwind1")
 DIFFUSION_SCHEMES = ("crank_nicolson", "explicit")
 INIT_KINDS = ("no_swirl_bump", "swirl_bump", "random_modes")
+CHECKPOINTS = ("final", "none")
+
+
+def _auto_or_float(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
+
+
+# config key -> (SolverConfig field, parser); the choice fields are checked
+# by SolverConfig itself
+SOLVER_KEYS = {
+    "grid.r_min": ("r_min", float),
+    "grid.R": ("R", float),
+    "grid.L_z": ("L_z", float),
+    "grid.n_r": ("n_r", int),
+    "grid.n_z": ("n_z", int),
+    "time.dt": ("dt", _auto_or_float),
+    "time.cfl": ("cfl", float),
+    "time.t_end": ("t_end", float),
+    "time.output_interval": ("output_interval", float),
+    "scheme.advection": ("advection", str),
+    "scheme.diffusion": ("diffusion", str),
+    "init.kind": ("init_kind", str),
+    "init.amplitude": ("amplitude", float),
+    "init.omega_amplitude": ("omega_amplitude", float),
+    "init.r_lo": ("r_lo", float),
+    "init.r_hi": ("r_hi", float),
+    "init.z_lo": ("z_lo", float),
+    "init.z_hi": ("z_hi", float),
+    "init.z_mode": ("z_mode", int),
+    "init.n_modes": ("n_modes", int),
+    "init.seed": ("seed", int),
+    "run.blowup_threshold": ("blowup_threshold", float),
+    "output.checkpoint": ("checkpoint", str),
+}
 
 
 @dataclass
@@ -115,12 +142,14 @@ class SolverConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.output_interval <= 0:
             raise ConfigError(f"output_interval must be positive, got {self.output_interval}")
-        if self.advection not in ADVECTION_SCHEMES:
-            raise ConfigError(f"advection must be one of {ADVECTION_SCHEMES}")
-        if self.diffusion not in DIFFUSION_SCHEMES:
-            raise ConfigError(f"diffusion must be one of {DIFFUSION_SCHEMES}")
-        if self.init_kind not in INIT_KINDS:
-            raise ConfigError(f"init.kind must be one of {INIT_KINDS}")
+        for key, val, choices in (
+            ("scheme.advection", self.advection, ADVECTION_SCHEMES),
+            ("scheme.diffusion", self.diffusion, DIFFUSION_SCHEMES),
+            ("init.kind", self.init_kind, INIT_KINDS),
+            ("output.checkpoint", self.checkpoint, CHECKPOINTS),
+        ):
+            if val not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {val!r}")
 
     @property
     def r_support(self) -> tuple[float, float] | None:
@@ -140,31 +169,13 @@ class SolverConfig:
 
     @classmethod
     def from_mapping(cls, m: dict[str, str], seed_override: int | None = None) -> "SolverConfig":
-        dt = m.get("time.dt")
+        """The config the SOLVER_KEYS present in m give; absent keys keep the defaults."""
         cfg = cls(
-            r_min=_get_float(m, "grid.r_min", 1.0),
-            R=_get_float(m, "grid.R", 3.0),
-            L_z=_get_float(m, "grid.L_z", 2.0),
-            n_r=_get_int(m, "grid.n_r", 129),
-            n_z=_get_int(m, "grid.n_z", 128),
-            dt=None if dt in (None, "auto") else _get_float(m, "time.dt", None),
-            cfl=_get_float(m, "time.cfl", 0.4),
-            t_end=_get_float(m, "time.t_end", 1.0),
-            output_interval=_get_float(m, "time.output_interval", 0.05),
-            advection=_get_choice(m, "scheme.advection", "centered2", ADVECTION_SCHEMES),
-            diffusion=_get_choice(m, "scheme.diffusion", "crank_nicolson", DIFFUSION_SCHEMES),
-            init_kind=_get_choice(m, "init.kind", "swirl_bump", INIT_KINDS),
-            amplitude=_get_float(m, "init.amplitude", 1.0),
-            omega_amplitude=_get_float(m, "init.omega_amplitude", None),
-            r_lo=_get_float(m, "init.r_lo", None),
-            r_hi=_get_float(m, "init.r_hi", None),
-            z_lo=_get_float(m, "init.z_lo", None),
-            z_hi=_get_float(m, "init.z_hi", None),
-            z_mode=_get_int(m, "init.z_mode", 1),
-            n_modes=_get_int(m, "init.n_modes", 4),
-            seed=_get_int(m, "init.seed", 0),
-            blowup_threshold=_get_float(m, "run.blowup_threshold", 1e12),
-            checkpoint=_get_choice(m, "output.checkpoint", "final", ("final", "none")),
+            **{
+                name: _get(m, key, None, cast)
+                for key, (name, cast) in SOLVER_KEYS.items()
+                if key in m
+            }
         )
         if seed_override is not None:
             cfg.seed = seed_override

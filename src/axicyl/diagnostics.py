@@ -19,6 +19,7 @@ metric term; |grad(u_th e_th)|^2 = |grad u_th|^2 + |u_th/r|^2.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,7 +131,7 @@ CSV_COLUMNS = (
 
 @dataclass
 class DiagnosticsRecord:
-    """All norms, budget terms, and inequality ratios at one output time.
+    """All norms and budget terms at one output time.
 
     diss_* and bdry_flux are the accumulated time integrals entering the
     energy equality (without their factors of 2; the residual applies
@@ -155,16 +156,6 @@ class DiagnosticsRecord:
     margin_1_7: float
     dev_5_3: float
     h1: float  # h1_proxy of the state; not a CSV column
-    l2_grad_om_over_r: float = math.nan
-    l2_grad_om: float = math.nan
-    ratio_1_7: float = math.nan
-    ratio_1_10: float = math.nan
-    ratio_5_3: float = math.nan
-    ratio_5_4: float = math.nan
-    ratio_5_5: float = math.nan
-    ratio_5_6: float = math.nan
-    ratio_5_7: float = math.nan
-    ratio_5_8: float = math.nan
 
     def csv_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, c.lower()) for c in CSV_COLUMNS)
@@ -434,6 +425,7 @@ class EpsSummary:
     closure_6_2: float
     fitted_c_6_3: float
     max_leakage: float
+    error: str = ""  # "ExceptionType: message" of a failed run
 
 
 def _summarize_eps_run(eps: float, result) -> EpsSummary:
@@ -458,15 +450,18 @@ def _summarize_eps_run(eps: float, result) -> EpsSummary:
     )
 
 
-def eps_sweep(template, eps_list, threads: int = 1) -> list[EpsSummary]:
+def eps_sweep(template, eps_list) -> list[EpsSummary]:
     """Run the template config on the family r_min = eps.
 
     The initial data recipe (support in r >= 1) is shared across runs, so
     norms of the data are eps-uniform by construction; each run keeps the
-    template's radial spacing as the domain widens.  Per-run failures are
-    recorded; the sweep continues.  Runs are independent and may execute
-    concurrently (threads > 1).
+    template's radial spacing as the domain widens.  A failed run is
+    recorded with its exception and the sweep continues.  The runs are
+    independent and go in threads, one per eps up to the CPU count; numpy
+    releases the GIL for much of each step, so the runs overlap.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from .evolution import run_simulation
 
     h_template = (template.R - template.r_min) / (template.n_r - 1)
@@ -482,12 +477,11 @@ def eps_sweep(template, eps_list, threads: int = 1) -> list[EpsSummary]:
         eps, cfg = item
         try:
             return _summarize_eps_run(eps, run_simulation(cfg))
-        except Exception:
-            return EpsSummary(eps, "failed", math.nan, math.nan, math.nan, math.nan, math.nan)
+        except Exception as exc:  # one failed run must not end the sweep
+            nan = math.nan
+            error = f"{type(exc).__name__}: {exc}"
+            return EpsSummary(eps, "failed", nan, nan, nan, nan, nan, error)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, configs))
-    return [run_one(item) for item in configs]
+    workers = max(1, min(len(configs), os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_one, configs))

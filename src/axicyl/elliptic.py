@@ -12,8 +12,11 @@ velocities):
 
 discretized in divergence form with half-node coefficients.
 
-Heat steps advance d_t f = B f for B in {L0, L1, L0'} by Crank-Nicolson
-(default) or backward Euler.  Robin walls use second-order ghost
+Heat steps advance d_t f = B f for B in {L0, L1, L0'} by Crank-Nicolson.
+Each operator owns its inner-wall condition, the one the slip condition
+gives it (HEAT_WALLS): Robin d_r u = u/r_min for L0 (u_theta), Robin
+d_r Gamma = (2/r_min) Gamma for L1 (Gamma = r u_theta), and homogeneous
+Dirichlet for L0' (omega).  Robin walls use second-order ghost
 elimination: d_r f = alpha f at r_min gives f_ghost = f_1 - 2 h alpha f_0.
 The outer wall is homogeneous Dirichlet for every operator (far-field
 truncation).
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import DIRICHLET0, BCKind, ScalarField, robin
+from .fields import ScalarField
 from .grid import Grid, d2z, grad, lp_norm
 
 
@@ -143,28 +146,19 @@ def _sweep(w: np.ndarray, coef: np.ndarray, weights: np.ndarray, span: np.ndarra
         w[:, j] += tmp
 
 
-HEAT_OPS = ("L0", "L1", "L0p")
+# Inner-wall condition of each heat operator: Robin d_r f = (c / r_min) f
+# for a number c, homogeneous Dirichlet for None.
+HEAT_WALLS: dict[str, float | None] = {"L0": 1.0, "L1": 2.0, "L0p": None}
 
 
-def default_bc(op: str, grid: Grid) -> BCKind:
-    """Inner-wall condition each operator generates its semigroup with."""
-    if op == "L0":
-        return robin(1.0 / grid.r_min)
-    if op == "L1":
-        return robin(2.0 / grid.r_min)
-    if op == "L0p":
-        return DIRICHLET0
-    raise ValueError(f"unknown operator {op!r}")
-
-
-def _radial_rows(grid: Grid, op: str, bc: BCKind):
+def _radial_rows(grid: Grid, op: str):
     """Tridiagonal rows of the radial part of op over all n_r nodes.
 
-    Dirichlet rows (outer wall always; inner wall when bc is dirichlet0)
-    are zeroed; the caller treats those nodes as pinned to 0.
+    Dirichlet rows (outer wall always; inner wall when op's wall is
+    Dirichlet) are zeroed; the caller treats those nodes as pinned to 0.
     Returns (sub, diag, sup, unknown_slice).
     """
-    if op not in HEAT_OPS:
+    if op not in HEAT_WALLS:
         raise ValueError(f"unknown operator {op!r}")
     n, h, r = grid.n_r, grid.h_r, grid.r
     sub = np.zeros(n)
@@ -180,19 +174,18 @@ def _radial_rows(grid: Grid, op: str, bc: BCKind):
         diag[i] = -2.0 / h**2
         sup[i] = 1.0 / h**2 - 1.0 / (2 * h * r[i])
 
-    if bc.kind == "robin":
-        a = bc.alpha
+    wall = HEAT_WALLS[op]
+    if wall is None:
+        lo = 1
+    else:
+        a = wall / grid.r_min
         r0 = r[0]
-        if op in ("L0", "L0p"):
+        if op == "L0":
             diag[0] = -2.0 / h**2 - 2.0 * a / h + a / r0 - 1.0 / r0**2
         else:
             diag[0] = -2.0 / h**2 - 2.0 * a / h - a / r0
         sup[0] = 2.0 / h**2
         lo = 0
-    elif bc.kind == "dirichlet0":
-        lo = 1
-    else:
-        raise ValueError(f"heat operators need robin or dirichlet0 bc, got {bc.kind!r}")
     # outer wall: Dirichlet; drop the coupling of the last unknown row to it
     return sub, diag, sup, slice(lo, n - 1)
 
@@ -255,7 +248,7 @@ class EllipticSolver:
         psi_hat = self._stream.solve(rhs_hat)
         psi = np.zeros(g.shape)
         psi[1:-1, :] = np.fft.irfft(psi_hat.T, n=g.n_z, axis=1)
-        return ScalarField(g, psi, DIRICHLET0)
+        return ScalarField(g, psi)
 
     def apply_stream_operator(self, psi) -> np.ndarray:
         """Discrete stream operator at interior rows (wall rows returned 0)."""
@@ -280,67 +273,55 @@ class EllipticSolver:
 
     # -- heat steps -----------------------------------------------------------
 
-    def _heat_matrices(self, op: str, bc: BCKind, dt: float, scheme: str):
-        key = (op, bc.kind, round(bc.alpha, 14), round(dt, 16), scheme)
+    def _heat_matrices(self, op: str, dt: float):
+        key = (op, round(dt, 16))
         hit = self._heat_cache.get(key)
         if hit is not None:
             return hit
-        g = self.grid
-        sub, diag, sup, unk = _radial_rows(g, op, bc)
+        sub, diag, sup, unk = _radial_rows(self.grid, op)
         s, d, u = sub[unk], diag[unk], sup[unk]
         n = d.size
         lam = self._lam[:, None]
         ones = np.ones((self._n_modes, n))
-        theta = dt if scheme == "be" else 0.5 * dt
+        theta = 0.5 * dt
         lhs = TridiagBatch(
             -theta * s * ones, 1.0 - theta * (d[None, :] - lam), -theta * u * ones
         )
-        entry = (lhs, (sub, diag, sup, unk), theta if scheme == "cn" else 0.0)
+        entry = (lhs, (sub, diag, sup, unk), theta)
         if len(self._heat_cache) > 16:
             self._heat_cache.clear()
         self._heat_cache[key] = entry
         return entry
 
-    def heat_step(self, f, dt: float, op: str, scheme: str = "cn", bc: BCKind | None = None):
-        """One unconditionally stable implicit step of d_t f = op f."""
+    def heat_step(self, f: np.ndarray, dt: float, op: str) -> np.ndarray:
+        """One Crank-Nicolson step of d_t f = op f (unconditionally stable)."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if scheme not in ("cn", "be"):
-            raise ValueError(f"scheme must be 'cn' or 'be', got {scheme!r}")
         g = self.grid
-        is_field = isinstance(f, ScalarField)
-        vals = f.values if is_field else np.asarray(f, float)
-        if bc is None:
-            bc = f.bc if (is_field and f.bc.kind != "none") else default_bc(op, g)
-        lhs, (sub, diag, sup, unk), theta = self._heat_matrices(op, bc, dt, scheme)
-        fhat = np.fft.rfft(vals, axis=1).T  # (modes, n_r)
+        # theta is the cached factorization's, so a dt that rounds to a
+        # cached key gets a right-hand side that matches its left-hand side
+        lhs, (sub, diag, sup, unk), theta = self._heat_matrices(op, dt)
+        fhat = np.fft.rfft(np.asarray(f, float), axis=1).T  # (modes, n_r)
         sel = fhat[:, unk]
-        if theta > 0.0:
-            # banded (I + theta*B) f, assembled mode-wise; wall values are
-            # zero so the first/last unknown rows have no extra coupling
-            bf = diag[unk][None, :] * sel - self._lam[:, None] * sel
-            bf[:, 1:] += sub[unk][None, 1:] * sel[:, :-1]
-            bf[:, :-1] += sup[unk][None, :-1] * sel[:, 1:]
-            rhs = sel + theta * bf
-        else:
-            rhs = sel
+        # banded (I + theta*B) f, assembled mode-wise; wall values are zero
+        # so the first/last unknown rows have no extra coupling
+        bf = diag[unk][None, :] * sel - self._lam[:, None] * sel
+        bf[:, 1:] += sub[unk][None, 1:] * sel[:, :-1]
+        bf[:, :-1] += sup[unk][None, :-1] * sel[:, 1:]
+        rhs = sel + theta * bf
         out_hat = np.zeros_like(fhat)
         out_hat[:, unk] = lhs.solve(rhs)
         out = np.fft.irfft(out_hat.T, n=g.n_z, axis=1)
         if unk.start == 1:
             out[0, :] = 0.0
         out[-1, :] = 0.0
-        if is_field:
-            return ScalarField(g, out, bc)
         return out
 
-    def apply_heat_operator(self, f, op: str, bc: BCKind | None = None) -> np.ndarray:
-        """Explicit, boundary-aware application of op (Dirichlet rows map to 0)."""
+    def apply_heat_operator(self, f: np.ndarray, op: str) -> np.ndarray:
+        """Explicit application of op with its wall rows (Dirichlet rows map to 0)."""
         g = self.grid
-        vals = f.values if isinstance(f, ScalarField) else np.asarray(f, float)
-        if bc is None:
-            bc = default_bc(op, g)
-        sub, diag, sup, unk = _radial_rows(g, op, bc)
+        vals = np.asarray(f, float)
+        sub, diag, sup, unk = _radial_rows(g, op)
         out = diag[:, None] * vals
         out[1:] += sub[1:, None] * vals[:-1]
         out[:-1] += sup[:-1, None] * vals[1:]
@@ -351,12 +332,10 @@ class EllipticSolver:
         out[-1, :] = 0.0
         return out
 
-    def explicit_stability_bound(self, op: str, bc: BCKind | None = None) -> float:
+    def explicit_stability_bound(self, op: str) -> float:
         """Largest dt with 1 + dt*diag >= 0 for every row (monotone explicit step)."""
         g = self.grid
-        if bc is None:
-            bc = default_bc(op, g)
-        _, diag, _, unk = _radial_rows(g, op, bc)
+        _, diag, _, unk = _radial_rows(g, op)
         worst = np.max(-diag[unk]) + 2.0 / g.h_z**2
         return 1.0 / worst
 
@@ -415,13 +394,6 @@ def power_spike(
     return vals / lp_norm(grid, vals, p)
 
 
-def default_fit_window(grid: Grid, center: tuple[float, float], dt: float) -> tuple[float, float]:
-    """[25 dt, (d/3)^2] with d the distance from the spike to any boundary."""
-    r0, _ = center
-    dist = min(r0 - grid.r_min, grid.R - r0, grid.L_z / 2.0)
-    return 25.0 * dt, (dist / 3.0) ** 2
-
-
 def _decay_series(
     solver: EllipticSolver,
     op: str,
@@ -429,8 +401,6 @@ def _decay_series(
     ks: tuple[int, ...],
     t_window: tuple[float, float],
     dt: float,
-    bc: BCKind | None,
-    scheme: str,
     n_samples: int,
     mask: np.ndarray | None,
 ):
@@ -451,7 +421,7 @@ def _decay_series(
     norms: dict[int, list[float]] = {k: [] for k in ks}
     target = set(steps.tolist())
     for n in range(1, int(steps[-1]) + 1):
-        f = solver.heat_step(f, dt, op, scheme=scheme, bc=bc)
+        f = solver.heat_step(f, dt, op)
         if n in target:
             times.append(n * dt)
             for k in ks:
@@ -481,12 +451,9 @@ def semigroup_decay_fit(
     solver: EllipticSolver,
     op: str,
     f0: np.ndarray,
-    p: float,
     k: int,
     t_window: tuple[float, float],
     dt: float,
-    bc: BCKind | None = None,
-    scheme: str = "cn",
     n_samples: int = 24,
     mask: np.ndarray | None = None,
 ) -> DecayFit:
@@ -497,7 +464,7 @@ def semigroup_decay_fit(
     mask restricts the sup to a subdomain (used to keep the fit clear of
     the artificial truncation walls).
     """
-    times, norms = _decay_series(solver, op, f0, (k,), t_window, dt, bc, scheme, n_samples, mask)
+    times, norms = _decay_series(solver, op, f0, (k,), t_window, dt, n_samples, mask)
     exponent, stderr, prefactor = _loglog_fit(times, norms[k])
     return DecayFit(exponent, stderr, prefactor, times, norms[k])
 
@@ -516,7 +483,7 @@ class SemigroupCase:
 
 
 DEFAULT_SEMIGROUP_CASES: tuple[tuple[str, float, int], ...] = tuple(
-    (op, p, k) for op in HEAT_OPS for (p, k) in ((2.0, 0), (6.0, 0), (6.0, 1), (math.inf, 0))
+    (op, p, k) for op in HEAT_WALLS for (p, k) in ((2.0, 0), (6.0, 0), (6.0, 1), (math.inf, 0))
 )
 
 
@@ -558,7 +525,7 @@ def semigroup_experiment(
     for (op, p), ks in grouped.items():
         f0 = power_spike(grid, p, center, envelope=envelope)
         times, norms = _decay_series(
-            solver, op, f0, tuple(sorted(set(ks))), window, dt, None, "cn", n_samples, mask
+            solver, op, f0, tuple(sorted(set(ks))), window, dt, n_samples, mask
         )
         for k in ks:
             fitted, stderr, prefactor = _loglog_fit(times, norms[k])
@@ -567,15 +534,13 @@ def semigroup_experiment(
     return results
 
 
-def commutation_check(
-    solver: EllipticSolver, gamma0: np.ndarray, t: float, dt: float, scheme: str = "cn"
-) -> float:
-    """sup |r e^(t L0) g - e^(t L1) (r g)| with matched Robin pairs and steps."""
+def commutation_check(solver: EllipticSolver, gamma0: np.ndarray, t: float, dt: float) -> float:
+    """sup |r e^(t L0) g - e^(t L1) (r g)| with the operators' Robin walls and matched steps."""
     grid = solver.grid
     n = int(round(t / dt)) if t > 0 else 0
     small = np.array(gamma0, dtype=float)
     big = grid.rcol * small
     for _ in range(n):
-        small = solver.heat_step(small, dt, "L0", scheme=scheme, bc=robin(1.0 / grid.r_min))
-        big = solver.heat_step(big, dt, "L1", scheme=scheme, bc=robin(2.0 / grid.r_min))
+        small = solver.heat_step(small, dt, "L0")
+        big = solver.heat_step(big, dt, "L1")
     return float(np.max(np.abs(grid.rcol * small - big)))

@@ -31,9 +31,8 @@ from .diagnostics import (
     dissipation_sample,
     h1_proxy,
     identity_5_3_check,
-    state_inequality_ratios,
 )
-from .elliptic import EllipticSolver
+from .elliptic import HEAT_WALLS, EllipticSolver
 from .fields import (
     AxisymState,
     ScalarField,
@@ -105,14 +104,14 @@ def _strang_heun(solver: EllipticSolver, fields, ops, dt: float, tendency, diffu
     the Heun tendencies instead.  tendency(stage_fields, stage) returns one
     fresh array per field, with stage 0 at the start of the step and stage 1
     at its end.  Every field's truncation row is pinned to zero, and so is
-    the inner-wall row of a Dirichlet (L0p) field.  The input arrays are
-    not modified.
+    the inner-wall row of a field whose operator has a Dirichlet wall.  The
+    input arrays are not modified.
     """
     implicit = diffusion == "crank_nicolson"
 
     def pinned(f, op):
         f[-1, :] = 0.0
-        if op == "L0p":
+        if HEAT_WALLS[op] is None:
             f[0, :] = 0.0
         return f
 
@@ -258,7 +257,7 @@ class Stepper:
 
     # -- diagnostics ----------------------------------------------------------
 
-    def record(self, with_ratios: bool = True) -> DiagnosticsRecord:
+    def record(self) -> DiagnosticsRecord:
         st = self.state
         g = self.grid
         e_kin = st.kinetic_energy()
@@ -284,7 +283,7 @@ class Stepper:
         lhs_1_12 = l2_om**2 + self.acc_om_diss
         margin_1_6 = sup_gamma - self.sup_gamma0
         margin_1_7 = l4_uth - math.sqrt(self.sup_gamma0) * math.sqrt(self.l2_u0)
-        rec = DiagnosticsRecord(
+        return DiagnosticsRecord(
             t=st.t,
             e_kin=e_kin,
             diss_v=self.acc_diss_v,
@@ -303,22 +302,7 @@ class Stepper:
             margin_1_7=margin_1_7,
             dev_5_3=identity_5_3_check(st),
             h1=h1_proxy(st),
-            l2_grad_om_over_r=math.sqrt(self._prev.grad_om_over_r),
-            l2_grad_om=math.sqrt(
-                max(self._prev.om_diss - l2_q**2, 0.0)
-            ),
         )
-        if with_ratios:
-            ratios = state_inequality_ratios(st)
-            rec.ratio_1_7 = ratios["E1_7"]
-            rec.ratio_1_10 = ratios["E1_10"]
-            rec.ratio_5_3 = ratios["E5_3"]
-            rec.ratio_5_4 = ratios["E5_4"]
-            rec.ratio_5_5 = ratios["E5_5"]
-            rec.ratio_5_6 = ratios["E5_6"]
-            rec.ratio_5_7 = ratios["E5_7"]
-            rec.ratio_5_8 = ratios["E5_8"]
-        return rec
 
 
 def configured_initial_state(cfg: SolverConfig, solver: EllipticSolver) -> AxisymState:

@@ -13,7 +13,8 @@ Boundary conditions at the inner wall r = r_min:
     psi   : Dirichlet 0 at both walls
 
 and homogeneous Dirichlet for Gamma, omega, psi at the truncation
-radius r = R.
+radius r = R.  The heat operators that advance Gamma and omega carry
+these walls themselves (`elliptic.HEAT_WALLS`).
 """
 
 from __future__ import annotations
@@ -27,32 +28,10 @@ import numpy as np
 from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
 
 
-@dataclass(frozen=True)
-class BCKind:
-    """Inner-wall boundary treatment of a scalar field."""
-
-    kind: str  # "robin" | "dirichlet0" | "none"
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("robin", "dirichlet0", "none"):
-            raise ValueError(f"unknown bc kind {self.kind!r}")
-
-
-def robin(alpha: float) -> BCKind:
-    """d_n f + alpha f = 0 with outward normal -e_r, i.e. d_r f = alpha f."""
-    return BCKind("robin", float(alpha))
-
-
-DIRICHLET0 = BCKind("dirichlet0")
-NO_BC = BCKind("none")
-
-
 @dataclass
 class ScalarField:
     grid: Grid
     values: np.ndarray
-    bc: BCKind = NO_BC
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -64,7 +43,7 @@ class ScalarField:
             raise ValueError("field contains non-finite values")
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.bc)
+        return ScalarField(self.grid, self.values.copy())
 
     def norm(self, p: float) -> float:
         return lp_norm(self.grid, self.values, p)
@@ -129,7 +108,7 @@ def velocity_from_stream(psi: ScalarField) -> tuple[ScalarField, ScalarField]:
 def azimuthal_vorticity_of(ur: ScalarField, uz: ScalarField) -> ScalarField:
     """omega = d_z u_r - d_r u_z, by centered differences."""
     g = ur.grid
-    return ScalarField(g, ddz(g, ur.values) - ddr(g, uz.values), DIRICHLET0)
+    return ScalarField(g, ddz(g, ur.values) - ddr(g, uz.values))
 
 
 def discrete_divergence(ur: ScalarField, uz: ScalarField) -> np.ndarray:
@@ -157,11 +136,11 @@ def state_from_dynamic(
         from .elliptic import EllipticSolver
 
         solver = EllipticSolver(grid)
-    Gamma = ScalarField(grid, np.array(gamma_values, dtype=float), robin(2.0 / grid.r_min))
+    Gamma = ScalarField(grid, np.array(gamma_values, dtype=float))
     om = np.array(omega_values, dtype=float)
     om[0, :] = 0.0
     om[-1, :] = 0.0
-    omega = ScalarField(grid, om, DIRICHLET0)
+    omega = ScalarField(grid, om)
     psi = solver.solve_stream(omega)
     ur, uz = velocity_from_stream(psi)
     uth = swirl_velocity(Gamma)

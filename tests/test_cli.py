@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,11 +11,13 @@ import numpy as np
 import pytest
 
 import axicyl
-from axicyl import cli
+from axicyl import cli, evolution
 from axicyl.cli import main
-from axicyl.config import ConfigError, SolverConfig, parse_config_text
+from axicyl.config import ConfigError, SolverConfig, load_config, parse_config_text
 from axicyl.diagnostics import CSV_COLUMNS
-from axicyl.evolution import run_simulation
+from axicyl.evolution import CFLError, run_simulation
+
+ROOT = Path(__file__).resolve().parents[1]
 
 RUN_CFG = """
 # small deterministic run
@@ -31,6 +35,13 @@ init.omega_amplitude = 0.25
 init.r_lo = 1.3
 init.r_hi = 2.4
 """
+
+SWEEP_CFG = (
+    "grid.r_min = 1.0\ngrid.R = 3.0\ngrid.L_z = 2.0\ngrid.n_r = 33\ngrid.n_z = 32\n"
+    "time.dt = 0.004\ntime.t_end = 0.02\ntime.output_interval = 0.01\n"
+    "init.kind = no_swirl_bump\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
+    "sweep.eps = 1,0.5\noutput.checkpoint = none\n"
+)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -192,6 +203,39 @@ def test_out_of_range_experiment_key_exits_2(tmp_path, command, line):
     assert "config error" in manifest["extra"]["error"]
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("run", "grid.n_rr = 9"),
+        ("mms", "grid.n_r = 33"),
+        ("semigroup", "semigroup.m = 97"),
+        ("picard", "sweep.eps = 1"),
+        ("sweep-eps", "picard.p = 6"),
+        ("inequalities", "ineq.r = 2"),
+    ],
+)
+def test_unknown_config_key_exits_2(tmp_path, command, line):
+    cfg = write_cfg(tmp_path, line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert line.split(" =")[0] in manifest["extra"]["error"]
+
+
+def test_bundled_configs_pass_the_key_check():
+    experiments = runpy.run_path(str(ROOT / "scripts" / "run_all_experiments.py"))["EXPERIMENTS"]
+    perfbench = {"coupled_swirl": "run", "mms_ladder": "mms", "semigroup_heat": "semigroup"}
+    assert {p.stem for p in (ROOT / "perfbench" / "configs").glob("*.cfg")} == set(perfbench)
+    pairs = [(command, ROOT / "configs" / name) for command, name in experiments]
+    pairs += [
+        (command, ROOT / "perfbench" / "configs" / f"{stem}.cfg")
+        for stem, command in perfbench.items()
+    ]
+    for command, path in pairs:
+        cli._check_keys(command, load_config(path))
+
+
 def test_cli_import_leaves_scipy_out():
     # importing scipy.linalg alone about doubles a bare process's resident memory
     src = str(Path(axicyl.__file__).resolve().parents[1])
@@ -222,18 +266,34 @@ def test_cmd_inequalities_small(tmp_path):
 
 
 def test_cmd_sweep_eps_small(tmp_path):
-    text = (
-        "grid.r_min = 1.0\ngrid.R = 3.0\ngrid.L_z = 2.0\ngrid.n_r = 33\ngrid.n_z = 32\n"
-        "time.dt = 0.004\ntime.t_end = 0.02\ntime.output_interval = 0.01\n"
-        "init.kind = no_swirl_bump\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
-        "sweep.eps = 1,0.5\noutput.checkpoint = none\n"
-    )
-    cfg = write_cfg(tmp_path, text)
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
     out = tmp_path / "out"
-    assert main(["sweep-eps", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 0
+    assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "eps_sweep.csv").read_text().splitlines()
     assert len(rows) == 3
     assert rows[1].split(",")[1] == "completed"
+
+
+def test_cmd_sweep_eps_records_why_a_run_failed(tmp_path, monkeypatch):
+    real = evolution.run_simulation
+    message = "dt = 0.004 exceeds the bound, at eps 0.5"
+
+    def failing_at_half(cfg, *args, **kwargs):
+        if cfg.r_min == 0.5:
+            raise CFLError(message)
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "run_simulation", failing_at_half)
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "eps_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["completed", "failed"]
+    assert [r["error"] for r in rows] == ["", f"CFLError: {message}"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["extra"]["n_failed"] == 1
+    assert manifest["extra"]["failures"] == {"0.5": f"CFLError: {message}"}
 
 
 def test_cmd_picard_small(tmp_path):

@@ -73,6 +73,16 @@ def test_rhs_swirl_annihilates_r_squared(small_grid, small_solver):
     assert np.allclose(out, 0.0, atol=1e-10)
 
 
+def test_heat_operator_wall_rows(small_grid, small_solver):
+    # L0 r = 0 discretely, including the Robin row: its condition
+    # d_r f = f / r_min holds exactly for f = r
+    r = np.broadcast_to(small_grid.rcol, small_grid.shape).copy()
+    assert np.allclose(small_solver.apply_heat_operator(r, "L0"), 0.0, atol=1e-10)
+    # L0' has a Dirichlet wall: its inner-wall row maps any field to 0
+    f = np.random.default_rng(1).normal(size=small_grid.shape)
+    assert np.all(small_solver.apply_heat_operator(f, "L0p")[0] == 0.0)
+
+
 def test_rhs_zero_state(small_grid, small_solver):
     zero = np.zeros(small_grid.shape)
     for advection in ("centered2", "upwind1"):

@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 
 from axicyl.elliptic import EllipticSolver
 from axicyl.fields import (
-    DIRICHLET0,
     CheckpointError,
     ScalarField,
     azimuthal_vorticity_of,
@@ -36,7 +35,7 @@ def test_scalar_field_validation(grid):
 
 
 def test_velocity_from_zero_stream(grid):
-    psi = ScalarField(grid, np.zeros(grid.shape), DIRICHLET0)
+    psi = ScalarField(grid, np.zeros(grid.shape))
     ur, uz = velocity_from_stream(psi)
     assert np.all(ur.values == 0.0)
     assert np.all(uz.values == 0.0)
