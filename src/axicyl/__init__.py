@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import SolverConfig
-from .elliptic import EllipticSolver, commutation_check, semigroup_decay_fit
+from .elliptic import EllipticSolver, commutation_check
 from .evolution import (
     Stepper,
     drift_diffusion_run,
@@ -12,7 +12,6 @@ from .evolution import (
 )
 from .fields import (
     AxisymState,
-    ScalarField,
     checkpoint_load,
     checkpoint_save,
     make_initial_data,
@@ -23,7 +22,6 @@ __all__ = [
     "AxisymState",
     "EllipticSolver",
     "Grid",
-    "ScalarField",
     "SolverConfig",
     "Stepper",
     "build_grid",
@@ -35,7 +33,6 @@ __all__ = [
     "make_initial_data",
     "picard_iterate",
     "run_simulation",
-    "semigroup_decay_fit",
     "weighted_integral",
     "__version__",
 ]

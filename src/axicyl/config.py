@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .grid import GridError, check_grid
+
 
 class ConfigError(ValueError):
     """Unusable configuration input."""
@@ -134,6 +136,10 @@ class SolverConfig:
     checkpoint: str = "final"  # final | none
 
     def __post_init__(self):
+        try:
+            check_grid(self.r_min, self.R, self.L_z, self.n_r, self.n_z)
+        except GridError as exc:
+            raise ConfigError(f"grid.{exc.param} {exc.message}") from exc
         if not (0 < self.cfl <= 1):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.t_end < 0:

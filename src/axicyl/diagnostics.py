@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ConfigError
 from .fields import AxisymState, bump_profile
 from .grid import Grid, ddr, ddz, lp_norm, weighted_integral
 
@@ -31,28 +32,26 @@ from .grid import Grid, ddr, ddz, lp_norm, weighted_integral
 # -- pointwise building blocks ------------------------------------------------
 
 
-def velocity_gradient_squared(state: AxisymState) -> np.ndarray:
+def velocity_gradient_squared(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
     """|grad v|^2 for v = (u_r, u_z), with the u_r/r metric term."""
-    g = state.grid
-    ur, uz = state.ur.values, state.uz.values
     return (
-        ddr(g, ur) ** 2
-        + ddz(g, ur) ** 2
-        + (ur / g.rcol) ** 2
-        + ddr(g, uz) ** 2
-        + ddz(g, uz) ** 2
+        ddr(grid, ur) ** 2
+        + ddz(grid, ur) ** 2
+        + (ur / grid.rcol) ** 2
+        + ddr(grid, uz) ** 2
+        + ddz(grid, uz) ** 2
     )
 
 
-def full_velocity_gradient_squared(state: AxisymState) -> np.ndarray:
+def full_velocity_gradient_squared(
+    grid: Grid, ur: np.ndarray, uth: np.ndarray, uz: np.ndarray
+) -> np.ndarray:
     """|grad u|^2 of the full vector field, including u_th/r."""
-    g = state.grid
-    uth = state.uth.values
     return (
-        velocity_gradient_squared(state)
-        + ddr(g, uth) ** 2
-        + ddz(g, uth) ** 2
-        + (uth / g.rcol) ** 2
+        velocity_gradient_squared(grid, ur, uz)
+        + ddr(grid, uth) ** 2
+        + ddz(grid, uth) ** 2
+        + (uth / grid.rcol) ** 2
     )
 
 
@@ -70,10 +69,10 @@ class DissipationSample:
 
 def dissipation_sample(state: AxisymState) -> DissipationSample:
     g = state.grid
-    uth = state.uth.values
-    om = state.omega.values
+    uth = state.uth
+    om = state.omega
     q = om / g.rcol
-    diss_v = weighted_integral(g, velocity_gradient_squared(state))
+    diss_v = weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz))
     diss_uth = weighted_integral(g, ddr(g, uth) ** 2 + ddz(g, uth) ** 2)
     diss_sw = weighted_integral(g, (uth / g.rcol) ** 2)
     # (2/r_min) * oint |u_th|^2 dH, dH = r_min dtheta dz
@@ -88,7 +87,7 @@ def boundary_leakage(state: AxisymState) -> float:
     g = state.grid
     i = g.n_r - 2
     tot = sum(
-        float(np.sum(np.abs(f.values[i, :])))
+        float(np.sum(np.abs(f[i, :])))
         for f in (state.Gamma, state.omega, state.ur, state.uth, state.uz)
     )
     return 2.0 * math.pi * g.r[i] * g.h_z * tot
@@ -97,10 +96,10 @@ def boundary_leakage(state: AxisymState) -> float:
 def h1_proxy(state: AxisymState) -> float:
     """(||u||_2^2 + ||grad v||_2^2 + ||grad u_th||_2^2)^(1/2)."""
     g = state.grid
-    uth = state.uth.values
+    uth = state.uth
     val = (
         state.kinetic_energy()
-        + weighted_integral(g, velocity_gradient_squared(state))
+        + weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz))
         + weighted_integral(g, ddr(g, uth) ** 2 + ddz(g, uth) ** 2)
     )
     return math.sqrt(val)
@@ -164,8 +163,8 @@ class DiagnosticsRecord:
 def identity_5_3_check(state: AxisymState) -> float:
     """|  ||grad v||_2 - ||om||_2 | / max(||om||_2, tiny)."""
     g = state.grid
-    grad_v = math.sqrt(weighted_integral(g, velocity_gradient_squared(state)))
-    om2 = lp_norm(g, state.omega.values, 2)
+    grad_v = math.sqrt(weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz)))
+    om2 = lp_norm(g, state.omega, 2)
     return abs(grad_v - om2) / max(om2, 1e-300)
 
 
@@ -178,13 +177,8 @@ def _safe_ratio(lhs: float, rhs: float) -> float:
 def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
     """Per-state lhs/(rhs without constant) for (1.7), (1.10), (5.3)-(5.8)."""
     g = state.grid
-    ur, uth, uz, om = (
-        state.ur.values,
-        state.uth.values,
-        state.uz.values,
-        state.omega.values,
-    )
-    sup_gamma = lp_norm(g, state.Gamma.values, np.inf)
+    ur, uth, uz, om = state.ur, state.uth, state.uz, state.omega
+    sup_gamma = lp_norm(g, state.Gamma, np.inf)
     l2_u = math.sqrt(state.kinetic_energy())
     l4_uth = lp_norm(g, uth, 4)
     v_mag = np.hypot(ur, uz)
@@ -195,7 +189,7 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
     grad_om = math.sqrt(weighted_integral(g, ddr(g, om) ** 2 + ddz(g, om) ** 2))
     l2_uth_r = lp_norm(g, uth / g.rcol, 2)
     l4_uth_r = lp_norm(g, uth / g.rcol, 4)
-    grad_v = math.sqrt(weighted_integral(g, velocity_gradient_squared(state)))
+    grad_v = math.sqrt(weighted_integral(g, velocity_gradient_squared(g, ur, uz)))
     l2_om_r = lp_norm(g, om / g.rcol, 2)
     grad_om_full = math.sqrt(grad_om**2 + l2_om_r**2)
     return {
@@ -455,7 +449,8 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
 
     The initial data recipe (support in r >= 1) is shared across runs, so
     norms of the data are eps-uniform by construction; each run keeps the
-    template's radial spacing as the domain widens.  A failed run is
+    template's radial spacing as the domain widens.  An eps that gives no
+    valid grid is a ConfigError before any run starts; a run that fails is
     recorded with its exception and the sweep continues.  The runs are
     independent and go in threads, one per eps up to the CPU count; numpy
     releases the GIL for much of each step, so the runs overlap.
@@ -464,14 +459,19 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
 
     from .evolution import run_simulation
 
+    if template.r_support is not None and template.r_support[0] < 1.0:
+        raise ConfigError(
+            f"init.r_lo must be >= 1 in an eps sweep (data supported in r >= 1), "
+            f"got {template.r_support[0]}"
+        )
     h_template = (template.R - template.r_min) / (template.n_r - 1)
     configs = []
-    for eps in eps_list:
-        n_r = 1 + round((template.R - float(eps)) / h_template)
-        cfg = replace(template, r_min=float(eps), n_r=n_r)
-        if cfg.r_support is not None and cfg.r_support[0] < 1.0:
-            raise ValueError("eps-sweep initial data must be supported in r >= 1")
-        configs.append((float(eps), cfg))
+    for eps in map(float, eps_list):
+        try:
+            n_r = 1 + round((template.R - eps) / h_template)
+            configs.append((eps, replace(template, r_min=eps, n_r=n_r)))
+        except (ValueError, OverflowError) as exc:  # the grid check, or a non-finite eps
+            raise ConfigError(f"sweep.eps = {eps}: {exc}") from exc
 
     def run_one(item):
         eps, cfg = item

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
 from .grid import Grid, d2z, grad, lp_norm
 
 
@@ -200,17 +199,6 @@ class FitWindowError(ValueError):
     """The decay-fit window is empty, or too narrow to hold three time steps."""
 
 
-@dataclass
-class DecayFit:
-    """Log-log least-squares fit of a sup-norm decay history."""
-
-    exponent: float  # magnitude of the fitted slope
-    stderr: float
-    prefactor: float
-    times: np.ndarray
-    norms: np.ndarray
-
-
 class EllipticSolver:
     """Per-grid factorizations for the stream solve and heat steps."""
 
@@ -240,35 +228,31 @@ class EllipticSolver:
         sup[:, -1] = 0.0
         return TridiagBatch(sub, diag, sup)
 
-    def solve_stream(self, omega) -> ScalarField:
+    def solve_stream(self, omega: np.ndarray) -> np.ndarray:
         """psi with psi = 0 on both walls and d_r((1/r)d_r psi)+(1/r)d_zz psi = -omega."""
         g = self.grid
-        vals = omega.values if isinstance(omega, ScalarField) else np.asarray(omega, float)
-        rhs_hat = np.fft.rfft(-vals[1:-1, :], axis=1).T  # (modes, interior)
+        rhs_hat = np.fft.rfft(-omega[1:-1, :], axis=1).T  # (modes, interior)
         psi_hat = self._stream.solve(rhs_hat)
         psi = np.zeros(g.shape)
         psi[1:-1, :] = np.fft.irfft(psi_hat.T, n=g.n_z, axis=1)
-        return ScalarField(g, psi)
+        return psi
 
-    def apply_stream_operator(self, psi) -> np.ndarray:
+    def apply_stream_operator(self, psi: np.ndarray) -> np.ndarray:
         """Discrete stream operator at interior rows (wall rows returned 0)."""
         g = self.grid
-        vals = psi.values if isinstance(psi, ScalarField) else np.asarray(psi, float)
         h, r = g.h_r, g.rcol
         out = np.zeros(g.shape)
         beta_minus = 1.0 / (r[1:-1] - 0.5 * h)
         beta_plus = 1.0 / (r[1:-1] + 0.5 * h)
         out[1:-1] = (
-            beta_plus * (vals[2:] - vals[1:-1]) - beta_minus * (vals[1:-1] - vals[:-2])
-        ) / h**2 + d2z(g, vals)[1:-1] / r[1:-1]
+            beta_plus * (psi[2:] - psi[1:-1]) - beta_minus * (psi[1:-1] - psi[:-2])
+        ) / h**2 + d2z(g, psi)[1:-1] / r[1:-1]
         return out
 
-    def stream_residual(self, psi, omega) -> float:
+    def stream_residual(self, psi: np.ndarray, omega: np.ndarray) -> float:
         """Relative residual of the discrete stream equation."""
-        g = self.grid
-        om = omega.values if isinstance(omega, ScalarField) else np.asarray(omega, float)
-        res = self.apply_stream_operator(psi)[1:-1] + om[1:-1]
-        scale = np.max(np.abs(om)) + 1e-300
+        res = self.apply_stream_operator(psi)[1:-1] + omega[1:-1]
+        scale = np.max(np.abs(omega)) + 1e-300
         return float(np.max(np.abs(res)) / scale)
 
     # -- heat steps -----------------------------------------------------------
@@ -445,28 +429,6 @@ def _loglog_fit(times: np.ndarray, norms: np.ndarray) -> tuple[float, float, flo
     resid = y - (ym + slope * (x - xm))
     stderr = math.sqrt(np.sum(resid**2) / max(n - 2, 1) / sxx)
     return -slope, stderr, math.exp(ym - slope * xm)
-
-
-def semigroup_decay_fit(
-    solver: EllipticSolver,
-    op: str,
-    f0: np.ndarray,
-    k: int,
-    t_window: tuple[float, float],
-    dt: float,
-    n_samples: int = 24,
-    mask: np.ndarray | None = None,
-) -> DecayFit:
-    """Fitted decay exponent of ||d^k e^(t B) f0||_inf over the window.
-
-    Least squares on log-norm versus log-time; the exponent is the slope
-    magnitude, for comparison with 3/(2p) + k/2.  An optional boolean
-    mask restricts the sup to a subdomain (used to keep the fit clear of
-    the artificial truncation walls).
-    """
-    times, norms = _decay_series(solver, op, f0, (k,), t_window, dt, n_samples, mask)
-    exponent, stderr, prefactor = _loglog_fit(times, norms[k])
-    return DecayFit(exponent, stderr, prefactor, times, norms[k])
 
 
 @dataclass

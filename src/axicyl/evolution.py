@@ -29,13 +29,13 @@ from .diagnostics import (
     DiagnosticsRecord,
     boundary_leakage,
     dissipation_sample,
+    full_velocity_gradient_squared,
     h1_proxy,
     identity_5_3_check,
 )
 from .elliptic import HEAT_WALLS, EllipticSolver
 from .fields import (
     AxisymState,
-    ScalarField,
     checkpoint_save,
     make_initial_data,
     state_from_dynamic,
@@ -144,19 +144,16 @@ class SimulationResult:
 
 
 class Stepper:
-    """Owns one evolving state plus the accumulated budget integrals."""
+    """Owns one evolving state plus the accumulated budget integrals.
 
-    def __init__(
-        self,
-        cfg: SolverConfig,
-        grid: Grid,
-        solver: EllipticSolver,
-        state: AxisymState,
-        sources=None,
-    ):
+    The state is stepped on its own solver; cfg gives the schemes and the
+    CFL number.
+    """
+
+    def __init__(self, cfg: SolverConfig, state: AxisymState, sources=None):
         self.cfg = cfg
-        self.grid = grid
-        self.solver = solver
+        self.solver = state.solver
+        self.grid = grid = state.grid
         self.state = state
         self.sources = sources  # None or (S_gamma(t)->array, S_omega(t)->array)
         self.step_count = 0
@@ -168,18 +165,18 @@ class Stepper:
         self.acc_om_diss = 0.0
         self._prev = dissipation_sample(state)
         self.e_kin0 = state.kinetic_energy()
-        self.sup_gamma0 = state.Gamma.norm(np.inf)
+        self.sup_gamma0 = lp_norm(grid, state.Gamma, np.inf)
         self.l2_u0 = math.sqrt(self.e_kin0)
-        self.l2_om_over_r0 = lp_norm(grid, state.omega.values / grid.rcol, 2)
-        self.l2_om0 = state.omega.norm(2)
+        self.l2_om_over_r0 = lp_norm(grid, state.omega / grid.rcol, 2)
+        self.l2_om0 = lp_norm(grid, state.omega, 2)
         self.max_leakage = boundary_leakage(state)
 
     # -- stability bounds ---------------------------------------------------
 
     def _vmax(self) -> tuple[float, float]:
         return (
-            float(np.max(np.abs(self.state.ur.values))),
-            float(np.max(np.abs(self.state.uz.values))),
+            float(np.max(np.abs(self.state.ur))),
+            float(np.max(np.abs(self.state.uz))),
         )
 
     def advective_dt_bound(self) -> float:
@@ -218,10 +215,8 @@ class Stepper:
 
         def tendency(fields, stage):
             gamma, omega = fields
-            ur, uz = velocity_from_stream(self.solver.solve_stream(omega))
-            kg, kw = _coupled_rates(
-                self.grid, self.cfg.advection, gamma, omega, ur.values, uz.values, gamma
-            )
+            ur, uz = velocity_from_stream(self.grid, self.solver.solve_stream(omega))
+            kg, kw = _coupled_rates(self.grid, self.cfg.advection, gamma, omega, ur, uz, gamma)
             if self.sources is not None:
                 sg, so = self.sources
                 if sg is not None:
@@ -232,7 +227,7 @@ class Stepper:
 
         gamma, omega = _strang_heun(
             self.solver,
-            (self.state.Gamma.values, self.state.omega.values),
+            (self.state.Gamma, self.state.omega),
             ("L1", "L0p"),
             dt,
             tendency,
@@ -241,7 +236,7 @@ class Stepper:
 
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(omega))):
             raise BlowupError(f"non-finite fields at t = {t + dt:.6g}")
-        new_state = state_from_dynamic(self.grid, t + dt, gamma, omega, solver=self.solver)
+        new_state = state_from_dynamic(self.solver, t + dt, gamma, omega)
         sample = dissipation_sample(new_state)
         w = 0.5 * dt
         self.acc_diss_v += w * (self._prev.diss_v + sample.diss_v)
@@ -261,11 +256,11 @@ class Stepper:
         st = self.state
         g = self.grid
         e_kin = st.kinetic_energy()
-        sup_gamma = st.Gamma.norm(np.inf)
-        l4_uth = st.uth.norm(4)
-        q = st.omega.values / g.rcol
+        sup_gamma = lp_norm(g, st.Gamma, np.inf)
+        l4_uth = lp_norm(g, st.uth, 4)
+        q = st.omega / g.rcol
         l2_q = lp_norm(g, q, 2)
-        l2_om = st.omega.norm(2)
+        l2_om = lp_norm(g, st.omega, 2)
         if self.e_kin0 > 0:
             residual = (
                 abs(
@@ -308,7 +303,7 @@ class Stepper:
 def configured_initial_state(cfg: SolverConfig, solver: EllipticSolver) -> AxisymState:
     """The initial data cfg describes, on the solver's grid."""
     return make_initial_data(
-        solver.grid,
+        solver,
         cfg.init_kind,
         amplitude=cfg.amplitude,
         r_support=cfg.r_support,
@@ -317,7 +312,6 @@ def configured_initial_state(cfg: SolverConfig, solver: EllipticSolver) -> Axisy
         omega_amplitude=cfg.omega_amplitude,
         n_modes=cfg.n_modes,
         z_support=cfg.z_support,
-        solver=solver,
     )
 
 
@@ -330,14 +324,25 @@ def run_simulation(
 ) -> SimulationResult:
     """Drive one configured run to t_end, recording diagnostics.
 
+    Starts from initial_state, stepped on its own solver, whose grid must
+    be the one cfg describes; else from the data cfg describes.
     Deterministic for a fixed (config, seed): the adaptive dt depends only
     on the evolving state.  Halts with status "halted_blowup" when any
     field exceeds the blow-up threshold or goes non-finite.
     """
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
-    solver = EllipticSolver(grid)
-    state = initial_state if initial_state is not None else configured_initial_state(cfg, solver)
-    stepper = Stepper(cfg, grid, solver, state, sources=sources)
+    if initial_state is None:
+        state = configured_initial_state(cfg, EllipticSolver(grid))
+    elif initial_state.grid.same_geometry(grid):
+        state = initial_state
+    else:
+        g = initial_state.grid
+        raise ValueError(
+            f"initial state grid ({g.r_min}, {g.R}, {g.L_z}, {g.n_r}, {g.n_z}) "
+            f"does not match the configured grid ({cfg.r_min}, {cfg.R}, {cfg.L_z}, "
+            f"{cfg.n_r}, {cfg.n_z})"
+        )
+    stepper = Stepper(cfg, state, sources=sources)
     records = [stepper.record()]
     status = "completed"
     eps = 1e-12 * max(cfg.t_end, 1.0)
@@ -363,8 +368,8 @@ def run_simulation(
             emit()
             break
         sup_now = max(
-            stepper.state.Gamma.norm(np.inf),
-            stepper.state.omega.norm(np.inf),
+            lp_norm(grid, stepper.state.Gamma, np.inf),
+            lp_norm(grid, stepper.state.omega, np.inf),
         )
         if not math.isfinite(sup_now) or sup_now > cfg.blowup_threshold:
             status = "halted_blowup"
@@ -425,8 +430,7 @@ def make_divergence_free_drift(
     psi_b = amplitude * bump_profile(grid.r, lo, hi)[:, None] * np.sin(
         2 * np.pi * z_mode * grid.z / grid.L_z
     )
-    ur, uz = velocity_from_stream(ScalarField(grid, psi_b))
-    return ur.values, uz.values
+    return velocity_from_stream(grid, psi_b)
 
 
 @dataclass
@@ -523,26 +527,7 @@ class PicardResult:
         ]
 
 
-def _vector_p_norm(grid: Grid, ur, uth, uz, p) -> float:
-    return lp_norm(grid, np.sqrt(ur**2 + uth**2 + uz**2), p)
-
-
-def _gradient_p_norm(grid: Grid, ur, uth, uz, p) -> float:
-    mag2 = (
-        ddr(grid, ur) ** 2
-        + ddz(grid, ur) ** 2
-        + (ur / grid.rcol) ** 2
-        + ddr(grid, uz) ** 2
-        + ddz(grid, uz) ** 2
-        + ddr(grid, uth) ** 2
-        + ddz(grid, uth) ** 2
-        + (uth / grid.rcol) ** 2
-    )
-    return lp_norm(grid, np.sqrt(mag2), p)
-
-
 def picard_iterate(
-    solver: EllipticSolver,
     state0: AxisymState,
     T: float,
     j_max: int,
@@ -556,7 +541,8 @@ def picard_iterate(
 
     Iterate j+1 solves the linear parabolic pair driven by iterate j's
     velocity history (drift v_j, reaction u_r_j/r, swirl source from
-    Gamma_j); the first iterate evolves with zero drift and source.
+    Gamma_j); the first iterate evolves with zero drift and source.  All
+    iterates step on state0's solver.
     Returns K_j = sup_t t^gamma (||u_j||_p + t^(1/2) ||grad u_j||_p) and
     the same weighted distance delta_j between consecutive iterates.
     """
@@ -564,12 +550,19 @@ def picard_iterate(
         raise ValueError("need T > 0 and j_max >= 2")
     if not (3.0 < p < math.inf):
         raise ValueError(f"p must lie in (3, inf), got {p}")
+    solver = state0.solver
     grid = solver.grid
     gamma_exp = 0.5 - 1.5 / p
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
     out_idx = sorted(set(np.linspace(1, n_steps, min(n_out, n_steps), dtype=int).tolist()))
     out_times = [i * dt for i in out_idx]
+
+    def weighted_norm(t, ur, uth, uz):
+        """t^gamma (||u||_p + t^(1/2) ||grad u||_p)."""
+        speed = np.sqrt(ur**2 + uth**2 + uz**2)
+        grad = np.sqrt(full_velocity_gradient_squared(grid, ur, uth, uz))
+        return t**gamma_exp * (lp_norm(grid, speed, p) + math.sqrt(t) * lp_norm(grid, grad, p))
 
     zeros = np.zeros(grid.shape)
     # histories at step boundaries 0..n_steps for the previous iterate
@@ -582,11 +575,11 @@ def picard_iterate(
     final_states: list[AxisymState] = []
 
     for _j in range(1, j_max + 1):
-        gamma = state0.Gamma.values.copy()
-        omega = state0.omega.values.copy()
+        gamma = state0.Gamma.copy()
+        omega = state0.omega.copy()
         # the iterate's own velocity history starts from the shared initial state
-        ur_hist = [state0.ur.values]
-        uz_hist = [state0.uz.values]
+        ur_hist = [state0.ur]
+        uz_hist = [state0.uz]
         gamma_hist = [gamma.copy()]
         snaps: dict[int, tuple] = {}
         k_val = 0.0
@@ -600,24 +593,18 @@ def picard_iterate(
             gamma, omega = _strang_heun(
                 solver, (gamma, omega), ("L1", "L0p"), dt, tendency, diffusion
             )
-            psi = solver.solve_stream(omega)
-            urf, uzf = velocity_from_stream(psi)
-            ur_hist.append(urf.values)
-            uz_hist.append(uzf.values)
+            urf, uzf = velocity_from_stream(grid, solver.solve_stream(omega))
+            ur_hist.append(urf)
+            uz_hist.append(uzf)
             gamma_hist.append(gamma)
             step_idx = n + 1
             if step_idx in out_idx:
                 uth = gamma / grid.rcol
-                t_out = step_idx * dt
-                val = t_out**gamma_exp * (
-                    _vector_p_norm(grid, urf.values, uth, uzf.values, p)
-                    + math.sqrt(t_out) * _gradient_p_norm(grid, urf.values, uth, uzf.values, p)
-                )
-                k_val = max(k_val, val)
-                snaps[step_idx] = (urf.values.copy(), uth.copy(), uzf.values.copy())
+                k_val = max(k_val, weighted_norm(step_idx * dt, urf, uth, uzf))
+                snaps[step_idx] = (urf.copy(), uth.copy(), uzf.copy())
         K.append(k_val)
         snapshots.append(snaps)
-        final_states.append(state_from_dynamic(grid, T, gamma, omega, solver=solver))
+        final_states.append(state_from_dynamic(solver, T, gamma, omega))
         prev_ur, prev_uz, prev_gamma = ur_hist, uz_hist, gamma_hist
 
     delta: list[float] = []
@@ -626,16 +613,7 @@ def picard_iterate(
         for idx in out_idx:
             a = snapshots[j][idx]
             b = snapshots[j + 1][idx]
-            t_out = idx * dt
-            dur, duth, duz = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-            d = max(
-                d,
-                t_out**gamma_exp
-                * (
-                    _vector_p_norm(grid, dur, duth, duz, p)
-                    + math.sqrt(t_out) * _gradient_p_norm(grid, dur, duth, duz, p)
-                ),
-            )
+            d = max(d, weighted_norm(idx * dt, b[0] - a[0], b[1] - a[1], b[2] - a[2]))
         delta.append(d)
     grow = 0
     diverged = False

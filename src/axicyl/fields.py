@@ -1,4 +1,4 @@
-"""Field containers, velocity reconstruction, initial data, checkpoints.
+"""The flow state, velocity reconstruction, initial data, checkpoints.
 
 The dynamical variables are the swirl momentum Gamma = r*u_theta and the
 azimuthal vorticity omega; everything else (stream function psi and the
@@ -19,101 +19,76 @@ these walls themselves (`elliptic.HEAT_WALLS`).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
-
-
-@dataclass
-class ScalarField:
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite values")
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-    def norm(self, p: float) -> float:
-        return lp_norm(self.grid, self.values, p)
-
-    def integral(self) -> float:
-        return weighted_integral(self.grid, self.values)
+from .elliptic import EllipticSolver
+from .grid import Grid, build_grid, ddr, ddz, weighted_integral
 
 
 @dataclass
 class AxisymState:
-    """Dynamical pair (Gamma, omega) plus derived stream function and velocities."""
+    """Dynamical pair (Gamma, omega), the derived stream function and
+    velocities, and the solver that derived them (its grid is the state's).
+
+    Every field is a float array of the grid's shape with finite values;
+    construction checks this.
+    """
 
     t: float
-    Gamma: ScalarField
-    omega: ScalarField
-    psi: ScalarField
-    ur: ScalarField
-    uth: ScalarField
-    uz: ScalarField
+    solver: EllipticSolver
+    Gamma: np.ndarray
+    omega: np.ndarray
+    psi: np.ndarray
+    ur: np.ndarray
+    uth: np.ndarray
+    uz: np.ndarray
+
+    def __post_init__(self):
+        shape = self.grid.shape
+        for name in ("Gamma", "omega", "psi", "ur", "uth", "uz"):
+            vals = np.asarray(getattr(self, name), dtype=float)
+            if vals.shape != shape:
+                raise ValueError(f"{name} shape {vals.shape} does not match grid {shape}")
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"{name} contains non-finite values")
+            setattr(self, name, vals)
 
     @property
     def grid(self) -> Grid:
-        return self.Gamma.grid
-
-    def copy(self) -> "AxisymState":
-        return AxisymState(
-            self.t,
-            self.Gamma.copy(),
-            self.omega.copy(),
-            self.psi.copy(),
-            self.ur.copy(),
-            self.uth.copy(),
-            self.uz.copy(),
-        )
+        return self.solver.grid
 
     def speed_squared(self) -> np.ndarray:
-        return self.ur.values**2 + self.uth.values**2 + self.uz.values**2
+        return self.ur**2 + self.uth**2 + self.uz**2
 
     def kinetic_energy(self) -> float:
         return weighted_integral(self.grid, self.speed_squared())
 
 
-def swirl_velocity(Gamma: ScalarField) -> ScalarField:
-    """u_theta = Gamma / r (r_min > 0 so this is always well defined)."""
-    return ScalarField(Gamma.grid, Gamma.values / Gamma.grid.rcol)
-
-
-def velocity_from_stream(psi: ScalarField) -> tuple[ScalarField, ScalarField]:
+def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u_r, u_z) = (-(1/r) d_z psi, (1/r) d_r psi).
 
     With psi vanishing on both walls, u_r is exactly zero there and the
     discrete divergence d_r u_r + u_r/r + d_z u_z is O(h^2) pointwise.
     """
-    g = psi.grid
-    ur = -ddz(g, psi.values) / g.rcol
-    uz = ddr(g, psi.values) / g.rcol
+    ur = -ddz(grid, psi) / grid.rcol
+    uz = ddr(grid, psi) / grid.rcol
     ur[0, :] = 0.0
     ur[-1, :] = 0.0
-    return ScalarField(g, ur), ScalarField(g, uz)
+    return ur, uz
 
 
-def azimuthal_vorticity_of(ur: ScalarField, uz: ScalarField) -> ScalarField:
+def azimuthal_vorticity_of(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
     """omega = d_z u_r - d_r u_z, by centered differences."""
-    g = ur.grid
-    return ScalarField(g, ddz(g, ur.values) - ddr(g, uz.values))
+    return ddz(grid, ur) - ddr(grid, uz)
 
 
-def discrete_divergence(ur: ScalarField, uz: ScalarField) -> np.ndarray:
-    g = ur.grid
-    return ddr(g, ur.values) + ur.values / g.rcol + ddz(g, uz.values)
+def discrete_divergence(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
+    return ddr(grid, ur) + ur / grid.rcol + ddz(grid, uz)
 
 
 def bump_profile(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -129,26 +104,24 @@ def bump_profile(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def state_from_dynamic(
-    grid: Grid, t: float, gamma_values: np.ndarray, omega_values: np.ndarray, solver=None
+    solver: EllipticSolver, t: float, gamma: np.ndarray, omega: np.ndarray
 ) -> AxisymState:
-    """Assemble a full state from (Gamma, omega): solve for psi, derive velocities."""
-    if solver is None:
-        from .elliptic import EllipticSolver
+    """Assemble a full state from (Gamma, omega): solve for psi, derive velocities.
 
-        solver = EllipticSolver(grid)
-    Gamma = ScalarField(grid, np.array(gamma_values, dtype=float))
-    om = np.array(omega_values, dtype=float)
+    omega's wall rows are set to zero (its Dirichlet walls); u_theta = Gamma / r.
+    """
+    grid = solver.grid
+    gamma = np.array(gamma, dtype=float)
+    om = np.array(omega, dtype=float)
     om[0, :] = 0.0
     om[-1, :] = 0.0
-    omega = ScalarField(grid, om)
-    psi = solver.solve_stream(omega)
-    ur, uz = velocity_from_stream(psi)
-    uth = swirl_velocity(Gamma)
-    return AxisymState(t, Gamma, omega, psi, ur, uth, uz)
+    psi = solver.solve_stream(om)
+    ur, uz = velocity_from_stream(grid, psi)
+    return AxisymState(t, solver, gamma, om, psi, ur, gamma / grid.rcol, uz)
 
 
 def make_initial_data(
-    grid: Grid,
+    solver: EllipticSolver,
     kind: str,
     amplitude: float = 1.0,
     r_support: tuple[float, float] | None = None,
@@ -157,9 +130,8 @@ def make_initial_data(
     omega_amplitude: float | None = None,
     n_modes: int = 4,
     z_support: tuple[float, float] | None = None,
-    solver=None,
 ) -> AxisymState:
-    """Smooth compactly supported initial data with derived velocities.
+    """Smooth compactly supported initial data on the solver's grid.
 
     kinds: "no_swirl_bump" (Gamma = 0, single omega bump), "swirl_bump"
     (Gamma and omega bumps), "random_modes" (seeded sums of bump-times-
@@ -169,6 +141,7 @@ def make_initial_data(
     """
     if kind not in ("no_swirl_bump", "swirl_bump", "random_modes"):
         raise ValueError(f"unknown initial data kind {kind!r}")
+    grid = solver.grid
     if r_support is None:
         width = grid.R - grid.r_min
         r_support = (grid.r_min + 0.15 * width, grid.r_min + 0.60 * width)
@@ -209,7 +182,7 @@ def make_initial_data(
         gamma *= zb
         omega *= zb
 
-    return state_from_dynamic(grid, 0.0, gamma, omega, solver=solver)
+    return state_from_dynamic(solver, 0.0, gamma, omega)
 
 
 # -- checkpoint format ------------------------------------------------------
@@ -234,11 +207,17 @@ def checkpoint_save(state: AxisymState, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(state.Gamma.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.omega.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.Gamma, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.omega, dtype="<f8").tobytes())
 
 
-def checkpoint_load(path, grid: Grid | None = None, solver=None) -> AxisymState:
+def checkpoint_load(path, solver: EllipticSolver | None = None) -> AxisymState:
+    """The state a checkpoint holds, on solver (its grid must match the file's)
+    or, for None, on a solver of the file's own grid.
+
+    A file that does not hold a finite state on a valid grid raises
+    CheckpointError, and so does a grid mismatch.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise CheckpointError(f"{path}: truncated header")
@@ -250,17 +229,21 @@ def checkpoint_load(path, grid: Grid | None = None, solver=None) -> AxisymState:
     expected = _HEADER.size + 2 * n_r * n_z * 8
     if len(raw) != expected:
         raise CheckpointError(f"{path}: payload size {len(raw)} != expected {expected}")
-    file_grid = build_grid(r_min, R, L_z, n_r, n_z)
-    if grid is not None:
-        if not grid.same_geometry(file_grid):
+    if not math.isfinite(t):
+        raise CheckpointError(f"{path}: time {t!r} is not finite")
+    count = n_r * n_z
+    gamma = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size)
+    omega = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size + count * 8)
+    try:
+        file_grid = build_grid(r_min, R, L_z, n_r, n_z)
+        if solver is None:
+            solver = EllipticSolver(file_grid)
+        elif not solver.grid.same_geometry(file_grid):
             raise CheckpointError(
                 f"{path}: checkpoint grid ({r_min}, {R}, {L_z}, {n_r}, {n_z}) "
                 "does not match the target grid"
             )
-        file_grid = grid
-    count = n_r * n_z
-    gamma = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size)
-    omega = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size + count * 8)
-    gamma = gamma.reshape(n_r, n_z).astype(float)
-    omega = omega.reshape(n_r, n_z).astype(float)
-    return state_from_dynamic(file_grid, t, gamma, omega, solver=solver)
+        return state_from_dynamic(solver, t, gamma.reshape(n_r, n_z), omega.reshape(n_r, n_z))
+    except (ValueError, ArithmeticError) as exc:
+        # a bad grid (GridError), non-finite data, or a grid the solver cannot handle
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -30,7 +30,12 @@ import numpy as np
 
 
 class GridError(ValueError):
-    """Invalid grid parameters."""
+    """Invalid grid parameters; `param` names the offending build_grid argument."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(f"{param} {message}")
+        self.param = param
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -70,29 +75,30 @@ class Grid:
         )
 
 
-def build_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> Grid:
-    """Construct a grid, rejecting non-finite or out-of-range parameters."""
+def check_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> None:
+    """Raise GridError, naming the parameter, for non-finite or out-of-range values."""
     for name, val in (("r_min", r_min), ("R", R), ("L_z", L_z)):
         if not np.isfinite(val):
-            raise GridError(f"{name} must be finite, got {val!r}")
+            raise GridError(name, f"must be finite, got {val!r}")
     if r_min <= 0:
-        raise GridError(f"r_min must be positive (axis excluded), got {r_min}")
+        raise GridError("r_min", f"must be positive (axis excluded), got {r_min}")
     if R <= r_min:
-        raise GridError(f"R must exceed r_min, got R={R}, r_min={r_min}")
+        raise GridError("R", f"must exceed r_min, got R={R}, r_min={r_min}")
     if L_z <= 0:
-        raise GridError(f"L_z must be positive, got {L_z}")
-    if n_r < 4 or n_z < 4:
-        raise GridError(f"need n_r >= 4 and n_z >= 4, got {n_r}, {n_z}")
+        raise GridError("L_z", f"must be positive, got {L_z}")
+    for name, n in (("n_r", n_r), ("n_z", n_z)):
+        if n < 4:
+            raise GridError(name, f"must be >= 4, got {n}")
+
+
+def build_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> Grid:
+    """Construct a grid, rejecting non-finite or out-of-range parameters."""
+    check_grid(r_min, R, L_z, n_r, n_z)
     h_r = (R - r_min) / (n_r - 1)
     h_z = L_z / n_z
     r = r_min + h_r * np.arange(n_r)
     z = h_z * np.arange(n_z)
     return Grid(float(r_min), float(R), float(L_z), int(n_r), int(n_z), h_r, h_z, r, z)
-
-
-def _values(f) -> np.ndarray:
-    """Accept a bare array or anything exposing `.values` (ScalarField)."""
-    return f.values if hasattr(f, "values") else np.asarray(f, dtype=float)
 
 
 def radial_weights(grid: Grid) -> np.ndarray:
@@ -103,52 +109,47 @@ def radial_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def weighted_integral(grid: Grid, f) -> float:
+def weighted_integral(grid: Grid, f: np.ndarray) -> float:
     """Integral of f over the domain with the cylindrical measure 2*pi*r dr dz.
 
     Trapezoid rule in r, rectangle rule in z (exact for periodic data).
     """
-    vals = _values(f)
-    if vals.shape != grid.shape:
-        raise ValueError(f"field shape {vals.shape} does not match grid {grid.shape}")
+    if f.shape != grid.shape:
+        raise ValueError(f"field shape {f.shape} does not match grid {grid.shape}")
     w = radial_weights(grid)
-    return float(2.0 * np.pi * grid.h_z * np.sum((w * grid.r)[:, None] * vals))
+    return float(2.0 * np.pi * grid.h_z * np.sum((w * grid.r)[:, None] * f))
 
 
-def lp_norm(grid: Grid, f, p: float) -> float:
+def lp_norm(grid: Grid, f: np.ndarray, p: float) -> float:
     """L^p norm under the cylindrical measure; p = inf gives the nodal max."""
-    vals = _values(f)
     if p == np.inf or p == math.inf:
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+        return float(np.max(np.abs(f))) if f.size else 0.0
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
-    return float(weighted_integral(grid, np.abs(vals) ** p) ** (1.0 / p))
+    return float(weighted_integral(grid, np.abs(f) ** p) ** (1.0 / p))
 
 
-def ddz(grid: Grid, f) -> np.ndarray:
+def ddz(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Centered d/dz, periodic wrap."""
-    vals = _values(f)
-    return (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * grid.h_z)
+    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * grid.h_z)
 
 
-def d2z(grid: Grid, f) -> np.ndarray:
+def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Centered d2/dz2, periodic wrap."""
-    vals = _values(f)
-    return (np.roll(vals, -1, axis=1) - 2.0 * vals + np.roll(vals, 1, axis=1)) / grid.h_z**2
+    return (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / grid.h_z**2
 
 
-def ddr(grid: Grid, f) -> np.ndarray:
+def ddr(grid: Grid, f: np.ndarray) -> np.ndarray:
     """d/dr: centered in the interior, one-sided second order at the walls."""
-    vals = _values(f)
-    out = np.empty_like(vals)
+    out = np.empty_like(f)
     h = grid.h_r
-    out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
     return out
 
 
-def grad(grid: Grid, f) -> tuple[np.ndarray, np.ndarray]:
+def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d_r f, d_z f) with the stencils above."""
     return ddr(grid, f), ddz(grid, f)
 

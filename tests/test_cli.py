@@ -203,6 +203,51 @@ def test_out_of_range_experiment_key_exits_2(tmp_path, command, line):
     assert "config error" in manifest["extra"]["error"]
 
 
+SMALL_GRID = "grid.n_r = 17\ngrid.n_z = 16\n"
+SMALL_RUNS = {
+    "run": SMALL_GRID + "time.t_end = 0\n",
+    "picard": SMALL_GRID + "picard.t_end = 0.01\npicard.dt = 0.01\npicard.j_max = 2\n",
+    "sweep-eps": SMALL_GRID + "time.t_end = 0\nsweep.eps = 1\n",
+    "inequalities": SMALL_GRID + "ineq.samples = 2\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+@pytest.mark.parametrize(
+    "line",
+    ["grid.n_r = 3", "grid.n_z = 2", "grid.R = 0.5", "grid.r_min = 0", "grid.L_z = -1",
+     "grid.r_min = nan"],
+)
+def test_out_of_range_grid_key_exits_2(tmp_path, command, line):
+    cfg = write_cfg(tmp_path, SMALL_RUNS[command] + line + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["extra"]["error"].startswith("config error: " + line.split(" =")[0] + " ")
+
+
+@pytest.mark.parametrize(
+    "eps, names", [("0", "grid.r_min"), ("-0.5", "grid.r_min"), ("3", "grid.R"), ("nan", "")]
+)
+def test_sweep_eps_without_a_grid_exits_2(tmp_path, eps, names):
+    # every value is checked before any run starts; before, such a value
+    # was a run recorded as failed and the sweep exited 0
+    cfg = write_cfg(tmp_path, SWEEP_CFG.replace("sweep.eps = 1,0.5", f"sweep.eps = 1,{eps}"))
+    out = tmp_path / "out"
+    assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads((out / "manifest.json").read_text())["extra"]["error"]
+    assert error.startswith(f"config error: sweep.eps = {float(eps)}: {names}")
+    assert not (out / "eps_sweep.csv").exists()
+
+
+def test_sweep_eps_data_below_one_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path, SWEEP_CFG.replace("init.r_lo = 1.3", "init.r_lo = 0.9"))
+    out = tmp_path / "out"
+    assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "init.r_lo" in json.loads((out / "manifest.json").read_text())["extra"]["error"]
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -321,17 +366,29 @@ def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):
     starts = []
     real = cli.picard_iterate
 
-    def spy(solver, state0, **kw):
-        starts.append(state0.copy())
-        return real(solver, state0, **kw)
+    def spy(state0, **kw):
+        starts.append(state0)
+        return real(state0, **kw)
 
     monkeypatch.setattr(cli, "picard_iterate", spy)
     cfg = write_cfg(tmp_path, text)
     assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     run_cfg = SolverConfig.from_mapping(parse_config_text(text))
     start = run_simulation(replace(run_cfg, t_end=0.0, checkpoint="none")).final_state
-    np.testing.assert_array_equal(starts[0].Gamma.values, start.Gamma.values)
-    np.testing.assert_array_equal(starts[0].omega.values, start.omega.values)
+    np.testing.assert_array_equal(starts[0].Gamma, start.Gamma)
+    np.testing.assert_array_equal(starts[0].omega, start.omega)
+
+
+def test_cmd_picard_builds_one_solver(tmp_path, construction_counts):
+    # the Picard iterates and the direct run share one solver: its stream
+    # operator and two heat operators are each factored once
+    text = (
+        "grid.n_r = 33\ngrid.n_z = 32\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
+        "picard.t_end = 0.02\npicard.j_max = 2\npicard.dt = 0.01\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert construction_counts == {"solvers": 1, "factorizations": 3}
 
 
 def test_cmd_semigroup_tiny(tmp_path):

@@ -39,14 +39,13 @@ def solver(grid):
 @pytest.fixture(scope="module")
 def sample_states(grid, solver):
     return [
-        make_initial_data(grid, "random_modes", amplitude=1.0, seed=s,
-                          r_support=(1.4, 3.2), solver=solver)
+        make_initial_data(solver, "random_modes", amplitude=1.0, seed=s, r_support=(1.4, 3.2))
         for s in range(8)
     ]
 
 
 def test_identity_5_3_zero(grid, solver):
-    zero = state_from_dynamic(grid, 0.0, np.zeros(grid.shape), np.zeros(grid.shape), solver)
+    zero = state_from_dynamic(solver, 0.0, np.zeros(grid.shape), np.zeros(grid.shape))
     assert identity_5_3_check(zero) == 0.0
 
 
@@ -58,7 +57,7 @@ def test_identity_5_3_compact_vorticity():
         g = build_grid(1, 5, 2.0, n, (n - 1) // 2)
         s = EllipticSolver(g)
         om = bump_profile(g.r, 1.5, 3.0)[:, None] * np.sin(2 * np.pi * g.z / g.L_z)
-        state = state_from_dynamic(g, 0.0, np.zeros(g.shape), om, s)
+        state = state_from_dynamic(s, 0.0, np.zeros(g.shape), om)
         devs.append(identity_5_3_check(state))
     assert devs[1] < 1e-2
     assert devs[1] < devs[0]
@@ -76,7 +75,7 @@ def test_identity_5_3_truncation_insensitive():
         om = bump_profile(g.r, 1.4, 2.6)[:, None] * (
             0.6 + np.sin(2 * np.pi * g.z / g.L_z)
         )
-        state = state_from_dynamic(g, 0.0, np.zeros(g.shape), om, s)
+        state = state_from_dynamic(s, 0.0, np.zeros(g.shape), om)
         devs.append(identity_5_3_check(state))
     assert devs[1] <= devs[0] * 1.05
 
@@ -136,7 +135,7 @@ def test_interpolation_suite_fitted_constants_stable(grid):
 
 
 def test_zero_state_ratios_skipped(grid, solver):
-    zero = state_from_dynamic(grid, 0.0, np.zeros(grid.shape), np.zeros(grid.shape), solver)
+    zero = state_from_dynamic(solver, 0.0, np.zeros(grid.shape), np.zeros(grid.shape))
     reports = interpolation_suite(grid, [zero])
     assert all(r.n_samples == 0 for r in reports) or reports == []
 

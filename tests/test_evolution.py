@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from axicyl.config import SolverConfig
 from axicyl.elliptic import EllipticSolver
 from axicyl.evolution import (
+    BlowupError,
     CFLError,
     DriftSpec,
     Stepper,
@@ -19,6 +22,7 @@ from axicyl.evolution import (
 )
 from axicyl.fields import bump_profile, make_initial_data, state_from_dynamic
 from axicyl.grid import build_grid, lp_norm
+from axicyl.manufactured import mms_convergence_study
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +57,12 @@ def make_cfg(**kw):
 
 def test_zero_state_stays_zero(small_grid, small_solver):
     cfg = make_cfg(amplitude=0.0, omega_amplitude=0.0)
-    state = make_initial_data(small_grid, "swirl_bump", amplitude=0.0, omega_amplitude=0.0,
-                              solver=small_solver)
-    stepper = Stepper(cfg, small_grid, small_solver, state)
+    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
+    stepper = Stepper(cfg, state)
     for _ in range(5):
         stepper.step(0.01)
-    assert np.all(stepper.state.Gamma.values == 0.0)
-    assert np.all(stepper.state.omega.values == 0.0)
+    assert np.all(stepper.state.Gamma == 0.0)
+    assert np.all(stepper.state.omega == 0.0)
 
 
 def test_rhs_swirl_annihilates_r_squared(small_grid, small_solver):
@@ -67,8 +70,8 @@ def test_rhs_swirl_annihilates_r_squared(small_grid, small_solver):
     # discretely, including the Robin row, whose ghost extrapolation is
     # exact for r^2
     gamma = np.broadcast_to(small_grid.rcol**2, small_grid.shape).copy()
-    state = state_from_dynamic(small_grid, 0.0, gamma, np.zeros(small_grid.shape), small_solver)
-    assert np.all(state.ur.values == 0.0)
+    state = state_from_dynamic(small_solver, 0.0, gamma, np.zeros(small_grid.shape))
+    assert np.all(state.ur == 0.0)
     out = small_solver.apply_heat_operator(gamma, "L1")
     assert np.allclose(out, 0.0, atol=1e-10)
 
@@ -88,11 +91,11 @@ def test_rhs_zero_state(small_grid, small_solver):
     for advection in ("centered2", "upwind1"):
         for diffusion in ("crank_nicolson", "explicit"):
             cfg = make_cfg(advection=advection, diffusion=diffusion)
-            state = state_from_dynamic(small_grid, 0.0, zero, zero, small_solver)
-            stepper = Stepper(cfg, small_grid, small_solver, state)
+            state = state_from_dynamic(small_solver, 0.0, zero, zero)
+            stepper = Stepper(cfg, state)
             stepper.step(min(0.01, 0.5 * cfg.cfl * stepper.dt_bound()))
-            assert np.all(stepper.state.Gamma.values == 0.0)
-            assert np.all(stepper.state.omega.values == 0.0)
+            assert np.all(stepper.state.Gamma == 0.0)
+            assert np.all(stepper.state.omega == 0.0)
 
 
 def test_rhs_vorticity_z_independent_swirl_has_no_source(small_grid, small_solver):
@@ -100,8 +103,8 @@ def test_rhs_vorticity_z_independent_swirl_has_no_source(small_grid, small_solve
     omega = bump_profile(small_grid.r, 1.3, 2.5)[:, None] * np.sin(
         2 * np.pi * small_grid.z / small_grid.L_z
     )
-    state = state_from_dynamic(small_grid, 0.0, gamma, omega, small_solver)
-    ur, uz = state.ur.values, state.uz.values
+    state = state_from_dynamic(small_solver, 0.0, gamma, omega)
+    ur, uz = state.ur, state.uz
     _, with_swirl = _coupled_rates(small_grid, "centered2", gamma, omega, ur, uz, gamma)
     zero = np.zeros(small_grid.shape)
     _, without = _coupled_rates(small_grid, "centered2", zero, omega, ur, uz, zero)
@@ -122,24 +125,23 @@ def test_swirl_source_z_independent(small_grid):
 def test_no_swirl_invariance_and_monotone_enstrophy(small_grid, small_solver):
     cfg = make_cfg(init_kind="no_swirl_bump", amplitude=0.8, omega_amplitude=0.8)
     state = make_initial_data(
-        small_grid, "no_swirl_bump", amplitude=0.8, omega_amplitude=0.8,
-        r_support=(1.3, 2.4), solver=small_solver,
+        small_solver, "no_swirl_bump", amplitude=0.8, omega_amplitude=0.8, r_support=(1.3, 2.4)
     )
-    stepper = Stepper(cfg, small_grid, small_solver, state)
-    prev = lp_norm(small_grid, state.omega.values / small_grid.rcol, 2)
+    stepper = Stepper(cfg, state)
+    prev = lp_norm(small_grid, state.omega / small_grid.rcol, 2)
     base = prev
     for _ in range(100):
         stepper.step(0.002)
-        assert np.all(stepper.state.Gamma.values == 0.0)
-        cur = lp_norm(small_grid, stepper.state.omega.values / small_grid.rcol, 2)
+        assert np.all(stepper.state.Gamma == 0.0)
+        cur = lp_norm(small_grid, stepper.state.omega / small_grid.rcol, 2)
         assert cur <= prev + 1e-10 * base
         prev = cur
 
 
 def test_cfl_violation_raises(small_grid, small_solver):
     cfg = make_cfg(diffusion="explicit", advection="upwind1")
-    state = make_initial_data(small_grid, "swirl_bump", amplitude=1.0, solver=small_solver)
-    stepper = Stepper(cfg, small_grid, small_solver, state)
+    state = make_initial_data(small_solver, "swirl_bump", amplitude=1.0)
+    stepper = Stepper(cfg, state)
     with pytest.raises(CFLError):
         stepper.step(1.0)
 
@@ -149,6 +151,48 @@ def test_blowup_detection():
     result = run_simulation(cfg)
     assert result.status == "halted_blowup"
     assert result.records[-1].t < 1.0
+
+
+def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
+    # a NaN source at the first Heun stage makes the second stage's stream
+    # solve non-finite; the step must end in the end-of-step check
+    cfg = make_cfg(dt=0.005)
+    nan = np.full(small_solver.grid.shape, np.nan)
+    sources = (None, lambda t: nan)
+    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.5, r_support=(1.3, 2.4))
+    with pytest.raises(BlowupError, match="non-finite"):
+        Stepper(cfg, state, sources).step(0.005)
+    result = run_simulation(cfg, sources=sources, initial_state=state)
+    assert result.status == "halted_blowup"
+    assert result.final_state is state
+
+
+def test_run_simulation_steps_the_initial_state_on_its_solver(small_solver, construction_counts):
+    cfg = make_cfg(dt=0.01, t_end=0.02)
+    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.5, r_support=(1.3, 2.4))
+    result = run_simulation(cfg, initial_state=state)
+    assert construction_counts["solvers"] == 0
+    assert result.final_state.solver is small_solver
+
+
+@pytest.mark.parametrize(
+    "change", [{"R": 4.0}, {"r_min": 1.5}, {"L_z": 3.0}, {"n_r": 17}, {"n_z": 16}]
+)
+def test_run_simulation_rejects_a_state_of_another_grid(change):
+    cfg = make_cfg(t_end=0.0)
+    other = replace(cfg, **change)
+    g = build_grid(other.r_min, other.R, other.L_z, other.n_r, other.n_z)
+    state = make_initial_data(EllipticSolver(g), "swirl_bump", amplitude=0.5, r_support=(1.6, 2.4))
+    with pytest.raises(ValueError, match="does not match the configured grid"):
+        run_simulation(cfg, initial_state=state)
+    assert run_simulation(other, initial_state=state).status == "completed"
+
+
+def test_mms_study_builds_one_solver_per_level(construction_counts):
+    # per level: one solver, whose stream operator and two heat operators
+    # (L1 and L0' at dt/2) are each factored once
+    mms_convergence_study(levels=3, n_base=32, t_end=0.0625)
+    assert construction_counts == {"solvers": 3, "factorizations": 9}
 
 
 def test_run_simulation_t_end_zero():
@@ -191,13 +235,13 @@ def test_monotone_scheme_exact_max_principle(gamma0, omega0, steps):
         advection="upwind1", diffusion="explicit", cfl=0.95,
         t_end=1.0, init_kind="swirl_bump", checkpoint="none",
     )
-    state = state_from_dynamic(g, 0.0, gamma0, omega0, solver=solver)
-    stepper = Stepper(cfg, g, solver, state)
-    sup0 = np.max(np.abs(state.Gamma.values))
+    state = state_from_dynamic(solver, 0.0, gamma0, omega0)
+    stepper = Stepper(cfg, state)
+    sup0 = np.max(np.abs(state.Gamma))
     for _ in range(steps):
         dt = 0.9 * stepper.dt_bound()
         stepper.step(dt)
-        assert np.max(np.abs(stepper.state.Gamma.values)) <= sup0 * (1 + 1e-13) + 1e-15
+        assert np.max(np.abs(stepper.state.Gamma)) <= sup0 * (1 + 1e-13) + 1e-15
 
 
 def test_drift_diffusion_zero_drift_sup_nonincreasing(small_grid, small_solver):
@@ -238,10 +282,8 @@ def test_drift_requires_no_penetration(small_grid, small_solver):
 
 
 def test_picard_zero_data(small_grid, small_solver):
-    state0 = make_initial_data(
-        small_grid, "swirl_bump", amplitude=0.0, omega_amplitude=0.0, solver=small_solver
-    )
-    res = picard_iterate(small_solver, state0, T=0.05, j_max=3, p=6.0, dt=0.01)
+    state0 = make_initial_data(small_solver, "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
+    res = picard_iterate(state0, T=0.05, j_max=3, p=6.0, dt=0.01)
     assert all(k == 0.0 for k in res.K)
     assert all(d == 0.0 for d in res.delta)
     assert not res.diverged
@@ -250,31 +292,30 @@ def test_picard_zero_data(small_grid, small_solver):
 def test_picard_first_iterate_scales_linearly(small_grid, small_solver):
     def build(lam):
         return make_initial_data(
-            small_grid, "swirl_bump", amplitude=0.2 * lam, omega_amplitude=0.1 * lam,
-            r_support=(1.3, 2.4), solver=small_solver,
+            small_solver, "swirl_bump", amplitude=0.2 * lam, omega_amplitude=0.1 * lam,
+            r_support=(1.3, 2.4),
         )
 
-    r1 = picard_iterate(small_solver, build(1.0), T=0.05, j_max=2, p=6.0, dt=0.01)
-    r3 = picard_iterate(small_solver, build(3.0), T=0.05, j_max=2, p=6.0, dt=0.01)
+    r1 = picard_iterate(build(1.0), T=0.05, j_max=2, p=6.0, dt=0.01)
+    r3 = picard_iterate(build(3.0), T=0.05, j_max=2, p=6.0, dt=0.01)
     assert r3.K[0] == pytest.approx(3.0 * r1.K[0], rel=1e-12)
 
 
 def test_picard_small_data_contracts(small_grid, small_solver):
     state0 = make_initial_data(
-        small_grid, "swirl_bump", amplitude=0.2, omega_amplitude=0.1,
-        r_support=(1.3, 2.4), solver=small_solver,
+        small_solver, "swirl_bump", amplitude=0.2, omega_amplitude=0.1, r_support=(1.3, 2.4)
     )
-    res = picard_iterate(small_solver, state0, T=0.1, j_max=5, p=6.0, dt=0.005)
+    res = picard_iterate(state0, T=0.1, j_max=5, p=6.0, dt=0.005)
     assert not res.diverged
     assert all(r < 1.0 for r in res.ratios)
 
 
 def test_picard_validates_args(small_grid, small_solver):
-    state0 = make_initial_data(small_grid, "swirl_bump", amplitude=0.1, solver=small_solver)
+    state0 = make_initial_data(small_solver, "swirl_bump", amplitude=0.1)
     with pytest.raises(ValueError):
-        picard_iterate(small_solver, state0, T=0.0, j_max=3, p=6.0, dt=0.01)
+        picard_iterate(state0, T=0.0, j_max=3, p=6.0, dt=0.01)
     with pytest.raises(ValueError):
-        picard_iterate(small_solver, state0, T=0.1, j_max=3, p=2.0, dt=0.01)
+        picard_iterate(state0, T=0.1, j_max=3, p=2.0, dt=0.01)
 
 
 def test_drift_diffusion_matches_heat_step_without_drift(small_grid, small_solver):

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +9,17 @@ from hypothesis.extra.numpy import arrays
 
 from axicyl.elliptic import EllipticSolver
 from axicyl.fields import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    AxisymState,
     CheckpointError,
-    ScalarField,
     azimuthal_vorticity_of,
     bump_profile,
     checkpoint_load,
     checkpoint_save,
     discrete_divergence,
     make_initial_data,
-    swirl_velocity,
+    state_from_dynamic,
     velocity_from_stream,
 )
 from axicyl.grid import build_grid, lp_norm
@@ -25,28 +30,46 @@ def grid():
     return build_grid(1, 2, 1.0, 33, 32)
 
 
-def test_scalar_field_validation(grid):
-    with pytest.raises(ValueError):
-        ScalarField(grid, np.zeros((3, 3)))
-    vals = np.zeros(grid.shape)
-    vals[2, 2] = np.nan
-    with pytest.raises(ValueError):
-        ScalarField(grid, vals)
+def make_state(grid, **fields):
+    """A state of zero fields, with the given ones replaced."""
+    arrays = {name: np.zeros(grid.shape) for name in ("Gamma", "omega", "psi", "ur", "uth", "uz")}
+    arrays.update(fields)
+    return AxisymState(0.0, EllipticSolver(grid), **arrays)
+
+
+def test_state_validation(grid):
+    assert make_state(grid).grid is grid
+    for name in ("Gamma", "omega", "psi", "ur", "uth", "uz"):
+        with pytest.raises(ValueError, match="does not match grid"):
+            make_state(grid, **{name: np.zeros((3, 3))})
+        for bad in (np.nan, np.inf):
+            vals = np.zeros(grid.shape)
+            vals[2, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                make_state(grid, **{name: vals})
+
+
+def test_state_from_dynamic_rejects_non_finite_data(grid):
+    solver = EllipticSolver(grid)
+    bad = np.zeros(grid.shape)
+    bad[3, 4] = np.nan
+    for gamma, omega in ((bad, np.zeros(grid.shape)), (np.zeros(grid.shape), bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            state_from_dynamic(solver, 0.0, gamma, omega)
 
 
 def test_velocity_from_zero_stream(grid):
-    psi = ScalarField(grid, np.zeros(grid.shape))
-    ur, uz = velocity_from_stream(psi)
-    assert np.all(ur.values == 0.0)
-    assert np.all(uz.values == 0.0)
+    ur, uz = velocity_from_stream(grid, np.zeros(grid.shape))
+    assert np.all(ur == 0.0)
+    assert np.all(uz == 0.0)
 
 
 def test_velocity_from_quadratic_stream(grid):
     # psi = r^2/2 gives u_z = (1/r) d_r psi = 1 exactly (stencils exact on quadratics)
-    psi = ScalarField(grid, np.broadcast_to(grid.rcol**2 / 2, grid.shape).copy())
-    ur, uz = velocity_from_stream(psi)
-    assert np.allclose(uz.values, 1.0, atol=1e-12)
-    assert np.allclose(ur.values, 0.0, atol=1e-12)
+    psi = np.broadcast_to(grid.rcol**2 / 2, grid.shape).copy()
+    ur, uz = velocity_from_stream(grid, psi)
+    assert np.allclose(uz, 1.0, atol=1e-12)
+    assert np.allclose(ur, 0.0, atol=1e-12)
 
 
 def test_velocity_from_z_mode_stream():
@@ -55,10 +78,10 @@ def test_velocity_from_z_mode_stream():
     for n_z in (32, 64):
         g = build_grid(1, 2, 1.0, 9, n_z)
         psi_vals = np.broadcast_to(np.sin(2 * np.pi * g.z / g.L_z), g.shape).copy()
-        ur, uz = velocity_from_stream(ScalarField(g, psi_vals))
+        ur, uz = velocity_from_stream(g, psi_vals)
         exact = -(2 * np.pi / g.L_z) * np.cos(2 * np.pi * g.z / g.L_z) / g.rcol
-        errs.append(np.max(np.abs(ur.values[1:-1] - exact[1:-1])))
-        assert np.allclose(uz.values, 0.0, atol=1e-12)
+        errs.append(np.max(np.abs(ur[1:-1] - exact[1:-1])))
+        assert np.allclose(uz, 0.0, atol=1e-12)
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
 
 
@@ -68,9 +91,9 @@ def test_ur_vanishes_on_walls_exactly():
     interior = rng.normal(size=g.shape)
     interior[0, :] = 0.0
     interior[-1, :] = 0.0
-    ur, _ = velocity_from_stream(ScalarField(g, interior))
-    assert np.all(ur.values[0, :] == 0.0)
-    assert np.all(ur.values[-1, :] == 0.0)
+    ur, _ = velocity_from_stream(g, interior)
+    assert np.all(ur[0, :] == 0.0)
+    assert np.all(ur[-1, :] == 0.0)
 
 
 def test_discrete_divergence_second_order():
@@ -78,17 +101,23 @@ def test_discrete_divergence_second_order():
     for n in (33, 65):
         g = build_grid(1, 3, 2.0, n, n - 1)
         psi = bump_profile(g.r, 1.3, 2.7)[:, None] * np.sin(2 * np.pi * g.z / g.L_z)
-        ur, uz = velocity_from_stream(ScalarField(g, psi))
-        devs.append(np.max(np.abs(discrete_divergence(ur, uz))))
+        ur, uz = velocity_from_stream(g, psi)
+        devs.append(np.max(np.abs(discrete_divergence(g, ur, uz))))
     assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.3)
 
 
+def swirl_velocity(solver, gamma):
+    """u_theta of the state with swirl momentum gamma and no vorticity."""
+    return state_from_dynamic(solver, 0.0, gamma, np.zeros(solver.grid.shape)).uth
+
+
 def test_swirl_velocity(grid):
-    assert np.all(swirl_velocity(ScalarField(grid, np.zeros(grid.shape))).values == 0)
-    uth = swirl_velocity(ScalarField(grid, np.broadcast_to(grid.rcol, grid.shape).copy()))
-    assert np.allclose(uth.values, 1.0)
-    uth = swirl_velocity(ScalarField(grid, np.ones(grid.shape)))
-    assert np.allclose(uth.values, 1.0 / grid.rcol * np.ones(grid.shape))
+    solver = EllipticSolver(grid)
+    assert np.all(swirl_velocity(solver, np.zeros(grid.shape)) == 0)
+    uth = swirl_velocity(solver, np.broadcast_to(grid.rcol, grid.shape).copy())
+    assert np.allclose(uth, 1.0)
+    uth = swirl_velocity(solver, np.ones(grid.shape))
+    assert np.allclose(uth, 1.0 / grid.rcol * np.ones(grid.shape))
 
 
 @given(
@@ -101,20 +130,20 @@ def test_swirl_velocity(grid):
 @settings(max_examples=30, deadline=None)
 def test_swirl_sup_bound(vals):
     g = build_grid(1.5, 3, 1.0, 9, 8)
-    uth = swirl_velocity(ScalarField(g, vals))
+    uth = swirl_velocity(EllipticSolver(g), vals)
     sup_gamma = np.max(np.abs(vals))
-    assert np.max(np.abs(uth.values)) <= sup_gamma / g.r_min + 1e-12
+    assert np.max(np.abs(uth)) <= sup_gamma / g.r_min + 1e-12
     # r_min >= 1 here, so the swirl velocity is dominated by Gamma itself
-    assert np.max(np.abs(uth.values)) <= sup_gamma + 1e-12
+    assert np.max(np.abs(uth)) <= sup_gamma + 1e-12
 
 
 def test_vorticity_of_zero_and_quadratic(grid):
-    zeros = ScalarField(grid, np.zeros(grid.shape))
-    assert np.all(azimuthal_vorticity_of(zeros, zeros).values == 0.0)
+    zeros = np.zeros(grid.shape)
+    assert np.all(azimuthal_vorticity_of(grid, zeros, zeros) == 0.0)
     # u_z = -r^2, u_r = 0: omega = -d_r u_z = 2r, exact for quadratics
-    uz = ScalarField(grid, np.broadcast_to(-grid.rcol**2, grid.shape).copy())
-    om = azimuthal_vorticity_of(zeros, uz)
-    assert np.allclose(om.values, 2 * grid.rcol * np.ones(grid.shape), atol=1e-11)
+    uz = np.broadcast_to(-grid.rcol**2, grid.shape).copy()
+    om = azimuthal_vorticity_of(grid, zeros, uz)
+    assert np.allclose(om, 2 * grid.rcol * np.ones(grid.shape), atol=1e-11)
 
 
 def test_vorticity_matches_symbolic_oracle():
@@ -132,68 +161,70 @@ def test_vorticity_matches_symbolic_oracle():
     for n in (33, 65):
         g = build_grid(1, R_out, Lz, n, n - 1)
         RR, ZZ = np.meshgrid(g.r, g.z, indexing="ij")
-        ur, uz = velocity_from_stream(ScalarField(g, psi_f(RR, ZZ)))
-        om = azimuthal_vorticity_of(ur, uz)
+        ur, uz = velocity_from_stream(g, psi_f(RR, ZZ))
+        om = azimuthal_vorticity_of(g, ur, uz)
         # composed one-sided stencils are first order in the two rows
         # beside each wall; the clean interior is second order
-        errs.append(np.max(np.abs(om.values[2:-2] - om_f(RR, ZZ)[2:-2])))
+        errs.append(np.max(np.abs(om[2:-2] - om_f(RR, ZZ)[2:-2])))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
 
 
 def test_make_initial_data_zero_amplitude():
     g = build_grid(1, 3, 2.0, 17, 16)
-    st0 = make_initial_data(g, "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
+    st0 = make_initial_data(EllipticSolver(g), "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
     assert st0.kinetic_energy() == 0.0
-    assert np.all(st0.Gamma.values == 0.0)
+    assert np.all(st0.Gamma == 0.0)
 
 
 def test_make_initial_data_no_swirl():
     g = build_grid(1, 3, 2.0, 33, 32)
-    st0 = make_initial_data(g, "no_swirl_bump", amplitude=1.0)
-    assert np.all(st0.Gamma.values == 0.0)
-    assert st0.Gamma.norm(np.inf) == 0.0
-    assert st0.omega.norm(np.inf) > 0.0
+    st0 = make_initial_data(EllipticSolver(g), "no_swirl_bump", amplitude=1.0)
+    assert np.all(st0.Gamma == 0.0)
+    assert lp_norm(g, st0.Gamma, np.inf) == 0.0
+    assert lp_norm(g, st0.omega, np.inf) > 0.0
 
 
 def test_initial_data_invariants():
     g = build_grid(1, 3, 2.0, 33, 32)
+    solver = EllipticSolver(g)
     for kind in ("no_swirl_bump", "swirl_bump", "random_modes"):
-        s = make_initial_data(g, kind, amplitude=1.0, seed=3)
-        assert np.all(s.omega.values[0, :] == 0.0)
-        assert np.all(s.ur.values[0, :] == 0.0)
-        assert np.all(s.ur.values[-1, :] == 0.0)
+        s = make_initial_data(solver, kind, amplitude=1.0, seed=3)
+        assert s.solver is solver
+        assert np.all(s.omega[0, :] == 0.0)
+        assert np.all(s.ur[0, :] == 0.0)
+        assert np.all(s.ur[-1, :] == 0.0)
         assert np.isfinite(s.kinetic_energy())
-        assert np.isfinite(lp_norm(g, s.omega.values / g.rcol, 2))
+        assert np.isfinite(lp_norm(g, s.omega / g.rcol, 2))
 
 
 def test_make_initial_data_rejects_bad_support():
-    g = build_grid(1, 3, 2.0, 17, 16)
+    solver = EllipticSolver(build_grid(1, 3, 2.0, 17, 16))
     with pytest.raises(ValueError):
-        make_initial_data(g, "swirl_bump", r_support=(0.5, 2.0))
+        make_initial_data(solver, "swirl_bump", r_support=(0.5, 2.0))
     with pytest.raises(ValueError):
-        make_initial_data(g, "swirl_bump", r_support=(1.5, 3.5))
+        make_initial_data(solver, "swirl_bump", r_support=(1.5, 3.5))
     with pytest.raises(ValueError):
-        make_initial_data(g, "nonsense")
+        make_initial_data(solver, "nonsense")
 
 
 def test_random_modes_deterministic():
-    g = build_grid(1, 3, 2.0, 33, 32)
-    a = make_initial_data(g, "random_modes", amplitude=1.0, seed=1)
-    b = make_initial_data(g, "random_modes", amplitude=1.0, seed=1)
-    c = make_initial_data(g, "random_modes", amplitude=1.0, seed=2)
-    assert np.array_equal(a.Gamma.values, b.Gamma.values)
-    assert np.array_equal(a.omega.values, b.omega.values)
-    assert not np.array_equal(a.Gamma.values, c.Gamma.values)
+    solver = EllipticSolver(build_grid(1, 3, 2.0, 33, 32))
+    a = make_initial_data(solver, "random_modes", amplitude=1.0, seed=1)
+    b = make_initial_data(solver, "random_modes", amplitude=1.0, seed=1)
+    c = make_initial_data(solver, "random_modes", amplitude=1.0, seed=2)
+    assert np.array_equal(a.Gamma, b.Gamma)
+    assert np.array_equal(a.omega, b.omega)
+    assert not np.array_equal(a.Gamma, c.Gamma)
 
 
 def test_random_modes_regression_anchor():
     # frozen first-run norms for seed=1 on the reference grid
     g = build_grid(1, 3, 2.0, 33, 32)
-    s = make_initial_data(g, "random_modes", amplitude=1.0, seed=1)
+    s = make_initial_data(EllipticSolver(g), "random_modes", amplitude=1.0, seed=1)
     anchors = {
-        "sup_gamma": s.Gamma.norm(np.inf),
-        "l2_gamma": s.Gamma.norm(2),
-        "l2_omega": s.omega.norm(2),
+        "sup_gamma": lp_norm(g, s.Gamma, np.inf),
+        "l2_gamma": lp_norm(g, s.Gamma, 2),
+        "l2_omega": lp_norm(g, s.omega, 2),
         "e_kin": s.kinetic_energy(),
     }
     expected = {
@@ -219,16 +250,18 @@ def test_bump_profile_compact_support():
 def test_checkpoint_roundtrip(tmp_path):
     g = build_grid(1, 3, 2.0, 17, 16)
     solver = EllipticSolver(g)
-    s = make_initial_data(g, "random_modes", amplitude=1.3, seed=9, solver=solver)
+    s = make_initial_data(solver, "random_modes", amplitude=1.3, seed=9)
     s.t = 0.625
     path = tmp_path / "state.axns"
     checkpoint_save(s, path)
-    loaded = checkpoint_load(path, grid=g, solver=solver)
-    assert loaded.t == s.t
-    assert np.array_equal(loaded.Gamma.values, s.Gamma.values)
-    assert np.array_equal(loaded.omega.values, s.omega.values)
-    # derived fields rebuilt identically by the deterministic solve
-    assert np.array_equal(loaded.psi.values, s.psi.values)
+    for loaded in (checkpoint_load(path, solver), checkpoint_load(path)):
+        assert loaded.t == s.t
+        assert loaded.grid.same_geometry(g)
+        assert np.array_equal(loaded.Gamma, s.Gamma)
+        assert np.array_equal(loaded.omega, s.omega)
+        # derived fields rebuilt identically by the deterministic solve
+        assert np.array_equal(loaded.psi, s.psi)
+    assert checkpoint_load(path, solver).solver is solver
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -238,22 +271,94 @@ def test_checkpoint_bad_magic(tmp_path):
         checkpoint_load(path)
 
 
-def test_checkpoint_grid_mismatch(tmp_path):
-    g = build_grid(1, 3, 2.0, 17, 16)
-    s = make_initial_data(g, "no_swirl_bump")
-    path = tmp_path / "state.axns"
+def _save_state(path, n_r=17, n_z=16):
+    s = make_initial_data(EllipticSolver(build_grid(1, 3, 2.0, n_r, n_z)), "no_swirl_bump")
     checkpoint_save(s, path)
-    other = build_grid(1, 3, 2.0, 33, 16)
+
+
+def test_checkpoint_grid_mismatch(tmp_path):
+    path = tmp_path / "state.axns"
+    _save_state(path)
+    other = EllipticSolver(build_grid(1, 3, 2.0, 33, 16))
     with pytest.raises(CheckpointError):
-        checkpoint_load(path, grid=other)
+        checkpoint_load(path, other)
 
 
 def test_checkpoint_truncated(tmp_path):
-    g = build_grid(1, 3, 2.0, 17, 16)
-    s = make_initial_data(g, "no_swirl_bump")
     path = tmp_path / "state.axns"
-    checkpoint_save(s, path)
+    _save_state(path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
     with pytest.raises(CheckpointError):
         checkpoint_load(path)
+
+
+def _header(n_r, n_z, r_min, R, L_z, t, magic=CHECKPOINT_MAGIC, version=CHECKPOINT_VERSION):
+    return struct.pack("<4sIIIdddd", magic, version, n_r, n_z, r_min, R, L_z, t)
+
+
+def test_checkpoint_malformed_header_or_payload(tmp_path):
+    path = tmp_path / "bad.axns"
+    payload = np.zeros(2 * 9 * 8).tobytes()
+    nan_payload = np.full(2 * 9 * 8, np.nan).tobytes()
+    cases = [
+        _header(0, 0, 1.0, 3.0, 2.0, 0.0),  # header only, empty grid
+        _header(9, 8, math.nan, 3.0, 2.0, 0.0) + payload,
+        _header(9, 8, 1.0, 0.5, 2.0, 0.0) + payload,
+        _header(9, 8, 1.0, 3.0, 1e300, 0.0) + payload,  # h_z**2 overflows in the solver
+        _header(9, 8, 1.0, 3.0, 2.0, math.inf) + payload,
+        _header(9, 8, 1.0, 3.0, 2.0, 0.0) + nan_payload,
+    ]
+    for raw in cases:
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+
+def _loads_finite_or_rejects(path):
+    """A file either loads as a finite state or raises CheckpointError."""
+    try:
+        state = checkpoint_load(path)
+    except CheckpointError:
+        return
+    assert math.isfinite(state.t)
+    for name in ("Gamma", "omega", "psi", "ur", "uth", "uz"):
+        assert np.all(np.isfinite(getattr(state, name)))
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "valid.axns"
+    _save_state(path, n_r=9, n_z=8)
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_checkpoint_truncation_or_byte_flip(valid_checkpoint, tmp_path_factory, data):
+    raw = bytearray(valid_checkpoint)
+    if data.draw(st.booleans()):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.mktemp("flip") / "state.axns"
+    path.write_bytes(bytes(raw))
+    _loads_finite_or_rejects(path)
+
+
+@given(
+    magic=st.sampled_from([CHECKPOINT_MAGIC, b"AXNZ"]),
+    version=st.sampled_from([CHECKPOINT_VERSION, 0, 2**32 - 1]),
+    n_r=st.integers(0, 12),
+    n_z=st.integers(0, 12),
+    floats=st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4),
+    payload=st.sampled_from([0.0, 1.0, -1e300, math.nan]),
+    extra=st.integers(-8, 8),
+)
+@settings(max_examples=200, deadline=None)
+def test_checkpoint_random_header(tmp_path_factory, magic, version, n_r, n_z, floats, payload, extra):
+    body = np.full(max(2 * n_r * n_z + extra, 0), payload).tobytes()
+    path = tmp_path_factory.mktemp("hdr") / "state.axns"
+    path.write_bytes(_header(n_r, n_z, *floats, magic=magic, version=version) + body)
+    _loads_finite_or_rejects(path)
