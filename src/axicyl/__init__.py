@@ -6,7 +6,6 @@ from .config import SolverConfig
 from .elliptic import EllipticSolver, commutation_check
 from .evolution import (
     Stepper,
-    drift_diffusion_run,
     picard_iterate,
     run_simulation,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "checkpoint_load",
     "checkpoint_save",
     "commutation_check",
-    "drift_diffusion_run",
     "lp_norm",
     "make_initial_data",
     "picard_iterate",

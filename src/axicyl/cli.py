@@ -62,7 +62,7 @@ from .evolution import (
     picard_iterate,
     run_simulation,
 )
-from .fields import bump_profile, make_initial_data
+from .fields import bump_profile
 from .grid import build_grid, lp_norm
 
 EXIT_OK = 0
@@ -323,8 +323,7 @@ def cmd_picard(args, mapping, ctx):
     # direct-solver comparison at t = T, on the same solver
     run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T, checkpoint="none")
     direct = run_simulation(run_cfg, initial_state=state0)
-    du = result.final_states[-1]
-    d = direct.final_state
+    du, d = result.final_state, direct.final_state
     diff = math.sqrt(
         lp_norm(grid, du.ur - d.ur, 2) ** 2
         + lp_norm(grid, du.uth - d.uth, 2) ** 2
@@ -399,14 +398,7 @@ def cmd_inequalities(args, mapping, ctx):
 
     def batch(seed0, count):
         states = [
-            make_initial_data(
-                solver,
-                "random_modes",
-                amplitude=cfg.amplitude,
-                seed=seed0 + i,
-                r_support=cfg.r_support,
-                n_modes=cfg.n_modes,
-            )
+            configured_initial_state(replace(cfg, init_kind="random_modes", seed=seed0 + i), solver)
             for i in range(count)
         ]
         b1 = random_scalar_samples(grid, count, seed=seed0 + 7000, vanish_at_wall=True)

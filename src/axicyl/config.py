@@ -140,6 +140,14 @@ class SolverConfig:
             check_grid(self.r_min, self.R, self.L_z, self.n_r, self.n_z)
         except GridError as exc:
             raise ConfigError(f"grid.{exc.param} {exc.message}") from exc
+        for key, (name, _) in SOLVER_KEYS.items():
+            val = getattr(self, name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{key} must be finite, got {val}")
+        if self.n_modes < 1:
+            raise ConfigError(f"init.n_modes must be >= 1, got {self.n_modes}")
+        if self.seed < 0:
+            raise ConfigError(f"init.seed must be non-negative, got {self.seed}")
         if not (0 < self.cfl <= 1):
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.t_end < 0:
@@ -176,15 +184,9 @@ class SolverConfig:
     @classmethod
     def from_mapping(cls, m: dict[str, str], seed_override: int | None = None) -> "SolverConfig":
         """The config the SOLVER_KEYS present in m give; absent keys keep the defaults."""
-        cfg = cls(
-            **{
-                name: _get(m, key, None, cast)
-                for key, (name, cast) in SOLVER_KEYS.items()
-                if key in m
-            }
-        )
+        fields = {
+            name: _get(m, key, None, cast) for key, (name, cast) in SOLVER_KEYS.items() if key in m
+        }
         if seed_override is not None:
-            cfg.seed = seed_override
-        if not math.isfinite(cfg.t_end):
-            raise ConfigError("time.t_end must be finite")
-        return cfg
+            fields["seed"] = seed_override
+        return cls(**fields)

@@ -25,8 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError
+from .elliptic import EllipticSolver
 from .fields import AxisymState, bump_profile
-from .grid import Grid, ddr, ddz, lp_norm, weighted_integral
+from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
 
 
 # -- pointwise building blocks ------------------------------------------------
@@ -292,10 +293,6 @@ class InequalityReport:
     tolerance: float
     constant_free: bool
 
-    @property
-    def fitted_constant(self) -> float:
-        return self.max_ratio
-
 
 def sigma_exponent(q: float, p: float) -> float:
     """sigma = 3 (1/q - 1/p); rejected when >= 1 (outside the valid range)."""
@@ -450,14 +447,16 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
     The initial data recipe (support in r >= 1) is shared across runs, so
     norms of the data are eps-uniform by construction; each run keeps the
     template's radial spacing as the domain widens.  An eps that gives no
-    valid grid is a ConfigError before any run starts; a run that fails is
+    valid grid, or initial data that cannot be built on its grid, is a
+    ConfigError before any run starts; the initial states are built here,
+    one solver each, and each run steps its own.  A run that fails is
     recorded with its exception and the sweep continues.  The runs are
     independent and go in threads, one per eps up to the CPU count; numpy
     releases the GIL for much of each step, so the runs overlap.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .evolution import run_simulation
+    from .evolution import configured_initial_state, run_simulation
 
     if template.r_support is not None and template.r_support[0] < 1.0:
         raise ConfigError(
@@ -465,23 +464,25 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
             f"got {template.r_support[0]}"
         )
     h_template = (template.R - template.r_min) / (template.n_r - 1)
-    configs = []
+    runs = []
     for eps in map(float, eps_list):
         try:
             n_r = 1 + round((template.R - eps) / h_template)
-            configs.append((eps, replace(template, r_min=eps, n_r=n_r)))
+            cfg = replace(template, r_min=eps, n_r=n_r)
         except (ValueError, OverflowError) as exc:  # the grid check, or a non-finite eps
             raise ConfigError(f"sweep.eps = {eps}: {exc}") from exc
+        grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
+        runs.append((eps, cfg, configured_initial_state(cfg, EllipticSolver(grid))))
 
     def run_one(item):
-        eps, cfg = item
+        eps, cfg, state = item
         try:
-            return _summarize_eps_run(eps, run_simulation(cfg))
+            return _summarize_eps_run(eps, run_simulation(cfg, initial_state=state))
         except Exception as exc:  # one failed run must not end the sweep
             nan = math.nan
             error = f"{type(exc).__name__}: {exc}"
             return EpsSummary(eps, "failed", nan, nan, nan, nan, nan, error)
 
-    workers = max(1, min(len(configs), os.cpu_count() or 1))
+    workers = max(1, min(len(runs), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, configs))
+        return list(pool.map(run_one, runs))

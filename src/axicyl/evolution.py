@@ -1,4 +1,4 @@
-"""Time integration of the coupled (Gamma, omega) system and its linear cousins.
+"""Time integration of the coupled (Gamma, omega) system, directly and by Picard iteration.
 
 Equations advanced (unit viscosity, b = v = u_r e_r + u_z e_z):
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import ConfigError, SolverConfig
 from .diagnostics import (
     DiagnosticsRecord,
     boundary_leakage,
@@ -36,6 +36,7 @@ from .diagnostics import (
 from .elliptic import HEAT_WALLS, EllipticSolver
 from .fields import (
     AxisymState,
+    InitialDataError,
     checkpoint_save,
     make_initial_data,
     state_from_dynamic,
@@ -75,10 +76,6 @@ def swirl_vorticity_source(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     return ddz(grid, gamma**2) / grid.rcol**3
 
 
-def _advection(name: str):
-    return advect_upwind if name == "upwind1" else advect_centered
-
-
 def _coupled_rates(grid: Grid, advection: str, gamma, omega, ur, uz, gamma_feed):
     """Advection, reaction and swirl-feed tendencies of (Gamma, omega).
 
@@ -86,7 +83,7 @@ def _coupled_rates(grid: Grid, advection: str, gamma, omega, ur, uz, gamma_feed)
     (u_r/r) omega; gamma_feed drives d_z(Gamma^2)/r^3.  The coupled run
     passes its own stage fields, Picard the previous iterate's history.
     """
-    advect = _advection(advection)
+    advect = advect_upwind if advection == "upwind1" else advect_centered
     kg = advect(grid, gamma, ur, uz)
     kw = (
         advect(grid, omega, ur, uz)
@@ -96,42 +93,47 @@ def _coupled_rates(grid: Grid, advection: str, gamma, omega, ur, uz, gamma_feed)
     return kg, kw
 
 
-def _strang_heun(solver: EllipticSolver, fields, ops, dt: float, tendency, diffusion: str):
-    """One Strang-split step of d_t f_i = ops[i] f_i + tendency_i.
+def _pinned(f: np.ndarray, op: str) -> np.ndarray:
+    """f with its truncation row, and its inner-wall row if op's wall is
+    Dirichlet (HEAT_WALLS), set to zero in place."""
+    f[-1, :] = 0.0
+    if HEAT_WALLS[op] is None:
+        f[0, :] = 0.0
+    return f
 
-    Crank-Nicolson half-steps of the heat operators bracket one Heun (RK2)
-    step of the tendencies; with diffusion = "explicit" the operators join
-    the Heun tendencies instead.  tendency(stage_fields, stage) returns one
-    fresh array per field, with stage 0 at the start of the step and stage 1
-    at its end.  Every field's truncation row is pinned to zero, and so is
-    the inner-wall row of a field whose operator has a Dirichlet wall.  The
-    input arrays are not modified.
+
+def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, diffusion: str):
+    """One Strang-split step of d_t Gamma = L1 Gamma + k_Gamma and
+    d_t omega = L0' omega + k_omega.
+
+    Crank-Nicolson half-steps of L1 and L0' bracket one Heun (RK2) step of
+    the tendencies; with diffusion = "explicit" the operators join the Heun
+    tendencies instead.  tendency(gamma, omega, stage) returns fresh arrays
+    (k_Gamma, k_omega), with stage 0 at the start of the step and stage 1 at
+    its end.  Every stage and rate is pinned by _pinned.  The input arrays
+    are not modified.
     """
     implicit = diffusion == "crank_nicolson"
 
-    def pinned(f, op):
-        f[-1, :] = 0.0
-        if HEAT_WALLS[op] is None:
-            f[0, :] = 0.0
-        return f
-
-    def rates(fs, stage):
-        ks = tendency(fs, stage)
+    def rates(g, w, stage):
+        kg, kw = tendency(g, w, stage)
         if not implicit:
-            ks = [k + solver.apply_heat_operator(f, op) for k, f, op in zip(ks, fs, ops)]
-        return [pinned(k, op) for k, op in zip(ks, ops)]
+            kg = kg + solver.apply_heat_operator(g, "L1")
+            kw = kw + solver.apply_heat_operator(w, "L0p")
+        return _pinned(kg, "L1"), _pinned(kw, "L0p")
 
-    def half_diffusion(fs):
-        return [solver.heat_step(f, 0.5 * dt, op) for f, op in zip(fs, ops)]
+    def half_diffusion(g, w):
+        return solver.heat_step(g, 0.5 * dt, "L1"), solver.heat_step(w, 0.5 * dt, "L0p")
 
     if implicit:
-        fields = half_diffusion(fields)
-    k1 = rates(fields, 0)
-    k2 = rates([pinned(f + dt * k, op) for f, k, op in zip(fields, k1, ops)], 1)
-    fields = [pinned(f + 0.5 * dt * (a + b), op) for f, a, b, op in zip(fields, k1, k2, ops)]
+        gamma, omega = half_diffusion(gamma, omega)
+    kg1, kw1 = rates(gamma, omega, 0)
+    kg2, kw2 = rates(_pinned(gamma + dt * kg1, "L1"), _pinned(omega + dt * kw1, "L0p"), 1)
+    gamma = _pinned(gamma + 0.5 * dt * (kg1 + kg2), "L1")
+    omega = _pinned(omega + 0.5 * dt * (kw1 + kw2), "L0p")
     if implicit:
-        fields = half_diffusion(fields)
-    return fields
+        gamma, omega = half_diffusion(gamma, omega)
+    return gamma, omega
 
 
 @dataclass
@@ -170,34 +172,30 @@ class Stepper:
         self.l2_om_over_r0 = lp_norm(grid, state.omega / grid.rcol, 2)
         self.l2_om0 = lp_norm(grid, state.omega, 2)
         self.max_leakage = boundary_leakage(state)
+        # the right-hand side of (1.11); a float power raises, not overflows
+        # to inf, once sup|Gamma_0| passes about 1e154
+        try:
+            self.e_bound = self.l2_om_over_r0**2 + self.sup_gamma0**2 * self.e_kin0
+        except OverflowError:
+            self.e_bound = math.inf
 
-    # -- stability bounds ---------------------------------------------------
-
-    def _vmax(self) -> tuple[float, float]:
-        return (
-            float(np.max(np.abs(self.state.ur))),
-            float(np.max(np.abs(self.state.uz))),
-        )
-
-    def advective_dt_bound(self) -> float:
-        vr, vz = self._vmax()
+    def dt_bound(self) -> float:
+        """Largest stable dt before the CFL number: the advective bound, plus
+        the diffusive rate of L1 and L0' for explicit diffusion."""
+        vr = float(np.max(np.abs(self.state.ur)))
+        vz = float(np.max(np.abs(self.state.uz)))
+        if self.cfg.diffusion == "explicit":
+            diff_rate = 1.0 / min(
+                self.solver.explicit_stability_bound("L1"),
+                self.solver.explicit_stability_bound("L0p"),
+            )
+            return 1.0 / (diff_rate + vr / self.grid.h_r + vz / self.grid.h_z)
         bound = math.inf
         if vr > 0:
             bound = min(bound, self.grid.h_r / vr)
         if vz > 0:
             bound = min(bound, self.grid.h_z / vz)
         return bound
-
-    def dt_bound(self) -> float:
-        if self.cfg.diffusion == "explicit":
-            vr, vz = self._vmax()
-            diff_rate = 1.0 / min(
-                self.solver.explicit_stability_bound("L1"),
-                self.solver.explicit_stability_bound("L0p"),
-            )
-            rate = diff_rate + vr / self.grid.h_r + vz / self.grid.h_z
-            return 1.0 / rate
-        return self.advective_dt_bound()
 
     # -- one step -------------------------------------------------------------
 
@@ -213,25 +211,17 @@ class Stepper:
         t = self.state.t
         times = (t, t + dt)
 
-        def tendency(fields, stage):
-            gamma, omega = fields
+        def tendency(gamma, omega, stage):
             ur, uz = velocity_from_stream(self.grid, self.solver.solve_stream(omega))
             kg, kw = _coupled_rates(self.grid, self.cfg.advection, gamma, omega, ur, uz, gamma)
             if self.sources is not None:
                 sg, so = self.sources
-                if sg is not None:
-                    kg = kg + sg(times[stage])
-                if so is not None:
-                    kw = kw + so(times[stage])
+                kg = kg + sg(times[stage])
+                kw = kw + so(times[stage])
             return kg, kw
 
         gamma, omega = _strang_heun(
-            self.solver,
-            (self.state.Gamma, self.state.omega),
-            ("L1", "L0p"),
-            dt,
-            tendency,
-            self.cfg.diffusion,
+            self.solver, self.state.Gamma, self.state.omega, dt, tendency, self.cfg.diffusion
         )
 
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(omega))):
@@ -273,7 +263,6 @@ class Stepper:
             )
         else:
             residual = 0.0
-        e_bound = self.l2_om_over_r0**2 + self.sup_gamma0**2 * self.e_kin0
         lhs_1_11 = l2_q**2 + self.acc_grad_q
         lhs_1_12 = l2_om**2 + self.acc_om_diss
         margin_1_6 = sup_gamma - self.sup_gamma0
@@ -290,7 +279,7 @@ class Stepper:
             l4_uth=l4_uth,
             l2_om_over_r=l2_q,
             l2_om=l2_om,
-            e_bound_1_11=e_bound,
+            e_bound_1_11=self.e_bound,
             lhs_1_11=lhs_1_11,
             lhs_1_12=lhs_1_12,
             margin_1_6=margin_1_6,
@@ -300,19 +289,33 @@ class Stepper:
         )
 
 
+# the config keys behind each make_initial_data argument that can be at fault
+_INIT_KEYS = {
+    "r_support": "init.r_lo and init.r_hi",
+    "z_support": "init.z_lo and init.z_hi",
+    "amplitude": "init.amplitude and init.omega_amplitude",
+}
+
+
 def configured_initial_state(cfg: SolverConfig, solver: EllipticSolver) -> AxisymState:
-    """The initial data cfg describes, on the solver's grid."""
-    return make_initial_data(
-        solver,
-        cfg.init_kind,
-        amplitude=cfg.amplitude,
-        r_support=cfg.r_support,
-        z_mode=cfg.z_mode,
-        seed=cfg.seed,
-        omega_amplitude=cfg.omega_amplitude,
-        n_modes=cfg.n_modes,
-        z_support=cfg.z_support,
-    )
+    """The initial data cfg describes, on the solver's grid.
+
+    Data that cannot be built there is a ConfigError naming its keys.
+    """
+    try:
+        return make_initial_data(
+            solver,
+            cfg.init_kind,
+            amplitude=cfg.amplitude,
+            r_support=cfg.r_support,
+            z_mode=cfg.z_mode,
+            seed=cfg.seed,
+            omega_amplitude=cfg.omega_amplitude,
+            n_modes=cfg.n_modes,
+            z_support=cfg.z_support,
+        )
+    except InitialDataError as exc:
+        raise ConfigError(f"{_INIT_KEYS[exc.param]}: {exc.message}") from exc
 
 
 def run_simulation(
@@ -395,129 +398,19 @@ def run_simulation(
     return SimulationResult(records, stepper.state, status, stepper.max_leakage, checkpoints)
 
 
-# -- drift-diffusion runner -----------------------------------------------------
-
-
-@dataclass
-class DriftSpec:
-    """Prescribed divergence-free drift, optionally with the critical-time
-    modulation amplitude t^-(1/2 - 3/(2p))."""
-
-    br: np.ndarray
-    bz: np.ndarray
-    modulation_p: float | None = None
-    t_floor: float | None = None
-
-    def scale(self, t: float, dt: float) -> float:
-        if self.modulation_p is None:
-            return 1.0
-        beta = 0.5 - 1.5 / self.modulation_p
-        floor = self.t_floor if self.t_floor is not None else dt
-        return max(t, floor) ** (-beta)
-
-    def at(self, t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        s = self.scale(t, dt)
-        return s * self.br, s * self.bz
-
-
-def make_divergence_free_drift(
-    grid: Grid, amplitude: float, r_support: tuple[float, float], z_mode: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """(b_r, b_z) from a compact stream function: div-free, b.n = 0 at walls."""
-    from .fields import bump_profile
-
-    lo, hi = r_support
-    psi_b = amplitude * bump_profile(grid.r, lo, hi)[:, None] * np.sin(
-        2 * np.pi * z_mode * grid.z / grid.L_z
-    )
-    return velocity_from_stream(grid, psi_b)
-
-
-@dataclass
-class DriftDiffusionRecord:
-    t: float
-    sup: float
-    inf: float
-    norms: dict[float, float]
-
-
-def drift_diffusion_run(
-    solver: EllipticSolver,
-    gamma0: np.ndarray,
-    drift: DriftSpec,
-    t_end: float,
-    dt: float | None = None,
-    cfl: float = 0.4,
-    advection: str = "centered2",
-    diffusion: str = "crank_nicolson",
-    norm_ps: tuple[float, ...] = (1.0, 2.0, 4.0),
-    output_interval: float | None = None,
-) -> list[DriftDiffusionRecord]:
-    """Evolve the swirl-momentum equation with a prescribed drift.
-
-    Records sup, inf, and L^p norms over time; with the monotone scheme
-    (upwind1/explicit) the discrete maximum principle is exact.
-    """
-    grid = solver.grid
-    advect = _advection(advection)
-    if np.max(np.abs(drift.br[0, :])) > 0 or np.max(np.abs(drift.br[-1, :])) > 0:
-        raise ValueError("drift must satisfy b.n = 0 at the radial walls")
-    f = np.array(gamma0, dtype=float)
-    t = 0.0
-
-    def rec(t, f):
-        return DriftDiffusionRecord(
-            t,
-            float(np.max(f)),
-            float(np.min(f)),
-            {p: lp_norm(grid, f, p) for p in norm_ps},
-        )
-
-    records = [rec(t, f)]
-    out_iv = output_interval if output_interval is not None else max(t_end / 20, 1e-12)
-    next_out = out_iv
-    eps = 1e-12 * max(t_end, 1.0)
-    diff_rate = (
-        1.0 / solver.explicit_stability_bound("L1") if diffusion == "explicit" else 0.0
-    )
-    while t < t_end - eps:
-        br, bz = drift.at(t, dt if dt is not None else 1e-6)
-        vr = float(np.max(np.abs(br)))
-        vz = float(np.max(np.abs(bz)))
-        rate = diff_rate + vr / grid.h_r + vz / grid.h_z
-        bound = 1.0 / rate if rate > 0 else math.inf
-        step_dt = min(dt if dt is not None else cfl * bound, cfl * bound, t_end - t)
-        if step_dt <= 0 or not math.isfinite(step_dt):
-            step_dt = min(t_end - t, out_iv)
-        times = (t, t + step_dt)
-
-        def tendency(fields, stage):
-            br, bz = drift.at(times[stage], step_dt)
-            return [advect(grid, fields[0], br, bz)]
-
-        (f,) = _strang_heun(solver, (f,), ("L1",), step_dt, tendency, diffusion)
-        t += step_dt
-        if t >= next_out - eps or t >= t_end - eps:
-            records.append(rec(t, f))
-            while next_out <= t + eps:
-                next_out += out_iv
-    return records
-
-
 # -- Picard iteration -------------------------------------------------------------
 
 
 @dataclass
 class PicardResult:
-    """Per-iterate weighted norms K_j and successive differences delta_j."""
+    """Per-iterate weighted norms K_j, successive differences delta_j, and
+    the last iterate's state at t = T."""
 
     p: float
-    gamma_exponent: float
-    out_times: list[float]
     K: list[float]
     delta: list[float]
     diverged: bool
-    final_states: list[AxisymState]
+    final_state: AxisymState
 
     @property
     def ratios(self) -> list[float]:
@@ -556,7 +449,6 @@ def picard_iterate(
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
     out_idx = sorted(set(np.linspace(1, n_steps, min(n_out, n_steps), dtype=int).tolist()))
-    out_times = [i * dt for i in out_idx]
 
     def weighted_norm(t, ur, uth, uz):
         """t^gamma (||u||_p + t^(1/2) ||grad u||_p)."""
@@ -572,27 +464,24 @@ def picard_iterate(
 
     K: list[float] = []
     snapshots: list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-    final_states: list[AxisymState] = []
 
     for _j in range(1, j_max + 1):
-        gamma = state0.Gamma.copy()
-        omega = state0.omega.copy()
-        # the iterate's own velocity history starts from the shared initial state
+        # every iterate starts from the shared initial state, which
+        # _strang_heun leaves unmodified; its own history starts there too
+        gamma, omega = state0.Gamma, state0.omega
         ur_hist = [state0.ur]
         uz_hist = [state0.uz]
-        gamma_hist = [gamma.copy()]
+        gamma_hist = [gamma]
         snaps: dict[int, tuple] = {}
         k_val = 0.0
         for n in range(n_steps):
-            def tendency(fields, stage):
+            def tendency(gamma, omega, stage):
                 i = n + stage  # history index of the stage time
                 return _coupled_rates(
-                    grid, advection, *fields, prev_ur[i], prev_uz[i], prev_gamma[i]
+                    grid, advection, gamma, omega, prev_ur[i], prev_uz[i], prev_gamma[i]
                 )
 
-            gamma, omega = _strang_heun(
-                solver, (gamma, omega), ("L1", "L0p"), dt, tendency, diffusion
-            )
+            gamma, omega = _strang_heun(solver, gamma, omega, dt, tendency, diffusion)
             urf, uzf = velocity_from_stream(grid, solver.solve_stream(omega))
             ur_hist.append(urf)
             uz_hist.append(uzf)
@@ -601,10 +490,9 @@ def picard_iterate(
             if step_idx in out_idx:
                 uth = gamma / grid.rcol
                 k_val = max(k_val, weighted_norm(step_idx * dt, urf, uth, uzf))
-                snaps[step_idx] = (urf.copy(), uth.copy(), uzf.copy())
+                snaps[step_idx] = (urf, uth, uzf)
         K.append(k_val)
         snapshots.append(snaps)
-        final_states.append(state_from_dynamic(solver, T, gamma, omega))
         prev_ur, prev_uz, prev_gamma = ur_hist, uz_hist, gamma_hist
 
     delta: list[float] = []
@@ -622,4 +510,4 @@ def picard_iterate(
         if grow >= 3:
             diverged = True
             break
-    return PicardResult(p, gamma_exp, out_times, K, delta, diverged, final_states)
+    return PicardResult(p, K, delta, diverged, state_from_dynamic(solver, T, gamma, omega))

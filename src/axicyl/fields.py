@@ -82,13 +82,14 @@ def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     return ur, uz
 
 
-def azimuthal_vorticity_of(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
-    """omega = d_z u_r - d_r u_z, by centered differences."""
-    return ddz(grid, ur) - ddr(grid, uz)
+class InitialDataError(ValueError):
+    """Initial data that cannot be built on the grid; `param` names the
+    make_initial_data argument at fault."""
 
-
-def discrete_divergence(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
-    return ddr(grid, ur) + ur / grid.rcol + ddz(grid, uz)
+    def __init__(self, param: str, message: str):
+        super().__init__(f"{param} {message}")
+        self.param = param
+        self.message = message
 
 
 def bump_profile(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -137,7 +138,8 @@ def make_initial_data(
     (Gamma and omega bumps), "random_modes" (seeded sums of bump-times-
     Fourier-mode fields; deterministic given the seed).  An optional
     z_support window localizes the data in z as well (otherwise it fills
-    the full period through Fourier modes).
+    the full period through Fourier modes).  A support outside the grid,
+    or data whose derived fields overflow, raises InitialDataError.
     """
     if kind not in ("no_swirl_bump", "swirl_bump", "random_modes"):
         raise ValueError(f"unknown initial data kind {kind!r}")
@@ -147,13 +149,13 @@ def make_initial_data(
         r_support = (grid.r_min + 0.15 * width, grid.r_min + 0.60 * width)
     lo, hi = r_support
     if not (grid.r_min < lo < hi < grid.R):
-        raise ValueError(
-            f"support [{lo}, {hi}] must lie strictly inside ({grid.r_min}, {grid.R})"
+        raise InitialDataError(
+            "r_support", f"[{lo}, {hi}] must lie strictly inside ({grid.r_min}, {grid.R})"
         )
     if z_support is not None:
         z_lo, z_hi = z_support
         if not (0.0 <= z_lo < z_hi <= grid.L_z):
-            raise ValueError(f"z support [{z_lo}, {z_hi}] must lie inside [0, {grid.L_z})")
+            raise InitialDataError("z_support", f"[{z_lo}, {z_hi}] must lie inside [0, {grid.L_z}]")
         zb = bump_profile(grid.z, z_lo, z_hi)[None, :]
     else:
         zb = np.ones((1, grid.n_z))
@@ -182,7 +184,10 @@ def make_initial_data(
         gamma *= zb
         omega *= zb
 
-    return state_from_dynamic(solver, 0.0, gamma, omega)
+    try:
+        return state_from_dynamic(solver, 0.0, gamma, omega)
+    except ValueError as exc:  # a derived field overflowed
+        raise InitialDataError("amplitude", str(exc)) from exc
 
 
 # -- checkpoint format ------------------------------------------------------

@@ -37,9 +37,6 @@ class ManufacturedSolution:
     L_z: float
     gamma: object  # callable (r, z, t) -> array
     omega: object
-    psi: object
-    ur: object
-    uz: object
     source_gamma: object
     source_omega: object
 
@@ -53,9 +50,6 @@ class ManufacturedSolution:
         return {
             "gamma": at(self.gamma),
             "omega": at(self.omega),
-            "psi": at(self.psi),
-            "ur": at(self.ur),
-            "uz": at(self.uz),
             "source_gamma": at(self.source_gamma),
             "source_omega": at(self.source_omega),
         }
@@ -115,9 +109,6 @@ def build_mms(
         L_z,
         gamma=lam(gamma),
         omega=lam(omega),
-        psi=lam(psi),
-        ur=lam(ur),
-        uz=lam(uz),
         source_gamma=lam(s_gamma),
         source_omega=lam(s_omega),
     )

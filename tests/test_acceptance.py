@@ -310,7 +310,7 @@ def test_criterion_10_picard():
         output_interval=T, init_kind="swirl_bump", checkpoint="none",
     )
     direct = run_simulation(cfg, initial_state=state0)
-    du, d = res.final_states[-1], direct.final_state
+    du, d = res.final_state, direct.final_state
     diff = math.sqrt(
         lp_norm(g, du.ur - d.ur, 2) ** 2
         + lp_norm(g, du.uth - d.uth, 2) ** 2

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -9,13 +10,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import axicyl
 from axicyl import cli, evolution
 from axicyl.cli import main
-from axicyl.config import ConfigError, SolverConfig, load_config, parse_config_text
+from axicyl.config import (
+    ADVECTION_SCHEMES,
+    CHECKPOINTS,
+    DIFFUSION_SCHEMES,
+    INIT_KINDS,
+    SOLVER_KEYS,
+    ConfigError,
+    SolverConfig,
+    load_config,
+    parse_config_text,
+)
 from axicyl.diagnostics import CSV_COLUMNS
-from axicyl.evolution import CFLError, run_simulation
+from axicyl.elliptic import EllipticSolver
+from axicyl.evolution import CFLError, configured_initial_state, run_simulation
+from axicyl.grid import build_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,6 +81,68 @@ def test_solver_config_validation():
         SolverConfig(advection="upwind7")
     with pytest.raises(ConfigError):
         SolverConfig.from_mapping({"grid.n_r": "many"})
+
+
+def _small_if_int(raw: str) -> bool:
+    # an int key drawn as text must not start a huge loop (init.n_modes)
+    try:
+        return abs(int(raw)) <= 40
+    except ValueError:
+        return True
+
+
+_TEXT = st.text(
+    st.characters(codec="ascii", exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e#"),
+    min_size=1,
+    max_size=12,
+).filter(str.strip)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+    st.floats(0.01, 3.0),  # values a run could use, to reach the initial data
+).map(repr)
+_CHOICES = {
+    "scheme.advection": ADVECTION_SCHEMES,
+    "scheme.diffusion": DIFFUSION_SCHEMES,
+    "init.kind": INIT_KINDS,
+    "output.checkpoint": CHECKPOINTS,
+}
+
+
+def _value_strategy(key, cast):
+    if key in _CHOICES:
+        value = st.sampled_from(_CHOICES[key])
+    elif cast is int:
+        value = st.integers(-3, 40).map(str)
+    elif key == "time.dt":
+        value = st.one_of(_FLOATS, st.just("auto"))
+    else:
+        value = _FLOATS
+    # free text one draw in ten, so that most draws get past the parser
+    text = _TEXT.filter(_small_if_int) if cast is int else _TEXT
+    return st.integers(0, 9).flatmap(lambda i: text if i == 9 else value)
+
+
+_DRAWN_KEYS = {
+    key: _value_strategy(key, cast)
+    for key, (_, cast) in SOLVER_KEYS.items()
+    if not key.startswith("grid.")
+}
+
+
+@given(values=st.fixed_dictionaries({}, optional=_DRAWN_KEYS))
+@settings(max_examples=300, deadline=None)
+def test_config_to_initial_state_raises_only_config_error(values):
+    text = "grid.r_min = 1\ngrid.R = 3\ngrid.L_z = 2\ngrid.n_r = 17\ngrid.n_z = 16\n"
+    text += "".join(f"{key} = {val}\n" for key, val in values.items())
+    try:
+        cfg = SolverConfig.from_mapping(parse_config_text(text))
+        grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
+        with np.errstate(all="ignore"):
+            state = configured_initial_state(cfg, EllipticSolver(grid))
+    except ConfigError:
+        return
+    assert np.all(np.isfinite(state.psi))
 
 
 def test_cmd_info(capsys):
@@ -121,6 +198,21 @@ def test_cmd_run_bad_config_exit_code(tmp_path):
     assert "config error" in manifest["extra"]["error"]
     missing = tmp_path / "does_not_exist.cfg"
     assert main(["run", "--config", str(missing), "--out", str(out)]) == 2
+
+
+def test_cmd_run_overflowing_swirl_bound_halts_as_blowup(tmp_path):
+    # sup|Gamma_0|^2 overflows a float: the (1.11) bound is inf, and the
+    # run halts on its first step
+    text = SMALL_GRID + "time.t_end = 0.01\ninit.amplitude = 1e300\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert json.loads((out / "manifest.json").read_text())["status"] == "halted_blowup"
+    with open(out / "diagnostics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["E_bound_1_11"] == "inf"
+    assert float(rows[0]["sup_Gamma"]) > 1e299
 
 
 def test_cmd_run_blowup_exit_and_manifest(tmp_path):
@@ -216,7 +308,11 @@ SMALL_RUNS = {
 @pytest.mark.parametrize(
     "line",
     ["grid.n_r = 3", "grid.n_z = 2", "grid.R = 0.5", "grid.r_min = 0", "grid.L_z = -1",
-     "grid.r_min = nan"],
+     "grid.r_min = nan",
+     # non-finite values and initial data that cannot be built on the grid
+     "init.amplitude = nan", "init.omega_amplitude = inf", "time.dt = nan",
+     "time.output_interval = nan", "run.blowup_threshold = nan", "init.n_modes = 0",
+     "init.seed = -1", "init.r_lo = 5\ninit.r_hi = 6", "init.z_lo = 1\ninit.z_hi = 0.5"],
 )
 def test_out_of_range_grid_key_exits_2(tmp_path, command, line):
     cfg = write_cfg(tmp_path, SMALL_RUNS[command] + line + "\n")

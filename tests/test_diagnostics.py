@@ -129,8 +129,8 @@ def test_b1_requires_vanishing_trace(grid):
 def test_interpolation_suite_fitted_constants_stable(grid):
     b1a = random_scalar_samples(grid, 40, seed=1, vanish_at_wall=True)
     b1b = random_scalar_samples(grid, 40, seed=2, vanish_at_wall=True)
-    ca = interpolation_suite(grid, [], scalar_samples_b1=b1a)[0].fitted_constant
-    cb = interpolation_suite(grid, [], scalar_samples_b1=b1b)[0].fitted_constant
+    ca = interpolation_suite(grid, [], scalar_samples_b1=b1a)[0].max_ratio
+    cb = interpolation_suite(grid, [], scalar_samples_b1=b1b)[0].max_ratio
     assert abs(ca - cb) / max(ca, cb) < 0.2
 
 

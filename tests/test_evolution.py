@@ -11,11 +11,8 @@ from axicyl.elliptic import EllipticSolver
 from axicyl.evolution import (
     BlowupError,
     CFLError,
-    DriftSpec,
     Stepper,
     _coupled_rates,
-    drift_diffusion_run,
-    make_divergence_free_drift,
     picard_iterate,
     run_simulation,
     swirl_vorticity_source,
@@ -157,8 +154,9 @@ def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
     # a NaN source at the first Heun stage makes the second stage's stream
     # solve non-finite; the step must end in the end-of-step check
     cfg = make_cfg(dt=0.005)
+    zero = np.zeros(small_solver.grid.shape)
     nan = np.full(small_solver.grid.shape, np.nan)
-    sources = (None, lambda t: nan)
+    sources = (lambda t: zero, lambda t: nan)
     state = make_initial_data(small_solver, "swirl_bump", amplitude=0.5, r_support=(1.3, 2.4))
     with pytest.raises(BlowupError, match="non-finite"):
         Stepper(cfg, state, sources).step(0.005)
@@ -244,43 +242,6 @@ def test_monotone_scheme_exact_max_principle(gamma0, omega0, steps):
         assert np.max(np.abs(stepper.state.Gamma)) <= sup0 * (1 + 1e-13) + 1e-15
 
 
-def test_drift_diffusion_zero_drift_sup_nonincreasing(small_grid, small_solver):
-    gamma0 = bump_profile(small_grid.r, 1.3, 2.5)[:, None] * np.ones(small_grid.shape)
-    drift = DriftSpec(np.zeros(small_grid.shape), np.zeros(small_grid.shape))
-    recs = drift_diffusion_run(small_solver, gamma0, drift, t_end=0.2, dt=0.002)
-    sups = [r.sup for r in recs]
-    assert all(b <= a + 1e-12 for a, b in zip(sups, sups[1:]))
-
-
-def test_drift_diffusion_positivity(small_grid, small_solver):
-    gamma0 = bump_profile(small_grid.r, 1.3, 2.5)[:, None] * np.ones(small_grid.shape)
-    br, bz = make_divergence_free_drift(small_grid, 0.5, (1.2, 2.6))
-    drift = DriftSpec(br, bz)
-    recs = drift_diffusion_run(
-        small_solver, gamma0, drift, t_end=0.2, advection="upwind1", diffusion="explicit"
-    )
-    for rec in recs:
-        assert rec.inf >= -1e-13
-        assert rec.sup <= 1.0 + 1e-13
-
-
-def test_drift_diffusion_modulated_coefficient(small_grid, small_solver):
-    gamma0 = bump_profile(small_grid.r, 1.3, 2.5)[:, None] * np.ones(small_grid.shape)
-    br, bz = make_divergence_free_drift(small_grid, 0.3, (1.2, 2.6))
-    drift = DriftSpec(br, bz, modulation_p=6.0, t_floor=1e-3)
-    recs = drift_diffusion_run(
-        small_solver, gamma0, drift, t_end=0.1, advection="upwind1", diffusion="explicit"
-    )
-    assert recs[-1].sup <= recs[0].sup + 1e-13
-
-
-def test_drift_requires_no_penetration(small_grid, small_solver):
-    bad = np.ones(small_grid.shape)
-    drift = DriftSpec(bad, np.zeros(small_grid.shape))
-    with pytest.raises(ValueError):
-        drift_diffusion_run(small_solver, np.zeros(small_grid.shape), drift, t_end=0.1)
-
-
 def test_picard_zero_data(small_grid, small_solver):
     state0 = make_initial_data(small_solver, "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
     res = picard_iterate(state0, T=0.05, j_max=3, p=6.0, dt=0.01)
@@ -318,20 +279,47 @@ def test_picard_validates_args(small_grid, small_solver):
         picard_iterate(state0, T=0.1, j_max=3, p=2.0, dt=0.01)
 
 
-def test_drift_diffusion_matches_heat_step_without_drift(small_grid, small_solver):
-    f0 = bump_profile(small_grid.r, 1.3, 2.5)[:, None] * np.ones(small_grid.shape)
-    zero = np.zeros(small_grid.shape)
-    recs = drift_diffusion_run(small_solver, f0, DriftSpec(zero, zero), t_end=0.05, dt=0.01)
-    # with zero drift each step is two Crank-Nicolson half steps
-    ref = f0
-    for _ in range(10):
-        ref = small_solver.heat_step(ref, 0.005, "L1")
-    last = recs[-1]
-    assert last.t == pytest.approx(0.05)
-    assert last.sup == pytest.approx(np.max(ref), abs=1e-13)
-    assert last.inf == pytest.approx(np.min(ref), abs=1e-13)
-    for p, val in last.norms.items():
-        assert val == pytest.approx(lp_norm(small_grid, ref, p), rel=1e-13)
+def test_step_without_velocity_is_two_crank_nicolson_half_steps(small_grid, small_solver):
+    # a z-independent Gamma with omega = 0 has no velocity and no swirl feed,
+    # so each Strang step is the Crank-Nicolson half step of L1 taken twice
+    gamma0 = bump_profile(small_grid.r, 1.3, 2.5)[:, None] * np.ones(small_grid.shape)
+    state = state_from_dynamic(small_solver, 0.0, gamma0, np.zeros(small_grid.shape))
+    stepper = Stepper(make_cfg(), state)
+    ref = gamma0
+    for _ in range(5):
+        stepper.step(0.01)
+        ref = small_solver.heat_step(small_solver.heat_step(ref, 0.005, "L1"), 0.005, "L1")
+        assert np.all(stepper.state.omega == 0.0)
+        np.testing.assert_allclose(stepper.state.Gamma, ref, rtol=0, atol=1e-13)
+    assert stepper.state.t == pytest.approx(0.05)
+
+
+def test_run_regression_anchor():
+    # frozen last-row diagnostics of a default and a monotone run
+    expected = {
+        "centered2/crank_nicolson": {
+            "e_kin": 1.6720137853241563,
+            "sup_gamma": 0.5240636889208661,
+            "l2_om": 0.30195661369281046,
+            "margin_1_6": -0.47386805949038757,
+        },
+        "upwind1/explicit": {
+            "e_kin": 1.6709478097973076,
+            "sup_gamma": 0.5238378729988968,
+            "l2_om": 0.3018183336846523,
+            "margin_1_6": -0.4740938754123568,
+        },
+    }
+    for schemes, anchors in expected.items():
+        advection, diffusion = schemes.split("/")
+        cfl = 0.9 if diffusion == "explicit" else 0.4
+        cfg = make_cfg(
+            amplitude=1.0, omega_amplitude=0.5, advection=advection, diffusion=diffusion, cfl=cfl
+        )
+        last = run_simulation(cfg).records[-1]
+        assert last.t == pytest.approx(0.1)
+        for key, val in anchors.items():
+            assert getattr(last, key) == pytest.approx(val, rel=1e-12), (schemes, key)
 
 
 def test_accumulated_budget_nonnegative_terms():
