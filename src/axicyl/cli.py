@@ -309,7 +309,9 @@ def cmd_picard(args, mapping, ctx):
         raise ConfigError(f"picard.p must lie in (3, inf), got {p}")
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
     state0 = configured_initial_state(cfg, EllipticSolver(grid))
-    result = picard_iterate(state0, T=T, j_max=j_max, p=p, dt=dt)
+    result = picard_iterate(
+        state0, T=T, j_max=j_max, p=p, dt=dt, advection=cfg.advection, diffusion=cfg.diffusion
+    )
     rows = []
     for j in range(len(result.K)):
         delta = result.delta[j] if j < len(result.delta) else ""

@@ -294,6 +294,8 @@ _INIT_KEYS = {
     "r_support": "init.r_lo and init.r_hi",
     "z_support": "init.z_lo and init.z_hi",
     "amplitude": "init.amplitude and init.omega_amplitude",
+    "z_mode": "init.z_mode",
+    "n_modes": "init.n_modes",
 }
 
 

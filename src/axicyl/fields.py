@@ -139,11 +139,20 @@ def make_initial_data(
     Fourier-mode fields; deterministic given the seed).  An optional
     z_support window localizes the data in z as well (otherwise it fills
     the full period through Fourier modes).  A support outside the grid,
-    or data whose derived fields overflow, raises InitialDataError.
+    a z_mode (bump kinds) or n_modes (random_modes) past the grid's
+    Nyquist index n_z // 2 (a higher mode aliases onto a lower one), or
+    data whose derived fields overflow, raises InitialDataError.
     """
     if kind not in ("no_swirl_bump", "swirl_bump", "random_modes"):
         raise ValueError(f"unknown initial data kind {kind!r}")
     grid = solver.grid
+    nyquist = grid.n_z // 2
+    past_nyquist = f"must not exceed the Nyquist index n_z // 2 = {nyquist}"
+    if kind == "random_modes":
+        if n_modes > nyquist:
+            raise InitialDataError("n_modes", past_nyquist)
+    elif abs(z_mode) > nyquist:
+        raise InitialDataError("z_mode", past_nyquist)
     if r_support is None:
         width = grid.R - grid.r_min
         r_support = (grid.r_min + 0.15 * width, grid.r_min + 0.60 * width)
@@ -163,13 +172,13 @@ def make_initial_data(
         omega_amplitude = 0.5 * amplitude
 
     rb = bump_profile(grid.r, lo, hi)[:, None]
-    kz = 2.0 * np.pi * z_mode / grid.L_z
 
-    if kind == "no_swirl_bump":
-        gamma = np.zeros(grid.shape)
-        omega = omega_amplitude * rb * np.sin(kz * grid.z)[None, :] * zb
-    elif kind == "swirl_bump":
-        gamma = amplitude * rb * zb * np.ones(grid.shape)
+    if kind != "random_modes":
+        kz = 2.0 * np.pi * z_mode / grid.L_z
+        if kind == "no_swirl_bump":
+            gamma = np.zeros(grid.shape)
+        else:
+            gamma = amplitude * rb * zb * np.ones(grid.shape)
         omega = omega_amplitude * rb * np.sin(kz * grid.z)[None, :] * zb
     else:
         rng = np.random.default_rng(seed)

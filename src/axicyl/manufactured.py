@@ -15,11 +15,21 @@ symbolically:
               - d_z(Gamma*^2)/r^3
 
 so the solver, fed (S_Gamma, S_omega), should reproduce (Gamma*, omega*).
+
+Every one of these fields is separable, a short sum
+sum_i a_i(r) Z_i(z) T_i(t) over monomials Z_i T_i in sin(k z), cos(k z),
+t, cos t and sin t.  sympy derives them with the radial profile left
+undefined: P(r) and its r-derivatives are plain symbols, and d/dr acts
+through them by the chain rule.  So each a_i depends on r, P and P's
+first four derivatives alone.  Bound to a grid, the a_i and Z_i are
+tabulated once, and a field at time t is one (n_r x m) . (m x n_z)
+product, m <= 9.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,41 +37,73 @@ import sympy as sp
 
 from .grid import Grid
 
+N_DERIVS = 5  # the profile and its first four r-derivatives
+
+
+def _bump_derivatives(r: np.ndarray, lo: float, hi: float) -> list[np.ndarray]:
+    """The first N_DERIVS r-derivatives (from the zeroth) of the bump
+    P = ((r-lo)(hi-r))^8 / max on (lo, hi), zero outside.
+
+    With s = (r - mid) / half and u = 1 - s^2 = (1-s)(1+s), P = u^8 and
+    each derivative is a short sum of c u^a s^b, built by
+    d/ds (u^a s^b) = -2a u^(a-1) s^(b+1) + b u^a s^(b-1).  This stays
+    within a few ulps of the sup, where the expanded degree-16 polynomial
+    loses hundreds.
+    """
+    half = (hi - lo) / 2
+    s = (r - (lo + hi) / 2) / half
+    u = (1 - s) * (1 + s)
+    inside = (r > lo) & (r < hi)
+    terms = {(8, 0): 1.0}
+    out = []
+    for k in range(N_DERIVS):
+        value = sum(c * u**a * s**b for (a, b), c in terms.items()) / half**k
+        out.append(np.where(inside, value, 0.0))
+        terms, last = defaultdict(float), terms
+        for (a, b), c in last.items():
+            if a:
+                terms[a - 1, b + 1] -= 2 * a * c
+            if b:
+                terms[a, b - 1] += b * c
+    return out
+
 
 @dataclass
 class ManufacturedSolution:
-    """Symbolic exact solution with grid-bound numpy evaluators."""
+    """Symbolic exact solution, in separable form, with grid-bound evaluators.
+
+    exprs holds Gamma*, omega*, S_Gamma and S_omega in terms of r, z, t
+    and symbols p0, p1, ... for the radial profile P(r) and its
+    r-derivatives; the profile is the degree-8 bump on `support`.  terms
+    maps the same names to (coefficients, exps): coefficients(r, p0, ...,
+    p4) returns the m radial coefficients a_i, and row i of the
+    (m, 5) array exps holds the powers of sin(k z), cos(k z), t, cos t and
+    sin t in monomial i, with k = 2 pi / L_z.
+    """
 
     r_min: float
     R: float
     L_z: float
-    gamma: object  # callable (r, z, t) -> array
-    omega: object
-    source_gamma: object
-    source_omega: object
+    support: tuple[float, float]
+    exprs: dict
+    terms: dict
 
     def bind(self, grid: Grid):
-        """Evaluators on the grid mesh: field_at(t) and source closures."""
-        RR, ZZ = np.meshgrid(grid.r, grid.z, indexing="ij")
+        """Evaluators t -> array on the grid mesh, keyed gamma, omega,
+        source_gamma and source_omega."""
+        derivs = _bump_derivatives(grid.r, *self.support)
+        kz = 2.0 * np.pi / self.L_z
+        sin_z, cos_z = np.sin(kz * grid.z), np.cos(kz * grid.z)
 
-        def at(fn):
-            return lambda t: np.asarray(fn(RR, ZZ, t), dtype=float)
+        def at(coefficients, exps):
+            a = np.column_stack(
+                [np.broadcast_to(c, grid.r.shape) for c in coefficients(grid.r, *derivs)]
+            )
+            zm = sin_z ** exps[:, :1] * cos_z ** exps[:, 1:2]
+            t_exp, cos_exp, sin_exp = exps[:, 2:].T
+            return lambda t: (a * (t**t_exp * math.cos(t) ** cos_exp * math.sin(t) ** sin_exp)) @ zm
 
-        return {
-            "gamma": at(self.gamma),
-            "omega": at(self.omega),
-            "source_gamma": at(self.source_gamma),
-            "source_omega": at(self.source_omega),
-        }
-
-
-def _poly_bump(r, lo, hi, power=8):
-    """((r-lo)(hi-r))^power / max, compactly supported C^(power-1) bump."""
-    peak = ((hi - lo) / 2) ** (2 * power)
-    return sp.Piecewise(
-        (((r - lo) * (hi - r)) ** power / peak, sp.And(r > lo, r < hi)),
-        (0, True),
-    )
+        return {name: at(*term) for name, term in self.terms.items()}
 
 
 def build_mms(
@@ -74,23 +116,31 @@ def build_mms(
 ) -> ManufacturedSolution:
     """Default manufactured pair on [r_min, R] x [0, L_z)."""
     r, z, t = sp.symbols("r z t", real=True)
+    # the profile P(r) and its r-derivatives as plain symbols p0, p1, ...
+    p = sp.symbols(f"p0:{N_DERIVS + 1}")
     lo = r_min + pad * (R - r_min)
     hi = R - pad * (R - r_min)
     kz = 2 * sp.pi / L_z
 
-    psi = amp_psi * _poly_bump(r, lo, hi) * sp.sin(kz * z) * (1 + t / 2)
-    gamma = amp_gamma * _poly_bump(r, lo, hi) * (1 + sp.Rational(1, 2) * sp.cos(kz * z)) * sp.cos(t)
+    def d_r(f, n=1):
+        """n-th total r-derivative, by the chain rule through the p_k."""
+        for _ in range(n):
+            f = sp.diff(f, r) + sum(sp.diff(f, p[k]) * p[k + 1] for k in range(N_DERIVS))
+        return f
 
-    omega = -(sp.diff(sp.diff(psi, r) / r, r) + sp.diff(psi, z, 2) / r)
+    psi = amp_psi * p[0] * sp.sin(kz * z) * (1 + t / 2)
+    gamma = amp_gamma * p[0] * (1 + sp.Rational(1, 2) * sp.cos(kz * z)) * sp.cos(t)
+
+    omega = -(d_r(d_r(psi) / r) + sp.diff(psi, z, 2) / r)
     ur = -sp.diff(psi, z) / r
-    uz = sp.diff(psi, r) / r
+    uz = d_r(psi) / r
 
     def laplace(f):
-        return sp.diff(f, r, 2) + sp.diff(f, r) / r + sp.diff(f, z, 2)
+        return d_r(f, 2) + d_r(f) / r + sp.diff(f, z, 2)
 
-    l1_gamma = laplace(gamma) - 2 / r * sp.diff(gamma, r)
+    l1_gamma = laplace(gamma) - 2 / r * d_r(gamma)
     l0_omega = laplace(omega) - omega / r**2
-    adv = lambda f: ur * sp.diff(f, r) + uz * sp.diff(f, z)
+    adv = lambda f: ur * d_r(f) + uz * sp.diff(f, z)
 
     s_gamma = sp.diff(gamma, t) + adv(gamma) - l1_gamma
     s_omega = (
@@ -101,17 +151,15 @@ def build_mms(
         - sp.diff(gamma**2, z) / r**3
     )
 
-    syms = (r, z, t)
-    lam = lambda e: sp.lambdify(syms, e, "numpy", cse=True)
-    return ManufacturedSolution(
-        r_min,
-        R,
-        L_z,
-        gamma=lam(gamma),
-        omega=lam(omega),
-        source_gamma=lam(s_gamma),
-        source_omega=lam(s_omega),
-    )
+    exprs = {"gamma": gamma, "omega": omega, "source_gamma": s_gamma, "source_omega": s_omega}
+    gens = (sp.sin(kz * z), sp.cos(kz * z), t, sp.cos(t), sp.sin(t))
+    terms = {}
+    for name, e in exprs.items():
+        assert p[N_DERIVS] not in e.free_symbols, f"{name} needs more profile derivatives"
+        poly = sp.Poly(e, *gens)
+        coefficients = sp.lambdify((r, *p[:N_DERIVS]), poly.coeffs(), "numpy", cse=True)
+        terms[name] = (coefficients, np.array(poly.monoms()))
+    return ManufacturedSolution(r_min, R, L_z, (lo, hi), exprs, terms)
 
 
 @dataclass

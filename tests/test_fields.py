@@ -13,6 +13,7 @@ from axicyl.fields import (
     CHECKPOINT_VERSION,
     AxisymState,
     CheckpointError,
+    InitialDataError,
     bump_profile,
     checkpoint_load,
     checkpoint_save,
@@ -213,6 +214,24 @@ def test_make_initial_data_rejects_bad_support():
         make_initial_data(solver, "swirl_bump", r_support=(1.5, 3.5))
     with pytest.raises(ValueError):
         make_initial_data(solver, "nonsense")
+
+
+def test_make_initial_data_rejects_modes_past_nyquist():
+    # n_z = 16: mode 8 is the highest the grid holds; a higher one aliases
+    solver = EllipticSolver(build_grid(1, 3, 2.0, 17, 16))
+    make_initial_data(solver, "swirl_bump", z_mode=-8)
+    make_initial_data(solver, "random_modes", n_modes=8)
+    for kind, kw in [
+        ("swirl_bump", {"z_mode": 9}),
+        ("no_swirl_bump", {"z_mode": -9}),
+        ("random_modes", {"n_modes": 9}),
+    ]:
+        with pytest.raises(InitialDataError) as err:
+            make_initial_data(solver, kind, **kw)
+        assert err.value.param == next(iter(kw))
+    # each kind reads only its own mode argument
+    make_initial_data(solver, "random_modes", z_mode=10**400)
+    make_initial_data(solver, "swirl_bump", n_modes=10**9)
 
 
 def test_random_modes_deterministic():
