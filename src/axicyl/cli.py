@@ -14,6 +14,9 @@ output directory (--out, else $AXICYL_OUT, else the working directory).
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files.
 
+semigroup's manifest adds extra.perf: the heat steps, factorizations and
+spectrum/field transforms of all its solvers (EllipticSolver.counts).
+
 A config key the command does not read (COMMAND_KEYS) is a config error.
 sweep-eps runs its eps values in threads, one per value up to the CPU
 count; the error column of eps_sweep.csv and the manifest's
@@ -33,6 +36,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -261,8 +265,9 @@ def cmd_semigroup(args, mapping, ctx):
         raise ConfigError(
             f"semigroup.dt and semigroup.commutation_t must be positive, got {dt}, {t_comm}"
         )
+    perf: Counter = Counter()
     try:
-        results = semigroup_experiment(n=n, dt=dt, cases=cases)
+        results = semigroup_experiment(n=n, dt=dt, cases=cases, counts=perf)
     except FitWindowError as exc:
         raise ConfigError(f"semigroup.n = {n} with semigroup.dt = {dt}: {exc}") from exc
     write_csv(
@@ -283,6 +288,7 @@ def cmd_semigroup(args, mapping, ctx):
             1 + 0.3 * np.sin(2 * np.pi * g.z / g.L_z)[None, :]
         )
         dev = commutation_check(s, gam, t_comm, t_comm / steps)
+        perf.update(s.counts)
         comm_rows.append((lvl, nc, t_comm / steps, dev, "" if prev is None else _fmt(prev / dev)))
         prev = dev
     write_csv(
@@ -291,6 +297,7 @@ def cmd_semigroup(args, mapping, ctx):
         comm_rows,
     )
     ctx.extra["max_abs_error"] = max(abs(r.fitted - r.target) for r in results)
+    ctx.extra["perf"] = dict(perf)
     return "completed", EXIT_OK
 
 

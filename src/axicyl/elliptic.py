@@ -12,20 +12,41 @@ velocities):
 
 discretized in divergence form with half-node coefficients.
 
-Heat steps advance d_t f = B f for B in {L0, L1, L0'} by Crank-Nicolson.
-Each operator owns its inner-wall condition, the one the slip condition
-gives it (HEAT_WALLS): Robin d_r u = u/r_min for L0 (u_theta), Robin
-d_r Gamma = (2/r_min) Gamma for L1 (Gamma = r u_theta), and homogeneous
-Dirichlet for L0' (omega).  Robin walls use second-order ghost
+Heat steps advance d_t f = B f for B in {L0, L1, L0'} by Crank-Nicolson:
+with A = I - (dt/2) B, f' = A^-1 (I + (dt/2) B) f = 2 A^-1 f - f, so a
+step is one solve with A.  Each operator owns its inner-wall condition,
+the one the slip condition gives it (HEAT_WALLS): Robin d_r u = u/r_min
+for L0 (u_theta), Robin d_r Gamma = (2/r_min) Gamma for L1
+(Gamma = r u_theta), and homogeneous Dirichlet for L0' (omega).  Robin walls use second-order ghost
 elimination: d_r f = alpha f at r_min gives f_ghost = f_1 - 2 h alpha f_0.
 The outer wall is homogeneous Dirichlet for every operator (far-field
 truncation).
+
+The heat steps work on z spectra, not mesh fields:
+
+    fhat = solver.spectrum(f, op)     # rfft in z, once
+    solver.heat_step(fhat, dt, op)    # in place, as often as needed
+    f = solver.field(fhat, op)        # irfft in z, when a field is read
+
+A spectrum holds only op's unknown rows: every row but the outer wall,
+and but the inner wall too when op's wall is Dirichlet (L0').  Those
+pinned rows are not stored; field() sets them to 0.  Its layout is the
+tridiagonal kernel's: an (s, B, 2 M) float array, M = n_z//2 + 1, whose
+row j of block k is radial unknown k*s + j (zero rows pad the last
+block) with each mode's real and imaginary parts side by side
+(TridiagBatch).  spectrum() and field() return new arrays the caller
+owns; heat_step overwrites the caller's spectrum and returns it.  The
+factorization cached per (op, dt) owns every buffer a step uses (the
+work rows of its sweeps and the per-block carries), so a step after the
+first allocates nothing.  One solver must therefore not be stepped from
+two threads at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +54,41 @@ import numpy as np
 from .grid import Grid, d2z, grad, lp_norm
 
 
+@functools.lru_cache(maxsize=64)
+def _block_order(n: int) -> tuple[int, int, np.ndarray]:
+    """(s, B, pos) for n rows cut into B blocks of s ~ sqrt(n) rows.
+
+    Row i = k*s + j sits at block position pos[i] = j*B + k, so row j of
+    every block is one contiguous run; the B*s - n positions no row maps to
+    are zero padding.
+    """
+    s = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) rows per block
+    B = -(-n // s)
+    i = np.arange(n)
+    pos = (i % s) * B + i // s
+    pos.setflags(write=False)
+    return s, B, pos
+
+
+def _to_blocks(rows: np.ndarray) -> np.ndarray:
+    """Rows (n, X) in block order: a new (s, B, X) array, zero padded."""
+    n, X = rows.shape
+    s, B, pos = _block_order(n)
+    out = np.zeros((s * B, X))
+    out[pos] = rows
+    return out.reshape(s, B, X)
+
+
+def _from_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The n rows (n, X) of a block-order array (s, B, X): a new array."""
+    return blocks.reshape(-1, blocks.shape[-1])[_block_order(n)[2]]
+
+
 class TridiagBatch:
     """M independent tridiagonal systems of size n, factored once.
 
-    Coefficients are real; right-hand sides may be complex (z modes).
-    Row i of system m couples to rows i-1 and i+1 through sub[m, i] and
+    Coefficients are real; right-hand sides are complex (z modes).  Row i
+    of system m couples to rows i-1 and i+1 through sub[m, i] and
     sup[m, i]; sub[:, 0] and sup[:, -1] are ignored.
 
     The Thomas elimination d_i = g_i + a_i d_{i-1} (g = rhs / denom) and
@@ -45,27 +96,25 @@ class TridiagBatch:
     linear recurrences.  Swept row by row they take 2n Python iterations
     of a few numpy calls on M-element columns, so solve() sweeps in two
     levels instead.  The rows are cut into B blocks of s ~ sqrt(n) rows
-    (zero rows pad the last block); arrays stay row-major, (B*s, M), and
-    are viewed as (s, B, M) blocks.  Each block's own contribution to its
-    last row is a weighted sum of its g (one einsum, weights precomputed
-    here), a pass over the B blocks carries the true value from block to
-    block, and one sweep over the s rows of all blocks at once then gives
-    d exactly; the back substitution is the same pass on the reversed
-    rows.  That is O(sqrt(n)) numpy calls per solve.
+    (_block_order).  Each block's own contribution to its last row is a
+    weighted sum of its g (one einsum, weights precomputed here), a pass
+    over the B blocks carries the true value from block to block, and one
+    sweep over the s rows of all blocks at once then gives d exactly; the
+    back substitution is the same pass over the rows in reverse.  That is
+    O(sqrt(n)) numpy calls per solve.
 
-    The (row, mode) order is that of the z-FFT output, so a right-hand
-    side given as the transpose of a C-ordered (n, M) array, and the
-    (M, n) transposed view solve() returns, need no transposing copy.  A
-    complex right-hand side is swept as separate real and imaginary
-    planes, so the real coefficients broadcast without a complex cast.
+    Right-hand sides and solutions are (s, B, 2M) float arrays in block
+    order (_to_blocks): row i = k*s + j at [j, k], its modes' real and
+    imaginary parts side by side.  Every coefficient array is stored in
+    that layout too, duplicated for the two parts, so each numpy call of a
+    sweep reads and writes whole contiguous runs and needs no buffer.
     """
 
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
         self.M, self.n = M, n = diag.shape
-        self.s = s = math.isqrt(n - 1) + 1  # ceil(sqrt(n)) rows per block
-        self.B = B = -(-n // s)
+        s, B, _ = _block_order(n)
         inv_denom = np.empty((n, M))
-        cp = np.zeros((B * s, M))  # (row, mode); zero rows pad n up to B*s
+        cp = np.zeros((n, M))
         sub, diag, sup = sub.T, diag.T, sup.T
         denom = diag[0]
         if np.any(np.abs(denom) < 1e-300):
@@ -80,74 +129,84 @@ class TridiagBatch:
             cp[i] = sup[i] * inv_denom[i]
         cp[n - 1] = 0.0  # sup[:, -1] is ignored
         fwd = np.zeros_like(cp)
-        fwd[1:n] = -sub[1:] * inv_denom[1:]  # sub[:, 0] is ignored
-        self._inv_denom = inv_denom
-        fwd = _blocks(fwd, s)
-        # the back substitution runs over the rows in reverse: both axes flipped
-        bwd = _blocks(np.negative(cp, out=cp), s)[::-1, ::-1]
-        self._elimination = (fwd, *_block_products(fwd))
-        self._substitution = (bwd, *_block_products(bwd))
+        fwd[1:] = -sub[1:] * inv_denom[1:]  # sub[:, 0] is ignored
+
+        def blocks(coef):  # per-mode coefficients, duplicated for the two parts
+            return _to_blocks(np.repeat(coef, 2, axis=1))
+
+        self._scale = blocks(inv_denom)
+        fwd = blocks(fwd)
+        # the back substitution runs over the rows in reverse
+        bwd = blocks(np.negative(cp, out=cp))[::-1]
+        self._elimination = (fwd, *_block_products(fwd), 1)
+        self._substitution = (bwd, *_block_products(bwd), -1)
+        # the sweeps' buffers: the work rows and the per-block carries
+        self.work = np.zeros((s, B, 2 * M))
+        self._scratch = tuple(np.empty((B, 2 * M)) for _ in range(3))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs for an (M, n) rhs; (M, n) in rhs's dtype, a transposed view."""
-        n = self.n
-        out = np.empty((n, self.M), dtype=rhs.dtype)
-        if np.iscomplexobj(rhs):
-            planes, out_planes = (rhs.T.real, rhs.T.imag), (out.real, out.imag)
-        else:
-            planes, out_planes = (rhs.T,), (out,)
-        rows = np.empty((len(planes), self.B * self.s, self.M))
-        for p, x in enumerate(planes):
-            np.multiply(x, self._inv_denom, out=rows[p, :n])
-        rows[:, n:] = 0.0
-        w = _blocks(rows, self.s)
-        _sweep(w, *self._elimination)
-        _sweep(w[:, ::-1, ::-1], *self._substitution)
-        for p, y in enumerate(out_planes):
-            y[...] = rows[p, :n]
-        return out.T
+        """x with A x = rhs, both (s, B, 2M) in block order; allocates nothing.
 
-
-def _blocks(rows: np.ndarray, s: int) -> np.ndarray:
-    """(..., B*s, M) rows as an (..., s, B, M) view: row i = k*s + j at [j, k]."""
-    *lead, N, M = rows.shape
-    return rows.reshape(*lead, N // s, s, M).swapaxes(-3, -2)
+        x is the work array, overwritten by the next solve; rhs is not
+        modified.
+        """
+        w = self.work
+        # rhs / denom; zero scale on the pad rows keeps them zero
+        np.multiply(rhs, self._scale, out=w)
+        _sweep(w, *self._elimination, *self._scratch)
+        _sweep(w[::-1], *self._substitution, *self._scratch)
+        return w
 
 
 def _block_products(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Products of the multipliers coef (s, B, M) within each block.
+    """Products of the multipliers coef (s, B, X) within each block, in sweep order.
 
     Returns weights[j] = coef[j+1] ... coef[s-1], the factor by which row
     j's value reaches the block's last row, and the whole block's product.
     """
-    weights = np.ones_like(coef)
+    weights = np.ones(coef.shape)
     for j in range(coef.shape[0] - 2, -1, -1):
         np.multiply(weights[j + 1], coef[j + 1], out=weights[j])
     return weights, weights[0] * coef[0]
 
 
-def _sweep(w: np.ndarray, coef: np.ndarray, weights: np.ndarray, span: np.ndarray) -> None:
-    """y_i = w_i + coef_i y_{i-1} (y_{-1} = 0) in place over the rows of w (planes, s, B, M)."""
-    s, B = coef.shape[:2]
+def _sweep(w, coef, weights, span, step, ends, carry, tmp) -> None:
+    """y_j = w_j + coef_j y_(j-1) in place over the rows j of the blocks of w (s, B, X).
+
+    The value entering each block is carried from the block before it:
+    k - 1 for step = 1, k + 1 for step = -1.  ends, carry and tmp (B, X)
+    are scratch.
+    """
+    s, B = w.shape[:2]
     # the value each block hands on if it starts from zero, then the true
     # value entering each block, carried across the blocks
-    ends = np.einsum("jkm,pjkm->kpm", weights, w)
-    carry = np.empty_like(ends)
-    carry[0] = 0.0
+    np.einsum("jx,jx->x", weights.reshape(s, -1), w.reshape(s, -1), out=ends.reshape(-1))
+    c, e, sp = carry[::step], ends[::step], span[::step]
+    c[0] = 0.0
     for k in range(1, B):
-        np.multiply(span[k - 1], carry[k - 1], out=carry[k])
-        carry[k] += ends[k - 1]
-    tmp = np.empty_like(w[:, 0])
-    np.multiply(coef[0], carry.transpose(1, 0, 2), out=tmp)
-    w[:, 0] += tmp
+        np.multiply(sp[k - 1], c[k - 1], out=c[k])
+        c[k] += e[k - 1]
+    np.multiply(coef[0], carry, out=tmp)
+    w[0] += tmp
     for j in range(1, s):
-        np.multiply(coef[j], w[:, j - 1], out=tmp)
-        w[:, j] += tmp
+        np.multiply(coef[j], w[j - 1], out=tmp)
+        w[j] += tmp
 
 
 # Inner-wall condition of each heat operator: Robin d_r f = (c / r_min) f
 # for a number c, homogeneous Dirichlet for None.
 HEAT_WALLS: dict[str, float | None] = {"L0": 1.0, "L1": 2.0, "L0p": None}
+
+
+def _unknown_rows(grid: Grid, op: str) -> slice:
+    """The radial rows op's heat steps solve for: all but the Dirichlet walls.
+
+    The outer wall is always pinned to 0; the inner wall too when op's wall
+    is Dirichlet (HEAT_WALLS).
+    """
+    if op not in HEAT_WALLS:
+        raise ValueError(f"unknown operator {op!r}")
+    return slice(1 if HEAT_WALLS[op] is None else 0, grid.n_r - 1)
 
 
 def _radial_rows(grid: Grid, op: str):
@@ -157,8 +216,7 @@ def _radial_rows(grid: Grid, op: str):
     Dirichlet) are zeroed; the caller treats those nodes as pinned to 0.
     Returns (sub, diag, sup, unknown_slice).
     """
-    if op not in HEAT_WALLS:
-        raise ValueError(f"unknown operator {op!r}")
+    unk = _unknown_rows(grid, op)
     n, h, r = grid.n_r, grid.h_r, grid.r
     sub = np.zeros(n)
     diag = np.zeros(n)
@@ -174,9 +232,7 @@ def _radial_rows(grid: Grid, op: str):
         sup[i] = 1.0 / h**2 - 1.0 / (2 * h * r[i])
 
     wall = HEAT_WALLS[op]
-    if wall is None:
-        lo = 1
-    else:
+    if wall is not None:
         a = wall / grid.r_min
         r0 = r[0]
         if op == "L0":
@@ -184,9 +240,8 @@ def _radial_rows(grid: Grid, op: str):
         else:
             diag[0] = -2.0 / h**2 - 2.0 * a / h - a / r0
         sup[0] = 2.0 / h**2
-        lo = 0
     # outer wall: Dirichlet; drop the coupling of the last unknown row to it
-    return sub, diag, sup, slice(lo, n - 1)
+    return sub, diag, sup, unk
 
 
 def _z_eigenvalues(grid: Grid) -> np.ndarray:
@@ -206,7 +261,9 @@ class EllipticSolver:
         self.grid = grid
         self._lam = _z_eigenvalues(grid)
         self._n_modes = grid.n_z // 2 + 1
-        self._heat_cache: dict = {}
+        self._heat_cache: dict[tuple[str, float], TridiagBatch] = {}
+        # plain counters: CN steps, factorizations built, spectrum/field conversions
+        self.counts = {"heat_steps": 0, "factorizations": 0, "transforms": 0}
 
     # -- stream function ----------------------------------------------------
 
@@ -226,15 +283,16 @@ class EllipticSolver:
         sup = sup.copy()
         sub[:, 0] = 0.0
         sup[:, -1] = 0.0
+        self.counts["factorizations"] += 1
         return TridiagBatch(sub, diag, sup)
 
     def solve_stream(self, omega: np.ndarray) -> np.ndarray:
         """psi with psi = 0 on both walls and d_r((1/r)d_r psi)+(1/r)d_zz psi = -omega."""
         g = self.grid
-        rhs_hat = np.fft.rfft(-omega[1:-1, :], axis=1).T  # (modes, interior)
-        psi_hat = self._stream.solve(rhs_hat)
+        rhs = _to_blocks(np.fft.rfft(-omega[1:-1, :], axis=1).view(float))
+        psi_hat = _from_blocks(self._stream.solve(rhs), g.n_r - 2).view(complex)
         psi = np.zeros(g.shape)
-        psi[1:-1, :] = np.fft.irfft(psi_hat.T, n=g.n_z, axis=1)
+        np.fft.irfft(psi_hat, n=g.n_z, axis=1, out=psi[1:-1])
         return psi
 
     def apply_stream_operator(self, psi: np.ndarray) -> np.ndarray:
@@ -257,49 +315,68 @@ class EllipticSolver:
 
     # -- heat steps -----------------------------------------------------------
 
-    def _heat_matrices(self, op: str, dt: float):
-        key = (op, round(dt, 16))
+    def _cn_lhs(self, op: str, dt: float) -> TridiagBatch:
+        """The factorization of I - (dt/2) B, B = op's radial rows - lam_m."""
+        # dt to 12 significant digits: the round-off in a run's time
+        # arithmetic (a last step of 0.0012499999999998 after steps of
+        # 0.00125) does not cost a second factorization
+        key = (op, float(f"{dt:.12g}"))
         hit = self._heat_cache.get(key)
         if hit is not None:
             return hit
         sub, diag, sup, unk = _radial_rows(self.grid, op)
         s, d, u = sub[unk], diag[unk], sup[unk]
-        n = d.size
-        lam = self._lam[:, None]
-        ones = np.ones((self._n_modes, n))
+        ones = np.ones((self._n_modes, 1))
         theta = 0.5 * dt
         lhs = TridiagBatch(
-            -theta * s * ones, 1.0 - theta * (d[None, :] - lam), -theta * u * ones
+            -theta * s * ones, 1.0 - theta * (d[None, :] - self._lam[:, None]), -theta * u * ones
         )
-        entry = (lhs, (sub, diag, sup, unk), theta)
+        self.counts["factorizations"] += 1
         if len(self._heat_cache) > 16:
             self._heat_cache.clear()
-        self._heat_cache[key] = entry
-        return entry
+        self._heat_cache[key] = lhs
+        return lhs
 
-    def heat_step(self, f: np.ndarray, dt: float, op: str) -> np.ndarray:
-        """One Crank-Nicolson step of d_t f = op f (unconditionally stable)."""
+    def spectrum(self, f: np.ndarray, op: str) -> np.ndarray:
+        """f's z spectrum on op's unknown rows, in the layout heat_step advances.
+
+        A new (s, B, 2 M) float array, M = n_z//2 + 1: the rfft in z of f's
+        rows _unknown_rows(op) in TridiagBatch's block order, real and
+        imaginary parts side by side.  The pinned wall rows of f are
+        dropped.
+        """
+        unk = _unknown_rows(self.grid, op)
+        self.counts["transforms"] += 1
+        return _to_blocks(np.fft.rfft(np.asarray(f, float)[unk], axis=1).view(float))
+
+    def field(self, fhat: np.ndarray, op: str) -> np.ndarray:
+        """The mesh field of a spectrum in heat_step's layout; op's pinned rows are 0."""
+        g = self.grid
+        unk = _unknown_rows(g, op)
+        self.counts["transforms"] += 1
+        out = np.zeros(g.shape)
+        modes = _from_blocks(fhat, unk.stop - unk.start).view(complex)
+        np.fft.irfft(modes, n=g.n_z, axis=1, out=out[unk])
+        return out
+
+    def heat_step(self, fhat: np.ndarray, dt: float, op: str) -> np.ndarray:
+        """One Crank-Nicolson step of d_t f = op f (unconditionally stable), in place.
+
+        fhat is a spectrum in the layout of spectrum(f, op); it is
+        overwritten with the stepped spectrum and returned.  With
+        A = I - (dt/2) B the step is A^-1 (2I - A) fhat = 2 A^-1 fhat - fhat,
+        one solve with A.  Once the (op, dt) factorization is cached, a step
+        allocates nothing.
+        """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        g = self.grid
-        # theta is the cached factorization's, so a dt that rounds to a
-        # cached key gets a right-hand side that matches its left-hand side
-        lhs, (sub, diag, sup, unk), theta = self._heat_matrices(op, dt)
-        fhat = np.fft.rfft(np.asarray(f, float), axis=1).T  # (modes, n_r)
-        sel = fhat[:, unk]
-        # banded (I + theta*B) f, assembled mode-wise; wall values are zero
-        # so the first/last unknown rows have no extra coupling
-        bf = diag[unk][None, :] * sel - self._lam[:, None] * sel
-        bf[:, 1:] += sub[unk][None, 1:] * sel[:, :-1]
-        bf[:, :-1] += sup[unk][None, :-1] * sel[:, 1:]
-        rhs = sel + theta * bf
-        out_hat = np.zeros_like(fhat)
-        out_hat[:, unk] = lhs.solve(rhs)
-        out = np.fft.irfft(out_hat.T, n=g.n_z, axis=1)
-        if unk.start == 1:
-            out[0, :] = 0.0
-        out[-1, :] = 0.0
-        return out
+        lhs = self._cn_lhs(op, dt)
+        if fhat.shape != lhs.work.shape:
+            raise ValueError(f"{op} spectrum must have shape {lhs.work.shape}, got {fhat.shape}")
+        self.counts["heat_steps"] += 1
+        y = lhs.solve(fhat)
+        y *= 2.0
+        return np.subtract(y, fhat, out=fhat)
 
     def apply_heat_operator(self, f: np.ndarray, op: str) -> np.ndarray:
         """Explicit application of op with its wall rows (Dirichlet rows map to 0)."""
@@ -400,21 +477,23 @@ def _decay_series(
     steps = steps[steps >= 1]
     if steps.size < 3:
         raise FitWindowError("fit window too narrow for the given dt")
-    f = np.array(f0, dtype=float)
+    fhat = solver.spectrum(f0, op)
+    del f0  # the loop needs only the spectrum
     times: list[float] = []
     norms: dict[int, list[float]] = {k: [] for k in ks}
     target = set(steps.tolist())
     for n in range(1, int(steps[-1]) + 1):
-        f = solver.heat_step(f, dt, op)
+        solver.heat_step(fhat, dt, op)
         if n in target:
+            f = solver.field(fhat, op)
             times.append(n * dt)
             for k in ks:
                 if k == 0:
-                    field = np.abs(f)
+                    field = f
                 else:
-                    fr, fz = grad(grid, f)
-                    field = np.hypot(fr, fz)
-                norms[k].append(float(np.max(field[mask] if mask is not None else field)))
+                    field, fz = grad(grid, f)
+                    np.hypot(field, fz, out=field)
+                norms[k].append(float(np.max(np.abs(field[mask] if mask is not None else field))))
     return np.array(times), {k: np.array(v) for k, v in norms.items()}
 
 
@@ -459,13 +538,15 @@ def semigroup_experiment(
     envelope: tuple[float, float] = (5.0, 7.0),
     cases: tuple[tuple[str, float, int], ...] = DEFAULT_SEMIGROUP_CASES,
     n_samples: int = 24,
+    counts: Counter | None = None,
 ) -> list[SemigroupCase]:
     """Run the decay-rate harness over (op, p, k) cases.
 
     The sup is taken over the core disc rho <= rho1/2, where the spike
     agrees with the scale-invariant profile; outside it the truncating
     envelope and walls contaminate the power law.  Cases sharing
-    (op, p) reuse a single evolution.
+    (op, p) reuse a single evolution.  The solver's counters
+    (EllipticSolver.counts) are added to counts if it is given.
     """
     from .grid import build_grid
 
@@ -475,8 +556,7 @@ def semigroup_experiment(
     r0, z0 = center
     dz_abs = np.abs(grid.z - z0)
     dz_per = np.minimum(dz_abs, grid.L_z - dz_abs)
-    rho = np.hypot(grid.rcol - r0, dz_per[None, :])
-    mask = rho <= 0.5 * rho1
+    mask = np.hypot(grid.rcol - r0, dz_per[None, :]) <= 0.5 * rho1
     h = max(grid.h_r, grid.h_z)
     window = (max(25.0 * dt, 12.0 * (2.0 * h) ** 2), (rho1 / 4.0) ** 2)
 
@@ -485,14 +565,23 @@ def semigroup_experiment(
         grouped.setdefault((op, p), []).append(k)
     results: list[SemigroupCase] = []
     for (op, p), ks in grouped.items():
-        f0 = power_spike(grid, p, center, envelope=envelope)
+        # the spike is handed over unnamed, so the evolution can free it
         times, norms = _decay_series(
-            solver, op, f0, tuple(sorted(set(ks))), window, dt, n_samples, mask
+            solver,
+            op,
+            power_spike(grid, p, center, envelope=envelope),
+            tuple(sorted(set(ks))),
+            window,
+            dt,
+            n_samples,
+            mask,
         )
         for k in ks:
             fitted, stderr, prefactor = _loglog_fit(times, norms[k])
             target = (0.0 if math.isinf(p) else 3.0 / (2.0 * p)) + 0.5 * k
             results.append(SemigroupCase(op, p, k, target, fitted, stderr, prefactor))
+    if counts is not None:
+        counts.update(solver.counts)
     return results
 
 
@@ -502,7 +591,10 @@ def commutation_check(solver: EllipticSolver, gamma0: np.ndarray, t: float, dt: 
     n = int(round(t / dt)) if t > 0 else 0
     small = np.array(gamma0, dtype=float)
     big = grid.rcol * small
-    for _ in range(n):
-        small = solver.heat_step(small, dt, "L0")
-        big = solver.heat_step(big, dt, "L1")
+    if n:
+        small_hat, big_hat = solver.spectrum(small, "L0"), solver.spectrum(big, "L1")
+        for _ in range(n):
+            solver.heat_step(small_hat, dt, "L0")
+            solver.heat_step(big_hat, dt, "L1")
+        small, big = solver.field(small_hat, "L0"), solver.field(big_hat, "L1")
     return float(np.max(np.abs(grid.rcol * small - big)))

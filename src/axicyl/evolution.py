@@ -122,8 +122,11 @@ def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, diff
             kw = kw + solver.apply_heat_operator(w, "L0p")
         return _pinned(kg, "L1"), _pinned(kw, "L0p")
 
+    def half_step(f, op):
+        return solver.field(solver.heat_step(solver.spectrum(f, op), 0.5 * dt, op), op)
+
     def half_diffusion(g, w):
-        return solver.heat_step(g, 0.5 * dt, "L1"), solver.heat_step(w, 0.5 * dt, "L0p")
+        return half_step(g, "L1"), half_step(w, "L0p")
 
     if implicit:
         gamma, omega = half_diffusion(gamma, omega)

@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -522,6 +523,51 @@ def test_cmd_semigroup_tiny(tmp_path):
     rows = (out / "semigroup_fits.csv").read_text().splitlines()
     assert len(rows) == 2
     assert (out / "commutation.csv").exists()
+
+
+def test_cmd_semigroup_counts_its_heat_steps_in_the_manifest(tmp_path, monkeypatch):
+    # every Crank-Nicolson step goes through EllipticSolver.heat_step once;
+    # count them by grid, as the benchmark's step counter does
+    by_grid = Counter()
+    heat_step = EllipticSolver.heat_step
+
+    def counted(self, *args):
+        by_grid[self.grid.shape] += 1
+        return heat_step(self, *args)
+
+    monkeypatch.setattr(EllipticSolver, "heat_step", counted)
+    text = "semigroup.n = 97\nsemigroup.dt = 0.01\nsemigroup.cases = L1:6:0;L1:6:1\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "counted"
+    assert main(["semigroup", "--config", str(cfg), "--out", str(out)]) == 0
+    # the decay series runs to its last sample time (rho1/4)^2 = 1.5625; each
+    # commutation level steps L0 and L1 to t = 0.05
+    decay = round(1.5625 / 0.01)
+    ladder = {(65, 64): 2 * 16, (129, 128): 2 * 32, (257, 256): 2 * 64}
+    assert by_grid == {(97, 96): decay, **ladder}
+    perf = json.loads((out / "manifest.json").read_text())["extra"]["perf"]
+    assert perf["heat_steps"] == decay + sum(ladder.values())
+    assert perf["factorizations"] == 1 + 2 * 3  # (L1, dt), then (L0, dt) and (L1, dt) per level
+    assert 0 < 5 * perf["transforms"] < perf["heat_steps"]
+
+    # the counters only feed the manifest: with every increment dropped the
+    # CSVs are the same bytes
+    class Inert(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    init = EllipticSolver.__init__
+
+    def uncounted(self, grid):
+        init(self, grid)
+        self.counts = Inert(self.counts)
+
+    monkeypatch.setattr(EllipticSolver, "__init__", uncounted)
+    bare = tmp_path / "bare"
+    assert main(["semigroup", "--config", str(cfg), "--out", str(bare)]) == 0
+    assert json.loads((bare / "manifest.json").read_text())["extra"]["perf"]["heat_steps"] == 0
+    for name in ("semigroup_fits.csv", "commutation.csv"):
+        assert (bare / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_out_env_var(tmp_path, monkeypatch):

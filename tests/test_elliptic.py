@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ def grid():
 @pytest.fixture(scope="module")
 def solver(grid):
     return EllipticSolver(grid)
+
+
+def _step(solver, f, dt, op):
+    """One Crank-Nicolson step of a mesh field: field(heat_step(spectrum(f)))."""
+    return solver.field(solver.heat_step(solver.spectrum(f, op), dt, op), op)
 
 
 def _thomas_rows(sub, diag, sup, rhs):
@@ -65,14 +71,19 @@ def test_tridiag_batch_matches_dense_solve(n, M, dtype):
     )
     expect = np.linalg.solve(dense, rhs[:, :, None])[:, :, 0]
     rows = _thomas_rows(sub, diag, sup, rhs)
-    # C-ordered (M, n), and the transposed (n, M) view the z-FFT hands over
-    for given in (rhs, np.ascontiguousarray(rhs.T).T):
-        x = batch.solve(given)
-        assert x.shape == (M, n) and x.dtype == rhs.dtype
-        scale = np.max(np.abs(expect))
-        assert np.max(np.abs(x - expect)) <= 1e-12 * scale
-        assert np.max(np.abs(x - rows)) <= 64 * np.finfo(float).eps * scale
-        assert np.array_equal(given, rhs)
+    # the right-hand side in the kernel's layout: (n, M) complex rows in
+    # block order, real and imaginary parts side by side
+    given = elliptic._to_blocks(np.ascontiguousarray(rhs.T, dtype=complex).view(float))
+    kept = given.copy()
+    out = batch.solve(given)
+    assert out is batch.work and np.array_equal(given, kept)
+    x = elliptic._from_blocks(out, n).view(complex).T
+    if dtype is float:
+        assert np.all(x.imag == 0.0)
+        x = x.real
+    scale = np.max(np.abs(expect))
+    assert np.max(np.abs(x - expect)) <= 1e-12 * scale
+    assert np.max(np.abs(x - rows)) <= 64 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize(
@@ -99,9 +110,11 @@ def test_heat_steps_build_no_stream_factorization(grid, monkeypatch):
     monkeypatch.setattr(elliptic, "TridiagBatch", Counting)
     s = EllipticSolver(grid)
     f = bump_profile(grid.r, 1.3, 2.6)[:, None] * np.ones(grid.shape)
+    fhat = s.spectrum(f, "L1")
     for _ in range(3):
-        f = s.heat_step(f, 0.01, "L1")
+        s.heat_step(fhat, 0.01, "L1")
     assert len(shapes) == 1
+    f = s.field(fhat, "L1")
     s.solve_stream(f)
     s.solve_stream(f)
     assert shapes[1:] == [(grid.n_z // 2 + 1, grid.n_r - 2)]
@@ -178,34 +191,94 @@ def test_solve_stream_linearity(a, b):
 
 
 def test_heat_step_zero_and_consistency(solver, grid):
-    z = solver.heat_step(np.zeros(grid.shape), 0.1, "L1")
+    z = _step(solver, np.zeros(grid.shape), 0.1, "L1")
     assert np.all(z == 0.0)
     f = bump_profile(grid.r, 1.3, 2.6)[:, None] * np.ones(grid.shape)
     diffs = []
     for dt in (2e-4, 1e-4):
-        out = solver.heat_step(f, dt, "L1")
+        out = _step(solver, f, dt, "L1")
         diffs.append(np.max(np.abs(out - f)))
     assert diffs[0] / diffs[1] == pytest.approx(2.0, rel=0.05)
 
 
 def test_heat_step_reuses_the_cached_step_for_a_rounded_dt(grid):
-    # a dt equal to a cached one after round(dt, 16), such as the last,
-    # shortened step of a run, reuses that factorization and its theta
+    # a dt equal to a cached one to 12 significant digits, such as the
+    # last step of a run that the time arithmetic shortened by round-off,
+    # reuses that factorization and its theta
     s = EllipticSolver(grid)
     f = bump_profile(grid.r, 1.3, 2.6)[:, None] * np.ones(grid.shape)
-    dt = 0.00625
-    near = np.nextafter(dt, 0.0)
-    assert near != dt and round(near, 16) == dt
-    first = s.heat_step(f, dt, "L1")
-    assert np.array_equal(s.heat_step(f, near, "L1"), first)
+    dt = 0.000625
+    first = _step(s, f, dt, "L1")
+    for near in (np.nextafter(dt, 0.0), 0.0006249999999999):
+        assert near != dt
+        assert np.array_equal(_step(s, f, near, "L1"), first)
+    assert s.counts["factorizations"] == 1
+    _step(s, f, dt * (1 + 1e-9), "L1")
+    assert s.counts["factorizations"] == 2
 
 
 def test_heat_step_rejects_bad_args(solver, grid):
     f = np.zeros(grid.shape)
+    fhat = solver.spectrum(f, "L0")
     with pytest.raises(ValueError):
-        solver.heat_step(f, -0.1, "L0")
+        solver.heat_step(fhat, -0.1, "L0")
     with pytest.raises(ValueError):
-        solver.heat_step(f, 0.1, "L7")
+        solver.heat_step(fhat, 0.1, "L7")
+    with pytest.raises(ValueError):
+        solver.spectrum(f, "L7")
+    with pytest.raises(ValueError):
+        solver.field(fhat, "L7")
+    with pytest.raises(ValueError, match="spectrum must have shape"):
+        solver.heat_step(f, 0.1, "L0")
+
+
+@pytest.mark.parametrize("op", ["L0", "L1", "L0p"])
+def test_spectrum_field_round_trip(solver, grid, op):
+    rng = np.random.default_rng(7)
+    f = rng.normal(size=grid.shape)
+    back = solver.field(solver.spectrum(f, op), op)
+    pinned = f.copy()
+    pinned[-1] = 0.0
+    if elliptic.HEAT_WALLS[op] is None:
+        pinned[0] = 0.0
+    assert np.all(back[-1] == 0.0) and (op != "L0p" or np.all(back[0] == 0.0))
+    tol = 16 * np.finfo(float).eps * np.max(np.abs(f))
+    np.testing.assert_allclose(back, pinned, rtol=0, atol=tol)
+
+
+def test_heat_step_advances_the_spectrum_in_place(grid):
+    s = EllipticSolver(grid)
+    f = bump_profile(grid.r, 1.3, 2.6)[:, None] * np.cos(2 * np.pi * grid.z / grid.L_z)
+    fhat = s.spectrum(f, "L1")
+    copy = fhat.copy()
+    out = s.heat_step(fhat, 0.01, "L1")
+    assert out is fhat and not np.array_equal(fhat, copy)
+    # the stepped spectrum is the mesh step's, and a second array starting
+    # from the same spectrum ends at the same bits: no state is left behind
+    np.testing.assert_allclose(s.field(fhat, "L1"), _step(s, f, 0.01, "L1"), rtol=0, atol=1e-15)
+    assert np.array_equal(s.heat_step(copy, 0.01, "L1"), fhat)
+    # the same array passed in twice is two steps
+    twice = s.spectrum(f, "L1")
+    s.heat_step(s.heat_step(twice, 0.01, "L1"), 0.01, "L1")
+    assert np.array_equal(twice, s.heat_step(fhat, 0.01, "L1"))
+    assert s.counts["heat_steps"] == 6
+
+
+def test_heat_step_allocates_nothing_in_steady_state():
+    g = build_grid(1, 3, 2.0, 129, 128)
+    s = EllipticSolver(g)
+    fhat = s.spectrum(bump_profile(g.r, 1.3, 2.6)[:, None] * np.ones(g.shape), "L1")
+    s.heat_step(fhat, 0.01, "L1")  # builds and caches the factorization
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(10):
+            s.heat_step(fhat, 0.01, "L1")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < fhat.nbytes / 10
 
 
 def _dense_l0p_radial(grid):
@@ -236,8 +309,10 @@ def test_heat_step_cn_matches_dense_exponential(grid, solver):
         f[0] = 0.0
         f[-1] = 0.0
         dt = t_end / steps
+        fhat = solver.spectrum(f, "L0p")
         for _ in range(steps):
-            f = solver.heat_step(f, dt, "L0p")
+            solver.heat_step(fhat, dt, "L0p")
+        f = solver.field(fhat, "L0p")
         errs.append(np.max(np.abs(f[1:-1, 0] - exact_interior.real)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
 
@@ -247,7 +322,7 @@ def test_explicit_operator_matches_implicit_generator(grid, solver):
     f = bump_profile(grid.r, 1.3, 2.6)[:, None] * np.cos(2 * np.pi * grid.z / grid.L_z)
     Bf = solver.apply_heat_operator(f, "L1")
     dt = 1e-7
-    fd = (solver.heat_step(f, dt, "L1") - f) / dt
+    fd = (_step(solver, f, dt, "L1") - f) / dt
     assert np.allclose(fd, Bf, atol=1e-4 * (1 + np.max(np.abs(Bf))))
 
 
