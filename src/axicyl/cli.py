@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
-    HEAT_WALLS,
+    HEAT_OPERATORS,
     EllipticSolver,
     FitWindowError,
     commutation_check,
@@ -245,7 +245,7 @@ def _parse_cases(raw: str):
             continue
         op, p_s, k_s = chunk.split(":")
         op, p, k = op.strip(), _exponent(p_s), int(k_s)
-        if op not in HEAT_WALLS or not p >= 1 or k not in (0, 1):
+        if op not in HEAT_OPERATORS or not p >= 1 or k not in (0, 1):
             raise ValueError(f"bad semigroup case {chunk!r}")
         cases.append((op, p, k))
     if not cases:

@@ -94,18 +94,6 @@ def boundary_leakage(state: AxisymState) -> float:
     return 2.0 * math.pi * g.r[i] * g.h_z * tot
 
 
-def h1_proxy(state: AxisymState) -> float:
-    """(||u||_2^2 + ||grad v||_2^2 + ||grad u_th||_2^2)^(1/2)."""
-    g = state.grid
-    uth = state.uth
-    val = (
-        state.kinetic_energy()
-        + weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz))
-        + weighted_integral(g, ddr(g, uth) ** 2 + ddz(g, uth) ** 2)
-    )
-    return math.sqrt(val)
-
-
 # -- per-time record ----------------------------------------------------------
 
 CSV_COLUMNS = (
@@ -155,18 +143,22 @@ class DiagnosticsRecord:
     margin_1_6: float
     margin_1_7: float
     dev_5_3: float
-    h1: float  # h1_proxy of the state; not a CSV column
+    h1: float  # (||u||_2^2 + ||grad v||_2^2 + ||grad u_th||_2^2)^(1/2); not a CSV column
 
     def csv_row(self) -> tuple[float, ...]:
         return tuple(getattr(self, c.lower()) for c in CSV_COLUMNS)
 
 
+def deviation_5_3(grad_v_sq: float, l2_om: float) -> float:
+    """|  ||grad v||_2 - ||om||_2 | / max(||om||_2, tiny), from ||grad v||_2^2 and ||om||_2."""
+    return abs(math.sqrt(grad_v_sq) - l2_om) / max(l2_om, 1e-300)
+
+
 def identity_5_3_check(state: AxisymState) -> float:
-    """|  ||grad v||_2 - ||om||_2 | / max(||om||_2, tiny)."""
+    """The (5.3) deviation of a state (deviation_5_3)."""
     g = state.grid
-    grad_v = math.sqrt(weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz)))
-    om2 = lp_norm(g, state.omega, 2)
-    return abs(grad_v - om2) / max(om2, 1e-300)
+    grad_v_sq = weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz))
+    return deviation_5_3(grad_v_sq, lp_norm(g, state.omega, 2))
 
 
 def _safe_ratio(lhs: float, rhs: float) -> float:

@@ -14,13 +14,16 @@ discretized in divergence form with half-node coefficients.
 
 Heat steps advance d_t f = B f for B in {L0, L1, L0'} by Crank-Nicolson:
 with A = I - (dt/2) B, f' = A^-1 (I + (dt/2) B) f = 2 A^-1 f - f, so a
-step is one solve with A.  Each operator owns its inner-wall condition,
-the one the slip condition gives it (HEAT_WALLS): Robin d_r u = u/r_min
-for L0 (u_theta), Robin d_r Gamma = (2/r_min) Gamma for L1
-(Gamma = r u_theta), and homogeneous Dirichlet for L0' (omega).  Robin walls use second-order ghost
-elimination: d_r f = alpha f at r_min gives f_ghost = f_1 - 2 h alpha f_0.
-The outer wall is homogeneous Dirichlet for every operator (far-field
-truncation).
+step is one solve with A.
+
+One table, OPERATORS, knows each operator (L0, L1, L0' and the stream
+operator): its radial stencil, its inner wall (the slip condition's:
+Robin d_r u = u/r_min for L0 (u_theta), Robin d_r Gamma = (2/r_min) Gamma
+for L1 (Gamma = r u_theta), Dirichlet for L0' (omega) and for psi) and
+its d_zz weight.  The outer wall is Dirichlet for all (far-field
+truncation).  The factorizations of a I + b B (stream: a = 0, b = 1; CN:
+a = 1, b = -dt/2), the explicit apply and the pinned rows (pin) all come
+from it.
 
 The heat steps work on z spectra, not mesh fields:
 
@@ -28,8 +31,9 @@ The heat steps work on z spectra, not mesh fields:
     solver.heat_step(fhat, dt, op)    # in place, as often as needed
     f = solver.field(fhat, op)        # irfft in z, when a field is read
 
+and the stream solve is field(solve(-spectrum(omega))) on the same path.
 A spectrum holds only op's unknown rows: every row but the outer wall,
-and but the inner wall too when op's wall is Dirichlet (L0').  Those
+and but the inner wall too when op's wall is Dirichlet (L0', stream).  Those
 pinned rows are not stored; field() sets them to 0.  Its layout is the
 tridiagonal kernel's: an (s, B, 2 M) float array, M = n_z//2 + 1, whose
 row j of block k is radial unknown k*s + j (zero rows pad the last
@@ -193,55 +197,85 @@ def _sweep(w, coef, weights, span, step, ends, carry, tmp) -> None:
         w[j] += tmp
 
 
-# Inner-wall condition of each heat operator: Robin d_r f = (c / r_min) f
-# for a number c, homogeneous Dirichlet for None.
-HEAT_WALLS: dict[str, float | None] = {"L0": 1.0, "L1": 2.0, "L0p": None}
+@dataclass(frozen=True)
+class Operator:
+    """One row of the operator table: a radial stencil, its inner wall, and
+    whether d_zz is divided by r."""
+
+    stencil: str  # "L0": d_rr + (1/r) d_r - 1/r^2; "L1": d_rr - (1/r) d_r; "stream": d_r((1/r) d_r)
+    wall: float | None  # inner wall: Robin d_r f = (wall / r_min) f, homogeneous Dirichlet for None
+    zz_over_r: bool = False
+
+
+# The operator table, the one place that knows an operator's stencil and
+# walls.  The inner walls are those the slip condition gives each unknown;
+# the outer (truncation) wall is homogeneous Dirichlet for every operator.
+OPERATORS: dict[str, Operator] = {
+    "L0": Operator("L0", 1.0),  # u_theta
+    "L1": Operator("L1", 2.0),  # Gamma = r u_theta
+    "L0p": Operator("L0", None),  # omega
+    "stream": Operator("stream", None, zz_over_r=True),  # psi
+}
+
+# the operators that generate the heat semigroups e^(tL0), e^(tL1), e^(tL0')
+HEAT_OPERATORS = ("L0", "L1", "L0p")
 
 
 def _unknown_rows(grid: Grid, op: str) -> slice:
-    """The radial rows op's heat steps solve for: all but the Dirichlet walls.
+    """The radial rows op solves for: all but its Dirichlet walls.
 
     The outer wall is always pinned to 0; the inner wall too when op's wall
-    is Dirichlet (HEAT_WALLS).
+    is Dirichlet.
     """
-    if op not in HEAT_WALLS:
+    if op not in OPERATORS:
         raise ValueError(f"unknown operator {op!r}")
-    return slice(1 if HEAT_WALLS[op] is None else 0, grid.n_r - 1)
+    return slice(1 if OPERATORS[op].wall is None else 0, grid.n_r - 1)
+
+
+def pin(f: np.ndarray, op: str) -> np.ndarray:
+    """f (n_r, ...) with the rows op does not solve for (_unknown_rows) set to zero, in place."""
+    f[-1] = 0.0
+    if OPERATORS[op].wall is None:
+        f[0] = 0.0
+    return f
 
 
 def _radial_rows(grid: Grid, op: str):
-    """Tridiagonal rows of the radial part of op over all n_r nodes.
+    """op's tridiagonal radial rows over all n_r nodes, and the weight dividing d_zz.
 
-    Dirichlet rows (outer wall always; inner wall when op's wall is
-    Dirichlet) are zeroed; the caller treats those nodes as pinned to 0.
-    Returns (sub, diag, sup, unknown_slice).
+    Robin walls use second-order ghost elimination: d_r f = a f at r_min
+    gives f_ghost = f_1 - 2 h a f_0.  The rows op does not solve for are
+    zero.  Returns (sub, diag, sup, zz_weight, unknown_slice).
     """
     unk = _unknown_rows(grid, op)
+    spec = OPERATORS[op]
     n, h, r = grid.n_r, grid.h_r, grid.r
-    sub = np.zeros(n)
-    diag = np.zeros(n)
-    sup = np.zeros(n)
+    sub, diag, sup = np.zeros((3, n))
     i = np.arange(1, n - 1)
-    if op in ("L0", "L0p"):
+    if spec.stencil == "L0":
         sub[i] = 1.0 / h**2 - 1.0 / (2 * h * r[i])
         diag[i] = -2.0 / h**2 - 1.0 / r[i] ** 2
         sup[i] = 1.0 / h**2 + 1.0 / (2 * h * r[i])
-    else:  # L1
+    elif spec.stencil == "L1":
         sub[i] = 1.0 / h**2 + 1.0 / (2 * h * r[i])
         diag[i] = -2.0 / h**2
         sup[i] = 1.0 / h**2 - 1.0 / (2 * h * r[i])
+    else:  # stream: divergence form with half-node coefficients
+        beta_minus = 1.0 / (r[i] - 0.5 * h)
+        beta_plus = 1.0 / (r[i] + 0.5 * h)
+        sub[i] = beta_minus / h**2
+        diag[i] = -(beta_minus + beta_plus) / h**2
+        sup[i] = beta_plus / h**2
 
-    wall = HEAT_WALLS[op]
-    if wall is not None:
-        a = wall / grid.r_min
+    if spec.wall is not None:
+        a = spec.wall / grid.r_min
         r0 = r[0]
-        if op == "L0":
+        if spec.stencil == "L0":
             diag[0] = -2.0 / h**2 - 2.0 * a / h + a / r0 - 1.0 / r0**2
-        else:
+        else:  # L1
             diag[0] = -2.0 / h**2 - 2.0 * a / h - a / r0
         sup[0] = 2.0 / h**2
-    # outer wall: Dirichlet; drop the coupling of the last unknown row to it
-    return sub, diag, sup, unk
+    return sub, diag, sup, (r if spec.zz_over_r else np.ones(n)), unk
 
 
 def _z_eigenvalues(grid: Grid) -> np.ndarray:
@@ -265,58 +299,40 @@ class EllipticSolver:
         # plain counters: CN steps, factorizations built, spectrum/field conversions
         self.counts = {"heat_steps": 0, "factorizations": 0, "transforms": 0}
 
+    def _factor(self, op: str, a: float, b: float) -> TridiagBatch:
+        """The factorization of a I + b B over op's unknown rows, per z mode.
+
+        B is op's radial rows with -lam_m / w on the diagonal, w the
+        weight dividing d_zz (a division, so w = 1 is exact).
+        """
+        sub, diag, sup, w, unk = _radial_rows(self.grid, op)
+        ones = np.ones((self._n_modes, 1))
+        modes = diag[unk][None, :] - self._lam[:, None] / w[unk][None, :]
+        self.counts["factorizations"] += 1
+        return TridiagBatch(b * sub[unk] * ones, a + b * modes, b * sup[unk] * ones)
+
     # -- stream function ----------------------------------------------------
 
     @functools.cached_property
     def _stream(self) -> TridiagBatch:
         """The stream operator's factorization, built on the first stream solve."""
-        g = self.grid
-        h, r = g.h_r, g.r
-        i = np.arange(1, g.n_r - 1)
-        beta_minus = 1.0 / (r[i] - 0.5 * h)
-        beta_plus = 1.0 / (r[i] + 0.5 * h)
-        sub = (beta_minus / h**2)[None, :] * np.ones((self._n_modes, 1))
-        sup = (beta_plus / h**2)[None, :] * np.ones((self._n_modes, 1))
-        diag = -(beta_minus + beta_plus)[None, :] / h**2 - self._lam[:, None] / r[i][None, :]
-        # first/last unknowns do not couple to the (zero) wall values
-        sub = sub.copy()
-        sup = sup.copy()
-        sub[:, 0] = 0.0
-        sup[:, -1] = 0.0
-        self.counts["factorizations"] += 1
-        return TridiagBatch(sub, diag, sup)
+        return self._factor("stream", 0.0, 1.0)
 
     def solve_stream(self, omega: np.ndarray) -> np.ndarray:
         """psi with psi = 0 on both walls and d_r((1/r)d_r psi)+(1/r)d_zz psi = -omega."""
-        g = self.grid
-        rhs = _to_blocks(np.fft.rfft(-omega[1:-1, :], axis=1).view(float))
-        psi_hat = _from_blocks(self._stream.solve(rhs), g.n_r - 2).view(complex)
-        psi = np.zeros(g.shape)
-        np.fft.irfft(psi_hat, n=g.n_z, axis=1, out=psi[1:-1])
-        return psi
-
-    def apply_stream_operator(self, psi: np.ndarray) -> np.ndarray:
-        """Discrete stream operator at interior rows (wall rows returned 0)."""
-        g = self.grid
-        h, r = g.h_r, g.rcol
-        out = np.zeros(g.shape)
-        beta_minus = 1.0 / (r[1:-1] - 0.5 * h)
-        beta_plus = 1.0 / (r[1:-1] + 0.5 * h)
-        out[1:-1] = (
-            beta_plus * (psi[2:] - psi[1:-1]) - beta_minus * (psi[1:-1] - psi[:-2])
-        ) / h**2 + d2z(g, psi)[1:-1] / r[1:-1]
-        return out
+        rhs = self.spectrum(omega, "stream")
+        return self.field(self._stream.solve(np.negative(rhs, out=rhs)), "stream")
 
     def stream_residual(self, psi: np.ndarray, omega: np.ndarray) -> float:
         """Relative residual of the discrete stream equation."""
-        res = self.apply_stream_operator(psi)[1:-1] + omega[1:-1]
+        res = pin(self.apply_heat_operator(psi, "stream") + omega, "stream")
         scale = np.max(np.abs(omega)) + 1e-300
         return float(np.max(np.abs(res)) / scale)
 
     # -- heat steps -----------------------------------------------------------
 
     def _cn_lhs(self, op: str, dt: float) -> TridiagBatch:
-        """The factorization of I - (dt/2) B, B = op's radial rows - lam_m."""
+        """The factorization of I - (dt/2) B, cached per (op, dt)."""
         # dt to 12 significant digits: the round-off in a run's time
         # arithmetic (a last step of 0.0012499999999998 after steps of
         # 0.00125) does not cost a second factorization
@@ -324,14 +340,7 @@ class EllipticSolver:
         hit = self._heat_cache.get(key)
         if hit is not None:
             return hit
-        sub, diag, sup, unk = _radial_rows(self.grid, op)
-        s, d, u = sub[unk], diag[unk], sup[unk]
-        ones = np.ones((self._n_modes, 1))
-        theta = 0.5 * dt
-        lhs = TridiagBatch(
-            -theta * s * ones, 1.0 - theta * (d[None, :] - self._lam[:, None]), -theta * u * ones
-        )
-        self.counts["factorizations"] += 1
+        lhs = self._factor(op, 1.0, -0.5 * dt)
         if len(self._heat_cache) > 16:
             self._heat_cache.clear()
         self._heat_cache[key] = lhs
@@ -379,24 +388,19 @@ class EllipticSolver:
         return np.subtract(y, fhat, out=fhat)
 
     def apply_heat_operator(self, f: np.ndarray, op: str) -> np.ndarray:
-        """Explicit application of op with its wall rows (Dirichlet rows map to 0)."""
-        g = self.grid
+        """Explicit application of any table operator, the stream one too; pinned rows map to 0."""
+        sub, diag, sup, w, _ = _radial_rows(self.grid, op)
         vals = np.asarray(f, float)
-        sub, diag, sup, unk = _radial_rows(g, op)
         out = diag[:, None] * vals
         out[1:] += sub[1:, None] * vals[:-1]
         out[:-1] += sup[:-1, None] * vals[1:]
-        zz = d2z(g, vals)
-        out[unk] += zz[unk]
-        if unk.start == 1:
-            out[0, :] = 0.0
-        out[-1, :] = 0.0
-        return out
+        out += d2z(self.grid, vals) / w[:, None]
+        return pin(out, op)
 
     def explicit_stability_bound(self, op: str) -> float:
         """Largest dt with 1 + dt*diag >= 0 for every row (monotone explicit step)."""
         g = self.grid
-        _, diag, _, unk = _radial_rows(g, op)
+        _, diag, _, _, unk = _radial_rows(g, op)
         worst = np.max(-diag[unk]) + 2.0 / g.h_z**2
         return 1.0 / worst
 
@@ -414,14 +418,13 @@ def power_spike(
     grid: Grid,
     p: float,
     center: tuple[float, float],
-    core_cells: float = 4.0,
-    envelope: tuple[float, float] | None = None,
+    envelope: tuple[float, float],
 ) -> np.ndarray:
     """Spike with the L^p-critical profile rho^(-3/p), normalized to ||f||_p = 1.
 
     The evolved sup norm of this profile decays self-similarly like
     t^(-3/(2p)) (and its gradient like t^(-3/(2p)-1/2)); for p = inf the
-    profile degenerates to a constant plateau.  Cells within core_cells
+    profile degenerates to a constant plateau.  Cells within 4 cells
     of the center carry cell averages of the singular profile so the
     discrete core mass matches the continuum; a C^2 envelope
     (1 inside rho <= rho1, 0 beyond rho2) keeps the slowly decaying tail
@@ -441,7 +444,7 @@ def power_spike(
         # cell averages near the singularity (midpoint subsampling); this
         # overwrites the overflowed node at rho = 0, if any
         h = max(grid.h_r, grid.h_z)
-        idx = np.argwhere(rho < core_cells * h)
+        idx = np.argwhere(rho < 4.0 * h)
         m = 24
         off = (np.arange(m) + 0.5) / m - 0.5
         ox, oy = np.meshgrid(off * grid.h_r, off * grid.h_z, indexing="ij")
@@ -449,9 +452,8 @@ def power_spike(
             sx = dr[i, 0] + ox
             sy = dz_per[j] + oy
             vals[i, j] = float(np.mean(np.hypot(sx, sy) ** (-a)))
-    if envelope is not None:
-        rho1, rho2 = envelope
-        vals = vals * _smoothstep((rho - rho1) / (rho2 - rho1))
+    rho1, rho2 = envelope
+    vals = vals * _smoothstep((rho - rho1) / (rho2 - rho1))
     return vals / lp_norm(grid, vals, p)
 
 
@@ -524,25 +526,24 @@ class SemigroupCase:
 
 
 DEFAULT_SEMIGROUP_CASES: tuple[tuple[str, float, int], ...] = tuple(
-    (op, p, k) for op in HEAT_WALLS for (p, k) in ((2.0, 0), (6.0, 0), (6.0, 1), (math.inf, 0))
+    (op, p, k) for op in HEAT_OPERATORS for (p, k) in ((2.0, 0), (6.0, 0), (6.0, 1), (math.inf, 0))
 )
 
 
 def semigroup_experiment(
     n: int = 385,
     dt: float = 1.0 / 300.0,
-    r_min: float = 1.0,
     R: float = 17.0,
     L_z: float = 16.0,
     center: tuple[float, float] = (9.0, 8.0),
     envelope: tuple[float, float] = (5.0, 7.0),
     cases: tuple[tuple[str, float, int], ...] = DEFAULT_SEMIGROUP_CASES,
-    n_samples: int = 24,
     counts: Counter | None = None,
 ) -> list[SemigroupCase]:
     """Run the decay-rate harness over (op, p, k) cases.
 
-    The sup is taken over the core disc rho <= rho1/2, where the spike
+    The grid is [1, R] x [0, L_z) with n x (n - 1) nodes; each evolution
+    is sampled at 24 log-spaced times of the fit window.  The sup is taken over the core disc rho <= rho1/2, where the spike
     agrees with the scale-invariant profile; outside it the truncating
     envelope and walls contaminate the power law.  Cases sharing
     (op, p) reuse a single evolution.  The solver's counters
@@ -550,7 +551,7 @@ def semigroup_experiment(
     """
     from .grid import build_grid
 
-    grid = build_grid(r_min, R, L_z, n, n - 1)
+    grid = build_grid(1.0, R, L_z, n, n - 1)
     solver = EllipticSolver(grid)
     rho1, rho2 = envelope
     r0, z0 = center
@@ -569,11 +570,11 @@ def semigroup_experiment(
         times, norms = _decay_series(
             solver,
             op,
-            power_spike(grid, p, center, envelope=envelope),
+            power_spike(grid, p, center, envelope),
             tuple(sorted(set(ks))),
             window,
             dt,
-            n_samples,
+            24,
             mask,
         )
         for k in ks:

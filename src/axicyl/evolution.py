@@ -28,12 +28,11 @@ from .config import ConfigError, SolverConfig
 from .diagnostics import (
     DiagnosticsRecord,
     boundary_leakage,
+    deviation_5_3,
     dissipation_sample,
     full_velocity_gradient_squared,
-    h1_proxy,
-    identity_5_3_check,
 )
-from .elliptic import HEAT_WALLS, EllipticSolver
+from .elliptic import EllipticSolver, pin
 from .fields import (
     AxisymState,
     InitialDataError,
@@ -93,15 +92,6 @@ def _coupled_rates(grid: Grid, advection: str, gamma, omega, ur, uz, gamma_feed)
     return kg, kw
 
 
-def _pinned(f: np.ndarray, op: str) -> np.ndarray:
-    """f with its truncation row, and its inner-wall row if op's wall is
-    Dirichlet (HEAT_WALLS), set to zero in place."""
-    f[-1, :] = 0.0
-    if HEAT_WALLS[op] is None:
-        f[0, :] = 0.0
-    return f
-
-
 def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, diffusion: str):
     """One Strang-split step of d_t Gamma = L1 Gamma + k_Gamma and
     d_t omega = L0' omega + k_omega.
@@ -110,7 +100,7 @@ def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, diff
     the tendencies; with diffusion = "explicit" the operators join the Heun
     tendencies instead.  tendency(gamma, omega, stage) returns fresh arrays
     (k_Gamma, k_omega), with stage 0 at the start of the step and stage 1 at
-    its end.  Every stage and rate is pinned by _pinned.  The input arrays
+    its end.  Every stage and rate is pinned (elliptic.pin).  The input arrays
     are not modified.
     """
     implicit = diffusion == "crank_nicolson"
@@ -120,7 +110,7 @@ def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, diff
         if not implicit:
             kg = kg + solver.apply_heat_operator(g, "L1")
             kw = kw + solver.apply_heat_operator(w, "L0p")
-        return _pinned(kg, "L1"), _pinned(kw, "L0p")
+        return pin(kg, "L1"), pin(kw, "L0p")
 
     def half_step(f, op):
         return solver.field(solver.heat_step(solver.spectrum(f, op), 0.5 * dt, op), op)
@@ -131,9 +121,9 @@ def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, diff
     if implicit:
         gamma, omega = half_diffusion(gamma, omega)
     kg1, kw1 = rates(gamma, omega, 0)
-    kg2, kw2 = rates(_pinned(gamma + dt * kg1, "L1"), _pinned(omega + dt * kw1, "L0p"), 1)
-    gamma = _pinned(gamma + 0.5 * dt * (kg1 + kg2), "L1")
-    omega = _pinned(omega + 0.5 * dt * (kw1 + kw2), "L0p")
+    kg2, kw2 = rates(pin(gamma + dt * kg1, "L1"), pin(omega + dt * kw1, "L0p"), 1)
+    gamma = pin(gamma + 0.5 * dt * (kg1 + kg2), "L1")
+    omega = pin(omega + 0.5 * dt * (kw1 + kw2), "L0p")
     if implicit:
         gamma, omega = half_diffusion(gamma, omega)
     return gamma, omega
@@ -168,6 +158,8 @@ class Stepper:
         self.acc_flux = 0.0
         self.acc_grad_q = 0.0
         self.acc_om_diss = 0.0
+        # the dissipation sample of self.state: record() reads it, and it is
+        # the left end of the next step's trapezoid
         self._prev = dissipation_sample(state)
         self.e_kin0 = state.kinetic_energy()
         self.sup_gamma0 = lp_norm(grid, state.Gamma, np.inf)
@@ -246,8 +238,11 @@ class Stepper:
     # -- diagnostics ----------------------------------------------------------
 
     def record(self) -> DiagnosticsRecord:
+        """The diagnostics of the current state; its gradient integrals come
+        from the step's dissipation sample of that state."""
         st = self.state
         g = self.grid
+        sample = self._prev
         e_kin = st.kinetic_energy()
         sup_gamma = lp_norm(g, st.Gamma, np.inf)
         l4_uth = lp_norm(g, st.uth, 4)
@@ -287,8 +282,8 @@ class Stepper:
             lhs_1_12=lhs_1_12,
             margin_1_6=margin_1_6,
             margin_1_7=margin_1_7,
-            dev_5_3=identity_5_3_check(st),
-            h1=h1_proxy(st),
+            dev_5_3=deviation_5_3(sample.diss_v, l2_om),
+            h1=math.sqrt(e_kin + sample.diss_v + sample.diss_uth),
         )
 
 
@@ -431,7 +426,6 @@ def picard_iterate(
     j_max: int,
     p: float,
     dt: float,
-    n_out: int = 10,
     advection: str = "centered2",
     diffusion: str = "crank_nicolson",
 ) -> PicardResult:
@@ -442,7 +436,8 @@ def picard_iterate(
     Gamma_j); the first iterate evolves with zero drift and source.  All
     iterates step on state0's solver.
     Returns K_j = sup_t t^gamma (||u_j||_p + t^(1/2) ||grad u_j||_p) and
-    the same weighted distance delta_j between consecutive iterates.
+    the same weighted distance delta_j between consecutive iterates, the
+    sup taken over 10 evenly spread step boundaries.
     """
     if not (T > 0 and j_max >= 2):
         raise ValueError("need T > 0 and j_max >= 2")
@@ -453,7 +448,7 @@ def picard_iterate(
     gamma_exp = 0.5 - 1.5 / p
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
-    out_idx = sorted(set(np.linspace(1, n_steps, min(n_out, n_steps), dtype=int).tolist()))
+    out_idx = sorted(set(np.linspace(1, n_steps, min(10, n_steps), dtype=int).tolist()))
 
     def weighted_norm(t, ur, uth, uz):
         """t^gamma (||u||_p + t^(1/2) ||grad u||_p)."""

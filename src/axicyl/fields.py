@@ -13,8 +13,9 @@ Boundary conditions at the inner wall r = r_min:
     psi   : Dirichlet 0 at both walls
 
 and homogeneous Dirichlet for Gamma, omega, psi at the truncation
-radius r = R.  The heat operators that advance Gamma and omega carry
-these walls themselves (`elliptic.HEAT_WALLS`).
+radius r = R.  These walls are stated once, in the operator table
+`elliptic.OPERATORS` (L1 for Gamma, L0' for omega, the stream operator
+for psi).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .elliptic import EllipticSolver
+from .elliptic import EllipticSolver, pin
 from .grid import Grid, build_grid, ddr, ddz, weighted_integral
 
 
@@ -75,10 +76,8 @@ def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     With psi vanishing on both walls, u_r is exactly zero there and the
     discrete divergence d_r u_r + u_r/r + d_z u_z is O(h^2) pointwise.
     """
-    ur = -ddz(grid, psi) / grid.rcol
+    ur = pin(-ddz(grid, psi) / grid.rcol, "stream")
     uz = ddr(grid, psi) / grid.rcol
-    ur[0, :] = 0.0
-    ur[-1, :] = 0.0
     return ur, uz
 
 
@@ -113,9 +112,7 @@ def state_from_dynamic(
     """
     grid = solver.grid
     gamma = np.array(gamma, dtype=float)
-    om = np.array(omega, dtype=float)
-    om[0, :] = 0.0
-    om[-1, :] = 0.0
+    om = pin(np.array(omega, dtype=float), "L0p")
     psi = solver.solve_stream(om)
     ur, uz = velocity_from_stream(grid, psi)
     return AxisymState(t, solver, gamma, om, psi, ur, gamma / grid.rcol, uz)

@@ -17,8 +17,8 @@ Scalar elliptic operators, with Delta = d_rr + (1/r) d_r + d_zz:
     L0' f = Delta f - f / r^2          (vorticity operator; Dirichlet)
 
 L0 and L0' differ only in the boundary condition they are paired with.
-Their stencils, with the boundary rows, live in `elliptic`
-(`EllipticSolver.apply_heat_operator`).
+Their stencils and walls, and the stream operator's, live in one table,
+`elliptic.OPERATORS`.
 """
 
 from __future__ import annotations

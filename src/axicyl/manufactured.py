@@ -177,12 +177,12 @@ def mms_convergence_study(
     levels: int = 3,
     n_base: int = 64,
     t_end: float = 0.25,
-    dt_base: float | None = None,
     mms: ManufacturedSolution | None = None,
-    advection: str = "centered2",
-    diffusion: str = "crank_nicolson",
 ) -> list[MMSLevel]:
     """Refinement ladder n_base, 2 n_base, ... with dt halved alongside h.
+
+    The coarsest dt is 0.4 h; the scheme is the default one (centered
+    advection, Crank-Nicolson diffusion).
 
     The error is the relative L2 distance of (Gamma, omega) from the
     exact fields at t_end; consecutive-level ratios give the observed
@@ -196,8 +196,7 @@ def mms_convergence_study(
 
     if mms is None:
         mms = build_mms()
-    if dt_base is None:
-        dt_base = 0.4 * (mms.R - mms.r_min) / n_base
+    dt_base = 0.4 * (mms.R - mms.r_min) / n_base
     out: list[MMSLevel] = []
     for lvl in range(levels):
         n = n_base * 2**lvl
@@ -218,8 +217,6 @@ def mms_convergence_study(
             cfl=1.0,
             t_end=t_end,
             output_interval=t_end,
-            advection=advection,
-            diffusion=diffusion,
         )
         result = run_simulation(
             cfg, sources=(bound["source_gamma"], bound["source_omega"]), initial_state=state0

@@ -29,7 +29,7 @@ from axicyl.config import (
     parse_config_text,
 )
 from axicyl.diagnostics import CSV_COLUMNS
-from axicyl.elliptic import EllipticSolver
+from axicyl.elliptic import DEFAULT_SEMIGROUP_CASES, HEAT_OPERATORS, OPERATORS, EllipticSolver
 from axicyl.evolution import CFLError, configured_initial_state, run_simulation
 from axicyl.grid import build_grid
 
@@ -264,6 +264,19 @@ def test_malformed_experiment_key_exits_2(tmp_path, command, line):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert "config error" in manifest["extra"]["error"]
+
+
+def test_the_stream_operator_is_not_a_semigroup_case(tmp_path):
+    # the stream operator is a row of the operator table beside L0, L1 and
+    # L0', but it generates no heat semigroup of the paper
+    assert "stream" in OPERATORS and "stream" not in HEAT_OPERATORS
+    assert len(DEFAULT_SEMIGROUP_CASES) == 12
+    assert {op for op, _, _ in DEFAULT_SEMIGROUP_CASES} == set(HEAT_OPERATORS)
+    cfg = write_cfg(tmp_path, "semigroup.cases = stream:2:0\n")
+    out = tmp_path / "out"
+    assert main(["semigroup", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "stream:2:0" in manifest["extra"]["error"]
 
 
 @pytest.mark.parametrize(

@@ -11,19 +11,19 @@ from axicyl.diagnostics import (
     energy_budget_check,
     eps_sweep,
     gagliardo_nirenberg_ratio,
-    h1_proxy,
     identity_5_3_check,
     interpolation_suite,
     random_scalar_samples,
     sigma_exponent,
     state_inequality_ratios,
     swirl_bounds_check,
+    velocity_gradient_squared,
     vorticity_budgets_check,
 )
 from axicyl.elliptic import EllipticSolver
-from axicyl.evolution import run_simulation
+from axicyl.evolution import Stepper, run_simulation
 from axicyl.fields import bump_profile, make_initial_data, state_from_dynamic
-from axicyl.grid import build_grid
+from axicyl.grid import build_grid, ddr, ddz, weighted_integral
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +165,23 @@ def test_energy_and_swirl_checks_raise_on_empty():
         vorticity_budgets_check([])
 
 
-def test_h1_proxy_and_leakage_finite(sample_states):
+def test_record_h1_and_leakage_finite(sample_states):
+    # the record takes h1 and dev_5_3 from the step's dissipation sample;
+    # they must be those of the state it records, before and after a step
+    cfg = SolverConfig(r_min=1, R=4, L_z=2, n_r=49, n_z=32, dt=0.004, checkpoint="none")
     for st_ in sample_states[:3]:
-        assert math.isfinite(h1_proxy(st_))
-        assert boundary_leakage(st_) >= 0.0
+        stepper = Stepper(cfg, st_)
+        for _ in range(2):
+            state, rec = stepper.state, stepper.record()
+            g = state.grid
+            grads = weighted_integral(
+                g, velocity_gradient_squared(g, state.ur, state.uz)
+            ) + weighted_integral(g, ddr(g, state.uth) ** 2 + ddz(g, state.uth) ** 2)
+            assert math.isfinite(rec.h1)
+            assert rec.h1 == pytest.approx(math.sqrt(state.kinetic_energy() + grads), rel=1e-14)
+            assert rec.dev_5_3 == identity_5_3_check(state)
+            assert boundary_leakage(state) >= 0.0
+            stepper.step(0.004)
 
 
 def test_eps_sweep_single_eps_matches_run():

@@ -232,16 +232,16 @@ def test_heat_step_rejects_bad_args(solver, grid):
         solver.heat_step(f, 0.1, "L0")
 
 
-@pytest.mark.parametrize("op", ["L0", "L1", "L0p"])
+@pytest.mark.parametrize("op", ["L0", "L1", "L0p", "stream"])
 def test_spectrum_field_round_trip(solver, grid, op):
     rng = np.random.default_rng(7)
     f = rng.normal(size=grid.shape)
     back = solver.field(solver.spectrum(f, op), op)
     pinned = f.copy()
     pinned[-1] = 0.0
-    if elliptic.HEAT_WALLS[op] is None:
+    if elliptic.OPERATORS[op].wall is None:
         pinned[0] = 0.0
-    assert np.all(back[-1] == 0.0) and (op != "L0p" or np.all(back[0] == 0.0))
+    assert np.all(back[-1] == 0.0) and (op in ("L0", "L1") or np.all(back[0] == 0.0))
     tol = 16 * np.finfo(float).eps * np.max(np.abs(f))
     np.testing.assert_allclose(back, pinned, rtol=0, atol=tol)
 

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 from axicyl import evolution
-from axicyl.elliptic import EllipticSolver
+from axicyl.elliptic import EllipticSolver, pin
 from axicyl.evolution import _coupled_rates
 from axicyl.fields import state_from_dynamic
 from axicyl.grid import build_grid, lp_norm
@@ -58,7 +58,7 @@ def _truncation_residuals(mms, n, t=0.1, dt=1e-4):
         exact = bound[name](t)
         d_t = (bound[name](t + dt) - bound[name](t - dt)) / (2 * dt)
         res = rate + solver.apply_heat_operator(exact, op) + bound["source_" + name](t) - d_t
-        out.append(evolution._pinned(res, op))
+        out.append(pin(res, op))
     return grid, out
 
 
