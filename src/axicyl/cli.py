@@ -37,37 +37,23 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, _get_float, _get_int, load_config
-from .diagnostics import (
-    CSV_COLUMNS,
-    eps_sweep,
-    interpolation_suite,
-    random_scalar_samples,
-    sigma_exponent,
-)
+from .diagnostics import CSV_COLUMNS, eps_sweep, inequality_batch, sigma_exponent
 from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
     HEAT_OPERATORS,
     EllipticSolver,
     FitWindowError,
-    commutation_check,
+    commutation_ladder,
     semigroup_experiment,
 )
-from .evolution import (
-    BlowupError,
-    CFLError,
-    configured_initial_state,
-    picard_iterate,
-    run_simulation,
-)
-from .fields import bump_profile
-from .grid import build_grid, lp_norm
+from .evolution import BlowupError, CFLError, picard_experiment, run_simulation
+from .grid import build_grid
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -278,18 +264,10 @@ def cmd_semigroup(args, mapping, ctx):
             for r in results
         ),
     )
-    # commutation refinement ladder on a compact bump
     comm_rows = []
     prev = None
-    for lvl, (nc, steps) in enumerate(((65, 16), (129, 32), (257, 64))):
-        g = build_grid(1.0, 3.0, 2.0, nc, nc - 1)
-        s = EllipticSolver(g)
-        gam = bump_profile(g.r, 1.4, 2.5)[:, None] * (
-            1 + 0.3 * np.sin(2 * np.pi * g.z / g.L_z)[None, :]
-        )
-        dev = commutation_check(s, gam, t_comm, t_comm / steps)
-        perf.update(s.counts)
-        comm_rows.append((lvl, nc, t_comm / steps, dev, "" if prev is None else _fmt(prev / dev)))
+    for lvl, (nc, dt_c, dev) in enumerate(commutation_ladder(t_comm, perf)):
+        comm_rows.append((lvl, nc, dt_c, dev, "" if prev is None else _fmt(prev / dev)))
         prev = dev
     write_csv(
         ctx.add_output(ctx.out_dir / "commutation.csv"),
@@ -314,11 +292,7 @@ def cmd_picard(args, mapping, ctx):
         raise ConfigError(f"picard.j_max must be >= 2, got {j_max}")
     if not 3.0 < p < math.inf:
         raise ConfigError(f"picard.p must lie in (3, inf), got {p}")
-    grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
-    state0 = configured_initial_state(cfg, EllipticSolver(grid))
-    result = picard_iterate(
-        state0, T=T, j_max=j_max, p=p, dt=dt, advection=cfg.advection, diffusion=cfg.diffusion
-    )
+    result, diff, tol = picard_experiment(cfg, T, j_max, p, dt)
     rows = []
     for j in range(len(result.K)):
         delta = result.delta[j] if j < len(result.delta) else ""
@@ -329,16 +303,6 @@ def cmd_picard(args, mapping, ctx):
         ("j", "K_j", "delta_j", "delta_ratio"),
         rows,
     )
-    # direct-solver comparison at t = T, on the same solver
-    run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T, checkpoint="none")
-    direct = run_simulation(run_cfg, initial_state=state0)
-    du, d = result.final_state, direct.final_state
-    diff = math.sqrt(
-        lp_norm(grid, du.ur - d.ur, 2) ** 2
-        + lp_norm(grid, du.uth - d.uth, 2) ** 2
-        + lp_norm(grid, du.uz - d.uz, 2) ** 2
-    )
-    tol = 10.0 * (grid.h_r**2 + dt**2) * math.sqrt(state0.kinetic_energy())
     ctx.extra.update(
         {
             "direct_match_l2": diff,
@@ -402,19 +366,11 @@ def cmd_inequalities(args, mapping, ctx):
         sigma_exponent(q, p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
-    solver = EllipticSolver(grid)
+    solver = EllipticSolver(build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z))
 
     def batch(seed0, count):
-        states = [
-            configured_initial_state(replace(cfg, init_kind="random_modes", seed=seed0 + i), solver)
-            for i in range(count)
-        ]
-        b1 = random_scalar_samples(grid, count, seed=seed0 + 7000, vanish_at_wall=True)
-        b2 = random_scalar_samples(grid, count, seed=seed0 + 9000, vanish_at_wall=False)
-        return interpolation_suite(
-            grid, states, scalar_samples_b1=b1, scalar_samples_b2=b2, q=q, p=p
-        )
+        seeds = range(seed0, seed0 + count)
+        return inequality_batch(cfg, solver, seeds, (seed0 + 7000, seed0 + 9000), q, p)
 
     half = max(1, n_samples // 2)
     full = batch(cfg.seed, n_samples)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +57,8 @@ def full_velocity_gradient_squared(
     )
 
 
-@dataclass(frozen=True)
-class DissipationSample:
-    """Instantaneous budget integrands at one time."""
+class DissipationSample(NamedTuple):
+    """Instantaneous budget integrands at one time (or their time integrals)."""
 
     diss_v: float
     diss_uth: float
@@ -179,12 +179,15 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
     l4_v = lp_norm(g, v_mag, 4)
     l2_om = lp_norm(g, om, 2)
     l4_om = lp_norm(g, om, 4)
-    grad_om = math.sqrt(weighted_integral(g, ddr(g, om) ** 2 + ddz(g, om) ** 2))
+    dr_om, dz_om = ddr(g, om), ddz(g, om)
+    grad_om = math.sqrt(weighted_integral(g, dr_om**2 + dz_om**2))
     l2_uth_r = lp_norm(g, uth / g.rcol, 2)
     l4_uth_r = lp_norm(g, uth / g.rcol, 4)
     grad_v = math.sqrt(weighted_integral(g, velocity_gradient_squared(g, ur, uz)))
     l2_om_r = lp_norm(g, om / g.rcol, 2)
-    grad_om_full = math.sqrt(grad_om**2 + l2_om_r**2)
+    # ||grad(om e_th)||_2 in curl form: div(om e_th) = 0, and om vanishes on
+    # both walls, so the cross term 2 int om d_r om dr telescopes to 0
+    grad_om_curl = math.sqrt(weighted_integral(g, dz_om**2 + (dr_om + om / g.rcol) ** 2))
     return {
         "E1_7": _safe_ratio(l4_uth, math.sqrt(sup_gamma) * math.sqrt(l2_u)),
         "E1_10": _safe_ratio(l4_v, l2_v**0.25 * (l2_v + l2_om) ** 0.75),
@@ -194,7 +197,7 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
             lp_norm(g, uz, 4), lp_norm(g, uz, 2) ** 0.25 * (lp_norm(g, uz, 2) + l2_om) ** 0.75
         ),
         "E5_6": _safe_ratio(l4_om, l2_om**0.25 * grad_om**0.75),
-        "E5_7": _safe_ratio(grad_om_full, math.sqrt(grad_om**2 + l2_om_r**2)),
+        "E5_7": _safe_ratio(grad_om_curl, math.sqrt(grad_om**2 + l2_om_r**2)),
         "E5_8": _safe_ratio(l4_uth_r, l4_uth),
         "E5_8_chain": _safe_ratio(l4_uth, math.sqrt(sup_gamma) * math.sqrt(l2_uth_r)),
     }
@@ -264,10 +267,13 @@ def vorticity_budgets_check(records: list[DiagnosticsRecord]) -> VorticityBudget
 # -- interpolation inequality harness -----------------------------------------
 
 CONSTANT_FREE = {"E1_7", "E5_3", "E5_7", "E5_8", "E5_8_chain"}
+# identities, violated by a ratio off 1 either way; the other constant-free
+# inequalities are violated by a ratio above 1
+IDENTITIES = {"E5_3", "E5_7"}
 
 # identities and exact-in-quadrature bounds get the tight tolerance;
 # scheme-order checks the loose one
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "E1_7": 1e-8,
     "E5_8": 1e-8,
     "E5_8_chain": 1e-8,
@@ -313,16 +319,15 @@ def gagliardo_nirenberg_ratio(
     return _safe_ratio(lp, lq ** (1.0 - sigma) * denom_base**sigma)
 
 
-def random_scalar_samples(
-    grid: Grid, n: int, seed: int, vanish_at_wall: bool, n_modes: int = 3
-) -> list[np.ndarray]:
-    """Smooth random fields; optionally vanishing at the inner wall (B.1 needs it)."""
+def random_scalar_samples(grid: Grid, n: int, seed: int, vanish_at_wall: bool) -> list[np.ndarray]:
+    """Smooth random fields, each a sum of three bump-times-Fourier-mode terms;
+    optionally vanishing at the inner wall (B.1 needs it)."""
     rng = np.random.default_rng(seed)
     width = grid.R - grid.r_min
     out = []
     for _ in range(n):
         vals = np.zeros(grid.shape)
-        for _ in range(n_modes):
+        for _ in range(3):
             lo = grid.r_min + rng.uniform(0.05, 0.45) * width
             hi = lo + rng.uniform(0.2, 0.5) * width
             hi = min(hi, grid.R - 0.02 * width)
@@ -351,16 +356,12 @@ def interpolation_suite(
     scalar_samples_b2: list[np.ndarray] | None = None,
     q: float = 2.0,
     p: float = 4.0,
-    tolerances: dict[str, float] | None = None,
 ) -> list[InequalityReport]:
     """Per-inequality reports over sample states and scalar fields.
 
     Constant-free inequalities must show zero violations; constant-bearing
     ones report the max ratio as the fitted constant.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     ratios: dict[str, list[float]] = {}
     for state in states:
         for key, val in state_inequality_ratios(state).items():
@@ -383,8 +384,8 @@ def interpolation_suite(
     reports = []
     for key, vals in ratios.items():
         constant_free = key in CONSTANT_FREE
-        tol_k = tol.get(key, 1e-8 if constant_free else math.inf)
-        if key == "E5_3":
+        tol_k = TOLERANCES.get(key, 1e-8 if constant_free else math.inf)
+        if key in IDENTITIES:
             violations = sum(1 for v in vals if abs(v - 1.0) > tol_k)
         elif constant_free:
             violations = sum(1 for v in vals if v > 1.0 + tol_k)
@@ -394,6 +395,29 @@ def interpolation_suite(
             InequalityReport(key, len(vals), violations, max(vals), tol_k, constant_free)
         )
     return sorted(reports, key=lambda r: r.inequality)
+
+
+def inequality_batch(
+    template, solver: EllipticSolver, seeds, sample_seeds: tuple[int, int], q: float, p: float
+) -> list[InequalityReport]:
+    """interpolation_suite over one batch of samples on the solver's grid.
+
+    The states are template's data with init.kind = random_modes, one per
+    seed; as many B1 and B2 scalar samples are drawn from the two
+    sample_seeds.
+    """
+    from .evolution import configured_initial_state
+
+    states = [
+        configured_initial_state(replace(template, init_kind="random_modes", seed=seed), solver)
+        for seed in seeds
+    ]
+    seed_b1, seed_b2 = sample_seeds
+    b1 = random_scalar_samples(solver.grid, len(states), seed=seed_b1, vanish_at_wall=True)
+    b2 = random_scalar_samples(solver.grid, len(states), seed=seed_b2, vanish_at_wall=False)
+    return interpolation_suite(
+        solver.grid, states, scalar_samples_b1=b1, scalar_samples_b2=b2, q=q, p=p
+    )
 
 
 # -- epsilon sweep -------------------------------------------------------------

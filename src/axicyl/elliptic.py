@@ -599,3 +599,26 @@ def commutation_check(solver: EllipticSolver, gamma0: np.ndarray, t: float, dt: 
             solver.heat_step(big_hat, dt, "L1")
         small, big = solver.field(small_hat, "L0"), solver.field(big_hat, "L1")
     return float(np.max(np.abs(grid.rcol * small - big)))
+
+
+def commutation_ladder(t: float, counts: Counter) -> list[tuple[int, float, float]]:
+    """(n, dt, commutation_check deviation) at t on a joint (h, dt) refinement ladder.
+
+    The data is the compact bump 1.4 < r < 2.5 times 1 + 0.3 sin(2 pi z / L_z)
+    on [1, 3] x [0, 2) with n x (n - 1) nodes, n = 65, 129, 257, stepped
+    to t in 16, 32, 64 steps.  The solvers' counters
+    (EllipticSolver.counts) are added to counts.
+    """
+    from .fields import bump_profile
+    from .grid import build_grid
+
+    out = []
+    for n, steps in ((65, 16), (129, 32), (257, 64)):
+        grid = build_grid(1.0, 3.0, 2.0, n, n - 1)
+        solver = EllipticSolver(grid)
+        gamma = bump_profile(grid.r, 1.4, 2.5)[:, None] * (
+            1 + 0.3 * np.sin(2 * np.pi * grid.z / grid.L_z)[None, :]
+        )
+        out.append((n, t / steps, commutation_check(solver, gamma, t, t / steps)))
+        counts.update(solver.counts)
+    return out

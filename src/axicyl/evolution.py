@@ -20,13 +20,14 @@ sub-convex combination, so sup|Gamma| is exactly non-increasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import ConfigError, SolverConfig
 from .diagnostics import (
     DiagnosticsRecord,
+    DissipationSample,
     boundary_leakage,
     deviation_5_3,
     dissipation_sample,
@@ -152,12 +153,8 @@ class Stepper:
         self.state = state
         self.sources = sources  # None or (S_gamma(t)->array, S_omega(t)->array)
         self.step_count = 0
-        self.acc_diss_v = 0.0
-        self.acc_diss_uth = 0.0
-        self.acc_diss_sw = 0.0
-        self.acc_flux = 0.0
-        self.acc_grad_q = 0.0
-        self.acc_om_diss = 0.0
+        # the budget ledger: trapezoid-rule time integrals of the samples
+        self.integrals = DissipationSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         # the dissipation sample of self.state: record() reads it, and it is
         # the left end of the next step's trapezoid
         self._prev = dissipation_sample(state)
@@ -165,7 +162,6 @@ class Stepper:
         self.sup_gamma0 = lp_norm(grid, state.Gamma, np.inf)
         self.l2_u0 = math.sqrt(self.e_kin0)
         self.l2_om_over_r0 = lp_norm(grid, state.omega / grid.rcol, 2)
-        self.l2_om0 = lp_norm(grid, state.omega, 2)
         self.max_leakage = boundary_leakage(state)
         # the right-hand side of (1.11); a float power raises, not overflows
         # to inf, once sup|Gamma_0| passes about 1e154
@@ -224,12 +220,9 @@ class Stepper:
         new_state = state_from_dynamic(self.solver, t + dt, gamma, omega)
         sample = dissipation_sample(new_state)
         w = 0.5 * dt
-        self.acc_diss_v += w * (self._prev.diss_v + sample.diss_v)
-        self.acc_diss_uth += w * (self._prev.diss_uth + sample.diss_uth)
-        self.acc_diss_sw += w * (self._prev.diss_sw + sample.diss_sw)
-        self.acc_flux += w * (self._prev.flux + sample.flux)
-        self.acc_grad_q += w * (self._prev.grad_om_over_r + sample.grad_om_over_r)
-        self.acc_om_diss += w * (self._prev.om_diss + sample.om_diss)
+        self.integrals = DissipationSample(
+            *(acc + w * (a + b) for acc, a, b in zip(self.integrals, self._prev, sample))
+        )
         self._prev = sample
         self.state = new_state
         self.step_count += 1
@@ -243,6 +236,7 @@ class Stepper:
         st = self.state
         g = self.grid
         sample = self._prev
+        acc = self.integrals
         e_kin = st.kinetic_energy()
         sup_gamma = lp_norm(g, st.Gamma, np.inf)
         l4_uth = lp_norm(g, st.uth, 4)
@@ -253,25 +247,25 @@ class Stepper:
             residual = (
                 abs(
                     e_kin
-                    + 2.0 * (self.acc_diss_v + self.acc_diss_uth + self.acc_diss_sw)
-                    + self.acc_flux
+                    + 2.0 * (acc.diss_v + acc.diss_uth + acc.diss_sw)
+                    + acc.flux
                     - self.e_kin0
                 )
                 / self.e_kin0
             )
         else:
             residual = 0.0
-        lhs_1_11 = l2_q**2 + self.acc_grad_q
-        lhs_1_12 = l2_om**2 + self.acc_om_diss
+        lhs_1_11 = l2_q**2 + acc.grad_om_over_r
+        lhs_1_12 = l2_om**2 + acc.om_diss
         margin_1_6 = sup_gamma - self.sup_gamma0
         margin_1_7 = l4_uth - math.sqrt(self.sup_gamma0) * math.sqrt(self.l2_u0)
         return DiagnosticsRecord(
             t=st.t,
             e_kin=e_kin,
-            diss_v=self.acc_diss_v,
-            diss_uth=self.acc_diss_uth,
-            diss_swirl_weight=self.acc_diss_sw,
-            bdry_flux=self.acc_flux,
+            diss_v=acc.diss_v,
+            diss_uth=acc.diss_uth,
+            diss_swirl_weight=acc.diss_sw,
+            bdry_flux=acc.flux,
             budget_residual_1_5=residual,
             sup_gamma=sup_gamma,
             l4_uth=l4_uth,
@@ -439,8 +433,8 @@ def picard_iterate(
     the same weighted distance delta_j between consecutive iterates, the
     sup taken over 10 evenly spread step boundaries.
     """
-    if not (T > 0 and j_max >= 2):
-        raise ValueError("need T > 0 and j_max >= 2")
+    if not (T > 0 and dt > 0 and j_max >= 2):
+        raise ValueError(f"need T > 0, dt > 0 and j_max >= 2, got {T}, {dt}, {j_max}")
     if not (3.0 < p < math.inf):
         raise ValueError(f"p must lie in (3, inf), got {p}")
     solver = state0.solver
@@ -511,3 +505,30 @@ def picard_iterate(
             diverged = True
             break
     return PicardResult(p, K, delta, diverged, state_from_dynamic(solver, T, gamma, omega))
+
+
+def picard_experiment(
+    cfg: SolverConfig, T: float, j_max: int, p: float, dt: float
+) -> tuple[PicardResult, float, float]:
+    """Picard iterates of cfg's initial data against the direct solver.
+
+    The iterates step with cfg's schemes (picard_iterate); the direct run
+    steps the same initial state to T with the same dt, on the same
+    solver.  Returns the iteration, the L2 distance of the two velocities
+    at T, and its tolerance 10 (h_r^2 + dt^2) ||u_0||_2.
+    """
+    grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
+    state0 = configured_initial_state(cfg, EllipticSolver(grid))
+    result = picard_iterate(
+        state0, T=T, j_max=j_max, p=p, dt=dt, advection=cfg.advection, diffusion=cfg.diffusion
+    )
+    run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T, checkpoint="none")
+    direct = run_simulation(run_cfg, initial_state=state0).final_state
+    du = result.final_state
+    diff = math.sqrt(
+        lp_norm(grid, du.ur - direct.ur, 2) ** 2
+        + lp_norm(grid, du.uth - direct.uth, 2) ** 2
+        + lp_norm(grid, du.uz - direct.uz, 2) ** 2
+    )
+    tol = 10.0 * (grid.h_r**2 + dt**2) * math.sqrt(state0.kinetic_energy())
+    return result, diff, tol

@@ -106,15 +106,12 @@ class ManufacturedSolution:
         return {name: at(*term) for name, term in self.terms.items()}
 
 
-def build_mms(
-    r_min: float = 1.0,
-    R: float = 2.0,
-    L_z: float = 1.0,
-    amp_psi: float = 0.12,
-    amp_gamma: float = 0.6,
-    pad: float = 0.12,
-) -> ManufacturedSolution:
-    """Default manufactured pair on [r_min, R] x [0, L_z)."""
+def build_mms() -> ManufacturedSolution:
+    """The manufactured pair on [1, 2] x [0, 1): psi* = 0.12 P sin(k z) (1 + t/2)
+    and Gamma* = 0.6 P (1 + cos(k z)/2) cos t, P the degree-8 bump on the
+    middle 76 % of [1, 2]."""
+    r_min, R, L_z = 1.0, 2.0, 1.0
+    amp_psi, amp_gamma, pad = 0.12, 0.6, 0.12
     r, z, t = sp.symbols("r z t", real=True)
     # the profile P(r) and its r-derivatives as plain symbols p0, p1, ...
     p = sp.symbols(f"p0:{N_DERIVS + 1}")

@@ -1,35 +1,37 @@
 """Acceptance gate: the twelve verification criteria at desk scale.
 
 One test per criterion; each prints a PASS/FAIL line with the measured
-quantities (run with -s to see them live).  Configurations are frozen;
-tolerances are the stated ones.
+quantities (run with -s to see them live).  A run that is a bundled
+experiment loads its config from configs/, and criteria 7, 9 and 10 call
+the library functions the CLI commands call; tolerances are the stated
+ones.
 """
 
 import math
 import time
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from axicyl.config import SolverConfig
+from axicyl.config import SolverConfig, load_config
 from axicyl.diagnostics import (
     energy_budget_check,
     eps_sweep,
     identity_5_3_check,
-    interpolation_suite,
-    random_scalar_samples,
+    inequality_batch,
     swirl_bounds_check,
     vorticity_budgets_check,
 )
-from axicyl.elliptic import (
-    EllipticSolver,
-    commutation_check,
-    semigroup_experiment,
-)
-from axicyl.evolution import picard_iterate, run_simulation
-from axicyl.fields import bump_profile, make_initial_data, state_from_dynamic
-from axicyl.grid import build_grid, lp_norm
+from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experiment
+from axicyl.evolution import picard_experiment, run_simulation
+from axicyl.fields import bump_profile, state_from_dynamic
+from axicyl.grid import build_grid
 from axicyl.manufactured import mms_convergence_study
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def check(cid: int, ok: bool, detail: str) -> None:
@@ -37,34 +39,28 @@ def check(cid: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {cid}: {detail}"
 
 
+def bundled(name: str) -> tuple[SolverConfig, dict[str, str]]:
+    """The solver settings of configs/<name> and its whole key mapping."""
+    mapping = load_config(CONFIGS / name)
+    return SolverConfig.from_mapping(mapping), mapping
+
+
 # -- shared runs -----------------------------------------------------------------
 
-SWIRL_BASE = dict(
-    r_min=1.0,
-    R=5.0,
-    L_z=4.0,
-    t_end=1.0,
-    output_interval=0.05,
-    init_kind="swirl_bump",
-    amplitude=1.0,
-    omega_amplitude=0.5,
-    r_lo=1.1,
-    r_hi=2.4,
-    z_mode=1,
-    checkpoint="none",
-)
+
+@pytest.fixture(scope="module")
+def swirl_cfg():
+    return bundled("energy_budget.cfg")[0]
 
 
 @pytest.fixture(scope="module")
-def swirl_run_129():
-    cfg = SolverConfig(n_r=129, n_z=128, dt=0.003, **SWIRL_BASE)
-    return run_simulation(cfg)
+def swirl_run_129(swirl_cfg):
+    return run_simulation(swirl_cfg)
 
 
 @pytest.fixture(scope="module")
-def swirl_run_257():
-    cfg = SolverConfig(n_r=257, n_z=256, dt=0.0015, **SWIRL_BASE)
-    return run_simulation(cfg)
+def swirl_run_257(swirl_cfg):
+    return run_simulation(replace(swirl_cfg, n_r=257, n_z=256, dt=0.0015))
 
 
 @pytest.fixture(scope="module")
@@ -119,25 +115,7 @@ def test_criterion_2_energy_equality(swirl_run_129, swirl_run_257):
 
 def test_criterion_3_swirl_maximum_principle(swirl_run_129):
     # monotone scheme: exact discrete maximum principle, every step
-    cfg = SolverConfig(
-        r_min=1.0,
-        R=3.0,
-        L_z=2.0,
-        n_r=65,
-        n_z=64,
-        cfl=0.9,
-        t_end=0.05,
-        output_interval=0.05,
-        advection="upwind1",
-        diffusion="explicit",
-        init_kind="swirl_bump",
-        amplitude=1.0,
-        omega_amplitude=0.5,
-        r_lo=1.25,
-        r_hi=2.5,
-        checkpoint="none",
-    )
-    mono = run_simulation(cfg, record_every_step=True)
+    mono = run_simulation(bundled("monotone_max_principle.cfg")[0], record_every_step=True)
     sup0 = mono.records[0].sup_gamma
     mono_margin = max(r.margin_1_6 for r in mono.records)
     # default centered scheme at 128^2
@@ -205,41 +183,21 @@ def test_criterion_6_gradient_identity():
 
 
 def test_criterion_7_interpolation_suite():
-    def states_at(n, seeds, solver_grid=None):
-        g = build_grid(1.0, 4.0, 2.0, n + 1, n)
-        s = EllipticSolver(g)
-        states = [
-            make_initial_data(s, "random_modes", amplitude=1.0, seed=sd, r_support=(1.3, 3.2))
-            for sd in seeds
-        ]
-        return g, states
+    template, mapping = bundled("inequalities.cfg")
+    q, p = float(mapping["ineq.q"]), float(mapping["ineq.p"])
 
-    g64, states_a = states_at(64, range(100))
-    _, states_b = states_at(64, range(100, 200))
-    b1a = random_scalar_samples(g64, 100, seed=1000, vanish_at_wall=True)
-    b1b = random_scalar_samples(g64, 100, seed=1100, vanish_at_wall=True)
-    b2a = random_scalar_samples(g64, 100, seed=2000, vanish_at_wall=False)
-    b2b = random_scalar_samples(g64, 100, seed=2100, vanish_at_wall=False)
-    rep_a = {
-        r.inequality: r
-        for r in interpolation_suite(g64, states_a, scalar_samples_b1=b1a, scalar_samples_b2=b2a)
-    }
-    rep_b = {
-        r.inequality: r
-        for r in interpolation_suite(g64, states_b, scalar_samples_b1=b1b, scalar_samples_b2=b2b)
-    }
-    g128, states_f = states_at(128, range(100))
-    b1f = random_scalar_samples(g128, 100, seed=1000, vanish_at_wall=True)
-    b2f = random_scalar_samples(g128, 100, seed=2000, vanish_at_wall=False)
-    rep_f = {
-        r.inequality: r
-        for r in interpolation_suite(g128, states_f, scalar_samples_b1=b1f, scalar_samples_b2=b2f)
-    }
+    def batch(cfg, seeds, sample_seeds):
+        solver = EllipticSolver(build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z))
+        return {r.inequality: r for r in inequality_batch(cfg, solver, seeds, sample_seeds, q, p)}
+
+    rep_a = batch(template, range(100), (1000, 2000))
+    rep_b = batch(template, range(100, 200), (1100, 2100))
+    rep_f = batch(replace(template, n_r=129, n_z=128), range(100), (1000, 2000))
 
     violations = sum(
         rep[k].n_violations
         for rep in (rep_a, rep_b)
-        for k in ("E1_7", "E5_8", "E5_8_chain")
+        for k in ("E1_7", "E5_7", "E5_8", "E5_8_chain")
     )
     total = sum(rep_a[k].n_samples + rep_b[k].n_samples for k in ("E5_8",))
     drift = []
@@ -277,14 +235,7 @@ def test_criterion_8_semigroup_decay():
 
 
 def test_criterion_9_commutation():
-    devs = []
-    for n, steps in ((65, 16), (129, 32), (257, 64)):
-        g = build_grid(1.0, 3.0, 2.0, n, n - 1)
-        s = EllipticSolver(g)
-        gam = bump_profile(g.r, 1.4, 2.5)[:, None] * (
-            1 + 0.3 * np.sin(2 * np.pi * g.z / g.L_z)[None, :]
-        )
-        devs.append(commutation_check(s, gam, 0.05, 0.05 / steps))
+    devs = [dev for _, _, dev in commutation_ladder(0.05, Counter())]
     r1 = devs[0] / devs[1]
     r2 = devs[1] / devs[2]
     ok = r1 >= 3.0 and r2 >= 3.0
@@ -297,26 +248,16 @@ def test_criterion_9_commutation():
 
 
 def test_criterion_10_picard():
-    g = build_grid(1.0, 3.0, 2.0, 65, 64)
-    state0 = make_initial_data(
-        EllipticSolver(g), "swirl_bump", amplitude=2.0, omega_amplitude=1.5, r_support=(1.25, 2.5)
+    cfg, m = bundled("picard.cfg")
+    res, diff, tol = picard_experiment(
+        cfg,
+        float(m["picard.t_end"]),
+        int(m["picard.j_max"]),
+        float(m["picard.p"]),
+        float(m["picard.dt"]),
     )
-    T, dt = 0.4, 0.004
-    res = picard_iterate(state0, T=T, j_max=7, p=6.0, dt=dt)
     ratios = res.ratios[:5]
     deltas_decreasing = all(b < a for a, b in zip(res.delta, res.delta[1:]))
-    cfg = SolverConfig(
-        r_min=1.0, R=3.0, L_z=2.0, n_r=65, n_z=64, dt=dt, t_end=T,
-        output_interval=T, init_kind="swirl_bump", checkpoint="none",
-    )
-    direct = run_simulation(cfg, initial_state=state0)
-    du, d = res.final_state, direct.final_state
-    diff = math.sqrt(
-        lp_norm(g, du.ur - d.ur, 2) ** 2
-        + lp_norm(g, du.uth - d.uth, 2) ** 2
-        + lp_norm(g, du.uz - d.uz, 2) ** 2
-    )
-    tol = 10.0 * (g.h_r**2 + dt**2) * math.sqrt(state0.kinetic_energy())
     ok = (
         len(ratios) == 5
         and all(r < 1.0 for r in ratios)
@@ -333,12 +274,8 @@ def test_criterion_10_picard():
 
 
 def test_criterion_11_eps_sweep():
-    template = SolverConfig(
-        r_min=1.0, R=4.0, L_z=2.5, n_r=161, n_z=128, dt=0.0015, t_end=0.5,
-        output_interval=0.05, init_kind="no_swirl_bump", amplitude=1.0,
-        omega_amplitude=1.0, r_lo=1.3, r_hi=2.4, z_mode=1, checkpoint="none",
-    )
-    summaries = eps_sweep(template, [1.0, 0.5, 0.25, 0.125])
+    template, mapping = bundled("eps_sweep.cfg")
+    summaries = eps_sweep(template, [float(eps) for eps in mapping["sweep.eps"].split(",")])
     h1s = [s.sup_h1_proxy for s in summaries]
     variation = (max(h1s) - min(h1s)) / min(h1s)
     worst_res = max(s.res_energy_6_1 for s in summaries)
@@ -356,13 +293,7 @@ def test_criterion_11_eps_sweep():
 
 
 def test_criterion_12_global_regularity_smoke():
-    cfg = SolverConfig(
-        r_min=1.0, R=4.5, L_z=2.0, n_r=129, n_z=128, dt=0.00125, t_end=2.0,
-        output_interval=0.1, init_kind="swirl_bump", amplitude=5.0,
-        omega_amplitude=0.45, r_lo=1.1, r_hi=2.4, z_lo=0.4, z_hi=1.6,
-        z_mode=1, checkpoint="none",
-    )
-    res = run_simulation(cfg)
+    res = run_simulation(bundled("smoke_large_swirl.cfg")[0])
     recs = res.records
     sup0 = recs[0].sup_gamma
     e0 = recs[0].e_kin

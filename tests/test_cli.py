@@ -405,6 +405,14 @@ def test_bundled_configs_pass_the_key_check():
         cli._check_keys(command, load_config(path))
 
 
+def test_run_all_experiments_names_each_bundled_config_once():
+    # the acceptance gate loads these files, and CI's end-to-end step runs
+    # only the configs this list names
+    experiments = runpy.run_path(str(ROOT / "scripts" / "run_all_experiments.py"))["EXPERIMENTS"]
+    names = [name for _, name in experiments]
+    assert sorted(names) == sorted(p.name for p in (ROOT / "configs").glob("*.cfg"))
+
+
 def test_cli_import_leaves_scipy_out():
     # importing scipy.linalg alone about doubles a bare process's resident memory
     src = str(Path(axicyl.__file__).resolve().parents[1])
@@ -501,13 +509,13 @@ def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):
         "picard.t_end = 0.02\npicard.j_max = 2\npicard.dt = 0.01\n"
     )
     starts = []
-    real = cli.picard_iterate
+    real = evolution.picard_iterate
 
     def spy(state0, **kw):
         starts.append(state0)
         return real(state0, **kw)
 
-    monkeypatch.setattr(cli, "picard_iterate", spy)
+    monkeypatch.setattr(evolution, "picard_iterate", spy)
     cfg = write_cfg(tmp_path, text)
     assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     run_cfg = SolverConfig.from_mapping(parse_config_text(text))

@@ -337,19 +337,6 @@ def test_commutation_trivial(solver, grid):
     assert commutation_check(solver, gam, 0.0, 0.01) == 0.0
 
 
-def test_commutation_refinement():
-    devs = []
-    for n, steps in ((17, 8), (33, 16), (65, 32)):
-        g = build_grid(1, 3, 2.0, n, n - 1)
-        s = EllipticSolver(g)
-        gam = bump_profile(g.r, 1.4, 2.5)[:, None] * (
-            1 + 0.3 * np.sin(2 * np.pi * g.z / g.L_z)[None, :]
-        )
-        devs.append(commutation_check(s, gam, 0.05, 0.05 / steps))
-    assert devs[0] / devs[1] >= 3.0
-    assert devs[1] / devs[2] >= 3.0
-
-
 def test_power_spike_normalization():
     g = build_grid(1, 5, 4.0, 65, 64)
     for p in (2.0, 6.0, math.inf):

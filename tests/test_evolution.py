@@ -277,6 +277,10 @@ def test_picard_validates_args(small_grid, small_solver):
         picard_iterate(state0, T=0.0, j_max=3, p=6.0, dt=0.01)
     with pytest.raises(ValueError):
         picard_iterate(state0, T=0.1, j_max=3, p=2.0, dt=0.01)
+    # dt = 0 divided by zero, and dt = -0.01 ran one step of length T
+    for dt in (0.0, -0.01):
+        with pytest.raises(ValueError, match="dt > 0"):
+            picard_iterate(state0, T=0.04, j_max=3, p=6.0, dt=dt)
 
 
 def test_step_without_velocity_is_two_crank_nicolson_half_steps(small_grid, small_solver):

@@ -8,19 +8,23 @@ grids are small; the whole file stays within a 30 s budget.
 import itertools
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from axicyl import elliptic, grid as grid_module
-from axicyl.config import SolverConfig
-from axicyl.diagnostics import energy_budget_check, identity_5_3_check
-from axicyl.elliptic import EllipticSolver, commutation_check
+from axicyl.config import SolverConfig, load_config
+from axicyl.diagnostics import energy_budget_check, identity_5_3_check, inequality_batch
+from axicyl.elliptic import EllipticSolver, commutation_ladder
 from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic
 from axicyl.grid import build_grid, radial_weights
 from axicyl.manufactured import build_mms, mms_convergence_study
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -32,14 +36,8 @@ def file_budget():
 
 
 def _commutation_reductions() -> list[float]:
-    """Criterion 9's deviation ratios on a 33/65/129 ladder (8/16/32 steps to t = 0.05)."""
-    devs = []
-    for n, steps in ((33, 8), (65, 16), (129, 32)):
-        g = build_grid(1.0, 3.0, 2.0, n, n - 1)
-        gam = bump_profile(g.r, 1.4, 2.5)[:, None] * (
-            1 + 0.3 * np.sin(2 * np.pi * g.z / g.L_z)[None, :]
-        )
-        devs.append(commutation_check(EllipticSolver(g), gam, 0.05, 0.05 / steps))
+    """Criterion 9's deviation ratios at t = 0.05."""
+    devs = [dev for _, _, dev in commutation_ladder(0.05, Counter())]
     return [devs[0] / devs[1], devs[1] / devs[2]]
 
 
@@ -51,20 +49,18 @@ def _wrong_l1_robin_coefficient(monkeypatch):
 def test_wrong_l1_robin_coefficient_trips_the_commutation_gate(monkeypatch):
     # r e^(t L0) = e^(t L1) r needs d_r Gamma = (2/r_min) Gamma at the wall;
     # with 1/r_min the deviation stops shrinking under refinement
+    # (reductions 3.99/4.00 clean, 1.01/1.00 defective)
     assert min(_commutation_reductions()) >= 3.0
     _wrong_l1_robin_coefficient(monkeypatch)
     assert max(_commutation_reductions()) < 3.0
 
 
 def test_wrong_l1_robin_coefficient_trips_the_energy_residual(monkeypatch):
-    # criterion 2's data and dt on 129x128, to t = 0.1: the wall flux term of
-    # (1.5) is that of the slip condition, so the wrong wall breaks the
-    # balance (residual 4.4e-4 clean, 2.2e-2 defective)
-    cfg = SolverConfig(
-        r_min=1.0, R=5.0, L_z=4.0, n_r=129, n_z=128, dt=0.003, t_end=0.1,
-        output_interval=0.05, init_kind="swirl_bump", amplitude=1.0,
-        omega_amplitude=0.5, r_lo=1.1, r_hi=2.4, z_mode=1, checkpoint="none",
-    )
+    # criterion 2's run (configs/energy_budget.cfg) to t = 0.1: the wall flux
+    # term of (1.5) is that of the slip condition, so the wrong wall breaks
+    # the balance (residual 4.4e-4 clean, 2.2e-2 defective)
+    cfg = SolverConfig.from_mapping(load_config(CONFIGS / "energy_budget.cfg"))
+    cfg = replace(cfg, t_end=0.1)
 
     def residual():
         return energy_budget_check(run_simulation(cfg).records)
@@ -72,6 +68,18 @@ def test_wrong_l1_robin_coefficient_trips_the_energy_residual(monkeypatch):
     assert residual() < 1e-3  # criterion 2's bound
     _wrong_l1_robin_coefficient(monkeypatch)
     assert residual() > 1e-3
+
+
+def _unweighted_quadrature(monkeypatch):
+    """The quadrature without the Jacobian r, in every module that imported it by name."""
+    weighted = grid_module.weighted_integral
+
+    def unweighted(grid, f):
+        return float(2.0 * np.pi * grid.h_z * np.sum(radial_weights(grid)[:, None] * f))
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("axicyl") and getattr(module, "weighted_integral", None) is weighted:
+            monkeypatch.setattr(module, "weighted_integral", unweighted)
 
 
 def test_unweighted_quadrature_trips_the_gradient_identity_refinement(monkeypatch):
@@ -89,17 +97,26 @@ def test_unweighted_quadrature_trips_the_gradient_identity_refinement(monkeypatc
 
     dev, dev_h = deviations()
     assert dev < 1e-2 and dev_h < dev
-    weighted = grid_module.weighted_integral
-
-    def unweighted(grid, f):
-        return float(2.0 * np.pi * grid.h_z * np.sum(radial_weights(grid)[:, None] * f))
-
-    # every module that imported the quadrature by name
-    for name, module in list(sys.modules.items()):
-        if name.startswith("axicyl") and getattr(module, "weighted_integral", None) is weighted:
-            monkeypatch.setattr(module, "weighted_integral", unweighted)
+    _unweighted_quadrature(monkeypatch)
     dev, dev_h = deviations()
     assert dev < 1e-2 and dev_h >= dev
+
+
+def test_unweighted_quadrature_trips_the_e5_7_identity(monkeypatch):
+    # (5.7) in curl form: the cross term 2 int om d_r om dr of
+    # ||grad(om e_th)||^2 telescopes to 0 in the r-weighted quadrature;
+    # without the weight it is int 2 om d_r om / r dr, no longer a
+    # difference (deviation 2e-16 clean, 1.6e-3 to 7.6e-3 defective)
+    cfg = SolverConfig.from_mapping(load_config(CONFIGS / "inequalities.cfg"))
+    solver = EllipticSolver(build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z))
+
+    def e5_7():
+        reports = inequality_batch(cfg, solver, range(4), (1000, 2000), 2.0, 4.0)
+        return next(r for r in reports if r.inequality == "E5_7")
+
+    assert e5_7().n_violations == 0
+    _unweighted_quadrature(monkeypatch)
+    assert e5_7().n_violations == 4
 
 
 def test_zero_block_carry_trips_the_stream_residual(monkeypatch):
