@@ -2,11 +2,13 @@
 """Drive every experiment family with the bundled configs.
 
 Writes each experiment's CSVs and manifest into out/<name>/ and prints
-a one-line status per family.  Useful as a smoke check of the full CLI
-surface; the quantitative gate lives in tests/test_acceptance.py.
+a one-line status per family; exits with the worst exit code.  The
+acceptance gate (tests/test_acceptance.py) runs run_all once and checks
+the files it writes.
 """
 
 import sys
+import time
 from pathlib import Path
 
 from axicyl.cli import main
@@ -26,19 +28,24 @@ EXPERIMENTS = [
 ]
 
 
-def run_all(out_root: Path) -> int:
-    worst = 0
+def run_all(out_root: Path) -> list[tuple[str, str, int, float]]:
+    """(command, config, exit code, wall seconds) of each experiment."""
+    runs = []
     for command, cfg_name in EXPERIMENTS:
-        name = cfg_name.removesuffix(".cfg")
-        out_dir = out_root / name
+        out_dir = out_root / cfg_name.removesuffix(".cfg")
+        t0 = time.perf_counter()
         code = main(
             [command, "--config", str(CONFIGS / cfg_name), "--out", str(out_dir)]
         )
-        print(f"{command:<13} {cfg_name:<28} exit={code}  -> {out_dir}/manifest.json")
-        worst = max(worst, code)
-    return worst
+        seconds = time.perf_counter() - t0
+        print(
+            f"{command:<13} {cfg_name:<28} exit={code} {seconds:5.1f}s"
+            f"  -> {out_dir}/manifest.json"
+        )
+        runs.append((command, cfg_name, code, seconds))
+    return runs
 
 
 if __name__ == "__main__":
     out_root = Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "out"
-    sys.exit(run_all(out_root))
+    sys.exit(max(code for _, _, code, _ in run_all(out_root)))

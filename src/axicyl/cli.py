@@ -362,6 +362,8 @@ def cmd_inequalities(args, mapping, ctx):
     n_samples = _get_int(mapping, "ineq.samples", 200)
     q = _get_float(mapping, "ineq.q", 2.0)
     p = _get(mapping, "ineq.p", 4.0, _exponent)
+    if n_samples < 1:
+        raise ConfigError(f"ineq.samples must be >= 1, got {n_samples}")
     try:
         sigma_exponent(q, p)
     except ValueError as exc:

@@ -290,6 +290,7 @@ def test_the_stream_operator_is_not_a_semigroup_case(tmp_path):
         ("semigroup", "semigroup.commutation_t = 0"),
         ("mms", "mms.n_base = 0"),
         ("mms", "mms.n_base = 2"),
+        ("inequalities", "ineq.samples = 0"),
     ],
 )
 def test_out_of_range_experiment_key_exits_2(tmp_path, command, line):
@@ -406,8 +407,7 @@ def test_bundled_configs_pass_the_key_check():
 
 
 def test_run_all_experiments_names_each_bundled_config_once():
-    # the acceptance gate loads these files, and CI's end-to-end step runs
-    # only the configs this list names
+    # the acceptance gate runs the configs this list names, and only those
     experiments = runpy.run_path(str(ROOT / "scripts" / "run_all_experiments.py"))["EXPERIMENTS"]
     names = [name for _, name in experiments]
     assert sorted(names) == sorted(p.name for p in (ROOT / "configs").glob("*.cfg"))

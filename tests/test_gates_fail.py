@@ -18,10 +18,10 @@ import pytest
 from axicyl import elliptic, grid as grid_module
 from axicyl.config import SolverConfig, load_config
 from axicyl.diagnostics import energy_budget_check, identity_5_3_check, inequality_batch
-from axicyl.elliptic import EllipticSolver, commutation_ladder
+from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experiment
 from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic
-from axicyl.grid import build_grid, radial_weights
+from axicyl.grid import build_grid, lp_norm, radial_weights
 from axicyl.manufactured import build_mms, mms_convergence_study
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -68,6 +68,26 @@ def test_wrong_l1_robin_coefficient_trips_the_energy_residual(monkeypatch):
     assert residual() < 1e-3  # criterion 2's bound
     _wrong_l1_robin_coefficient(monkeypatch)
     assert residual() > 1e-3
+
+
+def test_flattened_spike_trips_the_semigroup_decay_gate(monkeypatch):
+    # criterion 8 fits the sup-norm decay of the L^p-critical spike
+    # rho^(-3/p) to t^(-3/(2p)); the flatter rho^(-2/p), still of unit
+    # L^p norm, decays like t^(-1/p) (exponent errors at p = 2: at most
+    # 0.003 clean, 0.24-0.25 defective)
+    def worst_error():
+        cases = (("L0", 2.0, 0), ("L1", 2.0, 0))
+        return max(abs(r.fitted - r.target) for r in semigroup_experiment(n=129, cases=cases))
+
+    assert worst_error() <= 0.08  # criterion 8's bound
+    spike = elliptic.power_spike
+
+    def flattened(grid, p, center, envelope):
+        f = spike(grid, 1.5 * p, center, envelope)  # rho^(-3/(1.5 p)) = rho^(-2/p)
+        return f / lp_norm(grid, f, p)
+
+    monkeypatch.setattr(elliptic, "power_spike", flattened)
+    assert worst_error() > 0.08
 
 
 def _unweighted_quadrature(monkeypatch):
