@@ -17,7 +17,9 @@ give byte-identical files.
 semigroup's manifest adds extra.perf: the heat steps, factorizations and
 spectrum/field transforms of all its solvers (EllipticSolver.counts).
 
-A config key the command does not read (COMMAND_KEYS) is a config error.
+A config key the command does not read (COMMAND_KEYS) is a config error,
+and so is an EXPERIMENT_KEYS value outside its range or non-finite (inf
+is allowed only as a Lebesgue exponent); the message names the key.
 sweep-eps runs its eps values in threads, one per value up to the CPU
 count; the error column of eps_sweep.csv and the manifest's
 extra.failures hold the exception of each failed run.
@@ -33,16 +35,18 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, _get_float, _get_int, load_config
+from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, load_config
 from .diagnostics import CSV_COLUMNS, eps_sweep, inequality_batch, sigma_exponent
 from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
@@ -61,24 +65,83 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# the config keys each command reads
-_SOLVER = frozenset(SOLVER_KEYS)
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _exponent(raw: str) -> float:
+    """A Lebesgue exponent: a finite number, or inf (also spelled oo)."""
+    return math.inf if raw.strip() in ("inf", "oo") else _finite(raw)
+
+
+def _parse_cases(raw: str):
+    """semigroup.cases: op:p:k entries separated by ';', e.g. L0:2:0;L1:inf:0."""
+    cases = []
+    for chunk in raw.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        op, p_s, k_s = chunk.split(":")
+        op, p, k = op.strip(), _exponent(p_s), int(k_s)
+        if op not in HEAT_OPERATORS or not p >= 1 or k not in (0, 1):
+            raise ValueError(f"bad semigroup case {chunk!r}")
+        cases.append((op, p, k))
+    if not cases:
+        raise ValueError("no semigroup cases")
+    return tuple(cases)
+
+
+def _float_list(raw: str) -> list[float]:
+    values = [float(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("no values")
+    return values
+
+
+# each command's experiment keys: key -> (parser, default, allowed range),
+# the range None where the parser, eps_sweep or sigma_exponent checks it
+EXPERIMENT_KEYS = {
+    "mms": {
+        "mms.levels": (int, 3, ">= 1"),
+        "mms.n_base": (int, 64, ">= 4"),
+        "mms.t_end": (_finite, 0.25, "> 0"),
+    },
+    "semigroup": {
+        "semigroup.n": (int, 385, ">= 5"),
+        "semigroup.dt": (_finite, 1.0 / 300.0, "> 0"),
+        "semigroup.cases": (_parse_cases, DEFAULT_SEMIGROUP_CASES, None),
+        "semigroup.commutation_t": (_finite, 0.05, "> 0"),
+    },
+    "picard": {
+        "picard.t_end": (_finite, 0.4, "> 0"),
+        "picard.j_max": (int, 7, ">= 2"),
+        "picard.p": (_finite, 6.0, "> 3"),
+        "picard.dt": (_finite, 0.004, "> 0"),
+    },
+    "sweep-eps": {"sweep.eps": (_float_list, [1.0, 0.5, 0.25, 0.125], None)},
+    "inequalities": {
+        "ineq.samples": (int, 200, ">= 1"),
+        "ineq.q": (_finite, 2.0, None),
+        "ineq.p": (_exponent, 4.0, None),
+    },
+}
+_RANGE_TESTS = {">=": operator.ge, ">": operator.gt}
+
+# the config keys each command reads: mms and semigroup build their own
+# grids, the other commands read the solver keys as well
 COMMAND_KEYS = {
-    "run": _SOLVER,
-    "mms": {"mms.levels", "mms.n_base", "mms.t_end"},
-    "semigroup": {"semigroup.n", "semigroup.dt", "semigroup.cases", "semigroup.commutation_t"},
-    "picard": _SOLVER | {"picard.t_end", "picard.j_max", "picard.p", "picard.dt"},
-    "sweep-eps": _SOLVER | {"sweep.eps"},
-    "inequalities": _SOLVER | {"ineq.samples", "ineq.q", "ineq.p"},
+    command: frozenset(keys)
+    | (frozenset() if command in ("mms", "semigroup") else frozenset(SOLVER_KEYS))
+    for command, keys in {"run": {}, **EXPERIMENT_KEYS}.items()
 }
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
@@ -168,9 +231,18 @@ def _check_keys(command: str, mapping) -> None:
         raise ConfigError(f"unknown key(s) for {command}: {', '.join(unknown)}")
 
 
-def _exponent(raw: str) -> float:
-    """A Lebesgue exponent: a number, or inf (also spelled oo)."""
-    return math.inf if raw.strip() in ("inf", "oo") else float(raw)
+def _settings(command: str, mapping) -> SimpleNamespace:
+    """The command's EXPERIMENT_KEYS values, parsed from mapping or defaulted,
+    by the name after the key's dot (picard.t_end -> t_end)."""
+    values = {}
+    for key, (parse, default, allowed) in EXPERIMENT_KEYS[command].items():
+        value = _get(mapping, key, default, parse)
+        if allowed is not None:
+            relation, bound = allowed.split()
+            if not _RANGE_TESTS[relation](value, float(bound)):
+                raise ConfigError(f"{key} must be {allowed}, got {value}")
+        values[key.split(".", 1)[1]] = value
+    return SimpleNamespace(**values)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -193,14 +265,8 @@ def cmd_run(args, mapping, ctx):
 def cmd_mms(args, mapping, ctx):
     from .manufactured import mms_convergence_study
 
-    levels = _get_int(mapping, "mms.levels", 3)
-    n_base = _get_int(mapping, "mms.n_base", 64)
-    t_end = _get_float(mapping, "mms.t_end", 0.25)
-    if levels < 1:
-        raise ConfigError("mms.levels must be >= 1")
-    if n_base < 4:
-        raise ConfigError(f"mms.n_base must be >= 4, got {n_base}")
-    results = mms_convergence_study(levels=levels, n_base=n_base, t_end=t_end)
+    s = _settings("mms", mapping)
+    results = mms_convergence_study(s.levels, s.n_base, s.t_end)
     rows = [
         (
             i,
@@ -222,51 +288,22 @@ def cmd_mms(args, mapping, ctx):
     return "completed", EXIT_OK
 
 
-def _parse_cases(raw: str):
-    """semigroup.cases: op:p:k entries separated by ';', e.g. L0:2:0;L1:inf:0."""
-    cases = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        op, p_s, k_s = chunk.split(":")
-        op, p, k = op.strip(), _exponent(p_s), int(k_s)
-        if op not in HEAT_OPERATORS or not p >= 1 or k not in (0, 1):
-            raise ValueError(f"bad semigroup case {chunk!r}")
-        cases.append((op, p, k))
-    if not cases:
-        raise ValueError("no semigroup cases")
-    return tuple(cases)
-
-
 @_command
 def cmd_semigroup(args, mapping, ctx):
-    n = _get_int(mapping, "semigroup.n", 385)
-    dt = _get_float(mapping, "semigroup.dt", 1.0 / 300.0)
-    cases = _get(mapping, "semigroup.cases", DEFAULT_SEMIGROUP_CASES, _parse_cases)
-    t_comm = _get_float(mapping, "semigroup.commutation_t", 0.05)
-    if n < 5:
-        raise ConfigError(f"semigroup.n must be >= 5, got {n}")
-    if not (dt > 0 and t_comm > 0):
-        raise ConfigError(
-            f"semigroup.dt and semigroup.commutation_t must be positive, got {dt}, {t_comm}"
-        )
+    s = _settings("semigroup", mapping)
     perf: Counter = Counter()
     try:
-        results = semigroup_experiment(n=n, dt=dt, cases=cases, counts=perf)
+        results = semigroup_experiment(s.n, s.dt, s.cases, counts=perf)
     except FitWindowError as exc:
-        raise ConfigError(f"semigroup.n = {n} with semigroup.dt = {dt}: {exc}") from exc
+        raise ConfigError(f"semigroup.n = {s.n} with semigroup.dt = {s.dt}: {exc}") from exc
     write_csv(
         ctx.add_output(ctx.out_dir / "semigroup_fits.csv"),
         ("op", "p", "k", "target_exponent", "fitted_exponent", "stderr", "prefactor"),
-        (
-            (r.op, "inf" if math.isinf(r.p) else _fmt(r.p), r.k, r.target, r.fitted, r.stderr, r.prefactor)
-            for r in results
-        ),
+        ((r.op, r.p, r.k, r.target, r.fitted, r.stderr, r.prefactor) for r in results),
     )
     comm_rows = []
     prev = None
-    for lvl, (nc, dt_c, dev) in enumerate(commutation_ladder(t_comm, perf)):
+    for lvl, (nc, dt_c, dev) in enumerate(commutation_ladder(s.commutation_t, perf)):
         comm_rows.append((lvl, nc, dt_c, dev, "" if prev is None else _fmt(prev / dev)))
         prev = dev
     write_csv(
@@ -282,17 +319,8 @@ def cmd_semigroup(args, mapping, ctx):
 @_command
 def cmd_picard(args, mapping, ctx):
     cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
-    T = _get_float(mapping, "picard.t_end", 0.4)
-    j_max = _get_int(mapping, "picard.j_max", 7)
-    p = _get_float(mapping, "picard.p", 6.0)
-    dt = _get_float(mapping, "picard.dt", 0.004)
-    if not (T > 0 and dt > 0):
-        raise ConfigError(f"picard.t_end and picard.dt must be positive, got {T}, {dt}")
-    if j_max < 2:
-        raise ConfigError(f"picard.j_max must be >= 2, got {j_max}")
-    if not 3.0 < p < math.inf:
-        raise ConfigError(f"picard.p must lie in (3, inf), got {p}")
-    result, diff, tol = picard_experiment(cfg, T, j_max, p, dt)
+    s = _settings("picard", mapping)
+    result, diff, tol = picard_experiment(cfg, s.t_end, s.j_max, s.p, s.dt)
     rows = []
     for j in range(len(result.K)):
         delta = result.delta[j] if j < len(result.delta) else ""
@@ -316,15 +344,7 @@ def cmd_picard(args, mapping, ctx):
 @_command
 def cmd_sweep_eps(args, mapping, ctx):
     template = SolverConfig.from_mapping(mapping, seed_override=args.seed)
-    eps_list = _get(
-        mapping,
-        "sweep.eps",
-        [1.0, 0.5, 0.25, 0.125],
-        lambda raw: [float(tok) for tok in raw.split(",") if tok.strip()],
-    )
-    if not eps_list:
-        raise ConfigError("sweep.eps must list at least one value")
-    summaries = eps_sweep(template, eps_list)
+    summaries = eps_sweep(template, _settings("sweep-eps", mapping).eps)
     write_csv(
         ctx.add_output(ctx.out_dir / "eps_sweep.csv"),
         (
@@ -359,23 +379,19 @@ def cmd_sweep_eps(args, mapping, ctx):
 @_command
 def cmd_inequalities(args, mapping, ctx):
     cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
-    n_samples = _get_int(mapping, "ineq.samples", 200)
-    q = _get_float(mapping, "ineq.q", 2.0)
-    p = _get(mapping, "ineq.p", 4.0, _exponent)
-    if n_samples < 1:
-        raise ConfigError(f"ineq.samples must be >= 1, got {n_samples}")
+    s = _settings("inequalities", mapping)
     try:
-        sigma_exponent(q, p)
+        sigma_exponent(s.q, s.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     solver = EllipticSolver(build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z))
 
     def batch(seed0, count):
         seeds = range(seed0, seed0 + count)
-        return inequality_batch(cfg, solver, seeds, (seed0 + 7000, seed0 + 9000), q, p)
+        return inequality_batch(cfg, solver, seeds, (seed0 + 7000, seed0 + 9000), s.q, s.p)
 
-    half = max(1, n_samples // 2)
-    full = batch(cfg.seed, n_samples)
+    half = max(1, s.samples // 2)
+    full = batch(cfg.seed, s.samples)
     a = {r.inequality: r for r in batch(cfg.seed, half)}
     b = {r.inequality: r for r in batch(cfg.seed + half, half)}
     rows = []

@@ -5,7 +5,7 @@ The config format is plain text, one `dotted.key = value` per line, with
 
     grid.n_r = 129
     time.t_end = 1.0
-    scheme.advection = centered2
+    scheme = monotone
 """
 
 from __future__ import annotations
@@ -53,19 +53,12 @@ def _get(mapping, key, default, cast):
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
 
-def _get_float(mapping, key, default):
-    return _get(mapping, key, default, float)
-
-
-def _get_int(mapping, key, default):
-    return _get(mapping, key, default, int)
-
-
-ADVECTION_SCHEMES = ("centered2", "upwind1")
-DIFFUSION_SCHEMES = ("crank_nicolson", "explicit")
+# strang_cn: centred advection, Crank-Nicolson diffusion halves; monotone:
+# first-order upwind advection, explicit diffusion
+SCHEMES = ("strang_cn", "monotone")
 INIT_KINDS = ("no_swirl_bump", "swirl_bump", "random_modes")
 CHECKPOINTS = ("final", "none")
 
@@ -86,8 +79,7 @@ SOLVER_KEYS = {
     "time.cfl": ("cfl", float),
     "time.t_end": ("t_end", float),
     "time.output_interval": ("output_interval", float),
-    "scheme.advection": ("advection", str),
-    "scheme.diffusion": ("diffusion", str),
+    "scheme": ("scheme", str),
     "init.kind": ("init_kind", str),
     "init.amplitude": ("amplitude", float),
     "init.omega_amplitude": ("omega_amplitude", float),
@@ -118,8 +110,7 @@ class SolverConfig:
     t_end: float = 1.0
     output_interval: float = 0.05
 
-    advection: str = "centered2"
-    diffusion: str = "crank_nicolson"
+    scheme: str = "strang_cn"
 
     init_kind: str = "swirl_bump"
     amplitude: float = 1.0
@@ -157,8 +148,7 @@ class SolverConfig:
         if self.output_interval <= 0:
             raise ConfigError(f"output_interval must be positive, got {self.output_interval}")
         for key, val, choices in (
-            ("scheme.advection", self.advection, ADVECTION_SCHEMES),
-            ("scheme.diffusion", self.diffusion, DIFFUSION_SCHEMES),
+            ("scheme", self.scheme, SCHEMES),
             ("init.kind", self.init_kind, INIT_KINDS),
             ("output.checkpoint", self.checkpoint, CHECKPOINTS),
         ):

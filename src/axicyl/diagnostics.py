@@ -352,10 +352,10 @@ def random_scalar_samples(grid: Grid, n: int, seed: int, vanish_at_wall: bool) -
 def interpolation_suite(
     grid: Grid,
     states: list[AxisymState],
+    q: float,
+    p: float,
     scalar_samples_b1: list[np.ndarray] | None = None,
     scalar_samples_b2: list[np.ndarray] | None = None,
-    q: float = 2.0,
-    p: float = 4.0,
 ) -> list[InequalityReport]:
     """Per-inequality reports over sample states and scalar fields.
 
@@ -416,7 +416,7 @@ def inequality_batch(
     b1 = random_scalar_samples(solver.grid, len(states), seed=seed_b1, vanish_at_wall=True)
     b2 = random_scalar_samples(solver.grid, len(states), seed=seed_b2, vanish_at_wall=False)
     return interpolation_suite(
-        solver.grid, states, scalar_samples_b1=b1, scalar_samples_b2=b2, q=q, p=p
+        solver.grid, states, q, p, scalar_samples_b1=b1, scalar_samples_b2=b2
     )
 
 

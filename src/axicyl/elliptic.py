@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, d2z, grad, lp_norm
+from .grid import Grid, build_grid, d2z, grad, lp_norm
 
 
 @functools.lru_cache(maxsize=64)
@@ -531,26 +531,25 @@ DEFAULT_SEMIGROUP_CASES: tuple[tuple[str, float, int], ...] = tuple(
 
 
 def semigroup_experiment(
-    n: int = 385,
-    dt: float = 1.0 / 300.0,
+    n: int,
+    dt: float,
+    cases: tuple[tuple[str, float, int], ...],
     R: float = 17.0,
     L_z: float = 16.0,
     center: tuple[float, float] = (9.0, 8.0),
     envelope: tuple[float, float] = (5.0, 7.0),
-    cases: tuple[tuple[str, float, int], ...] = DEFAULT_SEMIGROUP_CASES,
     counts: Counter | None = None,
 ) -> list[SemigroupCase]:
     """Run the decay-rate harness over (op, p, k) cases.
 
     The grid is [1, R] x [0, L_z) with n x (n - 1) nodes; each evolution
-    is sampled at 24 log-spaced times of the fit window.  The sup is taken over the core disc rho <= rho1/2, where the spike
-    agrees with the scale-invariant profile; outside it the truncating
-    envelope and walls contaminate the power law.  Cases sharing
+    is sampled at 24 log-spaced times of the fit window.  The sup is taken
+    over the core disc rho <= rho1/2, where the spike agrees with the
+    scale-invariant profile; outside it the truncating envelope and walls
+    contaminate the power law.  Cases sharing
     (op, p) reuse a single evolution.  The solver's counters
     (EllipticSolver.counts) are added to counts if it is given.
     """
-    from .grid import build_grid
-
     grid = build_grid(1.0, R, L_z, n, n - 1)
     solver = EllipticSolver(grid)
     rho1, rho2 = envelope
@@ -610,7 +609,6 @@ def commutation_ladder(t: float, counts: Counter) -> list[tuple[int, float, floa
     (EllipticSolver.counts) are added to counts.
     """
     from .fields import bump_profile
-    from .grid import build_grid
 
     out = []
     for n, steps in ((65, 16), (129, 32), (257, 64)):

@@ -10,11 +10,12 @@ with Robin(2/r_min) for Gamma and Dirichlet for omega at the inner wall,
 zeros at the truncation wall, and v recovered from the stream solve of
 omega after every stage.
 
-Default scheme: Strang splitting, Crank-Nicolson for the diffusion halves
-and Heun (RK2) for advection/reaction/source, velocities re-derived at
-each Heun stage (needed for second order in the coupling).  The monotone
-option (upwind1 + explicit) makes every Heun stage of the Gamma update a
-sub-convex combination, so sup|Gamma| is exactly non-increasing.
+scheme = strang_cn (default): Strang splitting, Crank-Nicolson for the
+diffusion halves and Heun (RK2) for centred advection/reaction/source,
+velocities re-derived at each Heun stage (needed for second order in the
+coupling).  scheme = monotone (first-order upwind, explicit diffusion)
+makes every Heun stage of the Gamma update a sub-convex combination, so
+sup|Gamma| is exactly non-increasing.
 """
 
 from __future__ import annotations
@@ -76,14 +77,14 @@ def swirl_vorticity_source(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     return ddz(grid, gamma**2) / grid.rcol**3
 
 
-def _coupled_rates(grid: Grid, advection: str, gamma, omega, ur, uz, gamma_feed):
+def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
     """Advection, reaction and swirl-feed tendencies of (Gamma, omega).
 
     The velocity (ur, uz) advects both fields and sets the reaction
     (u_r/r) omega; gamma_feed drives d_z(Gamma^2)/r^3.  The coupled run
     passes its own stage fields, Picard the previous iterate's history.
     """
-    advect = advect_upwind if advection == "upwind1" else advect_centered
+    advect = advect_upwind if scheme == "monotone" else advect_centered
     kg = advect(grid, gamma, ur, uz)
     kw = (
         advect(grid, omega, ur, uz)
@@ -93,18 +94,18 @@ def _coupled_rates(grid: Grid, advection: str, gamma, omega, ur, uz, gamma_feed)
     return kg, kw
 
 
-def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, diffusion: str):
+def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, scheme: str):
     """One Strang-split step of d_t Gamma = L1 Gamma + k_Gamma and
     d_t omega = L0' omega + k_omega.
 
     Crank-Nicolson half-steps of L1 and L0' bracket one Heun (RK2) step of
-    the tendencies; with diffusion = "explicit" the operators join the Heun
+    the tendencies; with scheme = "monotone" the operators join the Heun
     tendencies instead.  tendency(gamma, omega, stage) returns fresh arrays
     (k_Gamma, k_omega), with stage 0 at the start of the step and stage 1 at
     its end.  Every stage and rate is pinned (elliptic.pin).  The input arrays
     are not modified.
     """
-    implicit = diffusion == "crank_nicolson"
+    implicit = scheme == "strang_cn"
 
     def rates(g, w, stage):
         kg, kw = tendency(g, w, stage)
@@ -142,7 +143,7 @@ class SimulationResult:
 class Stepper:
     """Owns one evolving state plus the accumulated budget integrals.
 
-    The state is stepped on its own solver; cfg gives the schemes and the
+    The state is stepped on its own solver; cfg gives the scheme and the
     CFL number.
     """
 
@@ -172,10 +173,10 @@ class Stepper:
 
     def dt_bound(self) -> float:
         """Largest stable dt before the CFL number: the advective bound, plus
-        the diffusive rate of L1 and L0' for explicit diffusion."""
+        the diffusive rate of L1 and L0' for the monotone scheme."""
         vr = float(np.max(np.abs(self.state.ur)))
         vz = float(np.max(np.abs(self.state.uz)))
-        if self.cfg.diffusion == "explicit":
+        if self.cfg.scheme == "monotone":
             diff_rate = 1.0 / min(
                 self.solver.explicit_stability_bound("L1"),
                 self.solver.explicit_stability_bound("L0p"),
@@ -197,14 +198,14 @@ class Stepper:
         if dt > self.cfg.cfl * bound * (1 + 1e-9):
             raise CFLError(
                 f"dt = {dt:.3e} exceeds cfl * bound = {self.cfg.cfl * bound:.3e} "
-                f"({self.cfg.advection}/{self.cfg.diffusion})"
+                f"({self.cfg.scheme})"
             )
         t = self.state.t
         times = (t, t + dt)
 
         def tendency(gamma, omega, stage):
             ur, uz = velocity_from_stream(self.grid, self.solver.solve_stream(omega))
-            kg, kw = _coupled_rates(self.grid, self.cfg.advection, gamma, omega, ur, uz, gamma)
+            kg, kw = _coupled_rates(self.grid, self.cfg.scheme, gamma, omega, ur, uz, gamma)
             if self.sources is not None:
                 sg, so = self.sources
                 kg = kg + sg(times[stage])
@@ -212,7 +213,7 @@ class Stepper:
             return kg, kw
 
         gamma, omega = _strang_heun(
-            self.solver, self.state.Gamma, self.state.omega, dt, tendency, self.cfg.diffusion
+            self.solver, self.state.Gamma, self.state.omega, dt, tendency, self.cfg.scheme
         )
 
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(omega))):
@@ -397,10 +398,12 @@ def run_simulation(
 
 @dataclass
 class PicardResult:
-    """Per-iterate weighted norms K_j, successive differences delta_j, and
-    the last iterate's state at t = T."""
+    """Per-iterate weighted norms K_j, successive differences delta_j, the
+    last iterate's state at t = T, and the step dt = T / n_steps the
+    iterates took."""
 
     p: float
+    dt: float
     K: list[float]
     delta: list[float]
     diverged: bool
@@ -415,20 +418,15 @@ class PicardResult:
 
 
 def picard_iterate(
-    state0: AxisymState,
-    T: float,
-    j_max: int,
-    p: float,
-    dt: float,
-    advection: str = "centered2",
-    diffusion: str = "crank_nicolson",
+    state0: AxisymState, T: float, j_max: int, p: float, dt: float, scheme: str
 ) -> PicardResult:
     """Reduced-form Picard iteration for the coupled system.
 
     Iterate j+1 solves the linear parabolic pair driven by iterate j's
     velocity history (drift v_j, reaction u_r_j/r, swirl source from
     Gamma_j); the first iterate evolves with zero drift and source.  All
-    iterates step on state0's solver.
+    iterates step on state0's solver with the given scheme, in
+    n_steps = max(1, round(T / dt)) equal steps of T / n_steps.
     Returns K_j = sup_t t^gamma (||u_j||_p + t^(1/2) ||grad u_j||_p) and
     the same weighted distance delta_j between consecutive iterates, the
     sup taken over 10 evenly spread step boundaries.
@@ -472,10 +470,10 @@ def picard_iterate(
             def tendency(gamma, omega, stage):
                 i = n + stage  # history index of the stage time
                 return _coupled_rates(
-                    grid, advection, gamma, omega, prev_ur[i], prev_uz[i], prev_gamma[i]
+                    grid, scheme, gamma, omega, prev_ur[i], prev_uz[i], prev_gamma[i]
                 )
 
-            gamma, omega = _strang_heun(solver, gamma, omega, dt, tendency, diffusion)
+            gamma, omega = _strang_heun(solver, gamma, omega, dt, tendency, scheme)
             urf, uzf = velocity_from_stream(grid, solver.solve_stream(omega))
             ur_hist.append(urf)
             uz_hist.append(uzf)
@@ -504,7 +502,7 @@ def picard_iterate(
         if grow >= 3:
             diverged = True
             break
-    return PicardResult(p, K, delta, diverged, state_from_dynamic(solver, T, gamma, omega))
+    return PicardResult(p, dt, K, delta, diverged, state_from_dynamic(solver, T, gamma, omega))
 
 
 def picard_experiment(
@@ -512,16 +510,15 @@ def picard_experiment(
 ) -> tuple[PicardResult, float, float]:
     """Picard iterates of cfg's initial data against the direct solver.
 
-    The iterates step with cfg's schemes (picard_iterate); the direct run
-    steps the same initial state to T with the same dt, on the same
+    The iterates step with cfg's scheme (picard_iterate); the direct run
+    steps the same initial state to T with the step they took, on the same
     solver.  Returns the iteration, the L2 distance of the two velocities
-    at T, and its tolerance 10 (h_r^2 + dt^2) ||u_0||_2.
+    at T, and its tolerance 10 (h_r^2 + step^2) ||u_0||_2.
     """
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
     state0 = configured_initial_state(cfg, EllipticSolver(grid))
-    result = picard_iterate(
-        state0, T=T, j_max=j_max, p=p, dt=dt, advection=cfg.advection, diffusion=cfg.diffusion
-    )
+    result = picard_iterate(state0, T=T, j_max=j_max, p=p, dt=dt, scheme=cfg.scheme)
+    dt = result.dt
     run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T, checkpoint="none")
     direct = run_simulation(run_cfg, initial_state=state0).final_state
     du = result.final_state

@@ -171,10 +171,7 @@ class MMSLevel:
 
 
 def mms_convergence_study(
-    levels: int = 3,
-    n_base: int = 64,
-    t_end: float = 0.25,
-    mms: ManufacturedSolution | None = None,
+    levels: int, n_base: int, t_end: float, mms: ManufacturedSolution | None = None
 ) -> list[MMSLevel]:
     """Refinement ladder n_base, 2 n_base, ... with dt halved alongside h.
 

@@ -18,10 +18,9 @@ import axicyl
 from axicyl import cli, evolution, fields
 from axicyl.cli import main
 from axicyl.config import (
-    ADVECTION_SCHEMES,
     CHECKPOINTS,
-    DIFFUSION_SCHEMES,
     INIT_KINDS,
+    SCHEMES,
     SOLVER_KEYS,
     ConfigError,
     SolverConfig,
@@ -79,7 +78,7 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(cfl=1.5)
     with pytest.raises(ConfigError):
-        SolverConfig(advection="upwind7")
+        SolverConfig(scheme="upwind1")
     with pytest.raises(ConfigError):
         SolverConfig.from_mapping({"grid.n_r": "many"})
 
@@ -95,8 +94,7 @@ _FLOATS = st.one_of(
     st.floats(0.01, 3.0),  # values a run could use, to reach the initial data
 ).map(repr)
 _CHOICES = {
-    "scheme.advection": ADVECTION_SCHEMES,
-    "scheme.diffusion": DIFFUSION_SCHEMES,
+    "scheme": SCHEMES,
     "init.kind": INIT_KINDS,
     "output.checkpoint": CHECKPOINTS,
 }
@@ -382,6 +380,9 @@ def test_sweep_eps_data_below_one_exits_2(tmp_path):
         ("picard", "sweep.eps = 1"),
         ("sweep-eps", "picard.p = 6"),
         ("inequalities", "ineq.r = 2"),
+        # the two scheme keys before the single scheme switch
+        ("run", "scheme.advection = upwind1"),
+        ("picard", "scheme.diffusion = explicit"),
     ],
 )
 def test_unknown_config_key_exits_2(tmp_path, command, line):
@@ -391,6 +392,34 @@ def test_unknown_config_key_exits_2(tmp_path, command, line):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert line.split(" =")[0] in manifest["extra"]["error"]
+
+
+FLOAT_KEYS = [
+    (command, key, value)
+    for command, keys in cli.EXPERIMENT_KEYS.items()
+    for key, (parse, default, _) in keys.items()
+    if isinstance(default, float)
+    for value in ("nan", "inf", "-inf")
+    if not (value == "inf" and parse is cli._exponent)  # the exponent infinity
+]
+
+
+@pytest.mark.parametrize("command, key, value", FLOAT_KEYS)
+def test_non_finite_experiment_value_exits_2_naming_the_key(tmp_path, command, key, value):
+    cfg = write_cfg(tmp_path, f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads((out / "manifest.json").read_text())["extra"]["error"]
+    assert error.startswith(f"config error: bad value for {key}: ")
+
+
+def test_readme_config_table_names_every_key():
+    # the keys column of the README's "Config keys" table, one row per group
+    text = (ROOT / "README.md").read_text()
+    table = text.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[2] for line in table.splitlines()[2:]]
+    listed = [key.strip(" `") for row in rows for key in row.split(",")]
+    assert sorted(listed) == sorted(set().union(*cli.COMMAND_KEYS.values()))
 
 
 def test_bundled_configs_pass_the_key_check():
@@ -490,16 +519,33 @@ def test_cmd_picard_small(tmp_path):
 
 
 def test_cmd_picard_iterates_with_the_configured_scheme(tmp_path):
-    # centered2 iterates miss an upwind1 direct run by 4.6e-04; on one
-    # scheme the two agree to 4.7e-06
+    # strang_cn iterates miss a monotone direct run by 4.4e-04; on one
+    # scheme the two agree to 1.2e-07 (dt under the monotone scheme's bound)
     text = (
-        "grid.n_r = 33\ngrid.n_z = 32\nscheme.advection = upwind1\n"
-        "picard.t_end = 0.04\npicard.j_max = 3\npicard.dt = 0.01\n"
+        "grid.n_r = 33\ngrid.n_z = 32\nscheme = monotone\ntime.cfl = 0.9\n"
+        "picard.t_end = 0.04\npicard.j_max = 3\npicard.dt = 0.0008\n"
     )
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["extra"]["direct_match_l2"] < 2e-5
+
+
+@pytest.mark.parametrize("dt, step", [(0.03, 0.025), (1e300, 0.05)])
+def test_cmd_picard_direct_run_takes_the_iterates_step(tmp_path, dt, step):
+    # the iterates take round(T / dt) equal steps; the direct run and the
+    # tolerance 10 (h_r^2 + step^2) ||u_0||_2 use that step too, so a dt
+    # that does not divide T gives the outputs of the step itself
+    text = SMALL_GRID + "init.amplitude = 0.2\npicard.t_end = 0.05\npicard.j_max = 2\n"
+    outputs = []
+    for value in (dt, step):
+        cfg = write_cfg(tmp_path, text + f"picard.dt = {value!r}\n")
+        out = tmp_path / f"out{value!r}"
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
+        extra = json.loads((out / "manifest.json").read_text())["extra"]
+        outputs.append((extra, (out / "picard.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0]["direct_match_l2"] < outputs[0][0]["direct_match_tolerance"] < 1
 
 
 def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from axicyl.config import SolverConfig
+from axicyl.config import SCHEMES, SolverConfig
 from axicyl.elliptic import EllipticSolver
 from axicyl.evolution import (
     BlowupError,
@@ -85,14 +85,13 @@ def test_heat_operator_wall_rows(small_grid, small_solver):
 
 def test_rhs_zero_state(small_grid, small_solver):
     zero = np.zeros(small_grid.shape)
-    for advection in ("centered2", "upwind1"):
-        for diffusion in ("crank_nicolson", "explicit"):
-            cfg = make_cfg(advection=advection, diffusion=diffusion)
-            state = state_from_dynamic(small_solver, 0.0, zero, zero)
-            stepper = Stepper(cfg, state)
-            stepper.step(min(0.01, 0.5 * cfg.cfl * stepper.dt_bound()))
-            assert np.all(stepper.state.Gamma == 0.0)
-            assert np.all(stepper.state.omega == 0.0)
+    for scheme in SCHEMES:
+        cfg = make_cfg(scheme=scheme)
+        state = state_from_dynamic(small_solver, 0.0, zero, zero)
+        stepper = Stepper(cfg, state)
+        stepper.step(min(0.01, 0.5 * cfg.cfl * stepper.dt_bound()))
+        assert np.all(stepper.state.Gamma == 0.0)
+        assert np.all(stepper.state.omega == 0.0)
 
 
 def test_rhs_vorticity_z_independent_swirl_has_no_source(small_grid, small_solver):
@@ -102,9 +101,9 @@ def test_rhs_vorticity_z_independent_swirl_has_no_source(small_grid, small_solve
     )
     state = state_from_dynamic(small_solver, 0.0, gamma, omega)
     ur, uz = state.ur, state.uz
-    _, with_swirl = _coupled_rates(small_grid, "centered2", gamma, omega, ur, uz, gamma)
+    _, with_swirl = _coupled_rates(small_grid, "strang_cn", gamma, omega, ur, uz, gamma)
     zero = np.zeros(small_grid.shape)
-    _, without = _coupled_rates(small_grid, "centered2", zero, omega, ur, uz, zero)
+    _, without = _coupled_rates(small_grid, "strang_cn", zero, omega, ur, uz, zero)
     # z-independent Gamma contributes nothing: d_z(Gamma^2) = 0
     assert np.allclose(with_swirl, without, atol=1e-12)
 
@@ -136,7 +135,7 @@ def test_no_swirl_invariance_and_monotone_enstrophy(small_grid, small_solver):
 
 
 def test_cfl_violation_raises(small_grid, small_solver):
-    cfg = make_cfg(diffusion="explicit", advection="upwind1")
+    cfg = make_cfg(scheme="monotone")
     state = make_initial_data(small_solver, "swirl_bump", amplitude=1.0)
     stepper = Stepper(cfg, state)
     with pytest.raises(CFLError):
@@ -230,7 +229,7 @@ def test_monotone_scheme_exact_max_principle(gamma0, omega0, steps):
     solver = EllipticSolver(g)
     cfg = SolverConfig(
         r_min=1, R=2, L_z=1, n_r=16, n_z=16,
-        advection="upwind1", diffusion="explicit", cfl=0.95,
+        scheme="monotone", cfl=0.95,
         t_end=1.0, init_kind="swirl_bump", checkpoint="none",
     )
     state = state_from_dynamic(solver, 0.0, gamma0, omega0)
@@ -244,7 +243,7 @@ def test_monotone_scheme_exact_max_principle(gamma0, omega0, steps):
 
 def test_picard_zero_data(small_grid, small_solver):
     state0 = make_initial_data(small_solver, "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
-    res = picard_iterate(state0, T=0.05, j_max=3, p=6.0, dt=0.01)
+    res = picard_iterate(state0, T=0.05, j_max=3, p=6.0, dt=0.01, scheme="strang_cn")
     assert all(k == 0.0 for k in res.K)
     assert all(d == 0.0 for d in res.delta)
     assert not res.diverged
@@ -257,8 +256,8 @@ def test_picard_first_iterate_scales_linearly(small_grid, small_solver):
             r_support=(1.3, 2.4),
         )
 
-    r1 = picard_iterate(build(1.0), T=0.05, j_max=2, p=6.0, dt=0.01)
-    r3 = picard_iterate(build(3.0), T=0.05, j_max=2, p=6.0, dt=0.01)
+    r1 = picard_iterate(build(1.0), T=0.05, j_max=2, p=6.0, dt=0.01, scheme="strang_cn")
+    r3 = picard_iterate(build(3.0), T=0.05, j_max=2, p=6.0, dt=0.01, scheme="strang_cn")
     assert r3.K[0] == pytest.approx(3.0 * r1.K[0], rel=1e-12)
 
 
@@ -266,7 +265,7 @@ def test_picard_small_data_contracts(small_grid, small_solver):
     state0 = make_initial_data(
         small_solver, "swirl_bump", amplitude=0.2, omega_amplitude=0.1, r_support=(1.3, 2.4)
     )
-    res = picard_iterate(state0, T=0.1, j_max=5, p=6.0, dt=0.005)
+    res = picard_iterate(state0, T=0.1, j_max=5, p=6.0, dt=0.005, scheme="strang_cn")
     assert not res.diverged
     assert all(r < 1.0 for r in res.ratios)
 
@@ -274,13 +273,13 @@ def test_picard_small_data_contracts(small_grid, small_solver):
 def test_picard_validates_args(small_grid, small_solver):
     state0 = make_initial_data(small_solver, "swirl_bump", amplitude=0.1)
     with pytest.raises(ValueError):
-        picard_iterate(state0, T=0.0, j_max=3, p=6.0, dt=0.01)
+        picard_iterate(state0, T=0.0, j_max=3, p=6.0, dt=0.01, scheme="strang_cn")
     with pytest.raises(ValueError):
-        picard_iterate(state0, T=0.1, j_max=3, p=2.0, dt=0.01)
+        picard_iterate(state0, T=0.1, j_max=3, p=2.0, dt=0.01, scheme="strang_cn")
     # dt = 0 divided by zero, and dt = -0.01 ran one step of length T
     for dt in (0.0, -0.01):
         with pytest.raises(ValueError, match="dt > 0"):
-            picard_iterate(state0, T=0.04, j_max=3, p=6.0, dt=dt)
+            picard_iterate(state0, T=0.04, j_max=3, p=6.0, dt=dt, scheme="strang_cn")
 
 
 def test_step_without_velocity_is_two_crank_nicolson_half_steps(small_grid, small_solver):
@@ -303,29 +302,26 @@ def test_step_without_velocity_is_two_crank_nicolson_half_steps(small_grid, smal
 def test_run_regression_anchor():
     # frozen last-row diagnostics of a default and a monotone run
     expected = {
-        "centered2/crank_nicolson": {
+        "strang_cn": {
             "e_kin": 1.6720137853241563,
             "sup_gamma": 0.5240636889208661,
             "l2_om": 0.30195661369281046,
             "margin_1_6": -0.47386805949038757,
         },
-        "upwind1/explicit": {
+        "monotone": {
             "e_kin": 1.6709478097973076,
             "sup_gamma": 0.5238378729988968,
             "l2_om": 0.3018183336846523,
             "margin_1_6": -0.4740938754123568,
         },
     }
-    for schemes, anchors in expected.items():
-        advection, diffusion = schemes.split("/")
-        cfl = 0.9 if diffusion == "explicit" else 0.4
-        cfg = make_cfg(
-            amplitude=1.0, omega_amplitude=0.5, advection=advection, diffusion=diffusion, cfl=cfl
-        )
+    for scheme, anchors in expected.items():
+        cfl = 0.9 if scheme == "monotone" else 0.4
+        cfg = make_cfg(amplitude=1.0, omega_amplitude=0.5, scheme=scheme, cfl=cfl)
         last = run_simulation(cfg).records[-1]
         assert last.t == pytest.approx(0.1)
         for key, val in anchors.items():
-            assert getattr(last, key) == pytest.approx(val, rel=1e-12), (schemes, key)
+            assert getattr(last, key) == pytest.approx(val, rel=1e-12), (scheme, key)
 
 
 def test_accumulated_budget_nonnegative_terms():

@@ -51,7 +51,7 @@ def _truncation_residuals(mms, n, t=0.1, dt=1e-4):
     bound = mms.bind(grid)
     state = state_from_dynamic(solver, t, bound["gamma"](t), bound["omega"](t))
     rates = _coupled_rates(
-        grid, "centered2", state.Gamma, state.omega, state.ur, state.uz, state.Gamma
+        grid, "strang_cn", state.Gamma, state.omega, state.ur, state.uz, state.Gamma
     )
     out = []
     for name, rate, op in zip(("gamma", "omega"), rates, ("L1", "L0p")):
