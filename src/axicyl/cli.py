@@ -130,6 +130,9 @@ EXPERIMENT_KEYS = {
     },
 }
 _RANGE_TESTS = {">=": operator.ge, ">": operator.gt}
+# the most steps picard.t_end / picard.dt may ask for: each Picard iterate
+# keeps the velocity and swirl of every step for the next one
+PICARD_MAX_STEPS = 10_000
 
 # the config keys each command reads: mms and semigroup build their own
 # grids, the other commands read the solver keys as well
@@ -320,6 +323,11 @@ def cmd_semigroup(args, mapping, ctx):
 def cmd_picard(args, mapping, ctx):
     cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
     s = _settings("picard", mapping)
+    if not s.t_end / s.dt <= PICARD_MAX_STEPS:
+        raise ConfigError(
+            f"picard.t_end / picard.dt must be at most {PICARD_MAX_STEPS} steps, "
+            f"got {s.t_end!r} / {s.dt!r}"
+        )
     result, diff, tol = picard_experiment(cfg, s.t_end, s.j_max, s.p, s.dt)
     rows = []
     for j in range(len(result.K)):

@@ -131,7 +131,12 @@ def lp_norm(grid: Grid, f: np.ndarray, p: float) -> float:
 
 def ddz(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Centered d/dz, periodic wrap."""
-    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * grid.h_z)
+    out = np.empty_like(f)
+    np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
+    np.subtract(f[:, 1:2], f[:, -1:], out=out[:, :1])
+    np.subtract(f[:, :1], f[:, -2:-1], out=out[:, -1:])
+    out /= 2.0 * grid.h_z
+    return out
 
 
 def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -142,10 +147,10 @@ def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
 def ddr(grid: Grid, f: np.ndarray) -> np.ndarray:
     """d/dr: centered in the interior, one-sided second order at the walls."""
     out = np.empty_like(f)
-    h = grid.h_r
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+    out[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+    out /= 2.0 * grid.h_r
     return out
 
 

@@ -18,26 +18,88 @@ so the solver, fed (S_Gamma, S_omega), should reproduce (Gamma*, omega*).
 
 Every one of these fields is separable, a short sum
 sum_i a_i(r) Z_i(z) T_i(t) over monomials Z_i T_i in sin(k z), cos(k z),
-t, cos t and sin t.  sympy derives them with the radial profile left
-undefined: P(r) and its r-derivatives are plain symbols, and d/dr acts
-through them by the chain rule.  So each a_i depends on r, P and P's
-first four derivatives alone.  Bound to a grid, the a_i and Z_i are
-tabulated once, and a field at time t is one (n_r x m) . (m x n_z)
-product, m <= 9.
+t, cos t and sin t, and each radial coefficient a_i is a sum of terms
+c r^a p0^n0 ... p4^n4, p_k the k-th r-derivative of the radial profile
+P.  TERMS lists those terms, 55 in all.  tests/mms_derivation.py derives
+them with sympy, and test_manufactured.py checks this table against that
+derivation term by term.  Bound to a grid, each distinct radial monomial
+r^a p0^n0 ... p4^n4 is tabulated once, the a_i and Z_i follow, and a
+field at time t is one (n_r x m) . (m x n_z) product, m <= 9.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .grid import Grid
 
 N_DERIVS = 5  # the profile and its first four r-derivatives
+FIELDS = ("gamma", "omega", "source_gamma", "source_omega")
+
+# One row per radial term of a field on L_z = 1 (k = 2 pi): the field, the
+# exponents of sin(k z), cos(k z), t, cos t and sin t in its monomial, the
+# coefficient c, the power a of r and the exponents n0..n4 of p0..p4.
+TERMS = (
+    ("gamma", (0, 1, 0, 1, 0), 0.3, 0, (1, 0, 0, 0, 0)),
+    ("gamma", (0, 0, 0, 1, 0), 0.6, 0, (1, 0, 0, 0, 0)),
+    ("omega", (1, 0, 1, 0, 0), 2.368705056261446, -1, (1, 0, 0, 0, 0)),
+    ("omega", (1, 0, 1, 0, 0), -0.06, -1, (0, 0, 1, 0, 0)),
+    ("omega", (1, 0, 1, 0, 0), 0.06, -2, (0, 1, 0, 0, 0)),
+    ("omega", (1, 0, 0, 0, 0), 4.737410112522892, -1, (1, 0, 0, 0, 0)),
+    ("omega", (1, 0, 0, 0, 0), -0.12, -1, (0, 0, 1, 0, 0)),
+    ("omega", (1, 0, 0, 0, 0), 0.12, -2, (0, 1, 0, 0, 0)),
+    ("source_gamma", (2, 0, 1, 1, 0), -0.11309733552923255, -1, (1, 1, 0, 0, 0)),
+    ("source_gamma", (2, 0, 0, 1, 0), -0.2261946710584651, -1, (1, 1, 0, 0, 0)),
+    ("source_gamma", (0, 2, 1, 1, 0), -0.11309733552923255, -1, (1, 1, 0, 0, 0)),
+    ("source_gamma", (0, 2, 0, 1, 0), -0.2261946710584651, -1, (1, 1, 0, 0, 0)),
+    ("source_gamma", (0, 1, 1, 1, 0), -0.2261946710584651, -1, (1, 1, 0, 0, 0)),
+    ("source_gamma", (0, 1, 0, 1, 0), 11.84352528130723, 0, (1, 0, 0, 0, 0)),
+    ("source_gamma", (0, 1, 0, 1, 0), -0.3, 0, (0, 0, 1, 0, 0)),
+    ("source_gamma", (0, 1, 0, 1, 0), -0.4523893421169302, -1, (1, 1, 0, 0, 0)),
+    ("source_gamma", (0, 1, 0, 1, 0), 0.3, -1, (0, 1, 0, 0, 0)),
+    ("source_gamma", (0, 1, 0, 0, 1), -0.3, 0, (1, 0, 0, 0, 0)),
+    ("source_gamma", (0, 0, 0, 1, 0), -0.6, 0, (0, 0, 1, 0, 0)),
+    ("source_gamma", (0, 0, 0, 1, 0), 0.6, -1, (0, 1, 0, 0, 0)),
+    ("source_gamma", (0, 0, 0, 0, 1), -0.6, 0, (1, 0, 0, 0, 0)),
+    ("source_omega", (1, 1, 2, 0, 0), 0.02261946710584651, -2, (1, 0, 0, 1, 0)),
+    ("source_omega", (1, 1, 2, 0, 0), -0.02261946710584651, -2, (0, 1, 1, 0, 0)),
+    ("source_omega", (1, 1, 2, 0, 0), 1.7859615367852695, -3, (2, 0, 0, 0, 0)),
+    ("source_omega", (1, 1, 2, 0, 0), -0.06785840131753954, -3, (1, 0, 1, 0, 0)),
+    ("source_omega", (1, 1, 2, 0, 0), 0.02261946710584651, -3, (0, 2, 0, 0, 0)),
+    ("source_omega", (1, 1, 2, 0, 0), 0.06785840131753954, -4, (1, 1, 0, 0, 0)),
+    ("source_omega", (1, 1, 1, 0, 0), 0.09047786842338604, -2, (1, 0, 0, 1, 0)),
+    ("source_omega", (1, 1, 1, 0, 0), -0.09047786842338604, -2, (0, 1, 1, 0, 0)),
+    ("source_omega", (1, 1, 1, 0, 0), 7.143846147141078, -3, (2, 0, 0, 0, 0)),
+    ("source_omega", (1, 1, 1, 0, 0), -0.27143360527015814, -3, (1, 0, 1, 0, 0)),
+    ("source_omega", (1, 1, 1, 0, 0), 0.09047786842338604, -3, (0, 2, 0, 0, 0)),
+    ("source_omega", (1, 1, 1, 0, 0), 0.27143360527015814, -4, (1, 1, 0, 0, 0)),
+    ("source_omega", (1, 1, 0, 2, 0), 1.1309733552923256, -3, (2, 0, 0, 0, 0)),
+    ("source_omega", (1, 1, 0, 0, 0), 0.09047786842338604, -2, (1, 0, 0, 1, 0)),
+    ("source_omega", (1, 1, 0, 0, 0), -0.09047786842338604, -2, (0, 1, 1, 0, 0)),
+    ("source_omega", (1, 1, 0, 0, 0), 7.143846147141078, -3, (2, 0, 0, 0, 0)),
+    ("source_omega", (1, 1, 0, 0, 0), -0.27143360527015814, -3, (1, 0, 1, 0, 0)),
+    ("source_omega", (1, 1, 0, 0, 0), 0.09047786842338604, -3, (0, 2, 0, 0, 0)),
+    ("source_omega", (1, 1, 0, 0, 0), 0.27143360527015814, -4, (1, 1, 0, 0, 0)),
+    ("source_omega", (1, 0, 1, 0, 0), 93.51272739264233, -1, (1, 0, 0, 0, 0)),
+    ("source_omega", (1, 0, 1, 0, 0), -4.737410112522892, -1, (0, 0, 1, 0, 0)),
+    ("source_omega", (1, 0, 1, 0, 0), 0.06, -1, (0, 0, 0, 0, 1)),
+    ("source_omega", (1, 0, 1, 0, 0), 4.737410112522892, -2, (0, 1, 0, 0, 0)),
+    ("source_omega", (1, 0, 1, 0, 0), -0.12, -2, (0, 0, 0, 1, 0)),
+    ("source_omega", (1, 0, 1, 0, 0), 0.18, -3, (0, 0, 1, 0, 0)),
+    ("source_omega", (1, 0, 1, 0, 0), -0.18, -4, (0, 1, 0, 0, 0)),
+    ("source_omega", (1, 0, 0, 2, 0), 2.261946710584651, -3, (2, 0, 0, 0, 0)),
+    ("source_omega", (1, 0, 0, 0, 0), 189.39415984154613, -1, (1, 0, 0, 0, 0)),
+    ("source_omega", (1, 0, 0, 0, 0), -9.534820225045785, -1, (0, 0, 1, 0, 0)),
+    ("source_omega", (1, 0, 0, 0, 0), 0.12, -1, (0, 0, 0, 0, 1)),
+    ("source_omega", (1, 0, 0, 0, 0), 9.534820225045785, -2, (0, 1, 0, 0, 0)),
+    ("source_omega", (1, 0, 0, 0, 0), -0.24, -2, (0, 0, 0, 1, 0)),
+    ("source_omega", (1, 0, 0, 0, 0), 0.36, -3, (0, 0, 1, 0, 0)),
+    ("source_omega", (1, 0, 0, 0, 0), -0.36, -4, (0, 1, 0, 0, 0)),
+)
 
 
 def _bump_derivatives(r: np.ndarray, lo: float, hi: float) -> list[np.ndarray]:
@@ -68,95 +130,69 @@ def _bump_derivatives(r: np.ndarray, lo: float, hi: float) -> list[np.ndarray]:
     return out
 
 
+def _powers(b: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Rows b**e[i] for the integer vector e, each distinct power taken once."""
+    low = e.min()
+    return (b ** np.arange(low, e.max() + 1)[:, None])[e - low]
+
+
 @dataclass
 class ManufacturedSolution:
-    """Symbolic exact solution, in separable form, with grid-bound evaluators.
+    """Exact solution in separable form, with grid-bound evaluators.
 
-    exprs holds Gamma*, omega*, S_Gamma and S_omega in terms of r, z, t
-    and symbols p0, p1, ... for the radial profile P(r) and its
-    r-derivatives; the profile is the degree-8 bump on `support`.  terms
-    maps the same names to (coefficients, exps): coefficients(r, p0, ...,
-    p4) returns the m radial coefficients a_i, and row i of the
-    (m, 5) array exps holds the powers of sin(k z), cos(k z), t, cos t and
-    sin t in monomial i, with k = 2 pi / L_z.
+    terms holds the radial terms of Gamma*, omega*, S_Gamma and S_omega in
+    the layout of TERMS; the profile P is the degree-8 bump on `support`.
     """
 
     r_min: float
     R: float
     L_z: float
     support: tuple[float, float]
-    exprs: dict
-    terms: dict
+    terms: tuple
+    # grid-free layout of terms: the distinct radial monomials as rows
+    # (a, n0, ..., n4), and per field the (radial, m) weights of its m
+    # monomials in the a_i together with their (m, 5) exponents
+    _radial: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        radial = sorted({(a, *n) for _, _, _, a, n in self.terms})
+        index = {key: i for i, key in enumerate(radial)}
+        self._radial = np.array(radial)
+        self._fields = {}
+        for name in FIELDS:
+            rows = [row[1:] for row in self.terms if row[0] == name]
+            exps = list(dict.fromkeys(m for m, *_ in rows))
+            weights = np.zeros((len(radial), len(exps)))
+            for m, c, a, n in rows:
+                weights[index[(a, *n)], exps.index(m)] += c
+            self._fields[name] = (weights, np.array(exps))
 
     def bind(self, grid: Grid):
         """Evaluators t -> array on the grid mesh, keyed gamma, omega,
         source_gamma and source_omega."""
-        derivs = _bump_derivatives(grid.r, *self.support)
+        # each radial monomial r^a p0^n0 ... p4^n4 on grid.r, tabulated once
+        base = [grid.r, *_bump_derivatives(grid.r, *self.support)]
+        monomials = np.prod([_powers(b, e) for b, e in zip(base, self._radial.T)], axis=0)
         kz = 2.0 * np.pi / self.L_z
         sin_z, cos_z = np.sin(kz * grid.z), np.cos(kz * grid.z)
 
-        def at(coefficients, exps):
-            a = np.column_stack(
-                [np.broadcast_to(c, grid.r.shape) for c in coefficients(grid.r, *derivs)]
-            )
-            zm = sin_z ** exps[:, :1] * cos_z ** exps[:, 1:2]
+        def at(weights, exps):
+            a = monomials.T @ weights
+            zm = _powers(sin_z, exps[:, 0]) * _powers(cos_z, exps[:, 1])
             t_exp, cos_exp, sin_exp = exps[:, 2:].T
             return lambda t: (a * (t**t_exp * math.cos(t) ** cos_exp * math.sin(t) ** sin_exp)) @ zm
 
-        return {name: at(*term) for name, term in self.terms.items()}
+        return {name: at(*layout) for name, layout in self._fields.items()}
 
 
 def build_mms() -> ManufacturedSolution:
     """The manufactured pair on [1, 2] x [0, 1): psi* = 0.12 P sin(k z) (1 + t/2)
     and Gamma* = 0.6 P (1 + cos(k z)/2) cos t, P the degree-8 bump on the
-    middle 76 % of [1, 2]."""
-    r_min, R, L_z = 1.0, 2.0, 1.0
-    amp_psi, amp_gamma, pad = 0.12, 0.6, 0.12
-    r, z, t = sp.symbols("r z t", real=True)
-    # the profile P(r) and its r-derivatives as plain symbols p0, p1, ...
-    p = sp.symbols(f"p0:{N_DERIVS + 1}")
-    lo = r_min + pad * (R - r_min)
-    hi = R - pad * (R - r_min)
-    kz = 2 * sp.pi / L_z
-
-    def d_r(f, n=1):
-        """n-th total r-derivative, by the chain rule through the p_k."""
-        for _ in range(n):
-            f = sp.diff(f, r) + sum(sp.diff(f, p[k]) * p[k + 1] for k in range(N_DERIVS))
-        return f
-
-    psi = amp_psi * p[0] * sp.sin(kz * z) * (1 + t / 2)
-    gamma = amp_gamma * p[0] * (1 + sp.Rational(1, 2) * sp.cos(kz * z)) * sp.cos(t)
-
-    omega = -(d_r(d_r(psi) / r) + sp.diff(psi, z, 2) / r)
-    ur = -sp.diff(psi, z) / r
-    uz = d_r(psi) / r
-
-    def laplace(f):
-        return d_r(f, 2) + d_r(f) / r + sp.diff(f, z, 2)
-
-    l1_gamma = laplace(gamma) - 2 / r * d_r(gamma)
-    l0_omega = laplace(omega) - omega / r**2
-    adv = lambda f: ur * d_r(f) + uz * sp.diff(f, z)
-
-    s_gamma = sp.diff(gamma, t) + adv(gamma) - l1_gamma
-    s_omega = (
-        sp.diff(omega, t)
-        + adv(omega)
-        - ur / r * omega
-        - l0_omega
-        - sp.diff(gamma**2, z) / r**3
-    )
-
-    exprs = {"gamma": gamma, "omega": omega, "source_gamma": s_gamma, "source_omega": s_omega}
-    gens = (sp.sin(kz * z), sp.cos(kz * z), t, sp.cos(t), sp.sin(t))
-    terms = {}
-    for name, e in exprs.items():
-        assert p[N_DERIVS] not in e.free_symbols, f"{name} needs more profile derivatives"
-        poly = sp.Poly(e, *gens)
-        coefficients = sp.lambdify((r, *p[:N_DERIVS]), poly.coeffs(), "numpy", cse=True)
-        terms[name] = (coefficients, np.array(poly.monoms()))
-    return ManufacturedSolution(r_min, R, L_z, (lo, hi), exprs, terms)
+    middle 76 % of [1, 2]; TERMS holds the fields they give."""
+    r_min, R, L_z, pad = 1.0, 2.0, 1.0, 0.12
+    support = (r_min + pad * (R - r_min), R - pad * (R - r_min))
+    return ManufacturedSolution(r_min, R, L_z, support, TERMS)
 
 
 @dataclass

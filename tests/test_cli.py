@@ -450,6 +450,23 @@ def test_cli_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
+def test_cli_runs_mms_without_sympy(tmp_path):
+    # the manufactured solution is a committed table; sympy only checks it
+    src = str(Path(axicyl.__file__).resolve().parents[1])
+    cfg = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "mms_ladder.cfg"
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"  # importing sympy now raises ImportError
+        "import axicyl.cli\n"
+        f"code = axicyl.cli.main(['mms', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])\n"
+        "del sys.modules['sympy']\n"
+        "sys.exit(code or any(m.split('.')[0] == 'sympy' for m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert (tmp_path / "mms_orders.csv").exists()
+
+
 def test_cmd_inequalities_rejects_bad_sigma(tmp_path):
     cfg = write_cfg(tmp_path, "ineq.q = 1.0\nineq.p = 6.0\nineq.samples = 4\n")
     assert main(["inequalities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -546,6 +563,26 @@ def test_cmd_picard_direct_run_takes_the_iterates_step(tmp_path, dt, step):
         outputs.append((extra, (out / "picard.csv").read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0]["direct_match_l2"] < outputs[0][0]["direct_match_tolerance"] < 1
+
+
+@pytest.mark.parametrize(
+    "t_end, dt",
+    [
+        (1e300, 1e-300),  # the ratio overflows to inf
+        (1.0, 1.0 / (cli.PICARD_MAX_STEPS + 1)),  # finite, one step over the cap
+    ],
+)
+def test_cmd_picard_step_count_over_the_cap_exits_2(tmp_path, monkeypatch, t_end, dt):
+    # checked before the iteration, which would keep per-step histories
+    calls = []
+    monkeypatch.setattr(evolution, "picard_iterate", lambda *a, **kw: calls.append(a))
+    text = SMALL_GRID + f"picard.t_end = {t_end!r}\npicard.dt = {dt!r}\npicard.j_max = 2\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 2
+    assert calls == []
+    error = json.loads((out / "manifest.json").read_text())["extra"]["error"]
+    assert "picard.t_end" in error and "picard.dt" in error
 
 
 def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):

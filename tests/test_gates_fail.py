@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mms_derivation import mismatches
 
 from axicyl import elliptic, grid as grid_module
 from axicyl.config import SolverConfig, load_config
@@ -22,7 +23,7 @@ from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experi
 from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic
 from axicyl.grid import build_grid, lp_norm, radial_weights
-from axicyl.manufactured import build_mms, mms_convergence_study
+from axicyl.manufactured import TERMS, build_mms, mms_convergence_study
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -182,3 +183,15 @@ def test_skipped_second_half_step_drops_the_mms_order(monkeypatch):
     monkeypatch.setattr(EllipticSolver, "heat_step", lie)
     defective = orders()
     assert all(abs(o - 1.0) < 0.2 for o in defective), defective
+
+
+def test_flipped_term_sign_trips_the_table_rederivation():
+    # S_Gamma's term -0.113 r^-1 p0 p1 sin^2(k z) t cos t with its sign
+    # flipped: criterion 1 cannot see it (orders 1.950, 1.987 at 32/64/128,
+    # as clean; 1.987, 1.994 at 64/128/256, clean 1.987, 1.997), so the
+    # term-by-term re-derivation is the table's only guard
+    key = ("source_gamma", (2, 0, 1, 1, 0), -1, (1, 1, 0, 0, 0))
+    flipped = [(f, m, -c if (f, m, a, n) == key else c, a, n) for f, m, c, a, n in TERMS]
+    assert mismatches(TERMS) == []
+    (report,) = mismatches(flipped)
+    assert report.startswith(str(key))
