@@ -141,23 +141,38 @@ class SimulationResult:
 
 
 class Stepper:
-    """Owns one evolving state plus the accumulated budget integrals.
+    """Owns one evolving state and, once record() opens it, the budget ledger.
 
     The state is stepped on its own solver; cfg gives the scheme and the
-    CFL number.
+    CFL number.  The ledger holds the t = 0 references of the estimates and
+    the trapezoid-rule time integrals of the dissipation samples.  The
+    first record() opens it, which must happen before the first step: a
+    stepper that is never recorded samples nothing, and its steps are
+    bit-identical to those of a recorded one.
     """
 
     def __init__(self, cfg: SolverConfig, state: AxisymState, sources=None):
         self.cfg = cfg
         self.solver = state.solver
-        self.grid = grid = state.grid
+        self.grid = state.grid
         self.state = state
         self.sources = sources  # None or (S_gamma(t)->array, S_omega(t)->array)
         self.step_count = 0
-        # the budget ledger: trapezoid-rule time integrals of the samples
+        # the dissipation sample of self.state once the ledger is open, else
+        # None: record() reads it, and it is the left end of the next step's
+        # trapezoid
+        self._prev: DissipationSample | None = None
+        self.max_leakage = math.nan
+
+    def _open_ledger(self) -> None:
+        """The t = 0 references, the first sample and the first leakage."""
+        if self.step_count:
+            raise RuntimeError(
+                f"the budget ledger opens at t = 0, not after {self.step_count} step(s): "
+                "call record() before the first step"
+            )
+        state, grid = self.state, self.grid
         self.integrals = DissipationSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        # the dissipation sample of self.state: record() reads it, and it is
-        # the left end of the next step's trapezoid
         self._prev = dissipation_sample(state)
         self.e_kin0 = state.kinetic_energy()
         self.sup_gamma0 = lp_norm(grid, state.Gamma, np.inf)
@@ -219,21 +234,28 @@ class Stepper:
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(omega))):
             raise BlowupError(f"non-finite fields at t = {t + dt:.6g}")
         new_state = state_from_dynamic(self.solver, t + dt, gamma, omega)
-        sample = dissipation_sample(new_state)
-        w = 0.5 * dt
-        self.integrals = DissipationSample(
-            *(acc + w * (a + b) for acc, a, b in zip(self.integrals, self._prev, sample))
-        )
-        self._prev = sample
+        if self._prev is not None:
+            sample = dissipation_sample(new_state)
+            w = 0.5 * dt
+            self.integrals = DissipationSample(
+                *(acc + w * (a + b) for acc, a, b in zip(self.integrals, self._prev, sample))
+            )
+            self._prev = sample
+            self.max_leakage = max(self.max_leakage, boundary_leakage(new_state))
         self.state = new_state
         self.step_count += 1
-        self.max_leakage = max(self.max_leakage, boundary_leakage(new_state))
 
     # -- diagnostics ----------------------------------------------------------
 
     def record(self) -> DiagnosticsRecord:
         """The diagnostics of the current state; its gradient integrals come
-        from the step's dissipation sample of that state."""
+        from the step's dissipation sample of that state.
+
+        The first call opens the ledger, and raises RuntimeError once the
+        stepper has stepped: the time integrals cannot start late.
+        """
+        if self._prev is None:
+            self._open_ledger()
         st = self.state
         g = self.grid
         sample = self._prev
@@ -318,7 +340,7 @@ def run_simulation(
     sources=None,
     initial_state: AxisymState | None = None,
     out_dir=None,
-    record_every_step: bool = False,
+    records: str = "outputs",
 ) -> SimulationResult:
     """Drive one configured run to t_end, recording diagnostics.
 
@@ -327,7 +349,15 @@ def run_simulation(
     Deterministic for a fixed (config, seed): the adaptive dt depends only
     on the evolving state.  Halts with status "halted_blowup" when any
     field exceeds the blow-up threshold or goes non-finite.
+
+    records chooses the diagnostics: "outputs" records t = 0, every output
+    time and the last state, "every_step" every step, and "none" nothing,
+    for a caller that reads only the final state.  Without records the
+    stepper keeps no budget ledger (result.max_leakage is nan); the steps,
+    and so the final state, are the same bit for bit.
     """
+    if records not in ("outputs", "every_step", "none"):
+        raise ValueError(f"records must be outputs, every_step or none, got {records!r}")
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
     if initial_state is None:
         state = configured_initial_state(cfg, EllipticSolver(grid))
@@ -341,14 +371,16 @@ def run_simulation(
             f"{cfg.n_r}, {cfg.n_z})"
         )
     stepper = Stepper(cfg, state, sources=sources)
-    records = [stepper.record()]
+    recorded: list[DiagnosticsRecord] = []
     status = "completed"
     eps = 1e-12 * max(cfg.t_end, 1.0)
     next_out = cfg.output_interval
 
     def emit():
-        records.append(stepper.record())
+        if records != "none":
+            recorded.append(stepper.record())
 
+    emit()
     while stepper.state.t < cfg.t_end - eps:
         remaining = cfg.t_end - stepper.state.t
         if cfg.dt is not None:
@@ -373,14 +405,14 @@ def run_simulation(
             status = "halted_blowup"
             emit()
             break
-        if record_every_step:
+        if records == "every_step":
             emit()
             continue
         if stepper.state.t >= next_out - eps:
             emit()
             while next_out <= stepper.state.t + eps:
                 next_out += cfg.output_interval
-    if status == "completed" and records[-1].t < cfg.t_end - eps:
+    if status == "completed" and recorded and recorded[-1].t < cfg.t_end - eps:
         emit()
 
     checkpoints: list[str] = []
@@ -390,7 +422,7 @@ def run_simulation(
         path = Path(out_dir) / "final_state.axns"
         checkpoint_save(stepper.state, path)
         checkpoints.append(str(path))
-    return SimulationResult(records, stepper.state, status, stepper.max_leakage, checkpoints)
+    return SimulationResult(recorded, stepper.state, status, stepper.max_leakage, checkpoints)
 
 
 # -- Picard iteration -------------------------------------------------------------
@@ -513,14 +545,20 @@ def picard_experiment(
     The iterates step with cfg's scheme (picard_iterate); the direct run
     steps the same initial state to T with the step they took, on the same
     solver.  Returns the iteration, the L2 distance of the two velocities
-    at T, and its tolerance 10 (h_r^2 + step^2) ||u_0||_2.
+    at T, and its tolerance 10 (h_r^2 + step^2) ||u_0||_2.  A direct run
+    that halts raises BlowupError.
     """
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
     state0 = configured_initial_state(cfg, EllipticSolver(grid))
     result = picard_iterate(state0, T=T, j_max=j_max, p=p, dt=dt, scheme=cfg.scheme)
     dt = result.dt
     run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T, checkpoint="none")
-    direct = run_simulation(run_cfg, initial_state=state0).final_state
+    run = run_simulation(run_cfg, initial_state=state0, records="none")
+    if run.status != "completed":
+        raise BlowupError(
+            f"picard's direct run to t = {T:.6g} halted at t = {run.final_state.t:.6g}"
+        )
+    direct = run.final_state
     du = result.final_state
     diff = math.sqrt(
         lp_norm(grid, du.ur - direct.ur, 2) ** 2

@@ -130,18 +130,39 @@ def lp_norm(grid: Grid, f: np.ndarray, p: float) -> float:
 
 
 def ddz(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Centered d/dz, periodic wrap."""
+    """Centered d/dz, periodic wrap.
+
+    One subtraction over the flattened rows gives every interior column;
+    it writes cross-row differences into the two wrap columns, which are
+    then overwritten.
+    """
+    f = np.ascontiguousarray(f)
     out = np.empty_like(f)
-    np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
-    np.subtract(f[:, 1:2], f[:, -1:], out=out[:, :1])
-    np.subtract(f[:, :1], f[:, -2:-1], out=out[:, -1:])
+    flat, o = f.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=o[1:-1])
+    np.subtract(f[:, 1], f[:, -1], out=out[:, 0])
+    np.subtract(f[:, 0], f[:, -2], out=out[:, -1])
     out /= 2.0 * grid.h_z
     return out
 
 
 def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Centered d2/dz2, periodic wrap."""
-    return (np.roll(f, -1, axis=1) - 2.0 * f + np.roll(f, 1, axis=1)) / grid.h_z**2
+    """Centered d2/dz2, periodic wrap: ((f[j+1] - 2 f[j]) + f[j-1]) / h_z^2.
+
+    The interior columns come from flat passes as in ddz; the two wrap
+    columns are then overwritten.
+    """
+    f = np.ascontiguousarray(f)
+    out = np.empty_like(f)
+    flat, o = f.reshape(-1), out.reshape(-1)
+    mid = o[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=mid)
+    np.subtract(flat[2:], mid, out=mid)
+    mid += flat[:-2]
+    out[:, 0] = (f[:, 1] - 2.0 * f[:, 0]) + f[:, -1]
+    out[:, -1] = (f[:, 0] - 2.0 * f[:, -1]) + f[:, -2]
+    out /= grid.h_z**2
+    return out
 
 
 def ddr(grid: Grid, f: np.ndarray) -> np.ndarray:

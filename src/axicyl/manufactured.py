@@ -216,11 +216,11 @@ def mms_convergence_study(
 
     The error is the relative L2 distance of (Gamma, omega) from the
     exact fields at t_end; consecutive-level ratios give the observed
-    space-time order.
+    space-time order.  A level whose run halts raises BlowupError.
     """
     from .config import SolverConfig
     from .elliptic import EllipticSolver
-    from .evolution import run_simulation
+    from .evolution import BlowupError, run_simulation
     from .fields import state_from_dynamic
     from .grid import build_grid, lp_norm
 
@@ -249,9 +249,14 @@ def mms_convergence_study(
             output_interval=t_end,
         )
         result = run_simulation(
-            cfg, sources=(bound["source_gamma"], bound["source_omega"]), initial_state=state0
+            cfg,
+            sources=(bound["source_gamma"], bound["source_omega"]),
+            initial_state=state0,
+            records="none",
         )
         st = result.final_state
+        if result.status != "completed":
+            raise BlowupError(f"MMS level n = {n} halted at t = {st.t:.6g} of {t_end:.6g}")
         ref_g = bound["gamma"](t_end)
         ref_w = bound["omega"](t_end)
         scale_g = max(lp_norm(grid, ref_g, 2), 1e-300)

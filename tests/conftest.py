@@ -1,5 +1,6 @@
 import pytest
 
+from axicyl import evolution
 from axicyl.elliptic import EllipticSolver, TridiagBatch
 
 
@@ -20,3 +21,18 @@ def construction_counts(monkeypatch):
     count(EllipticSolver, "solvers")
     count(TridiagBatch, "factorizations")
     return counts
+
+
+@pytest.fixture
+def ledger_calls(monkeypatch):
+    """Calls of the budget ledger's per-step work, as evolution looks it up."""
+    calls = {"dissipation_sample": 0, "boundary_leakage": 0}
+    for name in calls:
+        real = getattr(evolution, name)
+
+        def counted(state, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(state)
+
+        monkeypatch.setattr(evolution, name, counted)
+    return calls

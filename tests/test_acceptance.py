@@ -115,7 +115,7 @@ def noswirl_run_129():
         r_hi=2.75,
         checkpoint="none",
     )
-    return run_simulation(cfg, record_every_step=True)
+    return run_simulation(cfg, records="every_step")
 
 
 def test_criterion_1_manufactured_convergence(cli_runs):
@@ -149,7 +149,7 @@ def test_criterion_2_energy_equality(swirl_records_129, swirl_run_257):
 
 def test_criterion_3_swirl_maximum_principle(swirl_records_129):
     # monotone scheme: exact discrete maximum principle, every step
-    mono = run_simulation(bundled("monotone_max_principle.cfg")[0], record_every_step=True)
+    mono = run_simulation(bundled("monotone_max_principle.cfg")[0], records="every_step")
     sup0 = mono.records[0].sup_gamma
     mono_margin = max(r.margin_1_6 for r in mono.records)
     # default centered scheme at 128^2

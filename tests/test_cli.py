@@ -214,6 +214,22 @@ def test_cmd_run_blowup_exit_and_manifest(tmp_path):
     assert manifest["status"] == "halted_blowup"
 
 
+def test_cmd_run_samples_every_state_once(tmp_path, monkeypatch, ledger_calls):
+    # the budget ledger samples the initial state and the state after each step
+    steps = []
+    step = evolution.Stepper.step
+
+    def counted(self, dt):
+        steps.append(dt)
+        step(self, dt)
+
+    monkeypatch.setattr(evolution.Stepper, "step", counted)
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(steps) == 10
+    assert ledger_calls == {"dissipation_sample": 11, "boundary_leakage": 11}
+
+
 def test_cmd_mms_single_level_empty_order(tmp_path):
     cfg = write_cfg(tmp_path, "mms.levels = 1\nmms.n_base = 16\nmms.t_end = 0.02\n")
     out = tmp_path / "out"
@@ -533,6 +549,25 @@ def test_cmd_picard_small(tmp_path):
     assert len(rows) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extra"]["direct_match_l2"] < manifest["extra"]["direct_match_tolerance"]
+
+
+def test_cmd_picard_halted_direct_run_exits_3(tmp_path):
+    # the direct run halts after one step at this threshold; its distance
+    # from the iterates (1.08 against a tolerance of 0.66) is not reported
+    text = (
+        "grid.r_min = 1.0\ngrid.R = 3.0\ngrid.L_z = 2.0\ngrid.n_r = 17\ngrid.n_z = 16\n"
+        "init.kind = swirl_bump\ninit.amplitude = 2.0\ninit.omega_amplitude = 1.5\n"
+        "init.r_lo = 1.25\ninit.r_hi = 2.5\nrun.blowup_threshold = 0.5\n"
+        "picard.t_end = 0.04\npicard.j_max = 3\npicard.p = 6.0\npicard.dt = 0.004\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "halted_blowup"
+    assert manifest["extra"] == {
+        "error": "numerical halt: picard's direct run to t = 0.04 halted at t = 0.004"
+    }
 
 
 def test_cmd_picard_iterates_with_the_configured_scheme(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from axicyl import evolution
 from axicyl.config import SCHEMES, SolverConfig
 from axicyl.elliptic import EllipticSolver
 from axicyl.evolution import (
@@ -13,13 +15,14 @@ from axicyl.evolution import (
     CFLError,
     Stepper,
     _coupled_rates,
+    picard_experiment,
     picard_iterate,
     run_simulation,
     swirl_vorticity_source,
 )
 from axicyl.fields import bump_profile, make_initial_data, state_from_dynamic
 from axicyl.grid import build_grid, lp_norm
-from axicyl.manufactured import mms_convergence_study
+from axicyl.manufactured import build_mms, mms_convergence_study
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +193,87 @@ def test_mms_study_builds_one_solver_per_level(construction_counts):
     # (L1 and L0' at dt/2) are each factored once
     mms_convergence_study(levels=3, n_base=32, t_end=0.0625)
     assert construction_counts == {"solvers": 3, "factorizations": 9}
+
+
+def test_unrecorded_run_ends_in_the_recorded_runs_state():
+    # a swirl run stepped on its CFL bound, and one MMS level with sources
+    mms = build_mms()
+    grid = build_grid(mms.r_min, mms.R, mms.L_z, 17, 16)
+    bound = mms.bind(grid)
+    mms_start = state_from_dynamic(
+        EllipticSolver(grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
+    )
+    cases = [
+        (make_cfg(dt=None, cfl=0.4, amplitude=1.0, t_end=0.05), {}),
+        (
+            SolverConfig(
+                r_min=mms.r_min, R=mms.R, L_z=mms.L_z, n_r=17, n_z=16, dt=0.025,
+                cfl=1.0, t_end=0.0625, output_interval=0.0625,
+            ),
+            {
+                "sources": (bound["source_gamma"], bound["source_omega"]),
+                "initial_state": mms_start,
+            },
+        ),
+    ]
+    for cfg, kw in cases:
+        recorded = run_simulation(cfg, **kw)
+        bare = run_simulation(cfg, records="none", **kw)
+        assert bare.status == recorded.status == "completed"
+        assert bare.records == [] and math.isnan(bare.max_leakage)
+        assert bare.final_state.t == recorded.final_state.t
+        assert np.array_equal(bare.final_state.Gamma, recorded.final_state.Gamma)
+        assert np.array_equal(bare.final_state.omega, recorded.final_state.omega)
+
+
+def test_run_simulation_rejects_an_unknown_records_value():
+    with pytest.raises(ValueError, match="records"):
+        run_simulation(make_cfg(), records="all")
+
+
+def test_final_state_callers_keep_no_ledger(ledger_calls, monkeypatch):
+    steps = []
+    step = Stepper.step
+
+    def counted(self, dt):
+        steps.append(dt)
+        step(self, dt)
+
+    monkeypatch.setattr(Stepper, "step", counted)
+    levels = mms_convergence_study(levels=2, n_base=16, t_end=0.0625)
+    # one Stepper.step per time step of the ladder
+    assert len(steps) == sum(round(0.0625 / lv.dt) for lv in levels) == 7
+    picard_experiment(make_cfg(n_r=17, n_z=16), T=0.02, j_max=2, p=6.0, dt=0.01)
+    assert len(steps) == 7 + 2
+    assert ledger_calls == {"dissipation_sample": 0, "boundary_leakage": 0}
+
+
+def test_the_ledger_cannot_open_after_a_step(small_solver):
+    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.5, r_support=(1.3, 2.4))
+    stepper = Stepper(make_cfg(), state)
+    stepper.step(0.005)
+    with pytest.raises(RuntimeError, match="before the first step"):
+        stepper.record()
+    opened = Stepper(make_cfg(), state)
+    assert opened.record().t == 0.0
+    opened.step(0.005)
+    assert opened.record().t == 0.005
+    np.testing.assert_array_equal(opened.state.Gamma, stepper.state.Gamma)
+
+
+def test_final_state_callers_raise_on_a_halted_run(monkeypatch):
+    real = evolution.run_simulation
+
+    def halting(cfg, *args, **kwargs):
+        result = real(cfg, *args, **kwargs)
+        result.status = "halted_blowup"
+        return result
+
+    monkeypatch.setattr(evolution, "run_simulation", halting)
+    with pytest.raises(BlowupError, match="MMS level n = 16 halted"):
+        mms_convergence_study(levels=2, n_base=16, t_end=0.0625)
+    with pytest.raises(BlowupError, match="direct run"):
+        picard_experiment(make_cfg(n_r=17, n_z=16), T=0.02, j_max=2, p=6.0, dt=0.01)
 
 
 def test_run_simulation_t_end_zero():

@@ -9,6 +9,7 @@ from axicyl.elliptic import EllipticSolver
 from axicyl.grid import (
     GridError,
     build_grid,
+    d2z,
     ddr,
     ddz,
     grad,
@@ -130,6 +131,23 @@ def test_ddz_mode_second_order():
         exact = (2 * math.pi / g.L_z) * np.cos(2 * math.pi * g.z / g.L_z) * np.ones(g.shape)
         errs.append(np.max(np.abs(ddz(g, f) - exact)))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (17, 5), (33, 32), (129, 128)])
+def test_z_stencils_equal_their_periodic_roll_forms(shape):
+    # the flat passes keep each element's operations and their order, so
+    # they match the np.roll forms bit for bit, on any memory layout
+    g = build_grid(1.0, 3.7, 2.3, *shape)
+    rng = np.random.default_rng(shape[0])
+    for scale in (1e-5, 1.0, 1e5):
+        f = scale * rng.normal(size=shape)
+        up, down = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
+        d1 = (up - down) / (2.0 * g.h_z)
+        d2 = (up - 2.0 * f + down) / g.h_z**2
+        strided = np.repeat(f, 2, axis=1)[:, ::2]
+        for view in (f, np.asfortranarray(f), strided):
+            assert np.array_equal(ddz(g, view), d1)
+            assert np.array_equal(d2z(g, view), d2)
 
 
 def test_ddr_smooth_second_order():
