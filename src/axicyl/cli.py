@@ -14,8 +14,9 @@ output directory (--out, else $AXICYL_OUT, else the working directory).
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files.
 
-semigroup's manifest adds extra.perf: the heat steps, factorizations and
-spectrum/field transforms of all its solvers (EllipticSolver.counts).
+run's and semigroup's manifests add extra.perf: the heat steps,
+factorizations and spectrum/field transforms of their solvers
+(EllipticSolver.counts).  Only counts: timings never go into the outputs.
 
 A config key the command does not read (COMMAND_KEYS) is a config error,
 and so is an EXPERIMENT_KEYS value outside its range or non-finite (inf
@@ -261,6 +262,7 @@ def cmd_run(args, mapping, ctx):
     for chk in result.checkpoints:
         ctx.add_output(Path(chk))
     ctx.extra["max_boundary_leakage"] = result.max_leakage
+    ctx.extra["perf"] = dict(result.final_state.solver.counts)
     return result.status, EXIT_OK if result.status == "completed" else EXIT_NUMERICAL
 
 

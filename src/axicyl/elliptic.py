@@ -32,7 +32,12 @@ The heat steps work on z spectra, not mesh fields:
     solver.heat_step(fhat, dt, op)    # in place, as often as needed
     f = solver.field(fhat, op)        # irfft in z, when a field is read
 
-and the stream solve is field(solve(-spectrum(omega))) on the same path.
+and the stream solve is -field(solve(spectrum(omega))) on the same path.
+L0' and the stream operator solve for the same rows, so the stream solve
+can also start from omega's spectrum on L0''s rows: the coupled step
+(evolution._strang_heun) carries the spectra of (Gamma, omega) from one
+half-diffusion to the next and hands its omega spectrum straight to
+solve_stream, skipping an irfft -> rfft round trip each time.
 A spectrum holds only op's unknown rows: every row but the outer wall,
 and but the inner wall too when op's wall is Dirichlet (L0', stream).  Those
 pinned rows are not stored; field() sets them to 0.  Its layout is the
@@ -319,10 +324,20 @@ class EllipticSolver:
         """The stream operator's factorization, built on the first stream solve."""
         return self._factor("stream", 0.0, 1.0)
 
-    def solve_stream(self, omega: np.ndarray) -> np.ndarray:
-        """psi with psi = 0 on both walls and d_r((1/r)d_r psi)+(1/r)d_zz psi = -omega."""
-        rhs = self.spectrum(omega, "stream")
-        return self.field(self._stream.solve(np.negative(rhs, out=rhs)), "stream")
+    def solve_stream(self, omega: np.ndarray, omega_hat: np.ndarray | None = None) -> np.ndarray:
+        """psi with psi = 0 on both walls and d_r((1/r)d_r psi)+(1/r)d_zz psi = -omega.
+
+        omega_hat, when the caller holds it, is omega's spectrum on L0''s
+        rows (spectrum(omega, "L0p")), which are the stream operator's: the
+        solve starts from it, without an rfft, and does not modify it.  The
+        solution for omega is negated in place, which is bit for bit the
+        solution for -omega: every step of the solve is a product or a sum,
+        and rounding is symmetric in sign.
+        """
+        if omega_hat is None:
+            omega_hat = self.spectrum(omega, "stream")
+        psi_hat = self._stream.solve(omega_hat)
+        return self.field(np.negative(psi_hat, out=psi_hat), "stream")
 
     def stream_residual(self, psi: np.ndarray, omega: np.ndarray) -> float:
         """Relative residual of the discrete stream equation."""

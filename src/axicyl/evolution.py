@@ -59,16 +59,28 @@ def advect_centered(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -
 
 
 def advect_upwind(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
-    """First-order upwind -v.grad f; monotone under the CFL bound."""
-    h = grid.h_r
-    back = np.zeros_like(f)
-    back[1:] = (f[1:] - f[:-1]) / h
-    fwd = np.zeros_like(f)
-    fwd[:-1] = (f[1:] - f[:-1]) / h
-    df_r = np.where(ur > 0, back, fwd)
-    back_z = (f - np.roll(f, 1, axis=1)) / grid.h_z
-    fwd_z = (np.roll(f, -1, axis=1) - f) / grid.h_z
-    df_z = np.where(uz > 0, back_z, fwd_z)
+    """First-order upwind -v.grad f; monotone under the CFL bound.
+
+    Each one-sided difference is computed once.  In r they sit between two
+    zero rows, so node i's backward difference is row i and its forward one
+    row i + 1.  In z the forward differences come from one flat pass, as in
+    grid.ddz, with the wrap column overwritten after it; node j's backward
+    difference is the forward one of column j - 1, periodically.
+    """
+    f = np.ascontiguousarray(f)
+    n_r, n_z = f.shape
+    dr = np.zeros((n_r + 1, n_z))
+    np.subtract(f[1:], f[:-1], out=dr[1:-1])
+    dr[1:-1] /= grid.h_r
+    df_r = np.where(ur > 0, dr[:-1], dr[1:])
+    fwd_z = np.empty_like(f)
+    np.subtract(f.reshape(-1)[1:], f.reshape(-1)[:-1], out=fwd_z.reshape(-1)[:-1])
+    np.subtract(f[:, 0], f[:, -1], out=fwd_z[:, -1])
+    fwd_z /= grid.h_z
+    up = uz > 0
+    df_z = fwd_z.copy()
+    np.copyto(df_z[:, 1:], fwd_z[:, :-1], where=up[:, 1:])
+    np.copyto(df_z[:, 0], fwd_z[:, -1], where=up[:, 0])
     return -(ur * df_r + uz * df_z)
 
 
@@ -94,41 +106,56 @@ def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
     return kg, kw
 
 
-def _strang_heun(solver: EllipticSolver, gamma, omega, dt: float, tendency, scheme: str):
+def _strang_heun(
+    solver: EllipticSolver, gamma, omega, dt: float, tendency, scheme: str, spectra=None
+):
     """One Strang-split step of d_t Gamma = L1 Gamma + k_Gamma and
     d_t omega = L0' omega + k_omega.
 
     Crank-Nicolson half-steps of L1 and L0' bracket one Heun (RK2) step of
     the tendencies; with scheme = "monotone" the operators join the Heun
-    tendencies instead.  tendency(gamma, omega, stage) returns fresh arrays
-    (k_Gamma, k_omega), with stage 0 at the start of the step and stage 1 at
-    its end.  Every stage and rate is pinned (elliptic.pin).  The input arrays
-    are not modified.
+    tendencies instead.  tendency(gamma, omega, stage, omega_hat) returns
+    fresh arrays (k_Gamma, k_omega), with stage 0 at the start of the step
+    and stage 1 at its end; omega_hat is omega's spectrum on L0''s rows
+    where the step holds it (stage 0 of strang_cn), else None.  Every stage
+    and rate is pinned (elliptic.pin).  The input arrays are not modified.
+
+    Returns (gamma, omega, spectra).  Under strang_cn the half-diffusions
+    run on z spectra, and the step carries them: spectra is the pair
+    (Gamma's spectrum on L1's rows, omega's on L0''s) of the input fields,
+    built here when None and overwritten by the step, and the returned pair
+    is that of the returned fields, for the next step to start from.  The
+    monotone scheme carries nothing: its spectra are None.
     """
     implicit = scheme == "strang_cn"
 
-    def rates(g, w, stage):
-        kg, kw = tendency(g, w, stage)
+    def rates(g, w, stage, w_hat=None):
+        kg, kw = tendency(g, w, stage, w_hat)
         if not implicit:
             kg = kg + solver.apply_heat_operator(g, "L1")
             kw = kw + solver.apply_heat_operator(w, "L0p")
         return pin(kg, "L1"), pin(kw, "L0p")
 
-    def half_step(f, op):
-        return solver.field(solver.heat_step(solver.spectrum(f, op), 0.5 * dt, op), op)
+    def half_diffusion(g_hat, w_hat):
+        """The half-steps in place; the fields of the stepped spectra."""
+        solver.heat_step(g_hat, 0.5 * dt, "L1")
+        solver.heat_step(w_hat, 0.5 * dt, "L0p")
+        return solver.field(g_hat, "L1"), solver.field(w_hat, "L0p")
 
-    def half_diffusion(g, w):
-        return half_step(g, "L1"), half_step(w, "L0p")
-
+    w_hat = None
     if implicit:
-        gamma, omega = half_diffusion(gamma, omega)
-    kg1, kw1 = rates(gamma, omega, 0)
+        if spectra is None:
+            spectra = solver.spectrum(gamma, "L1"), solver.spectrum(omega, "L0p")
+        g_hat, w_hat = spectra
+        gamma, omega = half_diffusion(g_hat, w_hat)
+    kg1, kw1 = rates(gamma, omega, 0, w_hat)
     kg2, kw2 = rates(pin(gamma + dt * kg1, "L1"), pin(omega + dt * kw1, "L0p"), 1)
     gamma = pin(gamma + 0.5 * dt * (kg1 + kg2), "L1")
     omega = pin(omega + 0.5 * dt * (kw1 + kw2), "L0p")
-    if implicit:
-        gamma, omega = half_diffusion(gamma, omega)
-    return gamma, omega
+    if not implicit:
+        return gamma, omega, None
+    spectra = solver.spectrum(gamma, "L1"), solver.spectrum(omega, "L0p")
+    return (*half_diffusion(*spectra), spectra)
 
 
 @dataclass
@@ -158,6 +185,10 @@ class Stepper:
         self.state = state
         self.sources = sources  # None or (S_gamma(t)->array, S_omega(t)->array)
         self.step_count = 0
+        # (state, its strang_cn spectra): what the next step starts from, if
+        # state is still self.state; built on the first step, dropped when a
+        # step raises
+        self._carried: tuple[AxisymState, tuple] | None = None
         # the dissipation sample of self.state once the ledger is open, else
         # None: record() reads it, and it is the left end of the next step's
         # trapezoid
@@ -218,8 +249,9 @@ class Stepper:
         t = self.state.t
         times = (t, t + dt)
 
-        def tendency(gamma, omega, stage):
-            ur, uz = velocity_from_stream(self.grid, self.solver.solve_stream(omega))
+        def tendency(gamma, omega, stage, omega_hat):
+            psi = self.solver.solve_stream(omega, omega_hat)
+            ur, uz = velocity_from_stream(self.grid, psi)
             kg, kw = _coupled_rates(self.grid, self.cfg.scheme, gamma, omega, ur, uz, gamma)
             if self.sources is not None:
                 sg, so = self.sources
@@ -227,13 +259,16 @@ class Stepper:
                 kw = kw + so(times[stage])
             return kg, kw
 
-        gamma, omega = _strang_heun(
-            self.solver, self.state.Gamma, self.state.omega, dt, tendency, self.cfg.scheme
+        carried, self._carried = self._carried, None
+        spectra = carried[1] if carried is not None and carried[0] is self.state else None
+        gamma, omega, spectra = _strang_heun(
+            self.solver, self.state.Gamma, self.state.omega, dt, tendency, self.cfg.scheme, spectra
         )
 
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(omega))):
             raise BlowupError(f"non-finite fields at t = {t + dt:.6g}")
-        new_state = state_from_dynamic(self.solver, t + dt, gamma, omega)
+        omega_hat = None if spectra is None else spectra[1]
+        new_state = state_from_dynamic(self.solver, t + dt, gamma, omega, omega_hat)
         if self._prev is not None:
             sample = dissipation_sample(new_state)
             w = 0.5 * dt
@@ -243,6 +278,8 @@ class Stepper:
             self._prev = sample
             self.max_leakage = max(self.max_leakage, boundary_leakage(new_state))
         self.state = new_state
+        if spectra is not None:
+            self._carried = (new_state, spectra)
         self.step_count += 1
 
     # -- diagnostics ----------------------------------------------------------
@@ -493,20 +530,24 @@ def picard_iterate(
         # every iterate starts from the shared initial state, which
         # _strang_heun leaves unmodified; its own history starts there too
         gamma, omega = state0.Gamma, state0.omega
+        spectra = None  # _strang_heun builds state0's, then carries them
         ur_hist = [state0.ur]
         uz_hist = [state0.uz]
         gamma_hist = [gamma]
         snaps: dict[int, tuple] = {}
         k_val = 0.0
         for n in range(n_steps):
-            def tendency(gamma, omega, stage):
+            def tendency(gamma, omega, stage, omega_hat):
                 i = n + stage  # history index of the stage time
                 return _coupled_rates(
                     grid, scheme, gamma, omega, prev_ur[i], prev_uz[i], prev_gamma[i]
                 )
 
-            gamma, omega = _strang_heun(solver, gamma, omega, dt, tendency, scheme)
-            urf, uzf = velocity_from_stream(grid, solver.solve_stream(omega))
+            gamma, omega, spectra = _strang_heun(
+                solver, gamma, omega, dt, tendency, scheme, spectra
+            )
+            omega_hat = None if spectra is None else spectra[1]
+            urf, uzf = velocity_from_stream(grid, solver.solve_stream(omega, omega_hat))
             ur_hist.append(urf)
             uz_hist.append(uzf)
             gamma_hist.append(gamma)
@@ -534,7 +575,8 @@ def picard_iterate(
         if grow >= 3:
             diverged = True
             break
-    return PicardResult(p, dt, K, delta, diverged, state_from_dynamic(solver, T, gamma, omega))
+    final = state_from_dynamic(solver, T, gamma, omega, omega_hat)
+    return PicardResult(p, dt, K, delta, diverged, final)
 
 
 def picard_experiment(

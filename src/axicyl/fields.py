@@ -104,16 +104,22 @@ def bump_profile(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def state_from_dynamic(
-    solver: EllipticSolver, t: float, gamma: np.ndarray, omega: np.ndarray
+    solver: EllipticSolver,
+    t: float,
+    gamma: np.ndarray,
+    omega: np.ndarray,
+    omega_hat: np.ndarray | None = None,
 ) -> AxisymState:
     """Assemble a full state from (Gamma, omega): solve for psi, derive velocities.
 
     omega's wall rows are set to zero (its Dirichlet walls); u_theta = Gamma / r.
+    A caller that holds omega's spectrum on L0''s rows passes it as
+    omega_hat, and the stream solve starts from it (solve_stream).
     """
     grid = solver.grid
     gamma = np.array(gamma, dtype=float)
     om = pin(np.array(omega, dtype=float), "L0p")
-    psi = solver.solve_stream(om)
+    psi = solver.solve_stream(om, omega_hat)
     ur, uz = velocity_from_stream(grid, psi)
     return AxisymState(t, solver, gamma, om, psi, ur, gamma / grid.rcol, uz)
 

@@ -154,6 +154,21 @@ def test_cmd_run_outputs(tmp_path):
     assert (out / "final_state.axns").exists()
 
 
+def test_cmd_run_manifest_reports_the_solver_counts(tmp_path):
+    # RUN_CFG is k = 10 strang_cn steps.  The initial state's stream solve
+    # and the first step's two spectra make 4 transforms; each step then
+    # makes 10: two fields per half-diffusion, two spectra before the second
+    # one, a field for the stage-0 and for the end-of-step stream solve from
+    # the carried omega spectrum, and an rfft/irfft pair for stage 1's.
+    # Rebuilding both spectra each step made 2 + 14 k.
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    k = 10
+    perf = json.loads((out / "manifest.json").read_text())["extra"]["perf"]
+    assert perf == {"heat_steps": 4 * k, "factorizations": 3, "transforms": 4 + 10 * k}
+
+
 def test_cmd_run_t_end_zero_single_row(tmp_path):
     cfg = write_cfg(tmp_path, RUN_CFG.replace("time.t_end = 0.05", "time.t_end = 0.0"))
     out = tmp_path / "out"

@@ -226,6 +226,54 @@ def test_unrecorded_run_ends_in_the_recorded_runs_state():
         assert np.array_equal(bare.final_state.omega, recorded.final_state.omega)
 
 
+def _twenty_steps(cfg, state, sources=None, carry=True):
+    """The state after 20 steps of cfg.dt; carry=False steps each on a fresh
+    Stepper, which rebuilds the spectra from the state it is given."""
+    stepper = Stepper(cfg, state, sources)
+    for _ in range(20):
+        if not carry:
+            stepper = Stepper(cfg, stepper.state, sources)
+        stepper.step(cfg.dt)
+    return stepper.state
+
+
+@pytest.mark.parametrize("case", ["swirl", "mms", "monotone"])
+def test_carried_spectra_match_spectra_rebuilt_each_step(case, small_solver):
+    # strang_cn carries the spectra of (Gamma, omega) from step to step
+    # instead of re-transforming the state's fields, so the two differ by
+    # the round-off of an irfft -> rfft round trip; the monotone scheme
+    # carries nothing and is bit-equal
+    sources = None
+    if case == "mms":
+        mms = build_mms()
+        grid = build_grid(mms.r_min, mms.R, mms.L_z, 33, 32)
+        bound = mms.bind(grid)
+        sources = (bound["source_gamma"], bound["source_omega"])
+        cfg = SolverConfig(
+            r_min=mms.r_min, R=mms.R, L_z=mms.L_z, n_r=33, n_z=32, dt=0.0125,
+            cfl=1.0, t_end=0.25, output_interval=0.25,
+        )
+        state = state_from_dynamic(
+            EllipticSolver(grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
+        )
+    else:
+        scheme, dt = ("strang_cn", 0.005) if case == "swirl" else ("monotone", 1e-4)
+        cfg = make_cfg(dt=dt, amplitude=2.0, scheme=scheme)
+        state = make_initial_data(
+            small_solver, "swirl_bump", amplitude=2.0, omega_amplitude=0.25, r_support=(1.3, 2.4)
+        )
+    carried = _twenty_steps(cfg, state, sources)
+    rebuilt = _twenty_steps(cfg, state, sources, carry=False)
+    assert carried.t == rebuilt.t
+    for name in ("Gamma", "omega", "psi"):
+        a, b = getattr(carried, name), getattr(rebuilt, name)
+        if case == "monotone":
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+    assert carried.solver.stream_residual(carried.psi, carried.omega) < 1e-12
+
+
 def test_run_simulation_rejects_an_unknown_records_value():
     with pytest.raises(ValueError, match="records"):
         run_simulation(make_cfg(), records="all")
