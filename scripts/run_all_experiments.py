@@ -2,11 +2,13 @@
 """Drive every experiment family with the bundled configs.
 
 Writes each experiment's CSVs and manifest into out/<name>/ and prints
-a one-line status per family; exits with the worst exit code.  The
+a one-line status per family, with the minor page faults its command took
+(the manifest's extra.process); exits with the worst exit code.  The
 acceptance gate (tests/test_acceptance.py) runs run_all once and checks
 the files it writes.
 """
 
+import json
 import sys
 import time
 from pathlib import Path
@@ -38,8 +40,10 @@ def run_all(out_root: Path) -> list[tuple[str, str, int, float]]:
             [command, "--config", str(CONFIGS / cfg_name), "--out", str(out_dir)]
         )
         seconds = time.perf_counter() - t0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        faults = manifest["extra"]["process"]["minor_page_faults"]
         print(
-            f"{command:<13} {cfg_name:<28} exit={code} {seconds:5.1f}s"
+            f"{command:<13} {cfg_name:<28} exit={code} {seconds:5.1f}s {faults:>7} faults"
             f"  -> {out_dir}/manifest.json"
         )
         runs.append((command, cfg_name, code, seconds))

@@ -17,6 +17,9 @@ give byte-identical files.
 run's and semigroup's manifests add extra.perf: the heat steps,
 factorizations and spectrum/field transforms of their solvers
 (EllipticSolver.counts).  Only counts: timings never go into the outputs.
+Every manifest adds extra.process: the minor page faults taken during the
+command, the peak resident memory of the whole process so far, and whether
+main could raise glibc's heap thresholds (_keep_freed_heap).
 
 A config key the command does not read (COMMAND_KEYS) is a config error,
 and so is an EXPERIMENT_KEYS value outside its range or non-finite (inf
@@ -33,11 +36,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import json
 import math
 import operator
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -65,6 +70,12 @@ EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+# glibc's mallopt parameters (malloc.h) and its own 64-bit ceilings for them
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD, TRIM_THRESHOLD = 32 << 20, 64 << 20
+# ru_maxrss is in bytes on macOS, in KiB elsewhere
+_MAXRSS_PER_MB = 2**20 if sys.platform == "darwin" else 2**10
 
 
 def _finite(raw: str) -> float:
@@ -156,10 +167,36 @@ def write_csv(path: Path, header: tuple[str, ...], rows) -> None:
         out.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _keep_freed_heap() -> bool:
+    """Keep freed heap pages in the process: True if glibc took both thresholds.
+
+    A 129x128 float array (132 KB) is just over glibc's initial 128 KiB mmap
+    threshold.  glibc then raises the mmap threshold, and the trim threshold
+    to twice it, to the size of the largest block freed, but a step frees far
+    more than that at the top of the heap: the pages go back to the kernel
+    and are faulted in again on the next step.  Setting both thresholds to
+    glibc's 64-bit ceiling at the start keeps them.  Setting any threshold
+    turns glibc's dynamic mmap threshold off, so the mmap threshold goes
+    first and the trim threshold only if it took: the trim threshold alone
+    would mmap every 132 KB array.  Without mallopt (macOS, Windows) nothing
+    changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (
+        mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+        and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1
+    )
+
+
 class RunContext:
     """Tracks outputs and writes the manifest even when a command fails."""
 
-    def __init__(self, command: str, out_dir: Path, seed):
+    def __init__(self, command: str, out_dir: Path, seed, heap_thresholds_set: bool):
         self.command = command
         self.out_dir = out_dir
         self.config_echo: dict[str, str] = {}
@@ -167,12 +204,20 @@ class RunContext:
         self.outputs: list[str] = []
         self.extra: dict = {}
         self.started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+        self.heap_thresholds_set = heap_thresholds_set
+        self.minflt_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
     def add_output(self, path: Path) -> Path:
         self.outputs.append(str(path))
         return path
 
     def finish(self, status: str) -> None:
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self.extra["process"] = {
+            "minor_page_faults": usage.ru_minflt - self.minflt_start,
+            "peak_rss_mb": usage.ru_maxrss / _MAXRSS_PER_MB,
+            "heap_thresholds_set": self.heap_thresholds_set,
+        }
         manifest = {
             "command": self.command,
             "version": __version__,
@@ -206,7 +251,7 @@ def _command(body):
 
     @functools.wraps(body)
     def run(args) -> int:
-        ctx = RunContext(args.command, _resolve_out(args), args.seed)
+        ctx = RunContext(args.command, _resolve_out(args), args.seed, args.heap_thresholds_set)
         status, code, error = "failed", EXIT_UNEXPECTED, None
         try:
             mapping = {} if args.config is None else load_config(args.config)
@@ -471,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.heap_thresholds_set = _keep_freed_heap()
     try:
         return args.handler(args)
     except OSError as exc:  # the output directory itself is unusable

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import resource
 import runpy
 import subprocess
 import sys
@@ -203,6 +204,51 @@ def test_cmd_run_bad_config_exit_code(tmp_path):
     assert "config error" in manifest["extra"]["error"]
     missing = tmp_path / "does_not_exist.cfg"
     assert main(["run", "--config", str(missing), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        pytest.param("run", RUN_CFG, 0, id="run"),
+        pytest.param(
+            "semigroup",
+            "semigroup.n = 97\nsemigroup.cases = L0:2:0\nsemigroup.commutation_t = 0.01\n",
+            0,
+            id="semigroup",
+        ),
+        pytest.param("run", "grid.n_r = nonsense\n", 2, id="config-error"),
+    ],
+)
+def test_every_manifest_reports_the_process(tmp_path, command, text, code):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    process = json.loads((out / "manifest.json").read_text())["extra"]["process"]
+    assert set(process) == {"minor_page_faults", "peak_rss_mb", "heap_thresholds_set"}
+    assert process["minor_page_faults"] >= 0
+    assert process["peak_rss_mb"] > 0
+    assert process["heap_thresholds_set"] is cli._keep_freed_heap()
+
+
+def test_cli_run_takes_no_page_faults_per_step(tmp_path):
+    # with glibc's default thresholds a step hands the freed top of the heap
+    # back to the kernel and faults it in again on the next step: 235-340
+    # minor faults per step on this grid, under 1 with the thresholds raised
+    if not cli._keep_freed_heap():
+        pytest.skip("no mallopt in this libc")
+    text = (ROOT / "perfbench" / "configs" / "coupled_swirl.cfg").read_text()
+    env = dict(os.environ, PYTHONPATH=str(Path(axicyl.__file__).resolve().parents[1]))
+
+    def faults(t_end):  # 0.025 is 20 steps, 0.075 is 60
+        cfg = write_cfg(tmp_path, text.replace("time.t_end = 0.2", f"time.t_end = {t_end}"))
+        argv = [sys.executable, "-m", "axicyl.cli", "run", "--config", str(cfg)]
+        argv += ["--out", str(tmp_path / str(t_end))]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run(argv, env=env, check=True, timeout=120)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    per_step = (faults(0.075) - faults(0.025)) / 40
+    assert per_step < 20
 
 
 def test_cmd_run_overflowing_swirl_bound_halts_as_blowup(tmp_path):
@@ -580,6 +626,7 @@ def test_cmd_picard_halted_direct_run_exits_3(tmp_path):
     assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "halted_blowup"
+    manifest["extra"].pop("process")  # the process's own numbers, not a result
     assert manifest["extra"] == {
         "error": "numerical halt: picard's direct run to t = 0.04 halted at t = 0.004"
     }
@@ -610,6 +657,7 @@ def test_cmd_picard_direct_run_takes_the_iterates_step(tmp_path, dt, step):
         out = tmp_path / f"out{value!r}"
         assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
         extra = json.loads((out / "manifest.json").read_text())["extra"]
+        extra.pop("process")  # page faults differ from run to run
         outputs.append((extra, (out / "picard.csv").read_bytes()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0]["direct_match_l2"] < outputs[0][0]["direct_match_tolerance"] < 1

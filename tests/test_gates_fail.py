@@ -96,6 +96,28 @@ def test_stale_carried_spectra_trip_the_energy_residual(monkeypatch):
     assert residual() > 1e-3
 
 
+def test_dropped_wall_flux_trips_the_energy_residual(monkeypatch):
+    # criteria 2 and 12 read the (1.5) residual, whose ledger carries the
+    # swirl's flux (2/r_min) oint |u_th|^2 dH through the Robin wall.
+    # Leaving it out of the ledger breaks the balance (residual 4.4e-4 clean,
+    # 1.6e-2 defective).  Criterion 11's no-swirl runs have u_th = 0, hence
+    # no flux, so this defect cannot trip their (6.1) residual.
+    cfg = SolverConfig.from_mapping(load_config(CONFIGS / "energy_budget.cfg"))
+    cfg = replace(cfg, t_end=0.1)
+
+    def residual():
+        return energy_budget_check(run_simulation(cfg).records)
+
+    assert residual() < 1e-3  # criteria 2 and 12's bound
+    sample = evolution.dissipation_sample
+
+    def without_flux(state):
+        return sample(state)._replace(flux=0.0)
+
+    monkeypatch.setattr(evolution, "dissipation_sample", without_flux)
+    assert residual() > 1e-3
+
+
 def test_flattened_spike_trips_the_semigroup_decay_gate(monkeypatch):
     # criterion 8 fits the sup-norm decay of the L^p-critical spike
     # rho^(-3/p) to t^(-3/(2p)); the flatter rho^(-2/p), still of unit
