@@ -22,8 +22,9 @@ command, the peak resident memory of the whole process so far, and whether
 main could raise glibc's heap thresholds (_keep_freed_heap).
 
 A config key the command does not read (COMMAND_KEYS) is a config error,
-and so is an EXPERIMENT_KEYS value outside its range or non-finite (inf
-is allowed only as a Lebesgue exponent); the message names the key.
+and so is a SOLVER_KEYS or EXPERIMENT_KEYS value outside its allowed
+values (config.check_value) or non-finite (inf is allowed only as a
+Lebesgue exponent); the message names the key.
 sweep-eps runs its eps values in threads, one per value up to the CPU
 count; the error column of eps_sweep.csv and the manifest's
 extra.failures hold the exception of each failed run.
@@ -37,10 +38,10 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import functools
 import json
 import math
-import operator
 import os
 import resource
 import sys
@@ -52,8 +53,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, load_config
-from .diagnostics import CSV_COLUMNS, eps_sweep, inequality_batch, sigma_exponent
+from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, check_value, load_config
+from .diagnostics import CSV_COLUMNS, EpsSummary, eps_sweep, inequality_batch, sigma_exponent
 from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
     HEAT_OPERATORS,
@@ -114,8 +115,9 @@ def _float_list(raw: str) -> list[float]:
     return values
 
 
-# each command's experiment keys: key -> (parser, default, allowed range),
-# the range None where the parser, eps_sweep or sigma_exponent checks it
+# each command's experiment keys: key -> (parser, default, allowed range in
+# check_value's notation), None where the parser, eps_sweep or
+# sigma_exponent checks it
 EXPERIMENT_KEYS = {
     "mms": {
         "mms.levels": (int, 3, ">= 1"),
@@ -141,7 +143,6 @@ EXPERIMENT_KEYS = {
         "ineq.p": (_exponent, 4.0, None),
     },
 }
-_RANGE_TESTS = {">=": operator.ge, ">": operator.gt}
 # the most steps picard.t_end / picard.dt may ask for: each Picard iterate
 # keeps the velocity and swirl of every step for the next one
 PICARD_MAX_STEPS = 10_000
@@ -286,10 +287,7 @@ def _settings(command: str, mapping) -> SimpleNamespace:
     values = {}
     for key, (parse, default, allowed) in EXPERIMENT_KEYS[command].items():
         value = _get(mapping, key, default, parse)
-        if allowed is not None:
-            relation, bound = allowed.split()
-            if not _RANGE_TESTS[relation](value, float(bound)):
-                raise ConfigError(f"{key} must be {allowed}, got {value}")
+        check_value(key, value, allowed)
         values[key.split(".", 1)[1]] = value
     return SimpleNamespace(**values)
 
@@ -402,29 +400,8 @@ def cmd_sweep_eps(args, mapping, ctx):
     summaries = eps_sweep(template, _settings("sweep-eps", mapping).eps)
     write_csv(
         ctx.add_output(ctx.out_dir / "eps_sweep.csv"),
-        (
-            "eps",
-            "status",
-            "sup_h1_proxy",
-            "res_energy_6_1",
-            "closure_6_2",
-            "fitted_c_6_3",
-            "max_leakage",
-            "error",
-        ),
-        (
-            (
-                s.eps,
-                s.status,
-                s.sup_h1_proxy,
-                s.res_energy_6_1,
-                s.closure_6_2,
-                s.fitted_c_6_3,
-                s.max_leakage,
-                s.error,
-            )
-            for s in summaries
-        ),
+        tuple(f.name for f in dataclasses.fields(EpsSummary)),
+        map(dataclasses.astuple, summaries),
     )
     ctx.extra["n_failed"] = sum(1 for s in summaries if s.status != "completed")
     ctx.extra["failures"] = {_fmt(s.eps): s.error for s in summaries if s.error}

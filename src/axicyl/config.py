@@ -11,6 +11,7 @@ The config format is plain text, one `dotted.key = value` per line, with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,32 +68,51 @@ def _auto_or_float(raw: str) -> float | None:
     return None if raw == "auto" else float(raw)
 
 
-# config key -> (SolverConfig field, parser); the choice fields are checked
-# by SolverConfig itself
+# config key -> (SolverConfig field, parser, allowed values): None, a tuple
+# of choices, or a range in check_value's notation; a range holds for auto
 SOLVER_KEYS = {
-    "grid.r_min": ("r_min", float),
-    "grid.R": ("R", float),
-    "grid.L_z": ("L_z", float),
-    "grid.n_r": ("n_r", int),
-    "grid.n_z": ("n_z", int),
-    "time.dt": ("dt", _auto_or_float),
-    "time.cfl": ("cfl", float),
-    "time.t_end": ("t_end", float),
-    "time.output_interval": ("output_interval", float),
-    "scheme": ("scheme", str),
-    "init.kind": ("init_kind", str),
-    "init.amplitude": ("amplitude", float),
-    "init.omega_amplitude": ("omega_amplitude", float),
-    "init.r_lo": ("r_lo", float),
-    "init.r_hi": ("r_hi", float),
-    "init.z_lo": ("z_lo", float),
-    "init.z_hi": ("z_hi", float),
-    "init.z_mode": ("z_mode", int),
-    "init.n_modes": ("n_modes", int),
-    "init.seed": ("seed", int),
-    "run.blowup_threshold": ("blowup_threshold", float),
-    "output.checkpoint": ("checkpoint", str),
+    "grid.r_min": ("r_min", float, None),
+    "grid.R": ("R", float, None),
+    "grid.L_z": ("L_z", float, None),
+    "grid.n_r": ("n_r", int, None),
+    "grid.n_z": ("n_z", int, None),
+    "time.dt": ("dt", _auto_or_float, "> 0"),
+    "time.cfl": ("cfl", float, "> 0, <= 1"),
+    "time.t_end": ("t_end", float, ">= 0"),
+    "time.output_interval": ("output_interval", float, "> 0"),
+    "scheme": ("scheme", str, SCHEMES),
+    "init.kind": ("init_kind", str, INIT_KINDS),
+    "init.amplitude": ("amplitude", float, None),
+    "init.omega_amplitude": ("omega_amplitude", float, None),
+    "init.r_lo": ("r_lo", float, None),
+    "init.r_hi": ("r_hi", float, None),
+    "init.z_lo": ("z_lo", float, None),
+    "init.z_hi": ("z_hi", float, None),
+    "init.z_mode": ("z_mode", int, None),
+    "init.n_modes": ("n_modes", int, ">= 1"),
+    "init.seed": ("seed", int, ">= 0"),
+    "run.blowup_threshold": ("blowup_threshold", float, None),
+    "output.checkpoint": ("checkpoint", str, CHECKPOINTS),
 }
+
+_RELATIONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def check_value(key: str, value, allowed) -> None:
+    """Raise ConfigError naming key unless value is allowed.
+
+    allowed is None (anything), a tuple of choices, or comma-separated
+    relations to a number, e.g. "> 0, <= 1".  A None value (a key's auto)
+    passes every range.
+    """
+    if isinstance(allowed, tuple):
+        if value not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
+    elif allowed is not None and value is not None:
+        for term in allowed.split(","):
+            relation, bound = term.split()
+            if not _RELATIONS[relation](value, float(bound)):
+                raise ConfigError(f"{key} must be {allowed}, got {value}")
 
 
 @dataclass
@@ -131,29 +151,11 @@ class SolverConfig:
             check_grid(self.r_min, self.R, self.L_z, self.n_r, self.n_z)
         except GridError as exc:
             raise ConfigError(f"grid.{exc.param} {exc.message}") from exc
-        for key, (name, _) in SOLVER_KEYS.items():
+        for key, (name, _, allowed) in SOLVER_KEYS.items():
             val = getattr(self, name)
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"{key} must be finite, got {val}")
-        if self.n_modes < 1:
-            raise ConfigError(f"init.n_modes must be >= 1, got {self.n_modes}")
-        if self.seed < 0:
-            raise ConfigError(f"init.seed must be non-negative, got {self.seed}")
-        if not (0 < self.cfl <= 1):
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0:
-            raise ConfigError(f"t_end must be non-negative, got {self.t_end}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.output_interval <= 0:
-            raise ConfigError(f"output_interval must be positive, got {self.output_interval}")
-        for key, val, choices in (
-            ("scheme", self.scheme, SCHEMES),
-            ("init.kind", self.init_kind, INIT_KINDS),
-            ("output.checkpoint", self.checkpoint, CHECKPOINTS),
-        ):
-            if val not in choices:
-                raise ConfigError(f"{key} must be one of {choices}, got {val!r}")
+            check_value(key, val, allowed)
 
     @property
     def r_support(self) -> tuple[float, float] | None:
@@ -175,7 +177,9 @@ class SolverConfig:
     def from_mapping(cls, m: dict[str, str], seed_override: int | None = None) -> "SolverConfig":
         """The config the SOLVER_KEYS present in m give; absent keys keep the defaults."""
         fields = {
-            name: _get(m, key, None, cast) for key, (name, cast) in SOLVER_KEYS.items() if key in m
+            name: _get(m, key, None, cast)
+            for key, (name, cast, _) in SOLVER_KEYS.items()
+            if key in m
         }
         if seed_override is not None:
             fields["seed"] = seed_override

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import INIT_KINDS
 from .elliptic import EllipticSolver, pin
 from .grid import Grid, build_grid, ddr, ddz, weighted_integral
 
@@ -63,11 +64,8 @@ class AxisymState:
     def grid(self) -> Grid:
         return self.solver.grid
 
-    def speed_squared(self) -> np.ndarray:
-        return self.ur**2 + self.uth**2 + self.uz**2
-
     def kinetic_energy(self) -> float:
-        return weighted_integral(self.grid, self.speed_squared())
+        return weighted_integral(self.grid, self.ur**2 + self.uth**2 + self.uz**2)
 
 
 def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +144,7 @@ def make_initial_data(
     Nyquist index n_z // 2 (a higher mode aliases onto a lower one), or
     data whose derived fields overflow, raises InitialDataError.
     """
-    if kind not in ("no_swirl_bump", "swirl_bump", "random_modes"):
+    if kind not in INIT_KINDS:
         raise ValueError(f"unknown initial data kind {kind!r}")
     grid = solver.grid
     nyquist = grid.n_z // 2

@@ -19,9 +19,6 @@ import axicyl
 from axicyl import cli, evolution, fields
 from axicyl.cli import main
 from axicyl.config import (
-    CHECKPOINTS,
-    INIT_KINDS,
-    SCHEMES,
     SOLVER_KEYS,
     ConfigError,
     SolverConfig,
@@ -95,9 +92,7 @@ _FLOATS = st.one_of(
     st.floats(0.01, 3.0),  # values a run could use, to reach the initial data
 ).map(repr)
 _CHOICES = {
-    "scheme": SCHEMES,
-    "init.kind": INIT_KINDS,
-    "output.checkpoint": CHECKPOINTS,
+    key: allowed for key, (_, _, allowed) in SOLVER_KEYS.items() if isinstance(allowed, tuple)
 }
 
 
@@ -116,7 +111,7 @@ def _value_strategy(key, cast):
 
 _DRAWN_KEYS = {
     key: _value_strategy(key, cast)
-    for key, (_, cast) in SOLVER_KEYS.items()
+    for key, (_, cast, _) in SOLVER_KEYS.items()
     if not key.startswith("grid.")
 }
 
@@ -393,7 +388,10 @@ SMALL_RUNS = {
      # non-finite values and initial data that cannot be built on the grid
      "init.amplitude = nan", "init.omega_amplitude = inf", "time.dt = nan",
      "time.output_interval = nan", "run.blowup_threshold = nan", "init.n_modes = 0",
-     "init.seed = -1", "init.r_lo = 5\ninit.r_hi = 6", "init.z_lo = 1\ninit.z_hi = 0.5"],
+     "init.seed = -1", "init.r_lo = 5\ninit.r_hi = 6", "init.z_lo = 1\ninit.z_hi = 0.5",
+     # outside the allowed values of SOLVER_KEYS
+     "time.cfl = 2", "time.dt = -1", "time.t_end = -1", "time.output_interval = 0",
+     "scheme = rk4", "init.kind = vortex", "output.checkpoint = every"],
 )
 def test_out_of_range_grid_key_exits_2(tmp_path, command, line):
     cfg = write_cfg(tmp_path, SMALL_RUNS[command] + line + "\n")
