@@ -14,9 +14,11 @@ output directory (--out, else $AXICYL_OUT, else the working directory).
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files.
 
-run's and semigroup's manifests add extra.perf: the heat steps,
-factorizations and spectrum/field transforms of their solvers
-(EllipticSolver.counts).  Only counts: timings never go into the outputs.
+The manifests of run, semigroup, picard and inequalities add extra.perf:
+the heat steps, factorizations and spectrum/field transforms of their
+solvers (EllipticSolver.counts); picard's iterates and direct run share
+one solver, and so do inequalities' sample batches.  Only counts: timings
+never go into the outputs.
 Every manifest adds extra.process: the minor page faults taken during the
 command, the peak resident memory of the whole process so far, and whether
 main could raise glibc's heap thresholds (_keep_freed_heap).
@@ -389,6 +391,7 @@ def cmd_picard(args, mapping, ctx):
             "direct_match_l2": diff,
             "direct_match_tolerance": tol,
             "diverged": result.diverged,
+            "perf": dict(result.final_state.solver.counts),
         }
     )
     return "completed", EXIT_OK if not result.diverged else EXIT_NUMERICAL
@@ -455,6 +458,7 @@ def cmd_inequalities(args, mapping, ctx):
         rows,
     )
     ctx.extra["total_violations"] = sum(r.n_violations for r in full if r.constant_free)
+    ctx.extra["perf"] = dict(solver.counts)
     return "completed", EXIT_OK
 
 

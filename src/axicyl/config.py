@@ -157,22 +157,6 @@ class SolverConfig:
                 raise ConfigError(f"{key} must be finite, got {val}")
             check_value(key, val, allowed)
 
-    @property
-    def r_support(self) -> tuple[float, float] | None:
-        if self.r_lo is None and self.r_hi is None:
-            return None
-        if self.r_lo is None or self.r_hi is None:
-            raise ConfigError("init.r_lo and init.r_hi must be given together")
-        return (self.r_lo, self.r_hi)
-
-    @property
-    def z_support(self) -> tuple[float, float] | None:
-        if self.z_lo is None and self.z_hi is None:
-            return None
-        if self.z_lo is None or self.z_hi is None:
-            raise ConfigError("init.z_lo and init.z_hi must be given together")
-        return (self.z_lo, self.z_hi)
-
     @classmethod
     def from_mapping(cls, m: dict[str, str], seed_override: int | None = None) -> "SolverConfig":
         """The config the SOLVER_KEYS present in m give; absent keys keep the defaults."""

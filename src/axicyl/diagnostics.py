@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ConfigError
 from .elliptic import EllipticSolver
-from .fields import AxisymState, bump_profile
+from .fields import AxisymState, bump_profile, make_initial_data
 from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
 
 
@@ -406,10 +406,8 @@ def inequality_batch(
     seed; as many B1 and B2 scalar samples are drawn from the two
     sample_seeds.
     """
-    from .evolution import configured_initial_state
-
     states = [
-        configured_initial_state(replace(template, init_kind="random_modes", seed=seed), solver)
+        make_initial_data(solver, replace(template, init_kind="random_modes", seed=seed))
         for seed in seeds
     ]
     seed_b1, seed_b2 = sample_seeds
@@ -472,12 +470,12 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .evolution import configured_initial_state, run_simulation
+    from .evolution import run_simulation
 
-    if template.r_support is not None and template.r_support[0] < 1.0:
+    if template.r_lo is not None and template.r_lo < 1.0:
         raise ConfigError(
             f"init.r_lo must be >= 1 in an eps sweep (data supported in r >= 1), "
-            f"got {template.r_support[0]}"
+            f"got {template.r_lo}"
         )
     h_template = (template.R - template.r_min) / (template.n_r - 1)
     runs = []
@@ -488,7 +486,7 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
         except (ValueError, OverflowError) as exc:  # the grid check, or a non-finite eps
             raise ConfigError(f"sweep.eps = {eps}: {exc}") from exc
         grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
-        runs.append((eps, cfg, configured_initial_state(cfg, EllipticSolver(grid))))
+        runs.append((eps, cfg, make_initial_data(EllipticSolver(grid), cfg)))
 
     def run_one(item):
         eps, cfg, state = item

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigError, SolverConfig
+from .config import SolverConfig
 from .diagnostics import (
     DiagnosticsRecord,
     DissipationSample,
@@ -37,7 +37,6 @@ from .diagnostics import (
 from .elliptic import EllipticSolver, pin
 from .fields import (
     AxisymState,
-    InitialDataError,
     checkpoint_save,
     make_initial_data,
     state_from_dynamic,
@@ -341,37 +340,6 @@ class Stepper:
         )
 
 
-# the config keys behind each make_initial_data argument that can be at fault
-_INIT_KEYS = {
-    "r_support": "init.r_lo and init.r_hi",
-    "z_support": "init.z_lo and init.z_hi",
-    "amplitude": "init.amplitude and init.omega_amplitude",
-    "z_mode": "init.z_mode",
-    "n_modes": "init.n_modes",
-}
-
-
-def configured_initial_state(cfg: SolverConfig, solver: EllipticSolver) -> AxisymState:
-    """The initial data cfg describes, on the solver's grid.
-
-    Data that cannot be built there is a ConfigError naming its keys.
-    """
-    try:
-        return make_initial_data(
-            solver,
-            cfg.init_kind,
-            amplitude=cfg.amplitude,
-            r_support=cfg.r_support,
-            z_mode=cfg.z_mode,
-            seed=cfg.seed,
-            omega_amplitude=cfg.omega_amplitude,
-            n_modes=cfg.n_modes,
-            z_support=cfg.z_support,
-        )
-    except InitialDataError as exc:
-        raise ConfigError(f"{_INIT_KEYS[exc.param]}: {exc.message}") from exc
-
-
 def run_simulation(
     cfg: SolverConfig,
     sources=None,
@@ -397,7 +365,7 @@ def run_simulation(
         raise ValueError(f"records must be outputs, every_step or none, got {records!r}")
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
     if initial_state is None:
-        state = configured_initial_state(cfg, EllipticSolver(grid))
+        state = make_initial_data(EllipticSolver(grid), cfg)
     elif initial_state.grid.same_geometry(grid):
         state = initial_state
     else:
@@ -591,7 +559,7 @@ def picard_experiment(
     that halts raises BlowupError.
     """
     grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
-    state0 = configured_initial_state(cfg, EllipticSolver(grid))
+    state0 = make_initial_data(EllipticSolver(grid), cfg)
     result = picard_iterate(state0, T=T, j_max=j_max, p=p, dt=dt, scheme=cfg.scheme)
     dt = result.dt
     run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T, checkpoint="none")

@@ -16,6 +16,11 @@ and homogeneous Dirichlet for Gamma, omega, psi at the truncation
 radius r = R.  These walls are stated once, in the operator table
 `elliptic.OPERATORS` (L1 for Gamma, L0' for omega, the stream operator
 for psi).
+
+make_initial_data reads the init.* keys straight from a
+config.SolverConfig: their defaults are that dataclass's fields and
+nowhere else, and data that cannot be built raises a ConfigError naming
+the keys at fault.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import INIT_KINDS
+from .config import ConfigError, SolverConfig
 from .elliptic import EllipticSolver, pin
 from .grid import Grid, build_grid, ddr, ddz, weighted_integral
 
@@ -79,16 +84,6 @@ def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     return ur, uz
 
 
-class InitialDataError(ValueError):
-    """Initial data that cannot be built on the grid; `param` names the
-    make_initial_data argument at fault."""
-
-    def __init__(self, param: str, message: str):
-        super().__init__(f"{param} {message}")
-        self.param = param
-        self.message = message
-
-
 def bump_profile(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """C-infinity bump supported on (lo, hi), peak value 1 at the midpoint."""
     if hi <= lo:
@@ -122,70 +117,64 @@ def state_from_dynamic(
     return AxisymState(t, solver, gamma, om, psi, ur, gamma / grid.rcol, uz)
 
 
-def make_initial_data(
-    solver: EllipticSolver,
-    kind: str,
-    amplitude: float = 1.0,
-    r_support: tuple[float, float] | None = None,
-    z_mode: int = 1,
-    seed: int = 0,
-    omega_amplitude: float | None = None,
-    n_modes: int = 4,
-    z_support: tuple[float, float] | None = None,
-) -> AxisymState:
-    """Smooth compactly supported initial data on the solver's grid.
+def make_initial_data(solver: EllipticSolver, cfg: SolverConfig) -> AxisymState:
+    """Smooth compactly supported initial data of cfg's init keys on the
+    solver's grid (cfg's grid keys are not read).
 
-    kinds: "no_swirl_bump" (Gamma = 0, single omega bump), "swirl_bump"
+    init.kind: "no_swirl_bump" (Gamma = 0, single omega bump), "swirl_bump"
     (Gamma and omega bumps), "random_modes" (seeded sums of bump-times-
-    Fourier-mode fields; deterministic given the seed).  An optional
-    z_support window localizes the data in z as well (otherwise it fills
-    the full period through Fourier modes).  A support outside the grid,
-    a z_mode (bump kinds) or n_modes (random_modes) past the grid's
-    Nyquist index n_z // 2 (a higher mode aliases onto a lower one), or
-    data whose derived fields overflow, raises InitialDataError.
+    Fourier-mode fields; deterministic given init.seed).  An optional
+    init.z_lo/z_hi window localizes the data in z as well (otherwise it
+    fills the full period through Fourier modes).  Data that cannot be
+    built on the grid is a ConfigError naming its keys: a support given by
+    one end or outside the grid, an init.z_mode (bump kinds) or
+    init.n_modes (random_modes) past the grid's Nyquist index n_z // 2 (a
+    higher mode aliases onto a lower one), or amplitudes whose derived
+    fields overflow.
     """
-    if kind not in INIT_KINDS:
-        raise ValueError(f"unknown initial data kind {kind!r}")
+    for lo_key, hi_key in (("r_lo", "r_hi"), ("z_lo", "z_hi")):
+        if (getattr(cfg, lo_key) is None) != (getattr(cfg, hi_key) is None):
+            raise ConfigError(f"init.{lo_key} and init.{hi_key} must be given together")
     grid = solver.grid
     nyquist = grid.n_z // 2
-    past_nyquist = f"must not exceed the Nyquist index n_z // 2 = {nyquist}"
-    if kind == "random_modes":
-        if n_modes > nyquist:
-            raise InitialDataError("n_modes", past_nyquist)
-    elif abs(z_mode) > nyquist:
-        raise InitialDataError("z_mode", past_nyquist)
-    if r_support is None:
+    key = "n_modes" if cfg.init_kind == "random_modes" else "z_mode"
+    if abs(getattr(cfg, key)) > nyquist:
+        raise ConfigError(f"init.{key}: must not exceed the Nyquist index n_z // 2 = {nyquist}")
+    if cfg.r_lo is None:
         width = grid.R - grid.r_min
-        r_support = (grid.r_min + 0.15 * width, grid.r_min + 0.60 * width)
-    lo, hi = r_support
-    if not (grid.r_min < lo < hi < grid.R):
-        raise InitialDataError(
-            "r_support", f"[{lo}, {hi}] must lie strictly inside ({grid.r_min}, {grid.R})"
-        )
-    if z_support is not None:
-        z_lo, z_hi = z_support
-        if not (0.0 <= z_lo < z_hi <= grid.L_z):
-            raise InitialDataError("z_support", f"[{z_lo}, {z_hi}] must lie inside [0, {grid.L_z}]")
-        zb = bump_profile(grid.z, z_lo, z_hi)[None, :]
+        lo, hi = grid.r_min + 0.15 * width, grid.r_min + 0.60 * width
     else:
+        lo, hi = cfg.r_lo, cfg.r_hi
+    if not (grid.r_min < lo < hi < grid.R):
+        raise ConfigError(
+            f"init.r_lo and init.r_hi: [{lo}, {hi}] must lie strictly inside "
+            f"({grid.r_min}, {grid.R})"
+        )
+    if cfg.z_lo is None:
         zb = np.ones((1, grid.n_z))
-    if omega_amplitude is None:
-        omega_amplitude = 0.5 * amplitude
+    elif 0.0 <= cfg.z_lo < cfg.z_hi <= grid.L_z:
+        zb = bump_profile(grid.z, cfg.z_lo, cfg.z_hi)[None, :]
+    else:
+        raise ConfigError(
+            f"init.z_lo and init.z_hi: [{cfg.z_lo}, {cfg.z_hi}] must lie inside [0, {grid.L_z}]"
+        )
+    amplitude = cfg.amplitude
+    omega_amplitude = 0.5 * amplitude if cfg.omega_amplitude is None else cfg.omega_amplitude
 
     rb = bump_profile(grid.r, lo, hi)[:, None]
 
-    if kind != "random_modes":
-        kz = 2.0 * np.pi * z_mode / grid.L_z
-        if kind == "no_swirl_bump":
+    if cfg.init_kind != "random_modes":
+        kz = 2.0 * np.pi * cfg.z_mode / grid.L_z
+        if cfg.init_kind == "no_swirl_bump":
             gamma = np.zeros(grid.shape)
         else:
             gamma = amplitude * rb * zb * np.ones(grid.shape)
         omega = omega_amplitude * rb * np.sin(kz * grid.z)[None, :] * zb
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.seed)
         gamma = np.zeros(grid.shape)
         omega = np.zeros(grid.shape)
-        for m in range(1, n_modes + 1):
+        for m in range(1, cfg.n_modes + 1):
             km = 2.0 * np.pi * m / grid.L_z
             ag, ao = rng.uniform(-1, 1, 2) / m**2
             pg, po = rng.uniform(0, 2 * np.pi, 2)
@@ -197,7 +186,7 @@ def make_initial_data(
     try:
         return state_from_dynamic(solver, 0.0, gamma, omega)
     except ValueError as exc:  # a derived field overflowed
-        raise InitialDataError("amplitude", str(exc)) from exc
+        raise ConfigError(f"init.amplitude and init.omega_amplitude: {exc}") from exc
 
 
 # -- checkpoint format ------------------------------------------------------

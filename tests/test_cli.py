@@ -27,7 +27,7 @@ from axicyl.config import (
 )
 from axicyl.diagnostics import CSV_COLUMNS
 from axicyl.elliptic import DEFAULT_SEMIGROUP_CASES, HEAT_OPERATORS, OPERATORS, EllipticSolver
-from axicyl.evolution import CFLError, configured_initial_state, run_simulation
+from axicyl.evolution import CFLError, run_simulation
 from axicyl.grid import build_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,7 +125,7 @@ def test_config_to_initial_state_raises_only_config_error(values):
         cfg = SolverConfig.from_mapping(parse_config_text(text))
         grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
         with np.errstate(all="ignore"):
-            state = configured_initial_state(cfg, EllipticSolver(grid))
+            state = fields.make_initial_data(EllipticSolver(grid), cfg)
     except ConfigError:
         return
     assert np.all(np.isfinite(state.psi))
@@ -561,6 +561,10 @@ def test_cmd_inequalities_small(tmp_path):
     assert rows[0].startswith("inequality,")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extra"]["total_violations"] == 0
+    # the batches share one solver: one stream solve of two transforms for
+    # each of the 6 states of the full batch and the 3 of each half
+    perf = manifest["extra"]["perf"]
+    assert perf == {"heat_steps": 0, "factorizations": 1, "transforms": 2 * (6 + 3 + 3)}
 
 
 def test_cmd_sweep_eps_small(tmp_path):
@@ -705,14 +709,25 @@ def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):
 
 def test_cmd_picard_builds_one_solver(tmp_path, construction_counts):
     # the Picard iterates and the direct run share one solver: its stream
-    # operator and two heat operators are each factored once
+    # operator and two heat operators are each factored once, and the
+    # manifest reports its counts.  Two iterates and the direct run take two
+    # steps each, of four heat steps.  Transforms: 2 for the initial state's
+    # stream solve; per iterate its first step's 2 spectra, then 7 a step
+    # (four half-diffusion fields, two spectra, the end-of-step stream field:
+    # the iterates' stages solve no stream), and 1 for the last iterate's
+    # final state; the direct run 2 spectra and 10 a step
+    # (test_cmd_run_manifest_reports_the_solver_counts)
     text = (
         "grid.n_r = 33\ngrid.n_z = 32\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
         "picard.t_end = 0.02\npicard.j_max = 2\npicard.dt = 0.01\n"
     )
     cfg = write_cfg(tmp_path, text)
-    assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    out = tmp_path / "out"
+    assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
     assert construction_counts == {"solvers": 1, "factorizations": 3}
+    perf = json.loads((out / "manifest.json").read_text())["extra"]["perf"]
+    transforms = 2 + 2 * (2 + 7 * 2) + 1 + (2 + 10 * 2)
+    assert perf == {"heat_steps": 3 * 2 * 4, "factorizations": 3, "transforms": transforms}
 
 
 def test_cmd_semigroup_tiny(tmp_path):

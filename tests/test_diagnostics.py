@@ -39,7 +39,9 @@ def solver(grid):
 @pytest.fixture(scope="module")
 def sample_states(grid, solver):
     return [
-        make_initial_data(solver, "random_modes", amplitude=1.0, seed=s, r_support=(1.4, 3.2))
+        make_initial_data(
+            solver, SolverConfig(init_kind="random_modes", seed=s, r_lo=1.4, r_hi=3.2)
+        )
         for s in range(8)
     ]
 

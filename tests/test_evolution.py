@@ -57,7 +57,7 @@ def make_cfg(**kw):
 
 def test_zero_state_stays_zero(small_grid, small_solver):
     cfg = make_cfg(amplitude=0.0, omega_amplitude=0.0)
-    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
+    state = make_initial_data(small_solver, cfg)
     stepper = Stepper(cfg, state)
     for _ in range(5):
         stepper.step(0.01)
@@ -123,9 +123,7 @@ def test_swirl_source_z_independent(small_grid):
 
 def test_no_swirl_invariance_and_monotone_enstrophy(small_grid, small_solver):
     cfg = make_cfg(init_kind="no_swirl_bump", amplitude=0.8, omega_amplitude=0.8)
-    state = make_initial_data(
-        small_solver, "no_swirl_bump", amplitude=0.8, omega_amplitude=0.8, r_support=(1.3, 2.4)
-    )
+    state = make_initial_data(small_solver, cfg)
     stepper = Stepper(cfg, state)
     prev = lp_norm(small_grid, state.omega / small_grid.rcol, 2)
     base = prev
@@ -139,7 +137,7 @@ def test_no_swirl_invariance_and_monotone_enstrophy(small_grid, small_solver):
 
 def test_cfl_violation_raises(small_grid, small_solver):
     cfg = make_cfg(scheme="monotone")
-    state = make_initial_data(small_solver, "swirl_bump", amplitude=1.0)
+    state = make_initial_data(small_solver, SolverConfig(amplitude=1.0))
     stepper = Stepper(cfg, state)
     with pytest.raises(CFLError):
         stepper.step(1.0)
@@ -159,7 +157,7 @@ def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
     zero = np.zeros(small_solver.grid.shape)
     nan = np.full(small_solver.grid.shape, np.nan)
     sources = (lambda t: zero, lambda t: nan)
-    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.5, r_support=(1.3, 2.4))
+    state = make_initial_data(small_solver, cfg)
     with pytest.raises(BlowupError, match="non-finite"):
         Stepper(cfg, state, sources).step(0.005)
     result = run_simulation(cfg, sources=sources, initial_state=state)
@@ -169,7 +167,7 @@ def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
 
 def test_run_simulation_steps_the_initial_state_on_its_solver(small_solver, construction_counts):
     cfg = make_cfg(dt=0.01, t_end=0.02)
-    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.5, r_support=(1.3, 2.4))
+    state = make_initial_data(small_solver, cfg)
     result = run_simulation(cfg, initial_state=state)
     assert construction_counts["solvers"] == 0
     assert result.final_state.solver is small_solver
@@ -182,7 +180,7 @@ def test_run_simulation_rejects_a_state_of_another_grid(change):
     cfg = make_cfg(t_end=0.0)
     other = replace(cfg, **change)
     g = build_grid(other.r_min, other.R, other.L_z, other.n_r, other.n_z)
-    state = make_initial_data(EllipticSolver(g), "swirl_bump", amplitude=0.5, r_support=(1.6, 2.4))
+    state = make_initial_data(EllipticSolver(g), replace(other, r_lo=1.6))
     with pytest.raises(ValueError, match="does not match the configured grid"):
         run_simulation(cfg, initial_state=state)
     assert run_simulation(other, initial_state=state).status == "completed"
@@ -259,9 +257,7 @@ def test_carried_spectra_match_spectra_rebuilt_each_step(case, small_solver):
     else:
         scheme, dt = ("strang_cn", 0.005) if case == "swirl" else ("monotone", 1e-4)
         cfg = make_cfg(dt=dt, amplitude=2.0, scheme=scheme)
-        state = make_initial_data(
-            small_solver, "swirl_bump", amplitude=2.0, omega_amplitude=0.25, r_support=(1.3, 2.4)
-        )
+        state = make_initial_data(small_solver, cfg)
     carried = _twenty_steps(cfg, state, sources)
     rebuilt = _twenty_steps(cfg, state, sources, carry=False)
     assert carried.t == rebuilt.t
@@ -297,7 +293,7 @@ def test_final_state_callers_keep_no_ledger(ledger_calls, monkeypatch):
 
 
 def test_the_ledger_cannot_open_after_a_step(small_solver):
-    state = make_initial_data(small_solver, "swirl_bump", amplitude=0.5, r_support=(1.3, 2.4))
+    state = make_initial_data(small_solver, make_cfg())
     stepper = Stepper(make_cfg(), state)
     stepper.step(0.005)
     with pytest.raises(RuntimeError, match="before the first step"):
@@ -374,7 +370,7 @@ def test_monotone_scheme_exact_max_principle(gamma0, omega0, steps):
 
 
 def test_picard_zero_data(small_grid, small_solver):
-    state0 = make_initial_data(small_solver, "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
+    state0 = make_initial_data(small_solver, make_cfg(amplitude=0.0, omega_amplitude=0.0))
     res = picard_iterate(state0, T=0.05, j_max=3, p=6.0, dt=0.01, scheme="strang_cn")
     assert all(k == 0.0 for k in res.K)
     assert all(d == 0.0 for d in res.delta)
@@ -384,8 +380,7 @@ def test_picard_zero_data(small_grid, small_solver):
 def test_picard_first_iterate_scales_linearly(small_grid, small_solver):
     def build(lam):
         return make_initial_data(
-            small_solver, "swirl_bump", amplitude=0.2 * lam, omega_amplitude=0.1 * lam,
-            r_support=(1.3, 2.4),
+            small_solver, make_cfg(amplitude=0.2 * lam, omega_amplitude=0.1 * lam)
         )
 
     r1 = picard_iterate(build(1.0), T=0.05, j_max=2, p=6.0, dt=0.01, scheme="strang_cn")
@@ -394,16 +389,14 @@ def test_picard_first_iterate_scales_linearly(small_grid, small_solver):
 
 
 def test_picard_small_data_contracts(small_grid, small_solver):
-    state0 = make_initial_data(
-        small_solver, "swirl_bump", amplitude=0.2, omega_amplitude=0.1, r_support=(1.3, 2.4)
-    )
+    state0 = make_initial_data(small_solver, make_cfg(amplitude=0.2, omega_amplitude=0.1))
     res = picard_iterate(state0, T=0.1, j_max=5, p=6.0, dt=0.005, scheme="strang_cn")
     assert not res.diverged
     assert all(r < 1.0 for r in res.ratios)
 
 
 def test_picard_validates_args(small_grid, small_solver):
-    state0 = make_initial_data(small_solver, "swirl_bump", amplitude=0.1)
+    state0 = make_initial_data(small_solver, SolverConfig(amplitude=0.1))
     with pytest.raises(ValueError):
         picard_iterate(state0, T=0.0, j_max=3, p=6.0, dt=0.01, scheme="strang_cn")
     with pytest.raises(ValueError):

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from axicyl.config import ConfigError, SolverConfig
 from axicyl.elliptic import EllipticSolver
 from axicyl.fields import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     AxisymState,
     CheckpointError,
-    InitialDataError,
     bump_profile,
     checkpoint_load,
     checkpoint_save,
@@ -180,14 +180,14 @@ def test_vorticity_matches_symbolic_oracle():
 
 def test_make_initial_data_zero_amplitude():
     g = build_grid(1, 3, 2.0, 17, 16)
-    st0 = make_initial_data(EllipticSolver(g), "swirl_bump", amplitude=0.0, omega_amplitude=0.0)
+    st0 = make_initial_data(EllipticSolver(g), SolverConfig(amplitude=0.0, omega_amplitude=0.0))
     assert st0.kinetic_energy() == 0.0
     assert np.all(st0.Gamma == 0.0)
 
 
 def test_make_initial_data_no_swirl():
     g = build_grid(1, 3, 2.0, 33, 32)
-    st0 = make_initial_data(EllipticSolver(g), "no_swirl_bump", amplitude=1.0)
+    st0 = make_initial_data(EllipticSolver(g), SolverConfig(init_kind="no_swirl_bump"))
     assert np.all(st0.Gamma == 0.0)
     assert lp_norm(g, st0.Gamma, np.inf) == 0.0
     assert lp_norm(g, st0.omega, np.inf) > 0.0
@@ -197,7 +197,7 @@ def test_initial_data_invariants():
     g = build_grid(1, 3, 2.0, 33, 32)
     solver = EllipticSolver(g)
     for kind in ("no_swirl_bump", "swirl_bump", "random_modes"):
-        s = make_initial_data(solver, kind, amplitude=1.0, seed=3)
+        s = make_initial_data(solver, SolverConfig(init_kind=kind, seed=3))
         assert s.solver is solver
         assert np.all(s.omega[0, :] == 0.0)
         assert np.all(s.ur[0, :] == 0.0)
@@ -208,37 +208,44 @@ def test_initial_data_invariants():
 
 def test_make_initial_data_rejects_bad_support():
     solver = EllipticSolver(build_grid(1, 3, 2.0, 17, 16))
-    with pytest.raises(ValueError):
-        make_initial_data(solver, "swirl_bump", r_support=(0.5, 2.0))
-    with pytest.raises(ValueError):
-        make_initial_data(solver, "swirl_bump", r_support=(1.5, 3.5))
-    with pytest.raises(ValueError):
-        make_initial_data(solver, "nonsense")
+    for support, message in [
+        ({"r_lo": 0.5, "r_hi": 2.0}, "init.r_lo and init.r_hi: [0.5, 2.0] must lie strictly"),
+        ({"r_lo": 1.5, "r_hi": 3.5}, "init.r_lo and init.r_hi: [1.5, 3.5] must lie strictly"),
+        ({"z_lo": 1.0, "z_hi": 2.5}, "init.z_lo and init.z_hi: [1.0, 2.5] must lie inside"),
+        ({"r_lo": 1.5}, "init.r_lo and init.r_hi must be given together"),
+        ({"z_hi": 1.0}, "init.z_lo and init.z_hi must be given together"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            make_initial_data(solver, SolverConfig(**support))
+        assert str(err.value).startswith(message)
+    with pytest.raises(ConfigError):
+        SolverConfig(init_kind="nonsense")
 
 
 def test_make_initial_data_rejects_modes_past_nyquist():
     # n_z = 16: mode 8 is the highest the grid holds; a higher one aliases
     solver = EllipticSolver(build_grid(1, 3, 2.0, 17, 16))
-    make_initial_data(solver, "swirl_bump", z_mode=-8)
-    make_initial_data(solver, "random_modes", n_modes=8)
+    make_initial_data(solver, SolverConfig(init_kind="swirl_bump", z_mode=-8))
+    make_initial_data(solver, SolverConfig(init_kind="random_modes", n_modes=8))
     for kind, kw in [
         ("swirl_bump", {"z_mode": 9}),
         ("no_swirl_bump", {"z_mode": -9}),
         ("random_modes", {"n_modes": 9}),
     ]:
-        with pytest.raises(InitialDataError) as err:
-            make_initial_data(solver, kind, **kw)
-        assert err.value.param == next(iter(kw))
+        with pytest.raises(ConfigError) as err:
+            make_initial_data(solver, SolverConfig(init_kind=kind, **kw))
+        key = next(iter(kw))
+        assert str(err.value) == f"init.{key}: must not exceed the Nyquist index n_z // 2 = 8"
     # each kind reads only its own mode argument
-    make_initial_data(solver, "random_modes", z_mode=10**400)
-    make_initial_data(solver, "swirl_bump", n_modes=10**9)
+    make_initial_data(solver, SolverConfig(init_kind="random_modes", z_mode=10**400))
+    make_initial_data(solver, SolverConfig(init_kind="swirl_bump", n_modes=10**9))
 
 
 def test_random_modes_deterministic():
     solver = EllipticSolver(build_grid(1, 3, 2.0, 33, 32))
-    a = make_initial_data(solver, "random_modes", amplitude=1.0, seed=1)
-    b = make_initial_data(solver, "random_modes", amplitude=1.0, seed=1)
-    c = make_initial_data(solver, "random_modes", amplitude=1.0, seed=2)
+    a = make_initial_data(solver, SolverConfig(init_kind="random_modes", seed=1))
+    b = make_initial_data(solver, SolverConfig(init_kind="random_modes", seed=1))
+    c = make_initial_data(solver, SolverConfig(init_kind="random_modes", seed=2))
     assert np.array_equal(a.Gamma, b.Gamma)
     assert np.array_equal(a.omega, b.omega)
     assert not np.array_equal(a.Gamma, c.Gamma)
@@ -247,7 +254,7 @@ def test_random_modes_deterministic():
 def test_random_modes_regression_anchor():
     # frozen first-run norms for seed=1 on the reference grid
     g = build_grid(1, 3, 2.0, 33, 32)
-    s = make_initial_data(EllipticSolver(g), "random_modes", amplitude=1.0, seed=1)
+    s = make_initial_data(EllipticSolver(g), SolverConfig(init_kind="random_modes", seed=1))
     anchors = {
         "sup_gamma": lp_norm(g, s.Gamma, np.inf),
         "l2_gamma": lp_norm(g, s.Gamma, 2),
@@ -277,7 +284,7 @@ def test_bump_profile_compact_support():
 def test_checkpoint_roundtrip(tmp_path):
     g = build_grid(1, 3, 2.0, 17, 16)
     solver = EllipticSolver(g)
-    s = make_initial_data(solver, "random_modes", amplitude=1.3, seed=9)
+    s = make_initial_data(solver, SolverConfig(init_kind="random_modes", amplitude=1.3, seed=9))
     s.t = 0.625
     path = tmp_path / "state.axns"
     checkpoint_save(s, path)
@@ -299,7 +306,8 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def _save_state(path, n_r=17, n_z=16):
-    s = make_initial_data(EllipticSolver(build_grid(1, 3, 2.0, n_r, n_z)), "no_swirl_bump")
+    solver = EllipticSolver(build_grid(1, 3, 2.0, n_r, n_z))
+    s = make_initial_data(solver, SolverConfig(init_kind="no_swirl_bump"))
     checkpoint_save(s, path)
 
 

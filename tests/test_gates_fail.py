@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 from mms_derivation import mismatches
 
-from axicyl import elliptic, evolution, grid as grid_module
+from axicyl import diagnostics, elliptic, evolution, grid as grid_module
 from axicyl.config import SolverConfig, load_config
 from axicyl.diagnostics import (
     energy_budget_check,
+    eps_sweep,
     identity_5_3_check,
     inequality_batch,
     vorticity_budgets_check,
@@ -27,7 +28,7 @@ from axicyl.diagnostics import (
 from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experiment
 from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic
-from axicyl.grid import build_grid, lp_norm, radial_weights
+from axicyl.grid import build_grid, ddr, ddz, lp_norm, radial_weights
 from axicyl.manufactured import TERMS, build_mms, mms_convergence_study
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -159,6 +160,28 @@ def test_dropped_vorticity_reaction_trips_the_no_swirl_closure(monkeypatch):
 
     monkeypatch.setattr(evolution, "_coupled_rates", without_reaction)
     assert closure() > 1e-3
+
+
+def test_dropped_metric_term_trips_the_eps_sweep_energy_residual(monkeypatch):
+    # criterion 11 reads the (6.1) energy residual of the eps sweep's
+    # no-swirl runs, whose dissipation ||grad v||^2 holds the (u_r/r)^2 metric
+    # term of the cylindrical gradient.  On configs/eps_sweep.cfg, dropping it
+    # moves the worst residual from 5.27e-4 to 2.99e-2, against 1e-3; eps =
+    # 0.125 alone reads the same two numbers
+    template = SolverConfig.from_mapping(load_config(CONFIGS / "eps_sweep.cfg"))
+
+    def residual():
+        (summary,) = eps_sweep(template, [0.125])
+        assert summary.status == "completed"
+        return summary.res_energy_6_1
+
+    assert residual() < 1e-3  # criterion 11's bound
+
+    def without_metric_term(grid, ur, uz):
+        return ddr(grid, ur) ** 2 + ddz(grid, ur) ** 2 + ddr(grid, uz) ** 2 + ddz(grid, uz) ** 2
+
+    monkeypatch.setattr(diagnostics, "velocity_gradient_squared", without_metric_term)
+    assert residual() > 1e-3
 
 
 def test_flattened_spike_trips_the_semigroup_decay_gate(monkeypatch):
