@@ -28,7 +28,7 @@ import numpy as np
 from .config import ConfigError
 from .elliptic import EllipticSolver
 from .fields import AxisymState, bump_profile, make_initial_data
-from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
+from .grid import Grid, build_grid, ddr, ddz, lp_norm, radial_quadrature, weighted_integral
 
 
 # -- pointwise building blocks ------------------------------------------------
@@ -68,19 +68,44 @@ class DissipationSample(NamedTuple):
     om_diss: float
 
 
+def _row_squares(*fs: np.ndarray) -> np.ndarray:
+    """sum_j f_ij^2 per row i, summed over the arrays fs."""
+    rows = np.einsum("ij,ij->i", fs[0], fs[0])
+    for f in fs[1:]:
+        rows += np.einsum("ij,ij->i", f, f)
+    return rows
+
+
+def _velocity_gradient_integral(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> float:
+    """int |grad v|^2 (velocity_gradient_squared) from the rows' sums of squares."""
+    quad = radial_quadrature(grid)
+    rows = _row_squares(ddr(grid, ur), ddz(grid, ur), ddr(grid, uz), ddz(grid, uz))
+    return float(quad @ rows + (quad / grid.r**2) @ _row_squares(ur))
+
+
 def dissipation_sample(state: AxisymState) -> DissipationSample:
+    """The budget integrands of a state.
+
+    Each is a sum of squares, so its integral is the radial quadrature
+    vector (grid.radial_quadrature), divided by r^2 for the terms over r,
+    times the rows' sums of squares: no squared field is formed.  u_th =
+    Gamma/r and omega/r take their z-differences from Gamma's and omega's.
+    """
     g = state.grid
-    uth = state.uth
-    om = state.omega
-    q = om / g.rcol
-    diss_v = weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz))
-    diss_uth = weighted_integral(g, ddr(g, uth) ** 2 + ddz(g, uth) ** 2)
-    diss_sw = weighted_integral(g, (uth / g.rcol) ** 2)
+    quad = radial_quadrature(g)
+    quad_r2 = quad / g.r**2
+    uth, om = state.uth, state.omega
+    dz_om_rows = _row_squares(ddz(g, om))
+    diss_v = _velocity_gradient_integral(g, state.ur, state.uz)
+    diss_uth = quad @ _row_squares(ddr(g, uth)) + quad_r2 @ _row_squares(ddz(g, state.Gamma))
+    diss_sw = quad_r2 @ _row_squares(uth)
     # (2/r_min) * oint |u_th|^2 dH, dH = r_min dtheta dz
     flux = 4.0 * math.pi * g.h_z * float(np.sum(uth[0, :] ** 2))
-    grad_q = weighted_integral(g, ddr(g, q) ** 2 + ddz(g, q) ** 2)
-    om_diss = weighted_integral(g, ddr(g, om) ** 2 + ddz(g, om) ** 2 + q**2)
-    return DissipationSample(diss_v, diss_uth, diss_sw, flux, grad_q, om_diss)
+    grad_q = quad @ _row_squares(ddr(g, om / g.rcol)) + quad_r2 @ dz_om_rows
+    om_diss = quad @ (_row_squares(ddr(g, om)) + dz_om_rows) + quad_r2 @ _row_squares(om)
+    return DissipationSample(
+        diss_v, float(diss_uth), float(diss_sw), flux, float(grad_q), float(om_diss)
+    )
 
 
 def boundary_leakage(state: AxisymState) -> float:
@@ -157,7 +182,7 @@ def deviation_5_3(grad_v_sq: float, l2_om: float) -> float:
 def identity_5_3_check(state: AxisymState) -> float:
     """The (5.3) deviation of a state (deviation_5_3)."""
     g = state.grid
-    grad_v_sq = weighted_integral(g, velocity_gradient_squared(g, state.ur, state.uz))
+    grad_v_sq = _velocity_gradient_integral(g, state.ur, state.uz)
     return deviation_5_3(grad_v_sq, lp_norm(g, state.omega, 2))
 
 

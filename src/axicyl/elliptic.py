@@ -111,7 +111,8 @@ class TridiagBatch:
     over the B blocks carries the true value from block to block, and one
     sweep over the s rows of all blocks at once then gives d exactly; the
     back substitution is the same pass over the rows in reverse.  That is
-    O(sqrt(n)) numpy calls per solve.
+    O(sqrt(n)) numpy calls per solve.  Every view those calls read and
+    write is made here, once (_sweep_plan), so a solve does no slicing.
 
     Right-hand sides and solutions are (s, B, 2M) float arrays in block
     order (_to_blocks): row i = k*s + j at [j, k], its modes' real and
@@ -145,14 +146,15 @@ class TridiagBatch:
             return _to_blocks(np.repeat(coef, 2, axis=1))
 
         self._scale = blocks(inv_denom)
-        fwd = blocks(fwd)
-        # the back substitution runs over the rows in reverse
+        # the work rows, and the per-block scratch both sweeps share
+        self.work = w = np.zeros((s, B, 2 * M))
+        ends, tmp = np.empty((B, 2 * M)), np.empty((B, 2 * M))
+        # the elimination, then the back substitution over the rows in reverse
         bwd = blocks(np.negative(cp, out=cp))[::-1]
-        self._elimination = (fwd, *_block_products(fwd), 1)
-        self._substitution = (bwd, *_block_products(bwd), -1)
-        # the sweeps' buffers: the work rows and the per-block carries
-        self.work = np.zeros((s, B, 2 * M))
-        self._scratch = tuple(np.empty((B, 2 * M)) for _ in range(3))
+        self._plans = (
+            _sweep_plan(w, blocks(fwd), 1, ends, tmp),
+            _sweep_plan(w[::-1], bwd, -1, ends, tmp),
+        )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with A x = rhs, both (s, B, 2M) in block order; allocates nothing.
@@ -163,8 +165,16 @@ class TridiagBatch:
         w = self.work
         # rhs / denom; zero scale on the pad rows keeps them zero
         np.multiply(rhs, self._scale, out=w)
-        _sweep(w, *self._elimination, *self._scratch)
-        _sweep(w[::-1], *self._substitution, *self._scratch)
+        for weights, rows, ends, carries, steps, tmp in self._plans:
+            # the value each block hands on if it starts from zero, then the
+            # true value entering each block, carried across the blocks
+            np.einsum("jx,jx->x", weights, rows, out=ends)
+            for span, prev, cur, end in carries:
+                np.multiply(span, prev, out=cur)
+                cur += end
+            for coef, prev, cur in steps:
+                np.multiply(coef, prev, out=tmp)
+                cur += tmp
         return w
 
 
@@ -180,27 +190,24 @@ def _block_products(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, weights[0] * coef[0]
 
 
-def _sweep(w, coef, weights, span, step, ends, carry, tmp) -> None:
-    """y_j = w_j + coef_j y_(j-1) in place over the rows j of the blocks of w (s, B, X).
+def _sweep_plan(w, coef, step, ends, tmp) -> tuple:
+    """y_j = w_j + coef_j y_(j-1), in place over the rows j of w's blocks (s, B, X), as views.
 
     The value entering each block is carried from the block before it:
-    k - 1 for step = 1, k + 1 for step = -1.  ends, carry and tmp (B, X)
-    are scratch.
+    k - 1 for step = 1, k + 1 for step = -1.  The plan is (weights, rows,
+    ends, carries, steps, tmp): the end-value einsum's operands and output,
+    the carry pass (span[k-1], carry[k-1], carry[k], ends[k-1]) in sweep
+    order, the row sweep (coef[j], y[j-1], y[j]) starting from the carry,
+    and tmp.  ends and tmp (B, X) are scratch; the carry is the plan's
+    own, and its first block's entry stays 0.
     """
-    s, B = w.shape[:2]
-    # the value each block hands on if it starts from zero, then the true
-    # value entering each block, carried across the blocks
-    np.einsum("jx,jx->x", weights.reshape(s, -1), w.reshape(s, -1), out=ends.reshape(-1))
+    s, B, X = w.shape
+    weights, span = _block_products(coef)
+    carry = np.zeros((B, X))
     c, e, sp = carry[::step], ends[::step], span[::step]
-    c[0] = 0.0
-    for k in range(1, B):
-        np.multiply(sp[k - 1], c[k - 1], out=c[k])
-        c[k] += e[k - 1]
-    np.multiply(coef[0], carry, out=tmp)
-    w[0] += tmp
-    for j in range(1, s):
-        np.multiply(coef[j], w[j - 1], out=tmp)
-        w[j] += tmp
+    carries = tuple(zip(sp[:-1], c[:-1], c[1:], e[:-1]))
+    steps = tuple(zip(coef, (carry, *w[:-1]), w))
+    return weights.reshape(s, -1), w.reshape(s, -1), ends.reshape(-1), carries, steps, tmp
 
 
 @dataclass(frozen=True)
@@ -494,16 +501,15 @@ def _decay_series(
         if k not in (0, 1):
             raise ValueError(f"k must be 0 or 1, got {k}")
     grid = solver.grid
-    steps = np.unique(np.rint(np.geomspace(t0, t1, n_samples) / dt).astype(int))
-    steps = steps[steps >= 1]
-    if steps.size < 3:
+    # a set of ints, not np.unique: that one's first call imports numpy.ma
+    target = {int(n) for n in np.rint(np.geomspace(t0, t1, n_samples) / dt) if n >= 1}
+    if len(target) < 3:
         raise FitWindowError("fit window too narrow for the given dt")
     fhat = solver.spectrum(f0, op)
     del f0  # the loop needs only the spectrum
     times: list[float] = []
     norms: dict[int, list[float]] = {k: [] for k in ks}
-    target = set(steps.tolist())
-    for n in range(1, int(steps[-1]) + 1):
+    for n in range(1, max(target) + 1):
         solver.heat_step(fhat, dt, op)
         if n in target:
             f = solver.field(fhat, op)

@@ -53,8 +53,13 @@ class BlowupError(RuntimeError):
     """Fields left the finite range; the run must halt."""
 
 
-def advect_centered(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
-    return -(ur * ddr(grid, f) + uz * ddz(grid, f))
+def advect_centered(grid: Grid, f: np.ndarray, ar: np.ndarray, az: np.ndarray) -> np.ndarray:
+    """Centred -v.grad f from the velocity's difference factors
+    ar = -u_r/(2 h_r) and az = -u_z/(2 h_z), which multiply f's raw
+    differences (grid.ddr, grid.ddz)."""
+    out = ddr(grid, f, ar)
+    out += ddz(grid, f, az)
+    return out
 
 
 def advect_upwind(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
@@ -85,7 +90,7 @@ def advect_upwind(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -> 
 
 def swirl_vorticity_source(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     """d_z(Gamma^2) / r^3, the vortex-stretching feed from swirl."""
-    return ddz(grid, gamma**2) / grid.rcol**3
+    return ddz(grid, gamma**2, 0.5 / (grid.h_z * grid.rcol**3))
 
 
 def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
@@ -95,10 +100,13 @@ def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
     (u_r/r) omega; gamma_feed drives d_z(Gamma^2)/r^3.  The coupled run
     passes its own stage fields, Picard the previous iterate's history.
     """
-    advect = advect_upwind if scheme == "monotone" else advect_centered
-    kg = advect(grid, gamma, ur, uz)
+    if scheme == "monotone":
+        advect, velocity = advect_upwind, (ur, uz)
+    else:  # the centred differences' factors, made once for both fields
+        advect, velocity = advect_centered, (ur * (-0.5 / grid.h_r), uz * (-0.5 / grid.h_z))
+    kg = advect(grid, gamma, *velocity)
     kw = (
-        advect(grid, omega, ur, uz)
+        advect(grid, omega, *velocity)
         + (ur / grid.rcol) * omega
         + swirl_vorticity_source(grid, gamma_feed)
     )

@@ -78,9 +78,11 @@ def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.nd
 
     With psi vanishing on both walls, u_r is exactly zero there and the
     discrete divergence d_r u_r + u_r/r + d_z u_z is O(h^2) pointwise.
+    Each component is psi's raw differences times one factor,
+    -1/(2 h_z r) and 1/(2 h_r r).
     """
-    ur = pin(-ddz(grid, psi) / grid.rcol, "stream")
-    uz = ddr(grid, psi) / grid.rcol
+    ur = pin(ddz(grid, psi, -0.5 / (grid.h_z * grid.rcol)), "stream")
+    uz = ddr(grid, psi, 0.5 / (grid.h_r * grid.rcol))
     return ur, uz
 
 

@@ -109,6 +109,15 @@ def radial_weights(grid: Grid) -> np.ndarray:
     return w
 
 
+def radial_quadrature(grid: Grid) -> np.ndarray:
+    """q with weighted_integral(grid, f) = sum_i q_i sum_j f_ij, up to rounding.
+
+    2*pi*h_z times the trapezoid weight times r: the quadrature of a field
+    from its row sums, for callers that form those sums directly.
+    """
+    return 2.0 * np.pi * grid.h_z * radial_weights(grid) * grid.r
+
+
 def weighted_integral(grid: Grid, f: np.ndarray) -> float:
     """Integral of f over the domain with the cylindrical measure 2*pi*r dr dz.
 
@@ -129,12 +138,15 @@ def lp_norm(grid: Grid, f: np.ndarray, p: float) -> float:
     return float(weighted_integral(grid, np.abs(f) ** p) ** (1.0 / p))
 
 
-def ddz(grid: Grid, f: np.ndarray) -> np.ndarray:
+def ddz(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> np.ndarray:
     """Centered d/dz, periodic wrap.
 
     One subtraction over the flattened rows gives every interior column;
     it writes cross-row differences into the two wrap columns, which are
-    then overwritten.
+    then overwritten.  The differences f[j+1] - f[j-1] are divided by
+    2 h_z, or, when factor (a scalar or an array broadcasting against f)
+    is given, multiplied by it instead: a caller that scales the
+    derivative folds 1/(2 h_z) into factor and saves a pass.
     """
     f = np.ascontiguousarray(f)
     out = np.empty_like(f)
@@ -142,8 +154,7 @@ def ddz(grid: Grid, f: np.ndarray) -> np.ndarray:
     np.subtract(flat[2:], flat[:-2], out=o[1:-1])
     np.subtract(f[:, 1], f[:, -1], out=out[:, 0])
     np.subtract(f[:, 0], f[:, -2], out=out[:, -1])
-    out /= 2.0 * grid.h_z
-    return out
+    return _scale_differences(out, grid.h_z, factor)
 
 
 def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -165,14 +176,26 @@ def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def ddr(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """d/dr: centered in the interior, one-sided second order at the walls."""
+def ddr(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> np.ndarray:
+    """d/dr: centered in the interior, one-sided second order at the walls.
+
+    The differences are divided by 2 h_r, or multiplied by factor when it
+    is given, as in ddz.
+    """
     out = np.empty_like(f)
     np.subtract(f[2:], f[:-2], out=out[1:-1])
     out[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
     out[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
-    out /= 2.0 * grid.h_r
-    return out
+    return _scale_differences(out, grid.h_r, factor)
+
+
+def _scale_differences(diff: np.ndarray, h: float, factor: float | np.ndarray | None) -> np.ndarray:
+    """diff / (2 h) in place, or diff * factor for a given factor."""
+    if factor is None:
+        diff /= 2.0 * h
+    else:
+        diff *= factor
+    return diff
 
 
 def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

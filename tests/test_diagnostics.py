@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from axicyl.config import SolverConfig
 from axicyl.diagnostics import (
     boundary_leakage,
+    dissipation_sample,
     energy_budget_check,
     eps_sweep,
     gagliardo_nirenberg_ratio,
@@ -184,6 +185,27 @@ def test_record_h1_and_leakage_finite(sample_states):
             assert rec.dev_5_3 == identity_5_3_check(state)
             assert boundary_leakage(state) >= 0.0
             stepper.step(0.004)
+
+
+def test_dissipation_sample_matches_the_pointwise_quadrature(sample_states):
+    # the sample sums squares by rows; the reference squares the stencils
+    # pointwise and integrates them with weighted_integral
+    for st_ in sample_states:
+        g, uth, om = st_.grid, st_.uth, st_.omega
+        q = om / g.rcol
+
+        def grad_sq(f):
+            return ddr(g, f) ** 2 + ddz(g, f) ** 2
+
+        expect = (
+            weighted_integral(g, velocity_gradient_squared(g, st_.ur, st_.uz)),
+            weighted_integral(g, grad_sq(uth)),
+            weighted_integral(g, (uth / g.rcol) ** 2),
+            4.0 * math.pi * g.h_z * float(np.sum(uth[0] ** 2)),
+            weighted_integral(g, grad_sq(q)),
+            weighted_integral(g, grad_sq(om) + q**2),
+        )
+        assert dissipation_sample(st_) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 def test_eps_sweep_single_eps_matches_run():

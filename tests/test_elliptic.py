@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,19 +55,27 @@ def _thomas_rows(sub, diag, sup, rhs):
     return d
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 127, 128, 383])
-@pytest.mark.parametrize("M", [1, 3, 65])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_tridiag_batch_matches_dense_solve(n, M, dtype):
-    rng = np.random.default_rng(n * 100 + M)
-    # diagonally dominant, like every operator the solver factors; the
-    # corner entries sub[:, 0] and sup[:, -1] are set and must be ignored
+def _random_system(n, M, dtype, seed):
+    """(sub, diag, sup, rhs) of M random systems of size n.
+
+    Diagonally dominant, like every operator the solver factors; the
+    corner entries sub[:, 0] and sup[:, -1] are set and must be ignored.
+    """
+    rng = np.random.default_rng(seed)
     sub = rng.uniform(-1.0, 1.0, (M, n))
     sup = rng.uniform(-1.0, 1.0, (M, n))
     diag = rng.choice([-1.0, 1.0], (M, n)) * rng.uniform(2.5, 3.5, (M, n))
     rhs = rng.normal(size=(M, n)).astype(dtype)
     if dtype is complex:
         rhs += 1j * rng.normal(size=(M, n))
+    return sub, diag, sup, rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 127, 128, 383])
+@pytest.mark.parametrize("M", [1, 3, 65])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiag_batch_matches_dense_solve(n, M, dtype):
+    sub, diag, sup, rhs = _random_system(n, M, dtype, n * 100 + M)
     batch = TridiagBatch(sub, diag, sup)
     assert (batch.M, batch.n) == (M, n)
     dense = np.stack(
@@ -97,6 +109,76 @@ def test_tridiag_batch_singular_raises(diag, sub):
     diag, sub = np.array(diag), np.array(sub)
     with pytest.raises(FloatingPointError):
         TridiagBatch(sub, diag, np.ones_like(diag))
+
+
+class _SlicingBatch:
+    """Reference: TridiagBatch's two-level sweep slicing its arrays on every call.
+
+    The same factorization and the same numpy calls in the same order as
+    TridiagBatch, which makes its views once; the two solves must agree
+    bit for bit.
+    """
+
+    def __init__(self, sub, diag, sup):
+        M, n = diag.shape
+        s, B, _ = elliptic._block_order(n)
+        inv_denom = np.empty((n, M))
+        cp = np.zeros((n, M))
+        sub, diag, sup = sub.T, diag.T, sup.T
+        inv_denom[0] = 1.0 / diag[0]
+        cp[0] = sup[0] * inv_denom[0]
+        for i in range(1, n):
+            inv_denom[i] = 1.0 / (diag[i] - sub[i] * cp[i - 1])
+            cp[i] = sup[i] * inv_denom[i]
+        cp[n - 1] = 0.0
+        fwd = np.zeros_like(cp)
+        fwd[1:] = -sub[1:] * inv_denom[1:]
+
+        def blocks(coef):
+            return elliptic._to_blocks(np.repeat(coef, 2, axis=1))
+
+        self._scale = blocks(inv_denom)
+        fwd = blocks(fwd)
+        bwd = blocks(np.negative(cp, out=cp))[::-1]
+        self._elimination = (fwd, *elliptic._block_products(fwd), 1)
+        self._substitution = (bwd, *elliptic._block_products(bwd), -1)
+        self.work = np.zeros((s, B, 2 * M))
+        self._scratch = tuple(np.empty((B, 2 * M)) for _ in range(3))
+
+    def solve(self, rhs):
+        w = self.work
+        np.multiply(rhs, self._scale, out=w)
+        self._sweep(w, *self._elimination, *self._scratch)
+        self._sweep(w[::-1], *self._substitution, *self._scratch)
+        return w
+
+    @staticmethod
+    def _sweep(w, coef, weights, span, step, ends, carry, tmp):
+        s, B = w.shape[:2]
+        np.einsum("jx,jx->x", weights.reshape(s, -1), w.reshape(s, -1), out=ends.reshape(-1))
+        c, e, sp = carry[::step], ends[::step], span[::step]
+        c[0] = 0.0
+        for k in range(1, B):
+            np.multiply(sp[k - 1], c[k - 1], out=c[k])
+            c[k] += e[k - 1]
+        np.multiply(coef[0], carry, out=tmp)
+        w[0] += tmp
+        for j in range(1, s):
+            np.multiply(coef[j], w[j - 1], out=tmp)
+            w[j] += tmp
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 127, 128, 383])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiag_batch_plan_is_bit_identical_to_the_slicing_sweep(n, dtype):
+    # two solves on one factorization each, so a carry left over from the
+    # first cannot go unnoticed in the second
+    sub, diag, sup, first = _random_system(n, 17, dtype, n)
+    second = _random_system(n, 17, dtype, n + 1)[3]
+    batch, ref = TridiagBatch(sub, diag, sup), _SlicingBatch(sub, diag, sup)
+    for rhs in (first, second):
+        given = elliptic._to_blocks(np.ascontiguousarray(rhs.T, dtype=complex).view(float))
+        assert np.array_equal(batch.solve(given), ref.solve(given))
 
 
 def test_heat_steps_build_no_stream_factorization(grid, monkeypatch):
@@ -398,3 +480,17 @@ def test_semigroup_experiment_small():
     by_key = {(r.op, r.p, r.k): r for r in results}
     assert abs(by_key[("L1", 6.0, 0)].fitted - 0.25) < 0.1
     assert abs(by_key[("L1", math.inf, 0)].fitted) < 0.1
+
+
+def test_semigroup_experiment_leaves_numpy_ma_unloaded():
+    # np.unique's first call imports numpy.ma, which costs milliseconds of set-up
+    src = str(Path(elliptic.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from axicyl.elliptic import semigroup_experiment\n"
+        "semigroup_experiment(n=129, dt=1 / 150.0, R=9.0, L_z=8.0, center=(5.0, 4.0),\n"
+        "                     envelope=(2.5, 3.5), cases=(('L1', 6.0, 0),))\n"
+        "sys.exit('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0

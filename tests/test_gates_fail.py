@@ -28,7 +28,7 @@ from axicyl.diagnostics import (
 from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experiment
 from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic
-from axicyl.grid import build_grid, ddr, ddz, lp_norm, radial_weights
+from axicyl.grid import build_grid, ddr, ddz, lp_norm, radial_weights, weighted_integral
 from axicyl.manufactured import TERMS, build_mms, mms_convergence_study
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -178,9 +178,10 @@ def test_dropped_metric_term_trips_the_eps_sweep_energy_residual(monkeypatch):
     assert residual() < 1e-3  # criterion 11's bound
 
     def without_metric_term(grid, ur, uz):
-        return ddr(grid, ur) ** 2 + ddz(grid, ur) ** 2 + ddr(grid, uz) ** 2 + ddz(grid, uz) ** 2
+        terms = ddr(grid, ur) ** 2 + ddz(grid, ur) ** 2 + ddr(grid, uz) ** 2 + ddz(grid, uz) ** 2
+        return weighted_integral(grid, terms)
 
-    monkeypatch.setattr(diagnostics, "velocity_gradient_squared", without_metric_term)
+    monkeypatch.setattr(diagnostics, "_velocity_gradient_integral", without_metric_term)
     assert residual() > 1e-3
 
 
@@ -206,15 +207,20 @@ def test_flattened_spike_trips_the_semigroup_decay_gate(monkeypatch):
 
 
 def _unweighted_quadrature(monkeypatch):
-    """The quadrature without the Jacobian r, in every module that imported it by name."""
-    weighted = grid_module.weighted_integral
+    """The quadrature without the Jacobian r, pointwise (weighted_integral) and
+    by rows (radial_quadrature), in every module that imported it by name."""
 
     def unweighted(grid, f):
         return float(2.0 * np.pi * grid.h_z * np.sum(radial_weights(grid)[:, None] * f))
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("axicyl") and getattr(module, "weighted_integral", None) is weighted:
-            monkeypatch.setattr(module, "weighted_integral", unweighted)
+    def unweighted_rows(grid):
+        return 2.0 * np.pi * grid.h_z * radial_weights(grid)
+
+    for attr, defect in (("weighted_integral", unweighted), ("radial_quadrature", unweighted_rows)):
+        clean = getattr(grid_module, attr)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("axicyl") and getattr(module, attr, None) is clean:
+                monkeypatch.setattr(module, attr, defect)
 
 
 def test_unweighted_quadrature_trips_the_gradient_identity_refinement(monkeypatch):
@@ -265,13 +271,14 @@ def test_zero_block_carry_trips_the_stream_residual(monkeypatch):
         return s.stream_residual(s.solve_stream(omega), omega)
 
     assert residual() < 1e-12
-    sweep = elliptic._sweep
+    products = elliptic._block_products
 
-    def zero_carry(w, coef, weights, span, step, *scratch):
+    def zero_carry(coef):
         # zero weights make every block's hand-on value, hence every carry, zero
-        sweep(w, coef, np.zeros_like(weights), span, step, *scratch)
+        weights, span = products(coef)
+        return np.zeros_like(weights), span
 
-    monkeypatch.setattr(elliptic, "_sweep", zero_carry)
+    monkeypatch.setattr(elliptic, "_block_products", zero_carry)
     assert residual() > 1e-12
 
 

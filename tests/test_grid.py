@@ -137,9 +137,11 @@ def test_ddz_mode_second_order():
 @pytest.mark.parametrize("shape", [(4, 4), (17, 5), (33, 32), (129, 128)])
 def test_z_stencils_equal_their_periodic_roll_forms(shape):
     # the flat passes keep each element's operations and their order, so
-    # they match the np.roll forms bit for bit, on any memory layout
+    # they match the np.roll forms bit for bit, on any memory layout; a
+    # factor multiplies the raw differences in place of dividing by 2 h_z
     g = build_grid(1.0, 3.7, 2.3, *shape)
     rng = np.random.default_rng(shape[0])
+    factor = rng.normal(size=(shape[0], 1))
     for scale in (1e-5, 1.0, 1e5):
         f = scale * rng.normal(size=shape)
         up, down = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
@@ -148,6 +150,7 @@ def test_z_stencils_equal_their_periodic_roll_forms(shape):
         strided = np.repeat(f, 2, axis=1)[:, ::2]
         for view in (f, np.asfortranarray(f), strided):
             assert np.array_equal(ddz(g, view), d1)
+            assert np.array_equal(ddz(g, view, factor), (up - down) * factor)
             assert np.array_equal(d2z(g, view), d2)
 
 
@@ -182,6 +185,18 @@ def test_ddr_smooth_second_order():
         errs.append(np.max(np.abs(ddr(g, f) - exact)))
     order = math.log2(errs[0] / errs[1])
     assert 1.9 < order < 2.1
+
+
+def test_ddr_factor_multiplies_the_raw_differences():
+    g = build_grid(1.0, 3.7, 2.3, 17, 8)
+    rng = np.random.default_rng(5)
+    f, factor = rng.normal(size=g.shape), rng.normal(size=g.shape)
+    raw = np.empty_like(f)
+    raw[1:-1] = f[2:] - f[:-2]
+    raw[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+    raw[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+    assert np.array_equal(ddr(g, f), raw / (2.0 * g.h_r))
+    assert np.array_equal(ddr(g, f, factor), raw * factor)
 
 
 def apply_interior(g, f, op):
