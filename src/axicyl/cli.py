@@ -145,8 +145,9 @@ EXPERIMENT_KEYS = {
         "ineq.p": (_exponent, 4.0, None),
     },
 }
-# the most steps picard.t_end / picard.dt may ask for: each Picard iterate
-# keeps the velocity and swirl of every step for the next one
+# the most steps picard.t_end / picard.dt may ask for: it rejects a ratio
+# that overflows and bounds the iteration's wall time, which grows with the
+# step count (its memory does not)
 PICARD_MAX_STEPS = 10_000
 
 # the config keys each command reads: mms and semigroup build their own

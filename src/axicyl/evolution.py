@@ -98,7 +98,8 @@ def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
 
     The velocity (ur, uz) advects both fields and sets the reaction
     (u_r/r) omega; gamma_feed drives d_z(Gamma^2)/r^3.  The coupled run
-    passes its own stage fields, Picard the previous iterate's history.
+    passes its own stage fields, Picard the previous iterate's fields at
+    the stage time.
     """
     if scheme == "monotone":
         advect, velocity = advect_upwind, (ur, uz)
@@ -468,13 +469,20 @@ def picard_iterate(
     """Reduced-form Picard iteration for the coupled system.
 
     Iterate j+1 solves the linear parabolic pair driven by iterate j's
-    velocity history (drift v_j, reaction u_r_j/r, swirl source from
-    Gamma_j); the first iterate evolves with zero drift and source.  All
-    iterates step on state0's solver with the given scheme, in
-    n_steps = max(1, round(T / dt)) equal steps of T / n_steps.
-    Returns K_j = sup_t t^gamma (||u_j||_p + t^(1/2) ||grad u_j||_p) and
-    the same weighted distance delta_j between consecutive iterates, the
-    sup taken over 10 evenly spread step boundaries.
+    fields (drift v_j, reaction u_r_j/r, swirl source from Gamma_j); the
+    first iterate evolves with zero drift and source.  All iterates step
+    on state0's solver with the given scheme, in n_steps =
+    max(1, round(T / dt)) equal steps of T / n_steps.
+
+    The iterates advance in lockstep, each step taking j = 1 ... j_max in
+    turn: iterate j+1's Heun stages read only iterate j's fields at the
+    step's two ends, and iterate j has just reached the later one.  Each
+    iterate keeps its (Gamma, omega, spectra) and its (u_r, u_z, Gamma) at
+    the step boundary it last reached, so memory is O(j_max) fields,
+    whatever n_steps is.  K_j = sup_t t^gamma (||u_j||_p + t^(1/2)
+    ||grad u_j||_p) and the same weighted distance delta_j between
+    consecutive iterates are running maxima over 10 evenly spread step
+    boundaries.
     """
     if not (T > 0 and dt > 0 and j_max >= 2):
         raise ValueError(f"need T > 0, dt > 0 and j_max >= 2, got {T}, {dt}, {j_max}")
@@ -485,7 +493,7 @@ def picard_iterate(
     gamma_exp = 0.5 - 1.5 / p
     n_steps = max(1, int(round(T / dt)))
     dt = T / n_steps
-    out_idx = sorted(set(np.linspace(1, n_steps, min(10, n_steps), dtype=int).tolist()))
+    out_idx = set(np.linspace(1, n_steps, min(10, n_steps), dtype=int).tolist())
 
     def weighted_norm(t, ur, uth, uz):
         """t^gamma (||u||_p + t^(1/2) ||grad u||_p)."""
@@ -493,57 +501,35 @@ def picard_iterate(
         grad = np.sqrt(full_velocity_gradient_squared(grid, ur, uth, uz))
         return t**gamma_exp * (lp_norm(grid, speed, p) + math.sqrt(t) * lp_norm(grid, grad, p))
 
-    zeros = np.zeros(grid.shape)
-    # histories at step boundaries 0..n_steps for the previous iterate
-    prev_ur = [zeros] * (n_steps + 1)
-    prev_uz = [zeros] * (n_steps + 1)
-    prev_gamma = [zeros] * (n_steps + 1)
-
-    K: list[float] = []
-    snapshots: list[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-
-    for _j in range(1, j_max + 1):
-        # every iterate starts from the shared initial state, which
-        # _strang_heun leaves unmodified; its own history starts there too
-        gamma, omega = state0.Gamma, state0.omega
-        spectra = None  # _strang_heun builds state0's, then carries them
-        ur_hist = [state0.ur]
-        uz_hist = [state0.uz]
-        gamma_hist = [gamma]
-        snaps: dict[int, tuple] = {}
-        k_val = 0.0
-        for n in range(n_steps):
+    zeros = (np.zeros(grid.shape),) * 3
+    # per iterate: (Gamma, omega, spectra, (u_r, u_z, Gamma) at its boundary);
+    # every iterate starts from the shared initial state, which _strang_heun
+    # leaves unmodified, and builds its own spectra on its first step
+    iterates = [(state0.Gamma, state0.omega, None, (state0.ur, state0.uz, state0.Gamma))] * j_max
+    K = [0.0] * j_max
+    delta = [0.0] * (j_max - 1)
+    for n in range(1, n_steps + 1):
+        drive = (zeros, zeros)  # the previous iterate's fields at steps n - 1 and n
+        for j, (gamma, omega, spectra, before) in enumerate(iterates):
             def tendency(gamma, omega, stage, omega_hat):
-                i = n + stage  # history index of the stage time
-                return _coupled_rates(
-                    grid, scheme, gamma, omega, prev_ur[i], prev_uz[i], prev_gamma[i]
-                )
+                ur, uz, gamma_feed = drive[stage]
+                return _coupled_rates(grid, scheme, gamma, omega, ur, uz, gamma_feed)
 
             gamma, omega, spectra = _strang_heun(
                 solver, gamma, omega, dt, tendency, scheme, spectra
             )
             omega_hat = None if spectra is None else spectra[1]
-            urf, uzf = velocity_from_stream(grid, solver.solve_stream(omega, omega_hat))
-            ur_hist.append(urf)
-            uz_hist.append(uzf)
-            gamma_hist.append(gamma)
-            step_idx = n + 1
-            if step_idx in out_idx:
-                uth = gamma / grid.rcol
-                k_val = max(k_val, weighted_norm(step_idx * dt, urf, uth, uzf))
-                snaps[step_idx] = (urf, uth, uzf)
-        K.append(k_val)
-        snapshots.append(snaps)
-        prev_ur, prev_uz, prev_gamma = ur_hist, uz_hist, gamma_hist
-
-    delta: list[float] = []
-    for j in range(len(snapshots) - 1):
-        d = 0.0
-        for idx in out_idx:
-            a = snapshots[j][idx]
-            b = snapshots[j + 1][idx]
-            d = max(d, weighted_norm(idx * dt, b[0] - a[0], b[1] - a[1], b[2] - a[2]))
-        delta.append(d)
+            ur, uz = velocity_from_stream(grid, solver.solve_stream(omega, omega_hat))
+            after = (ur, uz, gamma)
+            iterates[j] = gamma, omega, spectra, after
+            drive = before, after
+            if n in out_idx:
+                snap = (ur, gamma / grid.rcol, uz)
+                K[j] = max(K[j], weighted_norm(n * dt, *snap))
+                if j:
+                    diff = (b - a for a, b in zip(prev_snap, snap))
+                    delta[j - 1] = max(delta[j - 1], weighted_norm(n * dt, *diff))
+                prev_snap = snap
     grow = 0
     diverged = False
     for j in range(1, len(delta)):

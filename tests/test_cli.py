@@ -673,7 +673,7 @@ def test_cmd_picard_direct_run_takes_the_iterates_step(tmp_path, dt, step):
     ],
 )
 def test_cmd_picard_step_count_over_the_cap_exits_2(tmp_path, monkeypatch, t_end, dt):
-    # checked before the iteration, which would keep per-step histories
+    # checked before the iteration, whose wall time grows with the step count
     calls = []
     monkeypatch.setattr(evolution, "picard_iterate", lambda *a, **kw: calls.append(a))
     text = SMALL_GRID + f"picard.t_end = {t_end!r}\npicard.dt = {dt!r}\npicard.j_max = 2\n"

@@ -27,7 +27,7 @@ from axicyl.diagnostics import (
 )
 from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experiment
 from axicyl.evolution import run_simulation
-from axicyl.fields import bump_profile, state_from_dynamic
+from axicyl.fields import bump_profile, state_from_dynamic, velocity_from_stream
 from axicyl.grid import build_grid, ddr, ddz, lp_norm, radial_weights, weighted_integral
 from axicyl.manufactured import TERMS, build_mms, mms_convergence_study
 
@@ -204,6 +204,50 @@ def test_flattened_spike_trips_the_semigroup_decay_gate(monkeypatch):
 
     monkeypatch.setattr(elliptic, "power_spike", flattened)
     assert worst_error() > 0.08
+
+
+def test_undriven_iterates_trip_the_picard_gate(monkeypatch):
+    # criterion 10 on configs/picard.cfg's data and iteration at 33x32.
+    # Iterates each driven by their own start-of-step fields, not handed
+    # the previous iterate's, all compute the same fields: every delta_j is
+    # 0 and every ratio nan (clean: ratios 0.022-0.031, direct match
+    # 1.2e-7 < 0.17)
+    mapping = load_config(CONFIGS / "picard.cfg")
+    cfg = replace(SolverConfig.from_mapping(mapping), n_r=33, n_z=32)
+    T, p, dt = (float(mapping[f"picard.{k}"]) for k in ("t_end", "p", "dt"))
+    j_max = int(mapping["picard.j_max"])
+
+    def criterion_10():
+        result, diff, tol = evolution.picard_experiment(cfg, T, j_max, p, dt)
+        ratios = result.ratios[:5]
+        return (
+            len(ratios) == 5
+            and all(r < 1.0 for r in ratios)
+            and all(b < a for a, b in zip(result.delta, result.delta[1:]))
+            and not result.diverged
+            and diff < tol
+        )
+
+    assert criterion_10()
+    step, iterate = evolution._strang_heun, evolution.picard_iterate
+
+    def own_fields(solver, gamma, omega, dt, tendency, scheme, spectra=None):
+        ur, uz = velocity_from_stream(solver.grid, solver.solve_stream(omega))
+
+        def undriven(g, w, stage, w_hat):
+            return evolution._coupled_rates(solver.grid, scheme, g, w, ur, uz, gamma)
+
+        return step(solver, gamma, omega, dt, undriven, scheme, spectra)
+
+    def undriven_iterates(*args, **kwargs):
+        # the direct run, which picard_experiment makes after the iterates,
+        # steps with the clean _strang_heun
+        with monkeypatch.context() as m:
+            m.setattr(evolution, "_strang_heun", own_fields)
+            return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "picard_iterate", undriven_iterates)
+    assert not criterion_10()
 
 
 def _unweighted_quadrature(monkeypatch):
