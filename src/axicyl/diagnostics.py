@@ -28,7 +28,8 @@ import numpy as np
 from .config import ConfigError
 from .elliptic import EllipticSolver
 from .fields import AxisymState, bump_profile, make_initial_data
-from .grid import Grid, build_grid, ddr, ddz, lp_norm, radial_quadrature, weighted_integral
+from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
+from .grid import r_differences, z_differences
 
 
 # -- pointwise building blocks ------------------------------------------------
@@ -70,39 +71,48 @@ class DissipationSample(NamedTuple):
 
 def _row_squares(*fs: np.ndarray) -> np.ndarray:
     """sum_j f_ij^2 per row i, summed over the arrays fs."""
-    rows = np.einsum("ij,ij->i", fs[0], fs[0])
+    rows = np.vecdot(fs[0], fs[0])
     for f in fs[1:]:
-        rows += np.einsum("ij,ij->i", f, f)
+        rows += np.vecdot(f, f)
     return rows
 
 
 def _velocity_gradient_integral(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> float:
-    """int |grad v|^2 (velocity_gradient_squared) from the rows' sums of squares."""
-    quad = radial_quadrature(grid)
-    rows = _row_squares(ddr(grid, ur), ddz(grid, ur), ddr(grid, uz), ddz(grid, uz))
-    return float(quad @ rows + (quad / grid.r**2) @ _row_squares(ur))
+    """int |grad v|^2 (velocity_gradient_squared) from the rows' sums of
+    squares of the raw differences (dissipation_sample)."""
+    q = grid.factors
+    dr_rows = _row_squares(r_differences(ur), r_differences(uz))
+    dz_rows = _row_squares(z_differences(ur), z_differences(uz))
+    return float(q.quad_dr @ dr_rows + q.quad_dz @ dz_rows + q.quad_r2 @ _row_squares(ur))
 
 
 def dissipation_sample(state: AxisymState) -> DissipationSample:
     """The budget integrands of a state.
 
-    Each is a sum of squares, so its integral is the radial quadrature
-    vector (grid.radial_quadrature), divided by r^2 for the terms over r,
-    times the rows' sums of squares: no squared field is formed.  u_th =
-    Gamma/r and omega/r take their z-differences from Gamma's and omega's.
+    Each is a sum of squares, so its integral is a radial quadrature
+    vector times the rows' sums of squares: no squared field is formed.
+    The derivatives' squares are those of the raw differences
+    (grid.r_differences, grid.z_differences), whose (2 h)^-2 the vectors
+    carry, as they carry the 1/r^2 of the terms over r (GridFactors).
+    u_th = Gamma/r and omega/r take their z-differences from Gamma's and
+    omega's.
     """
     g = state.grid
-    quad = radial_quadrature(g)
-    quad_r2 = quad / g.r**2
+    q = g.factors
     uth, om = state.uth, state.omega
-    dz_om_rows = _row_squares(ddz(g, om))
+    dz_om_rows = _row_squares(z_differences(om))
     diss_v = _velocity_gradient_integral(g, state.ur, state.uz)
-    diss_uth = quad @ _row_squares(ddr(g, uth)) + quad_r2 @ _row_squares(ddz(g, state.Gamma))
-    diss_sw = quad_r2 @ _row_squares(uth)
+    dz_gamma_rows = _row_squares(z_differences(state.Gamma))
+    diss_uth = q.quad_dr @ _row_squares(r_differences(uth)) + q.quad_r2_dz @ dz_gamma_rows
+    diss_sw = q.quad_r2 @ _row_squares(uth)
     # (2/r_min) * oint |u_th|^2 dH, dH = r_min dtheta dz
     flux = 4.0 * math.pi * g.h_z * float(np.sum(uth[0, :] ** 2))
-    grad_q = quad @ _row_squares(ddr(g, om / g.rcol)) + quad_r2 @ dz_om_rows
-    om_diss = quad @ (_row_squares(ddr(g, om)) + dz_om_rows) + quad_r2 @ _row_squares(om)
+    grad_q = q.quad_dr @ _row_squares(r_differences(om / q.r)) + q.quad_r2_dz @ dz_om_rows
+    om_diss = (
+        q.quad_dr @ _row_squares(r_differences(om))
+        + q.quad_dz @ dz_om_rows
+        + q.quad_r2 @ _row_squares(om)
+    )
     return DissipationSample(
         diss_v, float(diss_uth), float(diss_sw), flux, float(grad_q), float(om_diss)
     )

@@ -22,9 +22,9 @@ operator): its radial stencil, its inner wall (the slip condition's:
 Robin d_r u = u/r_min for L0 (u_theta), Robin d_r Gamma = (2/r_min) Gamma
 for L1 (Gamma = r u_theta), Dirichlet for L0' (omega) and for psi) and
 its d_zz weight.  The outer wall is Dirichlet for all (far-field
-truncation).  The factorizations of a I + b B (stream: a = 0, b = 1; CN:
-a = 1, b = -dt/2), the explicit apply and the pinned rows (pin) all come
-from it.
+truncation).  The factorizations of a I + b B (stream: a = 0, b = -1;
+CN: a = 1/2, b = -dt/4), the explicit apply and the pinned rows (pin) all
+come from it.
 
 The heat steps work on z spectra, not mesh fields:
 
@@ -32,7 +32,8 @@ The heat steps work on z spectra, not mesh fields:
     solver.heat_step(fhat, dt, op)    # in place, as often as needed
     f = solver.field(fhat, op)        # irfft in z, when a field is read
 
-and the stream solve is -field(solve(spectrum(omega))) on the same path.
+and the stream solve is field(solve(spectrum(omega))) on the same path,
+with the factorization of -S, S the stream operator.
 L0' and the stream operator solve for the same rows, so the stream solve
 can also start from omega's spectrum on L0''s rows: the coupled step
 (evolution._strang_heun) carries the spectra of (Gamma, omega) from one
@@ -84,9 +85,11 @@ def _to_blocks(rows: np.ndarray) -> np.ndarray:
     """Rows (n, X) in block order: a new (s, B, X) array, zero padded."""
     n, X = rows.shape
     s, B, pos = _block_order(n)
-    out = np.zeros((s * B, X))
+    out = np.empty((s * B, X))
     out[pos] = rows
-    return out.reshape(s, B, X)
+    out = out.reshape(s, B, X)
+    out[n - (B - 1) * s :, -1] = 0.0  # the last block's pad rows
+    return out
 
 
 def _from_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
@@ -124,20 +127,22 @@ class TridiagBatch:
     def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
         self.M, self.n = M, n = diag.shape
         s, B, _ = _block_order(n)
-        inv_denom = np.empty((n, M))
-        cp = np.zeros((n, M))
+        denom, inv_denom, cp = np.empty((3, n, M))
         sub, diag, sup = sub.T, diag.T, sup.T
-        denom = diag[0]
+        # a pivot under 1e-300 makes the rows after it inf or nan; the one
+        # check after the loop still finds that pivot, and errstate keeps the
+        # division by it quiet
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            denom[0] = diag[0]
+            np.divide(1.0, denom[0], out=inv_denom[0])
+            np.multiply(sup[0], inv_denom[0], out=cp[0])
+            for i in range(1, n):
+                d = np.multiply(sub[i], cp[i - 1], out=denom[i])
+                np.subtract(diag[i], d, out=d)
+                np.divide(1.0, d, out=inv_denom[i])
+                np.multiply(sup[i], inv_denom[i], out=cp[i])
         if np.any(np.abs(denom) < 1e-300):
             raise FloatingPointError("singular tridiagonal factorization")
-        inv_denom[0] = 1.0 / denom
-        cp[0] = sup[0] * inv_denom[0]
-        for i in range(1, n):
-            denom = diag[i] - sub[i] * cp[i - 1]
-            if np.any(np.abs(denom) < 1e-300):
-                raise FloatingPointError("singular tridiagonal factorization")
-            inv_denom[i] = 1.0 / denom
-            cp[i] = sup[i] * inv_denom[i]
         cp[n - 1] = 0.0  # sup[:, -1] is ignored
         fwd = np.zeros_like(cp)
         fwd[1:] = -sub[1:] * inv_denom[1:]  # sub[:, 0] is ignored
@@ -328,8 +333,16 @@ class EllipticSolver:
 
     @functools.cached_property
     def _stream(self) -> TridiagBatch:
-        """The stream operator's factorization, built on the first stream solve."""
-        return self._factor("stream", 0.0, 1.0)
+        """The factorization of -S, S the stream operator, built on the first
+        stream solve.
+
+        Negating a matrix negates every pivot exactly and leaves the
+        multipliers as they are, so this is S's factorization with its
+        scale 1/denom negated, and its solve of omega is S's solve of
+        -omega bit for bit (every step of a solve is a product or a sum,
+        and rounding is symmetric in sign): psi, without a negation pass.
+        """
+        return self._factor("stream", 0.0, -1.0)
 
     def solve_stream(self, omega: np.ndarray, omega_hat: np.ndarray | None = None) -> np.ndarray:
         """psi with psi = 0 on both walls and d_r((1/r)d_r psi)+(1/r)d_zz psi = -omega.
@@ -337,14 +350,11 @@ class EllipticSolver:
         omega_hat, when the caller holds it, is omega's spectrum on L0''s
         rows (spectrum(omega, "L0p")), which are the stream operator's: the
         solve starts from it, without an rfft, and does not modify it.  The
-        solution for omega is negated in place, which is bit for bit the
-        solution for -omega: every step of the solve is a product or a sum,
-        and rounding is symmetric in sign.
+        solve is -S's (_stream), so its solution is psi's spectrum.
         """
         if omega_hat is None:
             omega_hat = self.spectrum(omega, "stream")
-        psi_hat = self._stream.solve(omega_hat)
-        return self.field(np.negative(psi_hat, out=psi_hat), "stream")
+        return self.field(self._stream.solve(omega_hat), "stream")
 
     def stream_residual(self, psi: np.ndarray, omega: np.ndarray) -> float:
         """Relative residual of the discrete stream equation."""
@@ -391,9 +401,11 @@ class EllipticSolver:
         g = self.grid
         unk = _unknown_rows(g, op)
         self.counts["transforms"] += 1
-        out = np.zeros(g.shape)
+        out = np.empty(g.shape)
         modes = _from_blocks(fhat, unk.stop - unk.start).view(complex)
         np.fft.irfft(modes, n=g.n_z, axis=1, out=out[unk])
+        out[: unk.start] = 0.0
+        out[unk.stop :] = 0.0
         return out
 
     def heat_step(self, fhat: np.ndarray, dt: float, op: str) -> np.ndarray:

@@ -36,13 +36,24 @@ from .diagnostics import (
 )
 from .elliptic import EllipticSolver, pin
 from .fields import (
+    STATE_FIELDS,
     AxisymState,
+    assemble_state,
     checkpoint_save,
     make_initial_data,
     state_from_dynamic,
     velocity_from_stream,
 )
 from .grid import Grid, build_grid, ddr, ddz, lp_norm
+
+
+def _sup(f: np.ndarray) -> float:
+    """max|f| from one max and one min reduction (no |f| array is formed);
+    nan when f holds a non-finite value."""
+    hi, lo = float(f.max()), float(f.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        return math.nan
+    return max(abs(hi), abs(lo))
 
 
 class CFLError(RuntimeError):
@@ -90,7 +101,7 @@ def advect_upwind(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -> 
 
 def swirl_vorticity_source(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     """d_z(Gamma^2) / r^3, the vortex-stretching feed from swirl."""
-    return ddz(grid, gamma**2, 0.5 / (grid.h_z * grid.rcol**3))
+    return ddz(grid, gamma**2, grid.factors.swirl_feed)
 
 
 def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
@@ -99,18 +110,19 @@ def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
     The velocity (ur, uz) advects both fields and sets the reaction
     (u_r/r) omega; gamma_feed drives d_z(Gamma^2)/r^3.  The coupled run
     passes its own stage fields, Picard the previous iterate's fields at
-    the stage time.
+    the stage time.  The sum k_omega = (advection + reaction) + feed is
+    formed in place.
     """
     if scheme == "monotone":
         advect, velocity = advect_upwind, (ur, uz)
     else:  # the centred differences' factors, made once for both fields
         advect, velocity = advect_centered, (ur * (-0.5 / grid.h_r), uz * (-0.5 / grid.h_z))
     kg = advect(grid, gamma, *velocity)
-    kw = (
-        advect(grid, omega, *velocity)
-        + (ur / grid.rcol) * omega
-        + swirl_vorticity_source(grid, gamma_feed)
-    )
+    kw = advect(grid, omega, *velocity)
+    reaction = np.divide(ur, grid.factors.r)
+    reaction *= omega
+    kw += reaction
+    kw += swirl_vorticity_source(grid, gamma_feed)
     return kg, kw
 
 
@@ -126,7 +138,10 @@ def _strang_heun(
     fresh arrays (k_Gamma, k_omega), with stage 0 at the start of the step
     and stage 1 at its end; omega_hat is omega's spectrum on L0''s rows
     where the step holds it (stage 0 of strang_cn), else None.  Every stage
-    and rate is pinned (elliptic.pin).  The input arrays are not modified.
+    and rate is pinned (elliptic.pin).  The input arrays are not modified;
+    the rates are summed into and the corrector built in the arrays
+    tendency returned, in the order of gamma + dt * k1 and gamma + (dt/2)
+    (k1 + k2).
 
     Returns (gamma, omega, spectra).  Under strang_cn the half-diffusions
     run on z spectra, and the step carries them: spectra is the pair
@@ -140,9 +155,22 @@ def _strang_heun(
     def rates(g, w, stage, w_hat=None):
         kg, kw = tendency(g, w, stage, w_hat)
         if not implicit:
-            kg = kg + solver.apply_heat_operator(g, "L1")
-            kw = kw + solver.apply_heat_operator(w, "L0p")
+            kg += solver.apply_heat_operator(g, "L1")
+            kw += solver.apply_heat_operator(w, "L0p")
         return pin(kg, "L1"), pin(kw, "L0p")
+
+    def predictor(f, k, op):
+        """f + dt * k, as a new array."""
+        out = np.multiply(k, dt)
+        out += f
+        return pin(out, op)
+
+    def corrector(f, k1, k2, op):
+        """f + (dt / 2) (k1 + k2), in k1."""
+        k1 += k2
+        k1 *= 0.5 * dt
+        k1 += f
+        return pin(k1, op)
 
     def half_diffusion(g_hat, w_hat):
         """The half-steps in place; the fields of the stepped spectra."""
@@ -157,9 +185,9 @@ def _strang_heun(
         g_hat, w_hat = spectra
         gamma, omega = half_diffusion(g_hat, w_hat)
     kg1, kw1 = rates(gamma, omega, 0, w_hat)
-    kg2, kw2 = rates(pin(gamma + dt * kg1, "L1"), pin(omega + dt * kw1, "L0p"), 1)
-    gamma = pin(gamma + 0.5 * dt * (kg1 + kg2), "L1")
-    omega = pin(omega + 0.5 * dt * (kw1 + kw2), "L0p")
+    kg2, kw2 = rates(predictor(gamma, kg1, "L1"), predictor(omega, kw1, "L0p"), 1)
+    gamma = corrector(gamma, kg1, kg2, "L1")
+    omega = corrector(omega, kw1, kw2, "L0p")
     if not implicit:
         return gamma, omega, None
     spectra = solver.spectrum(gamma, "L1"), solver.spectrum(omega, "L0p")
@@ -184,6 +212,10 @@ class Stepper:
     first record() opens it, which must happen before the first step: a
     stepper that is never recorded samples nothing, and its steps are
     bit-identical to those of a recorded one.
+
+    Each step makes one pass over each of the new state's six fields
+    (sups): it checks that they are finite, and its sup norms serve the
+    blow-up threshold, the records and the next step's CFL bound.
     """
 
     def __init__(self, cfg: SolverConfig, state: AxisymState, sources=None):
@@ -202,6 +234,21 @@ class Stepper:
         # trapezoid
         self._prev: DissipationSample | None = None
         self.max_leakage = math.nan
+        # (state, max|f| of its six fields): the sups of self.state, if it is
+        # still state
+        self._sups: tuple[AxisymState | None, dict[str, float]] = (None, {})
+
+    def sups(self) -> dict[str, float]:
+        """max|f| of each of the current state's six fields, by name.
+
+        A stepped state's come from its step's check pass; a state the
+        stepper did not make (the initial one) gets its pass here.
+        """
+        state, sups = self._sups
+        if state is not self.state:
+            sups = {name: _sup(getattr(self.state, name)) for name in STATE_FIELDS}
+            self._sups = self.state, sups
+        return sups
 
     def _open_ledger(self) -> None:
         """The t = 0 references, the first sample and the first leakage."""
@@ -214,9 +261,9 @@ class Stepper:
         self.integrals = DissipationSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         self._prev = dissipation_sample(state)
         self.e_kin0 = state.kinetic_energy()
-        self.sup_gamma0 = lp_norm(grid, state.Gamma, np.inf)
+        self.sup_gamma0 = self.sups()["Gamma"]
         self.l2_u0 = math.sqrt(self.e_kin0)
-        self.l2_om_over_r0 = lp_norm(grid, state.omega / grid.rcol, 2)
+        self.l2_om_over_r0 = lp_norm(grid, state.omega / grid.factors.r, 2)
         self.max_leakage = boundary_leakage(state)
         # the right-hand side of (1.11); a float power raises, not overflows
         # to inf, once sup|Gamma_0| passes about 1e154
@@ -228,8 +275,8 @@ class Stepper:
     def dt_bound(self) -> float:
         """Largest stable dt before the CFL number: the advective bound, plus
         the diffusive rate of L1 and L0' for the monotone scheme."""
-        vr = float(np.max(np.abs(self.state.ur)))
-        vz = float(np.max(np.abs(self.state.uz)))
+        sups = self.sups()
+        vr, vz = sups["ur"], sups["uz"]
         if self.cfg.scheme == "monotone":
             diff_rate = 1.0 / min(
                 self.solver.explicit_stability_bound("L1"),
@@ -263,8 +310,8 @@ class Stepper:
             kg, kw = _coupled_rates(self.grid, self.cfg.scheme, gamma, omega, ur, uz, gamma)
             if self.sources is not None:
                 sg, so = self.sources
-                kg = kg + sg(times[stage])
-                kw = kw + so(times[stage])
+                kg += sg(times[stage])
+                kw += so(times[stage])
             return kg, kw
 
         carried, self._carried = self._carried, None
@@ -273,10 +320,17 @@ class Stepper:
             self.solver, self.state.Gamma, self.state.omega, dt, tendency, self.cfg.scheme, spectra
         )
 
-        if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(omega))):
+        # the check pass, one max and one min per field: Gamma and omega
+        # before their state is built on them, then the derived fields
+        sups = {"Gamma": _sup(gamma), "omega": _sup(omega)}
+        if math.isnan(sups["Gamma"]) or math.isnan(sups["omega"]):
             raise BlowupError(f"non-finite fields at t = {t + dt:.6g}")
         omega_hat = None if spectra is None else spectra[1]
-        new_state = state_from_dynamic(self.solver, t + dt, gamma, omega, omega_hat)
+        new_state = assemble_state(self.solver, t + dt, gamma, omega, omega_hat)
+        for name in STATE_FIELDS[2:]:
+            sups[name] = _sup(getattr(new_state, name))
+            if math.isnan(sups[name]):
+                raise ValueError(f"{name} contains non-finite values")
         if self._prev is not None:
             sample = dissipation_sample(new_state)
             w = 0.5 * dt
@@ -286,6 +340,7 @@ class Stepper:
             self._prev = sample
             self.max_leakage = max(self.max_leakage, boundary_leakage(new_state))
         self.state = new_state
+        self._sups = new_state, sups
         if spectra is not None:
             self._carried = (new_state, spectra)
         self.step_count += 1
@@ -306,9 +361,9 @@ class Stepper:
         sample = self._prev
         acc = self.integrals
         e_kin = st.kinetic_energy()
-        sup_gamma = lp_norm(g, st.Gamma, np.inf)
+        sup_gamma = self.sups()["Gamma"]
         l4_uth = lp_norm(g, st.uth, 4)
-        q = st.omega / g.rcol
+        q = st.omega / g.factors.r
         l2_q = lp_norm(g, q, 2)
         l2_om = lp_norm(g, st.omega, 2)
         if self.e_kin0 > 0:
@@ -411,11 +466,8 @@ def run_simulation(
             status = "halted_blowup"
             emit()
             break
-        sup_now = max(
-            lp_norm(grid, stepper.state.Gamma, np.inf),
-            lp_norm(grid, stepper.state.omega, np.inf),
-        )
-        if not math.isfinite(sup_now) or sup_now > cfg.blowup_threshold:
+        sups = stepper.sups()  # finite: the step checked them
+        if max(sups["Gamma"], sups["omega"]) > cfg.blowup_threshold:
             status = "halted_blowup"
             emit()
             break

@@ -37,6 +37,10 @@ from .elliptic import EllipticSolver, pin
 from .grid import Grid, build_grid, ddr, ddz, weighted_integral
 
 
+# the fields of a state, dynamical then derived
+STATE_FIELDS = ("Gamma", "omega", "psi", "ur", "uth", "uz")
+
+
 @dataclass
 class AxisymState:
     """Dynamical pair (Gamma, omega), the derived stream function and
@@ -57,7 +61,7 @@ class AxisymState:
 
     def __post_init__(self):
         shape = self.grid.shape
-        for name in ("Gamma", "omega", "psi", "ur", "uth", "uz"):
+        for name in STATE_FIELDS:
             vals = np.asarray(getattr(self, name), dtype=float)
             if vals.shape != shape:
                 raise ValueError(f"{name} shape {vals.shape} does not match grid {shape}")
@@ -78,11 +82,12 @@ def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.nd
 
     With psi vanishing on both walls, u_r is exactly zero there and the
     discrete divergence d_r u_r + u_r/r + d_z u_z is O(h^2) pointwise.
-    Each component is psi's raw differences times one factor,
-    -1/(2 h_z r) and 1/(2 h_r r).
+    Each component is psi's raw differences times one of the grid's
+    factors, -1/(2 h_z r) and 1/(2 h_r r) (Grid.factors).
     """
-    ur = pin(ddz(grid, psi, -0.5 / (grid.h_z * grid.rcol)), "stream")
-    uz = ddr(grid, psi, 0.5 / (grid.h_r * grid.rcol))
+    factors = grid.factors
+    ur = pin(ddz(grid, psi, factors.ur_of_psi), "stream")
+    uz = ddr(grid, psi, factors.uz_of_psi)
     return ur, uz
 
 
@@ -107,16 +112,41 @@ def state_from_dynamic(
 ) -> AxisymState:
     """Assemble a full state from (Gamma, omega): solve for psi, derive velocities.
 
-    omega's wall rows are set to zero (its Dirichlet walls); u_theta = Gamma / r.
-    A caller that holds omega's spectrum on L0''s rows passes it as
-    omega_hat, and the stream solve starts from it (solve_stream).
+    The state holds copies of gamma and omega, with omega's wall rows set
+    to zero (its Dirichlet walls); u_theta = Gamma / r.  A caller that
+    holds omega's spectrum on L0''s rows passes it as omega_hat, and the
+    stream solve starts from it (solve_stream).  Non-finite fields raise
+    ValueError (AxisymState).
     """
-    grid = solver.grid
     gamma = np.array(gamma, dtype=float)
     om = pin(np.array(omega, dtype=float), "L0p")
-    psi = solver.solve_stream(om, omega_hat)
+    state = assemble_state(solver, t, gamma, om, omega_hat)
+    state.__post_init__()  # the construction's check, which assemble_state skips
+    return state
+
+
+def assemble_state(
+    solver: EllipticSolver,
+    t: float,
+    gamma: np.ndarray,
+    omega: np.ndarray,
+    omega_hat: np.ndarray | None,
+) -> AxisymState:
+    """The state of state_from_dynamic, built on gamma and omega themselves
+    and left unchecked.
+
+    For a caller that owns the two float fields, has pinned omega's walls
+    and checks every field itself: the coupled step (evolution.Stepper)
+    makes one pass over each field for finiteness, the blow-up threshold
+    and the CFL bound at once.
+    """
+    grid = solver.grid
+    psi = solver.solve_stream(omega, omega_hat)
     ur, uz = velocity_from_stream(grid, psi)
-    return AxisymState(t, solver, gamma, om, psi, ur, gamma / grid.rcol, uz)
+    state = object.__new__(AxisymState)  # bypasses __init__ and its check
+    uth = gamma / grid.factors.r
+    vars(state).update(t=t, solver=solver, Gamma=gamma, omega=omega, psi=psi, ur=ur, uth=uth, uz=uz)
+    return state
 
 
 def make_initial_data(solver: EllipticSolver, cfg: SolverConfig) -> AxisymState:

@@ -23,8 +23,10 @@ Their stencils and walls, and the stream operator's, live in one table,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +38,29 @@ class GridError(ValueError):
         super().__init__(f"{param} {message}")
         self.param = param
         self.message = message
+
+
+class GridFactors(NamedTuple):
+    """Constants of a grid that the coupled step and its ledger read every step.
+
+    The field-shaped ones, (n_r, n_z) and read-only, multiply or divide
+    fields: a same-shape operand costs numpy no broadcast buffer, which an
+    (n_r, 1) column does on every call.  Each holds the value of the
+    column expression it names, so a product or quotient with it is the one
+    with the column, bit for bit.  The vectors (n_r,) weight rows' sums of
+    squares: the quadrature quad (radial_quadrature) over r^2 for a term
+    divided by r, and times (2 h)^-2 for the squares of raw differences
+    (r_differences, z_differences).
+    """
+
+    r: np.ndarray  # r: the divisor of Gamma / r, u_r / r, omega / r
+    ur_of_psi: np.ndarray  # -1 / (2 h_z r): u_r from psi's z-differences
+    uz_of_psi: np.ndarray  # 1 / (2 h_r r): u_z from psi's r-differences
+    swirl_feed: np.ndarray  # 1 / (2 h_z r^3): d_z(Gamma^2) / r^3 from Gamma^2's z-differences
+    quad_r2: np.ndarray  # quad / r^2, quad = radial_quadrature
+    quad_dr: np.ndarray  # quad / (2 h_r)^2
+    quad_dz: np.ndarray  # quad / (2 h_z)^2
+    quad_r2_dz: np.ndarray  # quad / (r^2 (2 h_z)^2)
 
 
 @dataclass(frozen=True)
@@ -64,6 +89,20 @@ class Grid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n_r, self.n_z)
+
+    @functools.cached_property
+    def factors(self) -> GridFactors:
+        """The grid's per-step constants, built on first use."""
+        r = self.rcol
+        columns = (r, -0.5 / (self.h_z * r), 0.5 / (self.h_r * r), 0.5 / (self.h_z * r**3))
+        fields = [np.repeat(col, self.n_z, axis=1) for col in columns]
+        quad = radial_quadrature(self)
+        quad_r2 = quad / self.r**2
+        dr2, dz2 = (2.0 * self.h_r) ** 2, (2.0 * self.h_z) ** 2
+        vectors = [quad_r2, quad / dr2, quad / dz2, quad_r2 / dz2]
+        for a in fields + vectors:
+            a.setflags(write=False)
+        return GridFactors(*fields, *vectors)
 
     def same_geometry(self, other: "Grid") -> bool:
         return (
@@ -138,15 +177,12 @@ def lp_norm(grid: Grid, f: np.ndarray, p: float) -> float:
     return float(weighted_integral(grid, np.abs(f) ** p) ** (1.0 / p))
 
 
-def ddz(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> np.ndarray:
-    """Centered d/dz, periodic wrap.
+def z_differences(f: np.ndarray) -> np.ndarray:
+    """The raw centred differences f[j+1] - f[j-1] in z, periodic wrap: 2 h_z ddz.
 
     One subtraction over the flattened rows gives every interior column;
     it writes cross-row differences into the two wrap columns, which are
-    then overwritten.  The differences f[j+1] - f[j-1] are divided by
-    2 h_z, or, when factor (a scalar or an array broadcasting against f)
-    is given, multiplied by it instead: a caller that scales the
-    derivative folds 1/(2 h_z) into factor and saves a pass.
+    then overwritten.
     """
     f = np.ascontiguousarray(f)
     out = np.empty_like(f)
@@ -154,7 +190,18 @@ def ddz(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> 
     np.subtract(flat[2:], flat[:-2], out=o[1:-1])
     np.subtract(f[:, 1], f[:, -1], out=out[:, 0])
     np.subtract(f[:, 0], f[:, -2], out=out[:, -1])
-    return _scale_differences(out, grid.h_z, factor)
+    return out
+
+
+def ddz(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> np.ndarray:
+    """Centered d/dz, periodic wrap.
+
+    The differences f[j+1] - f[j-1] (z_differences) are divided by 2 h_z,
+    or, when factor (a scalar or an array broadcasting against f) is
+    given, multiplied by it instead: a caller that scales the derivative
+    folds 1/(2 h_z) into factor and saves a pass.
+    """
+    return _scale_differences(z_differences(f), grid.h_z, factor)
 
 
 def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -176,17 +223,32 @@ def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def r_differences(f: np.ndarray) -> np.ndarray:
+    """The raw differences of ddr, 2 h_r ddr: f[i+1] - f[i-1] inside, and
+    (-3 f[0] + 4 f[1]) - f[2] and (3 f[-1] - 4 f[-2]) + f[-3] at the walls.
+
+    f is a field (n_r, n_z), n_r >= 4.  The wall rows are built first, in
+    place, with rows 1 and -2 as scratch until the interior fills them.
+    """
+    out = np.empty_like(f)
+    lo, hi = out[0], out[-1]
+    np.multiply(f[0], -3.0, out=lo)
+    lo += np.multiply(f[1], 4.0, out=out[1])
+    lo -= f[2]
+    np.multiply(f[-1], 3.0, out=hi)
+    hi -= np.multiply(f[-2], 4.0, out=out[-2])
+    hi += f[-3]
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    return out
+
+
 def ddr(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> np.ndarray:
     """d/dr: centered in the interior, one-sided second order at the walls.
 
-    The differences are divided by 2 h_r, or multiplied by factor when it
-    is given, as in ddz.
+    The differences (r_differences) are divided by 2 h_r, or multiplied by
+    factor when it is given, as in ddz.
     """
-    out = np.empty_like(f)
-    np.subtract(f[2:], f[:-2], out=out[1:-1])
-    out[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
-    out[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
-    return _scale_differences(out, grid.h_r, factor)
+    return _scale_differences(r_differences(f), grid.h_r, factor)
 
 
 def _scale_differences(diff: np.ndarray, h: float, factor: float | np.ndarray | None) -> np.ndarray:

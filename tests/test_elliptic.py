@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +107,13 @@ def test_tridiag_batch_matches_dense_solve(n, M, dtype):
     ],
 )
 def test_tridiag_batch_singular_raises(diag, sub):
+    # the pivots are checked once, after the elimination, which divides by
+    # the zero pivot on the way: no RuntimeWarning may leave it
     diag, sub = np.array(diag), np.array(sub)
-    with pytest.raises(FloatingPointError):
-        TridiagBatch(sub, diag, np.ones_like(diag))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError):
+            TridiagBatch(sub, diag, np.ones_like(diag))
 
 
 class _SlicingBatch:
@@ -228,9 +233,10 @@ def test_solve_stream_residual_and_walls(solver, grid):
 @pytest.mark.parametrize("n", [17, 33, 65, 129, 257])
 def test_solve_stream_from_the_l0p_spectrum_is_bit_identical(n):
     # L0' and the stream operator solve for the same rows, so omega's L0'
-    # spectrum is a stream right-hand side.  Solving and then negating is
-    # bit for bit negating and then solving: the solve only multiplies and
-    # adds, and rounding is symmetric in sign.
+    # spectrum is a stream right-hand side.  The stream solve factors -S:
+    # its pivots are S's negated exactly and its multipliers S's, so its
+    # solve of omega is bit for bit S's solve of omega, negated (the solve
+    # only multiplies and adds, and rounding is symmetric in sign)
     g = build_grid(1.0, 3.0, 2.0, n, n - 1)
     s = EllipticSolver(g)
     rng = np.random.default_rng(n)
@@ -242,7 +248,17 @@ def test_solve_stream_from_the_l0p_spectrum_is_bit_identical(n):
     assert np.array_equal(om_hat, kept)  # the caller's spectrum is not modified
     assert np.array_equal(psi, s.solve_stream(om))
     rhs = s.spectrum(om, "stream")
-    assert np.array_equal(psi, s.field(s._stream.solve(np.negative(rhs)), "stream"))
+    assert np.array_equal(psi, s.field(s._stream.solve(rhs), "stream"))
+    S = s._factor("stream", 0.0, 1.0)
+    assert np.array_equal(psi, s.field(np.negative(S.solve(rhs)), "stream"))
+    neg = s._stream
+    assert np.array_equal(neg._scale, np.negative(S._scale))
+    for plan_neg, plan in zip(neg._plans, S._plans):
+        weights_neg, *_, steps_neg, _ = plan_neg
+        weights, *_, steps, _ = plan
+        assert np.array_equal(weights_neg, weights)
+        for (coef_neg, *_), (coef, *_) in zip(steps_neg, steps, strict=True):
+            assert np.array_equal(coef_neg, coef)
 
 
 def test_solve_stream_manufactured_second_order():

@@ -21,7 +21,7 @@ from axicyl.evolution import (
     run_simulation,
     swirl_vorticity_source,
 )
-from axicyl.fields import bump_profile, make_initial_data, state_from_dynamic
+from axicyl.fields import STATE_FIELDS, bump_profile, make_initial_data, state_from_dynamic
 from axicyl.grid import build_grid, lp_norm
 from axicyl.manufactured import build_mms, mms_convergence_study
 
@@ -164,6 +164,98 @@ def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
     result = run_simulation(cfg, sources=sources, initial_state=state)
     assert result.status == "halted_blowup"
     assert result.final_state is state
+
+
+def test_nan_in_gamma_ends_the_step_as_blowup(small_solver):
+    cfg = make_cfg(dt=0.005)
+    zero = np.zeros(small_solver.grid.shape)
+    nan = np.full(small_solver.grid.shape, np.nan)
+    state = make_initial_data(small_solver, cfg)
+    with pytest.raises(BlowupError, match="non-finite"):
+        Stepper(cfg, state, (lambda t: nan, lambda t: zero)).step(0.005)
+
+
+@pytest.mark.parametrize("name", ["psi", "ur", "uth", "uz"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_derived_field_still_raises(name, bad, small_solver, monkeypatch):
+    # the stepped state is built unchecked (fields.assemble_state); the
+    # step's one check pass must still reject each derived field, as the
+    # state's construction does
+    assemble = evolution.assemble_state
+
+    def spoiled(*args):
+        state = assemble(*args)
+        getattr(state, name)[3, 4] = bad
+        return state
+
+    monkeypatch.setattr(evolution, "assemble_state", spoiled)
+    state = make_initial_data(small_solver, make_cfg())
+    with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
+        Stepper(make_cfg(), state).step(0.005)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stepped_state_and_its_sups_match_the_checked_path(scheme, small_solver):
+    # the step builds its state without copies or a construction check and
+    # takes every sup from one max/min pass: the state must be
+    # state_from_dynamic's bit for bit, the sups lp_norm(., inf)'s, and
+    # dt_bound the formula on max|u_r| and max|u_z|
+    g = small_solver.grid
+    dt = 0.005 if scheme == "strang_cn" else 1e-4
+    cfg = make_cfg(dt=dt, amplitude=2.0, scheme=scheme)
+    stepper = Stepper(cfg, make_initial_data(small_solver, cfg))
+    stepper.record()
+    for _ in range(5):
+        stepper.step(dt)
+        st_ = stepper.state
+        omega_hat = stepper._carried[1][1] if scheme == "strang_cn" else None
+        ref = state_from_dynamic(small_solver, st_.t, st_.Gamma, st_.omega, omega_hat)
+        for name in STATE_FIELDS:
+            assert np.array_equal(getattr(st_, name), getattr(ref, name)), name
+        assert stepper.sups() == {n: lp_norm(g, getattr(ref, n), np.inf) for n in STATE_FIELDS}
+        vr, vz = np.max(np.abs(ref.ur)), np.max(np.abs(ref.uz))
+        if scheme == "strang_cn":
+            expect = min(g.h_r / vr, g.h_z / vz)
+        else:
+            rate = 1.0 / min(
+                small_solver.explicit_stability_bound("L1"),
+                small_solver.explicit_stability_bound("L0p"),
+            )
+            expect = 1.0 / (rate + vr / g.h_r + vz / g.h_z)
+        assert stepper.dt_bound() == expect
+
+
+def test_blowup_threshold_halts_at_the_first_step_over_it(small_solver):
+    # a swirl source makes sup|Gamma| grow every step; a threshold between
+    # the sups after steps 6 and 7, by lp_norm, must halt the run at step 7
+    # with every-step records and a final state equal to those of a stepper
+    # stepped by hand
+    g = small_solver.grid
+    cfg = make_cfg(dt=0.005, amplitude=1.0)
+    state = make_initial_data(small_solver, cfg)
+    push, zero = 200.0 * state.Gamma, np.zeros(g.shape)
+    sources = (lambda t: push, lambda t: zero)
+    stepper = Stepper(cfg, state, sources)
+    records, states, sups = [stepper.record()], [state], []
+    for _ in range(10):
+        stepper.step(cfg.dt)
+        states.append(stepper.state)
+        records.append(stepper.record())
+        sups.append(max(lp_norm(g, stepper.state.Gamma, np.inf), lp_norm(g, stepper.state.omega, np.inf)))
+    assert all(b > a for a, b in zip(sups, sups[1:]))
+    threshold = 0.5 * (sups[5] + sups[6])
+    result = run_simulation(
+        replace(cfg, blowup_threshold=threshold),
+        sources=sources,
+        initial_state=state,
+        records="every_step",
+    )
+    assert result.status == "halted_blowup"
+    assert result.records == records[:8]
+    final, ref = result.final_state, states[7]
+    assert final.t == ref.t
+    for name in STATE_FIELDS:
+        assert np.array_equal(getattr(final, name), getattr(ref, name)), name
 
 
 def test_run_simulation_steps_the_initial_state_on_its_solver(small_solver, construction_counts):

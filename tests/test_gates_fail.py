@@ -124,6 +124,36 @@ def test_dropped_wall_flux_trips_the_energy_residual(monkeypatch):
     assert residual() > 1e-3
 
 
+def test_wall_radius_swirl_velocity_trips_the_l4_bound(monkeypatch):
+    # criterion 4 reads margin_1_7 = ||u_th||_4 - sup|Gamma_0|^(1/2)
+    # ||u_0||_2^(1/2) at every record.  The defect is in the stepped state,
+    # which the step builds unchecked (fields.assemble_state): u_th =
+    # Gamma / r_min in place of Gamma / r.  On criterion 4's own data
+    # (configs/energy_budget.cfg, swirl on 1.1 < r < 2.4) it does not trip:
+    # the worst margin moves from -0.29 to -0.075 of the bound's scale at
+    # 129x128 (-0.10 at 33x32).  With the swirl on 1.5 < r < 3.5, where r /
+    # r_min is larger, it moves from -0.42 to +0.21 at 33x32
+    cfg = SolverConfig.from_mapping(load_config(CONFIGS / "energy_budget.cfg"))
+    cfg = replace(cfg, n_r=33, n_z=32, dt=0.012, t_end=0.1, r_lo=1.5, r_hi=3.5)
+
+    def margin():
+        records = run_simulation(cfg).records
+        first = records[0]
+        bound_scale = np.sqrt(first.sup_gamma * np.sqrt(first.e_kin))
+        return max(r.margin_1_7 for r in records) / bound_scale
+
+    assert margin() <= 1e-8  # criterion 4's bound
+    assemble = evolution.assemble_state
+
+    def wall_radius(solver, t, gamma, omega, omega_hat):
+        state = assemble(solver, t, gamma, omega, omega_hat)
+        state.uth = gamma / solver.grid.r_min
+        return state
+
+    monkeypatch.setattr(evolution, "assemble_state", wall_radius)
+    assert margin() > 1e-8
+
+
 def test_dropped_vorticity_reaction_trips_the_no_swirl_closure(monkeypatch):
     # criterion 5's no-swirl closure ||om/r||^2 + 2 int ||grad(om/r)||^2 =
     # ||om_0/r||^2 holds only with the (u_r/r) omega reaction in omega's
@@ -252,7 +282,8 @@ def test_undriven_iterates_trip_the_picard_gate(monkeypatch):
 
 def _unweighted_quadrature(monkeypatch):
     """The quadrature without the Jacobian r, pointwise (weighted_integral) and
-    by rows (radial_quadrature), in every module that imported it by name."""
+    by rows (radial_quadrature, which a grid's factors read when they are
+    first built), in every module that imported it by name."""
 
     def unweighted(grid, f):
         return float(2.0 * np.pi * grid.h_z * np.sum(radial_weights(grid)[:, None] * f))

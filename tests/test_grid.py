@@ -15,7 +15,10 @@ from axicyl.grid import (
     ddz,
     grad,
     lp_norm,
+    r_differences,
+    radial_quadrature,
     weighted_integral,
+    z_differences,
 )
 
 
@@ -151,6 +154,7 @@ def test_z_stencils_equal_their_periodic_roll_forms(shape):
         for view in (f, np.asfortranarray(f), strided):
             assert np.array_equal(ddz(g, view), d1)
             assert np.array_equal(ddz(g, view, factor), (up - down) * factor)
+            assert np.array_equal(z_differences(view), up - down)
             assert np.array_equal(d2z(g, view), d2)
 
 
@@ -188,15 +192,46 @@ def test_ddr_smooth_second_order():
 
 
 def test_ddr_factor_multiplies_the_raw_differences():
-    g = build_grid(1.0, 3.7, 2.3, 17, 8)
-    rng = np.random.default_rng(5)
-    f, factor = rng.normal(size=g.shape), rng.normal(size=g.shape)
-    raw = np.empty_like(f)
-    raw[1:-1] = f[2:] - f[:-2]
-    raw[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
-    raw[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
-    assert np.array_equal(ddr(g, f), raw / (2.0 * g.h_r))
-    assert np.array_equal(ddr(g, f, factor), raw * factor)
+    # the wall rows are built in place, in the order of the expressions here
+    for shape in ((4, 4), (17, 8)):
+        g = build_grid(1.0, 3.7, 2.3, *shape)
+        rng = np.random.default_rng(5)
+        f, factor = rng.normal(size=g.shape), rng.normal(size=g.shape)
+        raw = np.empty_like(f)
+        raw[1:-1] = f[2:] - f[:-2]
+        raw[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+        raw[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+        for view in (f, np.asfortranarray(f)):
+            assert np.array_equal(r_differences(view), raw)
+            assert np.array_equal(ddr(g, view), raw / (2.0 * g.h_r))
+            assert np.array_equal(ddr(g, view, factor), raw * factor)
+
+
+def test_grid_factors_hold_their_column_expressions():
+    # each field-shaped factor is its column expression, so a product or
+    # quotient with it is the column's bit for bit; built once, read-only
+    g = build_grid(1.0, 3.7, 2.3, 33, 16)
+    f = g.factors
+    assert g.factors is f
+    r = g.rcol
+    columns = {
+        "r": r,
+        "ur_of_psi": -0.5 / (g.h_z * r),
+        "uz_of_psi": 0.5 / (g.h_r * r),
+        "swirl_feed": 0.5 / (g.h_z * r**3),
+    }
+    field = np.random.default_rng(7).normal(size=g.shape)
+    for name, col in columns.items():
+        full = getattr(f, name)
+        assert full.shape == g.shape and not full.flags.writeable
+        assert np.array_equal(full, np.broadcast_to(col, g.shape))
+        assert np.array_equal(field * full, field * col)
+        assert np.array_equal(field / full, field / col)
+    quad = radial_quadrature(g)
+    assert np.array_equal(f.quad_r2, quad / g.r**2)
+    assert np.array_equal(f.quad_dr, quad / (2.0 * g.h_r) ** 2)
+    assert np.array_equal(f.quad_dz, quad / (2.0 * g.h_z) ** 2)
+    assert np.array_equal(f.quad_r2_dz, quad / g.r**2 / (2.0 * g.h_z) ** 2)
 
 
 def apply_interior(g, f, op):
