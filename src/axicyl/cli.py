@@ -250,7 +250,9 @@ def _command(body):
     Writes one manifest whatever happens.  A config key the command does
     not read, or a ConfigError, exits 2, a CFLError or BlowupError 3 and an
     OSError 4; the message goes to stderr and to the manifest's
-    extra.error, next to the config echo.
+    extra.error, next to the config echo.  Any other exception propagates
+    (exit 1, with its traceback) once its type and message are in
+    extra.error.
     """
 
     @functools.wraps(body)
@@ -268,6 +270,9 @@ def _command(body):
             status, code, error = "halted_blowup", EXIT_NUMERICAL, f"numerical halt: {exc}"
         except OSError as exc:
             code, error = EXIT_IO, f"io failure: {exc}"
+        except Exception as exc:
+            error = f"unexpected error: {type(exc).__name__}: {exc}"
+            raise
         finally:
             if error is not None:
                 print(error, file=sys.stderr)

@@ -206,7 +206,7 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
     """Per-state lhs/(rhs without constant) for (1.7), (1.10), (5.3)-(5.8)."""
     g = state.grid
     ur, uth, uz, om = state.ur, state.uth, state.uz, state.omega
-    sup_gamma = lp_norm(g, state.Gamma, np.inf)
+    sup_gamma = state.sup["Gamma"]
     l2_u = math.sqrt(state.kinetic_energy())
     l4_uth = lp_norm(g, uth, 4)
     v_mag = np.hypot(ur, uz)

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, build_grid, d2z, grad, lp_norm
+from .grid import Grid, build_grid, d2z, ddr, ddz, lp_norm
 
 
 @functools.lru_cache(maxsize=64)
@@ -100,7 +100,8 @@ def _from_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
 class TridiagBatch:
     """M independent tridiagonal systems of size n, factored once.
 
-    Coefficients are real; right-hand sides are complex (z modes).  Row i
+    Coefficients and right-hand sides are real: a right-hand side holds
+    the z modes' real and imaginary parts (s, B, 2M), as below.  Row i
     of system m couples to rows i-1 and i+1 through sub[m, i] and
     sup[m, i]; sub[:, 0] and sup[:, -1] are ignored.
 
@@ -530,7 +531,7 @@ def _decay_series(
                 if k == 0:
                     field = f
                 else:
-                    field, fz = grad(grid, f)
+                    field, fz = ddr(grid, f), ddz(grid, f)
                     np.hypot(field, fz, out=field)
                 norms[k].append(float(np.max(np.abs(field[mask] if mask is not None else field))))
     return np.array(times), {k: np.array(v) for k, v in norms.items()}

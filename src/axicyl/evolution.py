@@ -36,24 +36,13 @@ from .diagnostics import (
 )
 from .elliptic import EllipticSolver, pin
 from .fields import (
-    STATE_FIELDS,
     AxisymState,
-    assemble_state,
     checkpoint_save,
     make_initial_data,
     state_from_dynamic,
     velocity_from_stream,
 )
-from .grid import Grid, build_grid, ddr, ddz, lp_norm
-
-
-def _sup(f: np.ndarray) -> float:
-    """max|f| from one max and one min reduction (no |f| array is formed);
-    nan when f holds a non-finite value."""
-    hi, lo = float(f.max()), float(f.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        return math.nan
-    return max(abs(hi), abs(lo))
+from .grid import Grid, build_grid, lp_norm, r_differences, z_differences
 
 
 class CFLError(RuntimeError):
@@ -64,12 +53,26 @@ class BlowupError(RuntimeError):
     """Fields left the finite range; the run must halt."""
 
 
+def _stepped_state(solver: EllipticSolver, t: float, gamma, omega, spectra) -> AxisymState:
+    """The state of a step's (Gamma, omega) at t (state_from_dynamic), its
+    stream solve starting from omega's carried spectrum when there is one.
+    A non-finite field ends the step: BlowupError naming it."""
+    omega_hat = None if spectra is None else spectra[1]
+    try:
+        return state_from_dynamic(solver, t, gamma, omega, omega_hat)
+    except ValueError as exc:
+        raise BlowupError(f"non-finite fields at t = {t:.6g}: {exc}") from exc
+
+
 def advect_centered(grid: Grid, f: np.ndarray, ar: np.ndarray, az: np.ndarray) -> np.ndarray:
     """Centred -v.grad f from the velocity's difference factors
     ar = -u_r/(2 h_r) and az = -u_z/(2 h_z), which multiply f's raw
-    differences (grid.ddr, grid.ddz)."""
-    out = ddr(grid, f, ar)
-    out += ddz(grid, f, az)
+    differences (grid.r_differences, grid.z_differences)."""
+    out = r_differences(f)
+    out *= ar
+    dz = z_differences(f)
+    dz *= az
+    out += dz
     return out
 
 
@@ -79,8 +82,8 @@ def advect_upwind(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -> 
     Each one-sided difference is computed once.  In r they sit between two
     zero rows, so node i's backward difference is row i and its forward one
     row i + 1.  In z the forward differences come from one flat pass, as in
-    grid.ddz, with the wrap column overwritten after it; node j's backward
-    difference is the forward one of column j - 1, periodically.
+    grid.z_differences, with the wrap column overwritten after it; node j's
+    backward difference is the forward one of column j - 1, periodically.
     """
     f = np.ascontiguousarray(f)
     n_r, n_z = f.shape
@@ -101,7 +104,9 @@ def advect_upwind(grid: Grid, f: np.ndarray, ur: np.ndarray, uz: np.ndarray) -> 
 
 def swirl_vorticity_source(grid: Grid, gamma: np.ndarray) -> np.ndarray:
     """d_z(Gamma^2) / r^3, the vortex-stretching feed from swirl."""
-    return ddz(grid, gamma**2, grid.factors.swirl_feed)
+    out = z_differences(gamma**2)
+    out *= grid.factors.swirl_feed
+    return out
 
 
 def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
@@ -213,9 +218,10 @@ class Stepper:
     stepper that is never recorded samples nothing, and its steps are
     bit-identical to those of a recorded one.
 
-    Each step makes one pass over each of the new state's six fields
-    (sups): it checks that they are finite, and its sup norms serve the
-    blow-up threshold, the records and the next step's CFL bound.
+    Each step builds its state with state_from_dynamic, whose check of the
+    six fields leaves their sup norms on the state (AxisymState.sup) for
+    the blow-up threshold, the records and the next step's CFL bound; a
+    non-finite field ends the step as BlowupError.
     """
 
     def __init__(self, cfg: SolverConfig, state: AxisymState, sources=None):
@@ -225,30 +231,14 @@ class Stepper:
         self.state = state
         self.sources = sources  # None or (S_gamma(t)->array, S_omega(t)->array)
         self.step_count = 0
-        # (state, its strang_cn spectra): what the next step starts from, if
-        # state is still self.state; built on the first step, dropped when a
-        # step raises
-        self._carried: tuple[AxisymState, tuple] | None = None
+        # the strang_cn spectra of self.state, which the next step starts
+        # from: built on the first step, dropped when a step raises
+        self._carried: tuple | None = None
         # the dissipation sample of self.state once the ledger is open, else
         # None: record() reads it, and it is the left end of the next step's
         # trapezoid
         self._prev: DissipationSample | None = None
         self.max_leakage = math.nan
-        # (state, max|f| of its six fields): the sups of self.state, if it is
-        # still state
-        self._sups: tuple[AxisymState | None, dict[str, float]] = (None, {})
-
-    def sups(self) -> dict[str, float]:
-        """max|f| of each of the current state's six fields, by name.
-
-        A stepped state's come from its step's check pass; a state the
-        stepper did not make (the initial one) gets its pass here.
-        """
-        state, sups = self._sups
-        if state is not self.state:
-            sups = {name: _sup(getattr(self.state, name)) for name in STATE_FIELDS}
-            self._sups = self.state, sups
-        return sups
 
     def _open_ledger(self) -> None:
         """The t = 0 references, the first sample and the first leakage."""
@@ -261,7 +251,7 @@ class Stepper:
         self.integrals = DissipationSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         self._prev = dissipation_sample(state)
         self.e_kin0 = state.kinetic_energy()
-        self.sup_gamma0 = self.sups()["Gamma"]
+        self.sup_gamma0 = state.sup["Gamma"]
         self.l2_u0 = math.sqrt(self.e_kin0)
         self.l2_om_over_r0 = lp_norm(grid, state.omega / grid.factors.r, 2)
         self.max_leakage = boundary_leakage(state)
@@ -275,8 +265,7 @@ class Stepper:
     def dt_bound(self) -> float:
         """Largest stable dt before the CFL number: the advective bound, plus
         the diffusive rate of L1 and L0' for the monotone scheme."""
-        sups = self.sups()
-        vr, vz = sups["ur"], sups["uz"]
+        vr, vz = self.state.sup["ur"], self.state.sup["uz"]
         if self.cfg.scheme == "monotone":
             diff_rate = 1.0 / min(
                 self.solver.explicit_stability_bound("L1"),
@@ -314,23 +303,11 @@ class Stepper:
                 kw += so(times[stage])
             return kg, kw
 
-        carried, self._carried = self._carried, None
-        spectra = carried[1] if carried is not None and carried[0] is self.state else None
+        spectra, self._carried = self._carried, None
         gamma, omega, spectra = _strang_heun(
             self.solver, self.state.Gamma, self.state.omega, dt, tendency, self.cfg.scheme, spectra
         )
-
-        # the check pass, one max and one min per field: Gamma and omega
-        # before their state is built on them, then the derived fields
-        sups = {"Gamma": _sup(gamma), "omega": _sup(omega)}
-        if math.isnan(sups["Gamma"]) or math.isnan(sups["omega"]):
-            raise BlowupError(f"non-finite fields at t = {t + dt:.6g}")
-        omega_hat = None if spectra is None else spectra[1]
-        new_state = assemble_state(self.solver, t + dt, gamma, omega, omega_hat)
-        for name in STATE_FIELDS[2:]:
-            sups[name] = _sup(getattr(new_state, name))
-            if math.isnan(sups[name]):
-                raise ValueError(f"{name} contains non-finite values")
+        new_state = _stepped_state(self.solver, t + dt, gamma, omega, spectra)
         if self._prev is not None:
             sample = dissipation_sample(new_state)
             w = 0.5 * dt
@@ -340,9 +317,7 @@ class Stepper:
             self._prev = sample
             self.max_leakage = max(self.max_leakage, boundary_leakage(new_state))
         self.state = new_state
-        self._sups = new_state, sups
-        if spectra is not None:
-            self._carried = (new_state, spectra)
+        self._carried = spectra
         self.step_count += 1
 
     # -- diagnostics ----------------------------------------------------------
@@ -361,7 +336,7 @@ class Stepper:
         sample = self._prev
         acc = self.integrals
         e_kin = st.kinetic_energy()
-        sup_gamma = self.sups()["Gamma"]
+        sup_gamma = st.sup["Gamma"]
         l4_uth = lp_norm(g, st.uth, 4)
         q = st.omega / g.factors.r
         l2_q = lp_norm(g, q, 2)
@@ -466,8 +441,8 @@ def run_simulation(
             status = "halted_blowup"
             emit()
             break
-        sups = stepper.sups()  # finite: the step checked them
-        if max(sups["Gamma"], sups["omega"]) > cfg.blowup_threshold:
+        sup = stepper.state.sup
+        if max(sup["Gamma"], sup["omega"]) > cfg.blowup_threshold:
             status = "halted_blowup"
             emit()
             break
@@ -497,8 +472,8 @@ def run_simulation(
 @dataclass
 class PicardResult:
     """Per-iterate weighted norms K_j, successive differences delta_j, the
-    last iterate's state at t = T, and the step dt = T / n_steps the
-    iterates took."""
+    last iterate's state at the end of the last step (t = n_steps * dt, T
+    up to rounding), and the step dt = T / n_steps the iterates took."""
 
     p: float
     dt: float
@@ -529,9 +504,10 @@ def picard_iterate(
     The iterates advance in lockstep, each step taking j = 1 ... j_max in
     turn: iterate j+1's Heun stages read only iterate j's fields at the
     step's two ends, and iterate j has just reached the later one.  Each
-    iterate keeps its (Gamma, omega, spectra) and its (u_r, u_z, Gamma) at
-    the step boundary it last reached, so memory is O(j_max) fields,
-    whatever n_steps is.  K_j = sup_t t^gamma (||u_j||_p + t^(1/2)
+    iterate keeps the state of the step boundary it last reached
+    (state_from_dynamic) and its spectra, so memory is O(j_max) fields,
+    whatever n_steps is; a non-finite field ends the iteration as
+    BlowupError.  K_j = sup_t t^gamma (||u_j||_p + t^(1/2)
     ||grad u_j||_p) and the same weighted distance delta_j between
     consecutive iterates are running maxima over 10 evenly spread step
     boundaries.
@@ -554,33 +530,32 @@ def picard_iterate(
         return t**gamma_exp * (lp_norm(grid, speed, p) + math.sqrt(t) * lp_norm(grid, grad, p))
 
     zeros = (np.zeros(grid.shape),) * 3
-    # per iterate: (Gamma, omega, spectra, (u_r, u_z, Gamma) at its boundary);
+    # per iterate: the state it last reached and that state's spectra;
     # every iterate starts from the shared initial state, which _strang_heun
     # leaves unmodified, and builds its own spectra on its first step
-    iterates = [(state0.Gamma, state0.omega, None, (state0.ur, state0.uz, state0.Gamma))] * j_max
+    iterates = [(state0, None)] * j_max
     K = [0.0] * j_max
     delta = [0.0] * (j_max - 1)
     for n in range(1, n_steps + 1):
-        drive = (zeros, zeros)  # the previous iterate's fields at steps n - 1 and n
-        for j, (gamma, omega, spectra, before) in enumerate(iterates):
+        # the previous iterate's (u_r, u_z, Gamma) at steps n - 1 and n
+        drive = (zeros, zeros)
+        for j, (before, spectra) in enumerate(iterates):
             def tendency(gamma, omega, stage, omega_hat):
                 ur, uz, gamma_feed = drive[stage]
                 return _coupled_rates(grid, scheme, gamma, omega, ur, uz, gamma_feed)
 
             gamma, omega, spectra = _strang_heun(
-                solver, gamma, omega, dt, tendency, scheme, spectra
+                solver, before.Gamma, before.omega, dt, tendency, scheme, spectra
             )
-            omega_hat = None if spectra is None else spectra[1]
-            ur, uz = velocity_from_stream(grid, solver.solve_stream(omega, omega_hat))
-            after = (ur, uz, gamma)
-            iterates[j] = gamma, omega, spectra, after
-            drive = before, after
+            after = _stepped_state(solver, n * dt, gamma, omega, spectra)
+            iterates[j] = after, spectra
+            drive = (before.ur, before.uz, before.Gamma), (after.ur, after.uz, after.Gamma)
             if n in out_idx:
-                snap = (ur, gamma / grid.rcol, uz)
-                K[j] = max(K[j], weighted_norm(n * dt, *snap))
+                snap = (after.ur, after.uth, after.uz)
+                K[j] = max(K[j], weighted_norm(after.t, *snap))
                 if j:
                     diff = (b - a for a, b in zip(prev_snap, snap))
-                    delta[j - 1] = max(delta[j - 1], weighted_norm(n * dt, *diff))
+                    delta[j - 1] = max(delta[j - 1], weighted_norm(after.t, *diff))
                 prev_snap = snap
     grow = 0
     diverged = False
@@ -589,8 +564,7 @@ def picard_iterate(
         if grow >= 3:
             diverged = True
             break
-    final = state_from_dynamic(solver, T, gamma, omega, omega_hat)
-    return PicardResult(p, dt, K, delta, diverged, final)
+    return PicardResult(p, dt, K, delta, diverged, iterates[-1][0])
 
 
 def picard_experiment(

@@ -17,6 +17,12 @@ radius r = R.  These walls are stated once, in the operator table
 `elliptic.OPERATORS` (L1 for Gamma, L0' for omega, the stream operator
 for psi).
 
+A state is built from (Gamma, omega) by state_from_dynamic, for the
+initial data, every step of the coupled run and of Picard's iterates,
+and a loaded checkpoint alike.  Its construction checks each field once,
+and that pass leaves the fields' sup norms on the state (AxisymState.sup)
+for the blow-up threshold, the records and the CFL bound.
+
 make_initial_data reads the init.* keys straight from a
 config.SolverConfig: their defaults are that dataclass's fields and
 nowhere else, and data that cannot be built raises a ConfigError naming
@@ -27,14 +33,14 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, SolverConfig
 from .elliptic import EllipticSolver, pin
-from .grid import Grid, build_grid, ddr, ddz, weighted_integral
+from .grid import Grid, build_grid, r_differences, weighted_integral, z_differences
 
 
 # the fields of a state, dynamical then derived
@@ -47,7 +53,8 @@ class AxisymState:
     velocities, and the solver that derived them (its grid is the state's).
 
     Every field is a float array of the grid's shape with finite values;
-    construction checks this.
+    construction checks this in one max and one min reduction per field,
+    which also give the fields' sup norms max|f|, by name, as sup.
     """
 
     t: float
@@ -58,15 +65,19 @@ class AxisymState:
     ur: np.ndarray
     uth: np.ndarray
     uz: np.ndarray
+    sup: dict[str, float] = field(init=False)
 
     def __post_init__(self):
         shape = self.grid.shape
+        self.sup = {}
         for name in STATE_FIELDS:
             vals = np.asarray(getattr(self, name), dtype=float)
             if vals.shape != shape:
                 raise ValueError(f"{name} shape {vals.shape} does not match grid {shape}")
-            if not np.all(np.isfinite(vals)):
+            hi, lo = abs(float(vals.max())), abs(float(vals.min()))
+            if not (math.isfinite(hi) and math.isfinite(lo)):
                 raise ValueError(f"{name} contains non-finite values")
+            self.sup[name] = max(hi, lo)
             setattr(self, name, vals)
 
     @property
@@ -85,10 +96,11 @@ def velocity_from_stream(grid: Grid, psi: np.ndarray) -> tuple[np.ndarray, np.nd
     Each component is psi's raw differences times one of the grid's
     factors, -1/(2 h_z r) and 1/(2 h_r r) (Grid.factors).
     """
-    factors = grid.factors
-    ur = pin(ddz(grid, psi, factors.ur_of_psi), "stream")
-    uz = ddr(grid, psi, factors.uz_of_psi)
-    return ur, uz
+    ur = z_differences(psi)
+    ur *= grid.factors.ur_of_psi
+    uz = r_differences(psi)
+    uz *= grid.factors.uz_of_psi
+    return pin(ur, "stream"), uz
 
 
 def bump_profile(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -120,33 +132,9 @@ def state_from_dynamic(
     """
     gamma = np.array(gamma, dtype=float)
     om = pin(np.array(omega, dtype=float), "L0p")
-    state = assemble_state(solver, t, gamma, om, omega_hat)
-    state.__post_init__()  # the construction's check, which assemble_state skips
-    return state
-
-
-def assemble_state(
-    solver: EllipticSolver,
-    t: float,
-    gamma: np.ndarray,
-    omega: np.ndarray,
-    omega_hat: np.ndarray | None,
-) -> AxisymState:
-    """The state of state_from_dynamic, built on gamma and omega themselves
-    and left unchecked.
-
-    For a caller that owns the two float fields, has pinned omega's walls
-    and checks every field itself: the coupled step (evolution.Stepper)
-    makes one pass over each field for finiteness, the blow-up threshold
-    and the CFL bound at once.
-    """
-    grid = solver.grid
-    psi = solver.solve_stream(omega, omega_hat)
-    ur, uz = velocity_from_stream(grid, psi)
-    state = object.__new__(AxisymState)  # bypasses __init__ and its check
-    uth = gamma / grid.factors.r
-    vars(state).update(t=t, solver=solver, Gamma=gamma, omega=omega, psi=psi, ur=ur, uth=uth, uz=uz)
-    return state
+    psi = solver.solve_stream(om, omega_hat)
+    ur, uz = velocity_from_stream(solver.grid, psi)
+    return AxisymState(t, solver, gamma, om, psi, ur, gamma / solver.grid.factors.r, uz)
 
 
 def make_initial_data(solver: EllipticSolver, cfg: SolverConfig) -> AxisymState:

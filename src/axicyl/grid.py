@@ -193,15 +193,12 @@ def z_differences(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def ddz(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> np.ndarray:
-    """Centered d/dz, periodic wrap.
-
-    The differences f[j+1] - f[j-1] (z_differences) are divided by 2 h_z,
-    or, when factor (a scalar or an array broadcasting against f) is
-    given, multiplied by it instead: a caller that scales the derivative
-    folds 1/(2 h_z) into factor and saves a pass.
-    """
-    return _scale_differences(z_differences(f), grid.h_z, factor)
+def ddz(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Centered d/dz, periodic wrap: the differences f[j+1] - f[j-1]
+    (z_differences) divided by 2 h_z."""
+    out = z_differences(f)
+    out /= 2.0 * grid.h_z
+    return out
 
 
 def d2z(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -242,25 +239,9 @@ def r_differences(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def ddr(grid: Grid, f: np.ndarray, factor: float | np.ndarray | None = None) -> np.ndarray:
-    """d/dr: centered in the interior, one-sided second order at the walls.
-
-    The differences (r_differences) are divided by 2 h_r, or multiplied by
-    factor when it is given, as in ddz.
-    """
-    return _scale_differences(r_differences(f), grid.h_r, factor)
-
-
-def _scale_differences(diff: np.ndarray, h: float, factor: float | np.ndarray | None) -> np.ndarray:
-    """diff / (2 h) in place, or diff * factor for a given factor."""
-    if factor is None:
-        diff /= 2.0 * h
-    else:
-        diff *= factor
-    return diff
-
-
-def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d_r f, d_z f) with the stencils above."""
-    return ddr(grid, f), ddz(grid, f)
-
+def ddr(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """d/dr: centered in the interior, one-sided second order at the walls,
+    the differences r_differences divided by 2 h_r."""
+    out = r_differences(f)
+    out /= 2.0 * grid.h_r
+    return out

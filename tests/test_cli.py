@@ -634,6 +634,41 @@ def test_cmd_picard_halted_direct_run_exits_3(tmp_path):
     }
 
 
+def test_cmd_picard_non_finite_iterate_exits_3(tmp_path):
+    # configs/picard.cfg at 33x32 and amplitude 2000: an iterate overflows,
+    # and the state its step builds ends the iteration as a numerical halt
+    text = (
+        "grid.r_min = 1.0\ngrid.R = 3.0\ngrid.L_z = 2.0\ngrid.n_r = 33\ngrid.n_z = 32\n"
+        "init.kind = swirl_bump\ninit.amplitude = 2000\ninit.omega_amplitude = 2000\n"
+        "init.r_lo = 1.25\ninit.r_hi = 2.5\n"
+        "picard.t_end = 0.1\npicard.j_max = 3\npicard.p = 6.0\npicard.dt = 0.004\n"
+    )
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "halted_blowup"
+    error = manifest["extra"]["error"]
+    assert error.startswith("numerical halt: non-finite fields at t = ")
+    assert error.endswith("contains non-finite values")
+
+
+def test_unexpected_error_propagates_once_the_manifest_names_it(tmp_path, monkeypatch):
+    # an exception outside the four handled classes keeps its traceback
+    # (exit 1), and the manifest records its type and message first
+    def body(args, mapping, ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_run", cli._command(body))
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["run", "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["extra"]["error"] == "unexpected error: RuntimeError: boom"
+
+
 def test_cmd_picard_iterates_with_the_configured_scheme(tmp_path):
     # strang_cn iterates miss a monotone direct run by 4.4e-04; on one
     # scheme the two agree to 1.2e-07 (dt under the monotone scheme's bound)
@@ -714,8 +749,8 @@ def test_cmd_picard_builds_one_solver(tmp_path, construction_counts):
     # steps each, of four heat steps.  Transforms: 2 for the initial state's
     # stream solve; per iterate its first step's 2 spectra, then 7 a step
     # (four half-diffusion fields, two spectra, the end-of-step stream field:
-    # the iterates' stages solve no stream), and 1 for the last iterate's
-    # final state; the direct run 2 spectra and 10 a step
+    # the iterates' stages solve no stream), the last iterate's state at T
+    # being the final state; the direct run 2 spectra and 10 a step
     # (test_cmd_run_manifest_reports_the_solver_counts)
     text = (
         "grid.n_r = 33\ngrid.n_z = 32\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
@@ -726,7 +761,7 @@ def test_cmd_picard_builds_one_solver(tmp_path, construction_counts):
     assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
     assert construction_counts == {"solvers": 1, "factorizations": 3}
     perf = json.loads((out / "manifest.json").read_text())["extra"]["perf"]
-    transforms = 2 + 2 * (2 + 7 * 2) + 1 + (2 + 10 * 2)
+    transforms = 2 + 2 * (2 + 7 * 2) + (2 + 10 * 2)
     assert perf == {"heat_steps": 3 * 2 * 4, "factorizations": 3, "transforms": transforms}
 
 

@@ -21,7 +21,15 @@ from axicyl.evolution import (
     run_simulation,
     swirl_vorticity_source,
 )
-from axicyl.fields import STATE_FIELDS, bump_profile, make_initial_data, state_from_dynamic
+from axicyl.fields import (
+    STATE_FIELDS,
+    AxisymState,
+    bump_profile,
+    checkpoint_load,
+    checkpoint_save,
+    make_initial_data,
+    state_from_dynamic,
+)
 from axicyl.grid import build_grid, lp_norm
 from axicyl.manufactured import build_mms, mms_convergence_study
 
@@ -178,42 +186,44 @@ def test_nan_in_gamma_ends_the_step_as_blowup(small_solver):
 @pytest.mark.parametrize("name", ["psi", "ur", "uth", "uz"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_derived_field_still_raises(name, bad, small_solver, monkeypatch):
-    # the stepped state is built unchecked (fields.assemble_state); the
-    # step's one check pass must still reject each derived field, as the
-    # state's construction does
-    assemble = evolution.assemble_state
+    # the step builds its state with state_from_dynamic, whose construction
+    # rejects a non-finite field with a ValueError naming it
+    # (test_state_validation); the step must end as BlowupError naming the
+    # field, and leave the stepper on the state it started from
+    build = evolution.state_from_dynamic
 
-    def spoiled(*args):
-        state = assemble(*args)
-        getattr(state, name)[3, 4] = bad
-        return state
+    def spoiled(solver, t, gamma, omega, omega_hat=None):
+        state = build(solver, t, gamma, omega, omega_hat)
+        values = {n: getattr(state, n).copy() for n in STATE_FIELDS}
+        values[name][3, 4] = bad
+        return AxisymState(t, solver, **values)
 
-    monkeypatch.setattr(evolution, "assemble_state", spoiled)
+    monkeypatch.setattr(evolution, "state_from_dynamic", spoiled)
     state = make_initial_data(small_solver, make_cfg())
-    with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
-        Stepper(make_cfg(), state).step(0.005)
+    stepper = Stepper(make_cfg(), state)
+    message = f"non-finite fields at t = 0.005: {name} contains non-finite values"
+    with pytest.raises(BlowupError, match=message):
+        stepper.step(0.005)
+    assert stepper.state is state
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_stepped_state_and_its_sups_match_the_checked_path(scheme, small_solver):
-    # the step builds its state without copies or a construction check and
-    # takes every sup from one max/min pass: the state must be
-    # state_from_dynamic's bit for bit, the sups lp_norm(., inf)'s, and
-    # dt_bound the formula on max|u_r| and max|u_z|
+def test_stepped_state_and_its_sups_match_the_checked_path(scheme, small_solver, tmp_path):
+    # every state is built by state_from_dynamic, whose check pass leaves
+    # the fields' sup norms on the state: they must be lp_norm(., inf)'s bit
+    # for bit whichever way the state was made, and dt_bound the formula on
+    # max|u_r| and max|u_z|
     g = small_solver.grid
     dt = 0.005 if scheme == "strang_cn" else 1e-4
     cfg = make_cfg(dt=dt, amplitude=2.0, scheme=scheme)
-    stepper = Stepper(cfg, make_initial_data(small_solver, cfg))
-    stepper.record()
+    state0 = make_initial_data(small_solver, cfg)
+    checkpoint_save(state0, tmp_path / "state.axns")
+    states = [state0, checkpoint_load(tmp_path / "state.axns", small_solver)]
+    stepper = Stepper(cfg, state0)
     for _ in range(5):
         stepper.step(dt)
-        st_ = stepper.state
-        omega_hat = stepper._carried[1][1] if scheme == "strang_cn" else None
-        ref = state_from_dynamic(small_solver, st_.t, st_.Gamma, st_.omega, omega_hat)
-        for name in STATE_FIELDS:
-            assert np.array_equal(getattr(st_, name), getattr(ref, name)), name
-        assert stepper.sups() == {n: lp_norm(g, getattr(ref, n), np.inf) for n in STATE_FIELDS}
-        vr, vz = np.max(np.abs(ref.ur)), np.max(np.abs(ref.uz))
+        states.append(stepper.state)
+        vr, vz = np.max(np.abs(stepper.state.ur)), np.max(np.abs(stepper.state.uz))
         if scheme == "strang_cn":
             expect = min(g.h_r / vr, g.h_z / vz)
         else:
@@ -223,6 +233,10 @@ def test_stepped_state_and_its_sups_match_the_checked_path(scheme, small_solver)
             )
             expect = 1.0 / (rate + vr / g.h_r + vz / g.h_z)
         assert stepper.dt_bound() == expect
+    picard = picard_iterate(state0, T=2 * dt, j_max=2, p=6.0, dt=dt, scheme=scheme)
+    states.append(picard.final_state)
+    for st_ in states:
+        assert st_.sup == {n: lp_norm(g, getattr(st_, n), np.inf) for n in STATE_FIELDS}
 
 
 def test_blowup_threshold_halts_at_the_first_step_over_it(small_solver):

@@ -127,8 +127,8 @@ def test_dropped_wall_flux_trips_the_energy_residual(monkeypatch):
 def test_wall_radius_swirl_velocity_trips_the_l4_bound(monkeypatch):
     # criterion 4 reads margin_1_7 = ||u_th||_4 - sup|Gamma_0|^(1/2)
     # ||u_0||_2^(1/2) at every record.  The defect is in the stepped state,
-    # which the step builds unchecked (fields.assemble_state): u_th =
-    # Gamma / r_min in place of Gamma / r.  On criterion 4's own data
+    # which the step builds with state_from_dynamic: u_th = Gamma / r_min
+    # in place of Gamma / r.  On criterion 4's own data
     # (configs/energy_budget.cfg, swirl on 1.1 < r < 2.4) it does not trip:
     # the worst margin moves from -0.29 to -0.075 of the bound's scale at
     # 129x128 (-0.10 at 33x32).  With the swirl on 1.5 < r < 3.5, where r /
@@ -143,14 +143,14 @@ def test_wall_radius_swirl_velocity_trips_the_l4_bound(monkeypatch):
         return max(r.margin_1_7 for r in records) / bound_scale
 
     assert margin() <= 1e-8  # criterion 4's bound
-    assemble = evolution.assemble_state
+    build = evolution.state_from_dynamic
 
-    def wall_radius(solver, t, gamma, omega, omega_hat):
-        state = assemble(solver, t, gamma, omega, omega_hat)
-        state.uth = gamma / solver.grid.r_min
+    def wall_radius(solver, t, gamma, omega, omega_hat=None):
+        state = build(solver, t, gamma, omega, omega_hat)
+        state.uth = state.Gamma / solver.grid.r_min
         return state
 
-    monkeypatch.setattr(evolution, "assemble_state", wall_radius)
+    monkeypatch.setattr(evolution, "state_from_dynamic", wall_radius)
     assert margin() > 1e-8
 
 

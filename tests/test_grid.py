@@ -13,7 +13,6 @@ from axicyl.grid import (
     d2z,
     ddr,
     ddz,
-    grad,
     lp_norm,
     r_differences,
     radial_quadrature,
@@ -119,10 +118,12 @@ def test_lp_norm_rejects_bad_p():
 
 def test_grad_linear_and_constant():
     g = build_grid(1, 2, 1.5, 17, 8)
-    fr, fz = grad(g, g.rcol * np.ones(g.shape))
+    f = g.rcol * np.ones(g.shape)
+    fr, fz = ddr(g, f), ddz(g, f)
     assert np.allclose(fr, 1.0, atol=1e-12)
     assert np.allclose(fz, 0.0, atol=1e-12)
-    fr, fz = grad(g, np.full(g.shape, 4.2))
+    f = np.full(g.shape, 4.2)
+    fr, fz = ddr(g, f), ddz(g, f)
     assert np.allclose(fr, 0.0, atol=1e-12)
     assert np.allclose(fz, 0.0, atol=1e-12)
 
@@ -140,11 +141,9 @@ def test_ddz_mode_second_order():
 @pytest.mark.parametrize("shape", [(4, 4), (17, 5), (33, 32), (129, 128)])
 def test_z_stencils_equal_their_periodic_roll_forms(shape):
     # the flat passes keep each element's operations and their order, so
-    # they match the np.roll forms bit for bit, on any memory layout; a
-    # factor multiplies the raw differences in place of dividing by 2 h_z
+    # they match the np.roll forms bit for bit, on any memory layout
     g = build_grid(1.0, 3.7, 2.3, *shape)
     rng = np.random.default_rng(shape[0])
-    factor = rng.normal(size=(shape[0], 1))
     for scale in (1e-5, 1.0, 1e5):
         f = scale * rng.normal(size=shape)
         up, down = np.roll(f, -1, axis=1), np.roll(f, 1, axis=1)
@@ -153,7 +152,6 @@ def test_z_stencils_equal_their_periodic_roll_forms(shape):
         strided = np.repeat(f, 2, axis=1)[:, ::2]
         for view in (f, np.asfortranarray(f), strided):
             assert np.array_equal(ddz(g, view), d1)
-            assert np.array_equal(ddz(g, view, factor), (up - down) * factor)
             assert np.array_equal(z_differences(view), up - down)
             assert np.array_equal(d2z(g, view), d2)
 
@@ -191,12 +189,11 @@ def test_ddr_smooth_second_order():
     assert 1.9 < order < 2.1
 
 
-def test_ddr_factor_multiplies_the_raw_differences():
+def test_ddr_divides_the_raw_differences():
     # the wall rows are built in place, in the order of the expressions here
     for shape in ((4, 4), (17, 8)):
         g = build_grid(1.0, 3.7, 2.3, *shape)
-        rng = np.random.default_rng(5)
-        f, factor = rng.normal(size=g.shape), rng.normal(size=g.shape)
+        f = np.random.default_rng(5).normal(size=g.shape)
         raw = np.empty_like(f)
         raw[1:-1] = f[2:] - f[:-2]
         raw[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
@@ -204,7 +201,6 @@ def test_ddr_factor_multiplies_the_raw_differences():
         for view in (f, np.asfortranarray(f)):
             assert np.array_equal(r_differences(view), raw)
             assert np.array_equal(ddr(g, view), raw / (2.0 * g.h_r))
-            assert np.array_equal(ddr(g, view, factor), raw * factor)
 
 
 def test_grid_factors_hold_their_column_expressions():
