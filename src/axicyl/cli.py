@@ -12,11 +12,13 @@ Every command writes its CSV outputs plus a manifest.json (config echo,
 code version, seed, wall times, output list, exit status) into the
 output directory (--out, else $AXICYL_OUT, else the working directory).
 Floats are serialized with 17 significant digits, so identical configs
-give byte-identical files.
+give byte-identical files (semigroup's for a given BLAS build and thread
+count: its modal transforms are dense products).
 
 The manifests of run, semigroup, picard and inequalities add extra.perf:
-the heat steps, factorizations and spectrum/field transforms of their
-solvers (EllipticSolver.counts); picard's iterates and direct run share
+the heat steps, factorizations (tridiagonal or radial eigenbasis) and
+transforms (a field to or from either spectral layout) of their solvers
+(EllipticSolver.counts); picard's iterates and direct run share
 one solver, and so do inequalities' sample batches.  Only counts: timings
 never go into the outputs.
 Every manifest adds extra.process: the minor page faults taken during the

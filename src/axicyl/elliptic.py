@@ -2,7 +2,8 @@
 
 Everything here exploits z-periodicity: a real FFT in z turns both the
 stream equation and the heat operators into independent tridiagonal
-systems in r, one per z mode (cost O(n_r n_z log n_z), deterministic).
+systems in r, one per z mode (cost O(n_r n_z log n_z), deterministic);
+the heat operators' systems also share one radial eigenbasis (below).
 
 Stream equation (from omega = d_z u_r - d_r u_z with the stream-function
 velocities):
@@ -23,8 +24,8 @@ Robin d_r u = u/r_min for L0 (u_theta), Robin d_r Gamma = (2/r_min) Gamma
 for L1 (Gamma = r u_theta), Dirichlet for L0' (omega) and for psi) and
 its d_zz weight.  The outer wall is Dirichlet for all (far-field
 truncation).  The factorizations of a I + b B (stream: a = 0, b = -1;
-CN: a = 1/2, b = -dt/4), the explicit apply and the pinned rows (pin) all
-come from it.
+CN: a = 1/2, b = -dt/4), the heat operators' radial eigenbases, the
+explicit apply and the pinned rows (pin) all come from it.
 
 The heat steps work on z spectra, not mesh fields:
 
@@ -51,6 +52,32 @@ factorization cached per (op, dt) owns every buffer a step uses (the
 work rows of its sweeps and the per-block carries), so a step after the
 first allocates nothing.  One solver must therefore not be stepped from
 two threads at once.
+
+A heat operator's z shift is -lam_m I on every row (d_zz weight 1), so
+one radial eigenbasis diagonalizes all its z modes at once (the fast
+diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+its radial rows, symmetrized by a diagonal similarity, go through
+np.linalg.eigh once per (grid, op).  In that basis a CN step is one
+elementwise product with the gains (1 + dt mu/2) / (1 - dt mu/2), so a
+spectrum has a second layout, the modal one:
+
+    c = solver.modes(f, op)           # rfft, then D^-1, then Q^T: (n, 2 M)
+    solver.heat_step(c, dt, op)       # in place: one np.multiply
+    f = solver.field(c, op)           # Q, then D, then irfft
+
+heat_step and field take either layout, told apart by its shape.  The
+transforms are dense products, O(n_r^2 n_z) against the rfft's
+O(n_r n_z log n_z), so each layout serves its own callers.  The
+heat-only evolutions (_decay_series, commutation_check) step hundreds of
+times with one (op, dt) and read a field only at their sample times:
+they run in the modal layout, where a step streams two arrays instead of
+a two-level sweep's.  The coupled step reads a field after every
+half-step and hands omega's z spectrum to the stream solve, whose
+operator has no such basis (its d_zz is divided by r); at 129^2 one
+dense transform costs more than the whole solve, so it stays in the
+block layout.  A dense product's bits depend on the BLAS build and its
+thread count, so the modal results are reproducible for a fixed BLAS
+and thread count; the block layout's are not affected.
 """
 
 from __future__ import annotations
@@ -314,8 +341,11 @@ class EllipticSolver:
         self.grid = grid
         self._lam = _z_eigenvalues(grid)
         self._n_modes = grid.n_z // 2 + 1
-        self._heat_cache: dict[tuple[str, float], TridiagBatch] = {}
-        # plain counters: CN steps, factorizations built, spectrum/field conversions
+        # per (op, dt, modal): the CN gains (modal) or the factorization of A/2
+        self._heat_cache: dict[tuple[str, float, bool], TridiagBatch | np.ndarray] = {}
+        self._bases: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # plain counters: CN steps; factorizations built (a TridiagBatch or a
+        # radial eigenbasis); conversions between a field and either layout
         self.counts = {"heat_steps": 0, "factorizations": 0, "transforms": 0}
 
     def _factor(self, op: str, a: float, b: float) -> TridiagBatch:
@@ -365,28 +395,68 @@ class EllipticSolver:
 
     # -- heat steps -----------------------------------------------------------
 
-    def _cn_lhs(self, op: str, dt: float) -> TridiagBatch:
-        """The factorization of A/2 = (I - (dt/2) B) / 2, cached per (op, dt).
+    def _basis(self, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, d, lam): heat operator op's radial eigenbasis, built on first use and cached.
 
-        Halving a matrix halves every pivot exactly, so the factorization
-        is A's with its scale 1/denom doubled, and its solve returns
-        2 A^-1 f bit for bit.
+        op's radial rows T over its unknown rows are similar to the symmetric
+        S = D^-1 T D, D = diag(d) with d_0 = 1 and d_(i+1)/d_i =
+        sqrt(sub_(i+1)/sup_i); with S = Q diag(lam) Q^T (eigh, Q orthogonal)
+        the operator on z mode m is D Q diag(lam - lam_m) Q^T D^-1, since its
+        z shift is -lam_m I for every row (d_zz weight 1).  The similarity needs
+        sub_(i+1)/sup_i > 0 for every row, h_r < 2 r in the interior, which
+        build_grid's grids meet: their interior radii exceed h_r.
+        """
+        hit = self._bases.get(op)
+        if hit is not None:
+            return hit
+        sub, diag, sup, _, unk = _radial_rows(self.grid, op)
+        if OPERATORS[op].zz_over_r:
+            raise ValueError(f"{op} has no radial eigenbasis: its d_zz weight varies with r")
+        low, up = sub[unk][1:], sup[unk][:-1]
+        if not np.all(low * up > 0):
+            raise ValueError(
+                f"{op} has no radial eigenbasis: sub_(i+1)/sup_i <= 0 at some row (h_r >= 2 r)"
+            )
+        d = np.concatenate(([1.0], np.cumprod(np.sqrt(low / up))))
+        n = d.size
+        S = np.zeros((n, n))
+        S.flat[:: n + 1] = diag[unk]
+        S.flat[1 :: n + 1] = S.flat[n :: n + 1] = np.sqrt(low * up)
+        lam, Q = np.linalg.eigh(S)
+        self.counts["factorizations"] += 1
+        self._bases[op] = hit = Q, d, lam
+        return hit
+
+    def _cn(self, op: str, dt: float, modal: bool) -> TridiagBatch | np.ndarray:
+        """What a Crank-Nicolson step of (op, dt) applies, cached per (op, dt, modal).
+
+        modal: the gains (1 + dt mu/2) / (1 - dt mu/2), mu = lam_k - lam_m
+        the eigenvalues of op's eigenbasis (_basis) on z mode m, one per
+        coefficient of the modal layout (n, 2M): each mode's twice, for its
+        real and imaginary parts.  Otherwise the factorization of
+        A/2 = (I - (dt/2) B) / 2: halving a matrix halves every pivot
+        exactly, so the factorization is A's with its scale 1/denom doubled,
+        and its solve returns 2 A^-1 f bit for bit.
         """
         # dt to 12 significant digits: the round-off in a run's time
         # arithmetic (a last step of 0.0012499999999998 after steps of
         # 0.00125) does not cost a second factorization
-        key = (op, float(f"{dt:.12g}"))
+        key = (op, float(f"{dt:.12g}"), modal)
         hit = self._heat_cache.get(key)
         if hit is not None:
             return hit
-        lhs = self._factor(op, 0.5, -0.25 * dt)
+        if modal:
+            half = 0.5 * dt * (self._basis(op)[2][:, None] - self._lam[None, :])
+            hit = np.repeat((1.0 + half) / (1.0 - half), 2, axis=1)
+        else:
+            hit = self._factor(op, 0.5, -0.25 * dt)
         if len(self._heat_cache) > 16:
             self._heat_cache.clear()
-        self._heat_cache[key] = lhs
-        return lhs
+        self._heat_cache[key] = hit
+        return hit
 
     def spectrum(self, f: np.ndarray, op: str) -> np.ndarray:
-        """f's z spectrum on op's unknown rows, in the layout heat_step advances.
+        """f's z spectrum on op's unknown rows, in the block layout heat_step advances.
 
         A new (s, B, 2 M) float array, M = n_z//2 + 1: the rfft in z of f's
         rows _unknown_rows(op) in TridiagBatch's block order, real and
@@ -397,14 +467,54 @@ class EllipticSolver:
         self.counts["transforms"] += 1
         return _to_blocks(np.fft.rfft(np.asarray(f, float)[unk], axis=1).view(float))
 
+    def modes(self, f: np.ndarray, op: str) -> np.ndarray:
+        """f's z spectrum in heat operator op's radial eigenbasis: the modal layout.
+
+        A new (n, 2 M) float array, n = op's unknown rows: the rfft in z of
+        those rows, divided by d, then Q^T (_basis) applied to the real and
+        imaginary parts of every mode at once.  Row k holds eigenvector k's
+        coefficients, each mode's real and imaginary parts side by side.
+        """
+        Q, d, _ = self._basis(op)
+        unk = _unknown_rows(self.grid, op)
+        self.counts["transforms"] += 1
+        fhat = np.fft.rfft(np.asarray(f, float)[unk], axis=1)
+        fhat /= d[:, None]
+        return Q.T @ fhat.view(float)
+
+    def _from_modes(self, coef: np.ndarray, op: str) -> np.ndarray:
+        """The spectrum (n, 2M) on op's unknown rows of modal coefficients: D Q coef, a new array.
+
+        Its scratch copy of coef is freed on return, before field() allocates
+        the mesh field.
+        """
+        Q, d, _ = self._basis(op)
+        # coefficients under 2^-900 of the largest lie far below the rounding
+        # of every value a sup norm reads, and once they decay into the
+        # subnormal range they make the product 4x slower
+        kept = np.abs(coef)
+        negligible = kept < 2.0**-900 * np.max(kept)
+        np.copyto(kept, coef)
+        kept[negligible] = 0.0
+        rows = Q @ kept
+        rows *= d[:, None]
+        return rows
+
     def field(self, fhat: np.ndarray, op: str) -> np.ndarray:
-        """The mesh field of a spectrum in heat_step's layout; op's pinned rows are 0."""
+        """The mesh field of a spectrum in either layout; op's pinned rows are 0.
+
+        A 3-d fhat is in spectrum()'s block layout, a 2-d one in modes()'
+        modal layout; fhat is not modified.
+        """
         g = self.grid
         unk = _unknown_rows(g, op)
+        if fhat.ndim == 2:
+            rows = self._from_modes(fhat, op)
+        else:
+            rows = _from_blocks(fhat, unk.stop - unk.start)
         self.counts["transforms"] += 1
         out = np.empty(g.shape)
-        modes = _from_blocks(fhat, unk.stop - unk.start).view(complex)
-        np.fft.irfft(modes, n=g.n_z, axis=1, out=out[unk])
+        np.fft.irfft(rows.view(complex), n=g.n_z, axis=1, out=out[unk])
         out[: unk.start] = 0.0
         out[unk.stop :] = 0.0
         return out
@@ -412,19 +522,26 @@ class EllipticSolver:
     def heat_step(self, fhat: np.ndarray, dt: float, op: str) -> np.ndarray:
         """One Crank-Nicolson step of d_t f = op f (unconditionally stable), in place.
 
-        fhat is a spectrum in the layout of spectrum(f, op); it is
-        overwritten with the stepped spectrum and returned.  With
+        fhat is a spectrum in either layout, told apart by its shape: the
+        block layout of spectrum(f, op) or the modal layout of modes(f, op).
+        It is overwritten with the stepped spectrum and returned.  With
         A = I - (dt/2) B the step is A^-1 (2I - A) fhat = 2 A^-1 fhat - fhat:
-        one solve with A/2 (_cn_lhs) and one subtraction.  Once the (op, dt)
-        factorization is cached, a step allocates nothing.
+        in the block layout one solve with A/2 and one subtraction, in the
+        modal layout one product with the step's gains (_cn).  Once the
+        (op, dt) step is cached, a step allocates nothing.
         """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        lhs = self._cn_lhs(op, dt)
-        if fhat.shape != lhs.work.shape:
-            raise ValueError(f"{op} spectrum must have shape {lhs.work.shape}, got {fhat.shape}")
+        modal = fhat.ndim == 2
+        cn = self._cn(op, dt, modal)
+        shape = cn.shape if modal else cn.work.shape
+        if fhat.shape != shape:
+            layout = "modes" if modal else "block order"
+            raise ValueError(f"{op} spectrum must have shape {shape} ({layout}), got {fhat.shape}")
         self.counts["heat_steps"] += 1
-        return np.subtract(lhs.solve(fhat), fhat, out=fhat)
+        if modal:
+            return np.multiply(fhat, cn, out=fhat)
+        return np.subtract(cn.solve(fhat), fhat, out=fhat)
 
     def apply_heat_operator(self, f: np.ndarray, op: str) -> np.ndarray:
         """Explicit application of any table operator, the stream one too; pinned rows map to 0."""
@@ -518,8 +635,8 @@ def _decay_series(
     target = {int(n) for n in np.rint(np.geomspace(t0, t1, n_samples) / dt) if n >= 1}
     if len(target) < 3:
         raise FitWindowError("fit window too narrow for the given dt")
-    fhat = solver.spectrum(f0, op)
-    del f0  # the loop needs only the spectrum
+    fhat = solver.modes(f0, op)
+    del f0  # the loop needs only the modes
     times: list[float] = []
     norms: dict[int, list[float]] = {k: [] for k in ks}
     for n in range(1, max(target) + 1):
@@ -630,7 +747,7 @@ def commutation_check(solver: EllipticSolver, gamma0: np.ndarray, t: float, dt: 
     small = np.array(gamma0, dtype=float)
     big = grid.rcol * small
     if n:
-        small_hat, big_hat = solver.spectrum(small, "L0"), solver.spectrum(big, "L1")
+        small_hat, big_hat = solver.modes(small, "L0"), solver.modes(big, "L1")
         for _ in range(n):
             solver.heat_step(small_hat, dt, "L0")
             solver.heat_step(big_hat, dt, "L1")

@@ -53,6 +53,14 @@ class BlowupError(RuntimeError):
     """Fields left the finite range; the run must halt."""
 
 
+# A blowing-up run overflows.  Under this errstate its overflow gives inf or
+# nan without a warning: in a step it reaches Gamma or omega, which the
+# stepped state's construction reports as BlowupError (a numerical halt), and
+# a diagnostic of a finite state too large to square reads inf.  numpy's
+# warnings would only repeat that, or end the run under -W error.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 def _stepped_state(solver: EllipticSolver, t: float, gamma, omega, spectra) -> AxisymState:
     """The state of a step's (Gamma, omega) at t (state_from_dynamic), its
     stream solve starting from omega's carried spectrum when there is one.
@@ -281,6 +289,7 @@ class Stepper:
 
     # -- one step -------------------------------------------------------------
 
+    @_quiet_overflow
     def step(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -322,6 +331,7 @@ class Stepper:
 
     # -- diagnostics ----------------------------------------------------------
 
+    @_quiet_overflow
     def record(self) -> DiagnosticsRecord:
         """The diagnostics of the current state; its gradient integrals come
         from the step's dissipation sample of that state.
@@ -490,6 +500,7 @@ class PicardResult:
         ]
 
 
+@_quiet_overflow
 def picard_iterate(
     state0: AxisymState, T: float, j_max: int, p: float, dt: float, scheme: str
 ) -> PicardResult:

@@ -128,6 +128,13 @@ def check_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> None:
     for name, n in (("n_r", n_r), ("n_z", n_z)):
         if n < 4:
             raise GridError(name, f"must be >= 4, got {n}")
+    # every second difference divides by h^2
+    for name, spacing, h in (
+        ("R", "(R - r_min) / (n_r - 1)", float(R - r_min) / (n_r - 1)),
+        ("L_z", "L_z / n_z", float(L_z) / n_z),
+    ):
+        if h**2 == 0 or not math.isfinite(1 / h**2):
+            raise GridError(name, f"too small: the spacing {spacing} = {h!r} has no finite 1/h^2")
 
 
 def build_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> Grid:

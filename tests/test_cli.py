@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -6,6 +7,7 @@ import resource
 import runpy
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -201,6 +203,17 @@ def test_cmd_run_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(missing), "--out", str(out)]) == 2
 
 
+def test_cmd_run_vanishing_grid_spacing_exits_2(tmp_path):
+    # h_z^2 underflows to 0: a config error, found before any solver divides by it
+    cfg = write_cfg(tmp_path, "grid.L_z = 1e-320\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    error = json.loads((out / "manifest.json").read_text())["extra"]["error"]
+    assert error.startswith("config error: grid.L_z too small")
+
+
 @pytest.mark.parametrize(
     "command, text, code",
     [
@@ -252,7 +265,8 @@ def test_cmd_run_overflowing_swirl_bound_halts_as_blowup(tmp_path):
     text = SMALL_GRID + "time.t_end = 0.01\ninit.amplitude = 1e300\n"
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():  # the overflow halts the run, without a warning
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     assert json.loads((out / "manifest.json").read_text())["status"] == "halted_blowup"
     with open(out / "diagnostics.csv", newline="") as fh:
@@ -525,6 +539,25 @@ def test_cli_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
+def test_package_imports_only_numpy_and_the_standard_library():
+    # the one declared dependency (pyproject.toml) is numpy; scipy or sympy
+    # may be installed where the tests run, but not where the package does
+    allowed = set(sys.stdlib_module_names) | {"numpy", "axicyl"}
+    found = {}
+    for path in sorted((ROOT / "src" / "axicyl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in allowed:
+                    found.setdefault(path.name, []).append(name)
+    assert found == {}
+
+
 def test_cli_runs_mms_without_sympy(tmp_path):
     # the manufactured solution is a committed table; sympy only checks it
     src = str(Path(axicyl.__file__).resolve().parents[1])
@@ -645,7 +678,8 @@ def test_cmd_picard_non_finite_iterate_exits_3(tmp_path):
     )
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():  # the overflow halts the iteration, without a warning
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "halted_blowup"
@@ -797,7 +831,10 @@ def test_cmd_semigroup_counts_its_heat_steps_in_the_manifest(tmp_path, monkeypat
     assert by_grid == {(97, 96): decay, **ladder}
     perf = json.loads((out / "manifest.json").read_text())["extra"]["perf"]
     assert perf["heat_steps"] == decay + sum(ladder.values())
-    assert perf["factorizations"] == 1 + 2 * 3  # (L1, dt), then (L0, dt) and (L1, dt) per level
+    # the evolutions step in the radial eigenbasis: a factorization is one
+    # eigenbasis, L1's, then L0's and L1's per level, and a transform one
+    # conversion of a field to or from its modes
+    assert perf["factorizations"] == 1 + 2 * 3
     assert 0 < 5 * perf["transforms"] < perf["heat_steps"]
 
     # the counters only feed the manifest: with every increment dropped the

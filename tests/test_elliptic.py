@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -383,20 +384,52 @@ def test_heat_step_advances_the_spectrum_in_place(grid):
 
 
 def test_heat_step_allocates_nothing_in_steady_state():
+    # in both layouts: the block layout's sweep and the modal layout's product
     g = build_grid(1, 3, 2.0, 129, 128)
     s = EllipticSolver(g)
-    fhat = s.spectrum(bump_profile(g.r, 1.3, 2.6)[:, None] * np.ones(g.shape), "L1")
-    s.heat_step(fhat, 0.01, "L1")  # builds and caches the factorization
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        for _ in range(10):
-            s.heat_step(fhat, 0.01, "L1")
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < fhat.nbytes / 10
+    f = bump_profile(g.r, 1.3, 2.6)[:, None] * np.ones(g.shape)
+    for fhat in (s.spectrum(f, "L1"), s.modes(f, "L1")):
+        s.heat_step(fhat, 0.01, "L1")  # builds and caches the step
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                s.heat_step(fhat, 0.01, "L1")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < fhat.nbytes / 10
+
+
+@pytest.mark.parametrize("n_r, n_z", [(97, 96), (10, 9)])
+@pytest.mark.parametrize("op", elliptic.HEAT_OPERATORS)
+def test_modal_heat_steps_match_the_thomas_steps(n_r, n_z, op):
+    # the eigenbasis path and the two-level Thomas sweep take the same
+    # Crank-Nicolson steps; 50 of them agree to rounding
+    g = build_grid(1, 3, 2.0, n_r, n_z)
+    s = EllipticSolver(g)
+    f = np.random.default_rng(11).normal(size=g.shape)
+    block, modal = s.spectrum(f, op), s.modes(f, op)
+    assert modal.shape == (g.n_r - 1 - (op == "L0p"), 2 * (g.n_z // 2 + 1))
+    for _ in range(50):
+        s.heat_step(block, 0.01, op)
+        s.heat_step(modal, 0.01, op)
+    thomas, eigen = s.field(block, op), s.field(modal, op)
+    assert np.max(np.abs(eigen - thomas)) <= 1e-12 * np.max(np.abs(thomas))
+    assert np.all(eigen[-1] == 0.0) and (op != "L0p" or np.all(eigen[0] == 0.0))
+    assert s.counts == {"heat_steps": 100, "factorizations": 2, "transforms": 4}
+
+
+@pytest.mark.parametrize("op", [*elliptic.HEAT_OPERATORS, "stream"])
+def test_modes_need_a_symmetrizable_heat_operator(grid, op):
+    # build_grid's interior radii exceed h_r, so L0's sub and L1's sup
+    # diagonals, 1/h^2 - 1/(2 h r), stay positive; a hand-built grid with
+    # h_r >= 2 r turns them negative, and no real similarity symmetrizes
+    # the rows.  The stream operator divides d_zz by r: no shared basis
+    coarse = replace(grid, h_r=4.0) if op != "stream" else grid
+    with pytest.raises(ValueError, match=f"^{op} has no radial eigenbasis"):
+        EllipticSolver(coarse).modes(np.ones(grid.shape), op)
 
 
 def _dense_l0p_radial(grid):

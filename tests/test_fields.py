@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,17 @@ def test_checkpoint_malformed_header_or_payload(tmp_path):
     for raw in cases:
         path.write_bytes(raw)
         with pytest.raises(CheckpointError):
+            checkpoint_load(path)
+
+
+def test_checkpoint_with_a_vanishing_spacing_is_rejected_quietly(tmp_path):
+    # L_z = 1e-320 on 4 z nodes: h_z^2 underflows to 0, and the grid check
+    # rejects the header before a solver or Grid.factors divides by it
+    path = tmp_path / "tiny.axns"
+    path.write_bytes(_header(5, 4, 1.0, 3.0, 1e-320, 0.0) + np.zeros(2 * 5 * 4).tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CheckpointError, match="L_z too small"):
             checkpoint_load(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,24 @@ def test_build_grid_spacings():
 def test_build_grid_rejects(args):
     with pytest.raises(GridError):
         build_grid(*args)
+
+
+@pytest.mark.parametrize(
+    "args, param",
+    [
+        ((1, 2, 1e-320, 8, 8), "L_z"),  # h_z^2 underflows to 0
+        ((1, 2, 1e-160, 8, 8), "L_z"),  # h_z^2 is subnormal: 1/h_z^2 overflows
+        ((1e-300, 2e-300, 1, 8, 8), "R"),  # (R - r_min)^2 underflows
+    ],
+)
+def test_build_grid_rejects_a_spacing_with_no_finite_inverse_square(args, param):
+    # every second difference divides by h^2: the grid is rejected, naming
+    # the parameter, before anything divides
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GridError, match="too small") as err:
+            build_grid(*args)
+    assert err.value.param == param
 
 
 def test_weighted_integral_constant():
