@@ -316,6 +316,9 @@ def cmd_run(args, mapping, ctx):
         ctx.add_output(Path(chk))
     ctx.extra["max_boundary_leakage"] = result.max_leakage
     ctx.extra["perf"] = dict(result.final_state.solver.counts)
+    if result.halt:
+        ctx.extra["error"] = f"numerical halt: {result.halt}"
+        print(ctx.extra["error"], file=sys.stderr)
     return result.status, EXIT_OK if result.status == "completed" else EXIT_NUMERICAL
 
 

@@ -75,9 +75,12 @@ a two-level sweep's.  The coupled step reads a field after every
 half-step and hands omega's z spectrum to the stream solve, whose
 operator has no such basis (its d_zz is divided by r); at 129^2 one
 dense transform costs more than the whole solve, so it stays in the
-block layout.  A dense product's bits depend on the BLAS build and its
-thread count, so the modal results are reproducible for a fixed BLAS
-and thread count; the block layout's are not affected.
+block layout.  A dense product's bits may depend on the BLAS build and
+its thread count, so the modal results are reproducible for a fixed BLAS
+and thread count; the block layout's are not affected.  The gains of each
+(op, dt) are checked once against the tridiagonal step on two z modes
+(_check_gains): the eigenbasis loses accuracy as the similarity grows
+ill-conditioned, which h_r near 2 r on a hand-built grid brings about.
 """
 
 from __future__ import annotations
@@ -348,15 +351,16 @@ class EllipticSolver:
         # radial eigenbasis); conversions between a field and either layout
         self.counts = {"heat_steps": 0, "factorizations": 0, "transforms": 0}
 
-    def _factor(self, op: str, a: float, b: float) -> TridiagBatch:
-        """The factorization of a I + b B over op's unknown rows, per z mode.
+    def _factor(self, op: str, a: float, b: float, lam: np.ndarray) -> TridiagBatch:
+        """The factorization of a I + b B over op's unknown rows, one system per lam_m.
 
         B is op's radial rows with -lam_m / w on the diagonal, w the
-        weight dividing d_zz (a division, so w = 1 is exact).
+        weight dividing d_zz (a division, so w = 1 is exact); lam holds the
+        z modes' lam_m (_z_eigenvalues), all of them or a few.
         """
         sub, diag, sup, w, unk = _radial_rows(self.grid, op)
-        ones = np.ones((self._n_modes, 1))
-        modes = diag[unk][None, :] - self._lam[:, None] / w[unk][None, :]
+        ones = np.ones((lam.size, 1))
+        modes = diag[unk][None, :] - lam[:, None] / w[unk][None, :]
         self.counts["factorizations"] += 1
         return TridiagBatch(b * sub[unk] * ones, a + b * modes, b * sup[unk] * ones)
 
@@ -373,7 +377,7 @@ class EllipticSolver:
         -omega bit for bit (every step of a solve is a product or a sum,
         and rounding is symmetric in sign): psi, without a negation pass.
         """
-        return self._factor("stream", 0.0, -1.0)
+        return self._factor("stream", 0.0, -1.0, self._lam)
 
     def solve_stream(self, omega: np.ndarray, omega_hat: np.ndarray | None = None) -> np.ndarray:
         """psi with psi = 0 on both walls and d_r((1/r)d_r psi)+(1/r)d_zz psi = -omega.
@@ -448,12 +452,40 @@ class EllipticSolver:
         if modal:
             half = 0.5 * dt * (self._basis(op)[2][:, None] - self._lam[None, :])
             hit = np.repeat((1.0 + half) / (1.0 - half), 2, axis=1)
+            self._check_gains(op, dt, hit)
         else:
-            hit = self._factor(op, 0.5, -0.25 * dt)
+            hit = self._factor(op, 0.5, -0.25 * dt, self._lam)
         if len(self._heat_cache) > 16:
             self._heat_cache.clear()
         self._heat_cache[key] = hit
         return hit
+
+    def _check_gains(self, op: str, dt: float, gains: np.ndarray) -> None:
+        """Raise unless the modal step with gains is (op, dt)'s tridiagonal step.
+
+        A fixed probe on z modes 0 and M - 1, the smoothest and the
+        stiffest, goes through the gains in op's eigenbasis and through the
+        factorization of A/2 on those two modes (the block layout's step);
+        the two must agree to 1e-10 of the probe's size.  The eigenbasis is
+        LAPACK's and its similarity D grows ill-conditioned as h_r nears
+        2 r on a hand-built grid; the tridiagonal step is the reference, and
+        its bits do not depend on the BLAS.
+        """
+        Q, d, _ = self._basis(op)
+        n = d.size
+        probe = np.zeros((n, 4))  # modes 0 and M - 1, real and imaginary parts
+        probe[:, 0] = probe[:, 2] = np.sin(np.arange(1.0, n + 1.0))
+        thomas = self._factor(op, 0.5, -0.25 * dt, self._lam[[0, -1]]).solve(_to_blocks(probe))
+        thomas = _from_blocks(thomas, n) - probe
+        m = gains.shape[1]
+        coef = Q.T @ (probe / d[:, None])
+        coef *= gains[:, [0, 1, m - 2, m - 1]]
+        miss = float(np.max(np.abs(d[:, None] * (Q @ coef) - thomas)))
+        if not miss <= 1e-10:
+            raise ValueError(
+                f"{op}'s radial eigenbasis misses its Crank-Nicolson step at dt = {dt:g} "
+                f"by {miss:.3g} (tolerance 1e-10)"
+            )
 
     def spectrum(self, f: np.ndarray, op: str) -> np.ndarray:
         """f's z spectrum on op's unknown rows, in the block layout heat_step advances.

@@ -53,12 +53,16 @@ class BlowupError(RuntimeError):
     """Fields left the finite range; the run must halt."""
 
 
-# A blowing-up run overflows.  Under this errstate its overflow gives inf or
-# nan without a warning: in a step it reaches Gamma or omega, which the
-# stepped state's construction reports as BlowupError (a numerical halt), and
-# a diagnostic of a finite state too large to square reads inf.  numpy's
-# warnings would only repeat that, or end the run under -W error.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+# A blowing-up run overflows, and numpy's warnings would only repeat what the
+# run reports, or end it under -W error.  Two places keep them quiet, as
+# decorators (the thread-safe form of errstate).  A step's arithmetic
+# (_strang_heun) may overflow and then make nan of inf - inf: either reaches
+# Gamma or omega, whose state's construction (_stepped_state) rejects it
+# right after as BlowupError, a numerical halt.  A diagnostic of a finite
+# state too large to square reads inf (_quiet_overflow); an invalid
+# operation there still warns, as no finiteness check follows a diagnostic.
+_quiet_step = np.errstate(over="ignore", invalid="ignore")
+_quiet_overflow = np.errstate(over="ignore")
 
 
 def _stepped_state(solver: EllipticSolver, t: float, gamma, omega, spectra) -> AxisymState:
@@ -139,6 +143,7 @@ def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
     return kg, kw
 
 
+@_quiet_step
 def _strang_heun(
     solver: EllipticSolver, gamma, omega, dt: float, tendency, scheme: str, spectra=None
 ):
@@ -212,6 +217,7 @@ class SimulationResult:
     records: list[DiagnosticsRecord]
     final_state: AxisymState
     status: str  # completed | halted_blowup
+    halt: str  # what halted the run, "" when it completed
     max_leakage: float
     checkpoints: list[str] = field(default_factory=list)
 
@@ -289,7 +295,6 @@ class Stepper:
 
     # -- one step -------------------------------------------------------------
 
-    @_quiet_overflow
     def step(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -318,16 +323,21 @@ class Stepper:
         )
         new_state = _stepped_state(self.solver, t + dt, gamma, omega, spectra)
         if self._prev is not None:
-            sample = dissipation_sample(new_state)
-            w = 0.5 * dt
-            self.integrals = DissipationSample(
-                *(acc + w * (a + b) for acc, a, b in zip(self.integrals, self._prev, sample))
-            )
-            self._prev = sample
-            self.max_leakage = max(self.max_leakage, boundary_leakage(new_state))
+            self._sample(new_state, dt)
         self.state = new_state
         self._carried = spectra
         self.step_count += 1
+
+    @_quiet_overflow
+    def _sample(self, new_state: AxisymState, dt: float) -> None:
+        """The ledger's trapezoid step to new_state, dt after the current state."""
+        sample = dissipation_sample(new_state)
+        w = 0.5 * dt
+        self.integrals = DissipationSample(
+            *(acc + w * (a + b) for acc, a, b in zip(self.integrals, self._prev, sample))
+        )
+        self._prev = sample
+        self.max_leakage = max(self.max_leakage, boundary_leakage(new_state))
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -401,8 +411,9 @@ def run_simulation(
     Starts from initial_state, stepped on its own solver, whose grid must
     be the one cfg describes; else from the data cfg describes.
     Deterministic for a fixed (config, seed): the adaptive dt depends only
-    on the evolving state.  Halts with status "halted_blowup" when any
-    field exceeds the blow-up threshold or goes non-finite.
+    on the evolving state.  Halts with status "halted_blowup" when Gamma
+    or omega exceeds the blow-up threshold or a field goes non-finite;
+    result.halt says which.
 
     records chooses the diagnostics: "outputs" records t = 0, every output
     time and the last state, "every_step" every step, and "none" nothing,
@@ -426,7 +437,7 @@ def run_simulation(
         )
     stepper = Stepper(cfg, state, sources=sources)
     recorded: list[DiagnosticsRecord] = []
-    status = "completed"
+    status, halt = "completed", ""
     eps = 1e-12 * max(cfg.t_end, 1.0)
     next_out = cfg.output_interval
 
@@ -447,13 +458,17 @@ def run_simulation(
             )
         try:
             stepper.step(dt)
-        except BlowupError:
-            status = "halted_blowup"
+        except BlowupError as exc:
+            status, halt = "halted_blowup", str(exc)
             emit()
             break
-        sup = stepper.state.sup
-        if max(sup["Gamma"], sup["omega"]) > cfg.blowup_threshold:
+        sup = max(stepper.state.sup["Gamma"], stepper.state.sup["omega"])
+        if sup > cfg.blowup_threshold:
             status = "halted_blowup"
+            halt = (
+                f"max(sup|Gamma|, sup|omega|) = {sup:.6g} exceeds run.blowup_threshold "
+                f"= {cfg.blowup_threshold:.6g} at t = {stepper.state.t:.6g}"
+            )
             emit()
             break
         if records == "every_step":
@@ -473,7 +488,9 @@ def run_simulation(
         path = Path(out_dir) / "final_state.axns"
         checkpoint_save(stepper.state, path)
         checkpoints.append(str(path))
-    return SimulationResult(recorded, stepper.state, status, stepper.max_leakage, checkpoints)
+    return SimulationResult(
+        recorded, stepper.state, status, halt, stepper.max_leakage, checkpoints
+    )
 
 
 # -- Picard iteration -------------------------------------------------------------
@@ -500,7 +517,6 @@ class PicardResult:
         ]
 
 
-@_quiet_overflow
 def picard_iterate(
     state0: AxisymState, T: float, j_max: int, p: float, dt: float, scheme: str
 ) -> PicardResult:
@@ -534,8 +550,11 @@ def picard_iterate(
     dt = T / n_steps
     out_idx = set(np.linspace(1, n_steps, min(10, n_steps), dtype=int).tolist())
 
-    def weighted_norm(t, ur, uth, uz):
-        """t^gamma (||u||_p + t^(1/2) ||grad u||_p)."""
+    @_quiet_overflow
+    def weighted_norm(t, u):
+        """t^gamma (||u||_p + t^(1/2) ||grad u||_p), u = (u_r, u_theta, u_z)
+        unpacked here, so a generator's differences run under the errstate."""
+        ur, uth, uz = u
         speed = np.sqrt(ur**2 + uth**2 + uz**2)
         grad = np.sqrt(full_velocity_gradient_squared(grid, ur, uth, uz))
         return t**gamma_exp * (lp_norm(grid, speed, p) + math.sqrt(t) * lp_norm(grid, grad, p))
@@ -563,10 +582,10 @@ def picard_iterate(
             drive = (before.ur, before.uz, before.Gamma), (after.ur, after.uz, after.Gamma)
             if n in out_idx:
                 snap = (after.ur, after.uth, after.uz)
-                K[j] = max(K[j], weighted_norm(after.t, *snap))
+                K[j] = max(K[j], weighted_norm(after.t, snap))
                 if j:
                     diff = (b - a for a, b in zip(prev_snap, snap))
-                    delta[j - 1] = max(delta[j - 1], weighted_norm(after.t, *diff))
+                    delta[j - 1] = max(delta[j - 1], weighted_norm(after.t, diff))
                 prev_snap = snap
     grow = 0
     diverged = False

@@ -268,7 +268,11 @@ def test_cmd_run_overflowing_swirl_bound_halts_as_blowup(tmp_path):
     with warnings.catch_warnings():  # the overflow halts the run, without a warning
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-    assert json.loads((out / "manifest.json").read_text())["status"] == "halted_blowup"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "halted_blowup"
+    error = manifest["extra"]["error"]
+    assert error.startswith("numerical halt: non-finite fields at t = ")
+    assert error.endswith("contains non-finite values")
     with open(out / "diagnostics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["E_bound_1_11"] == "inf"
@@ -282,6 +286,24 @@ def test_cmd_run_blowup_exit_and_manifest(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "halted_blowup"
+    # the step the CFL bound of these velocities allows is under 1e-9
+    assert manifest["extra"]["error"].startswith("numerical halt: dt = 5.000e-03 exceeds cfl")
+
+
+@pytest.mark.parametrize("name", ["deviation_5_3", "boundary_leakage"])
+def test_cmd_run_invalid_diagnostic_of_a_finite_state_still_warns(name, tmp_path, monkeypatch):
+    # a diagnostic ignores overflow only: a defect that makes nan of finite
+    # numbers (here inf - inf in the recorded (5.3) deviation, or in the
+    # leakage sampled after each step) still raises under -W error
+    def invalid(*args):
+        return float(np.subtract(np.full(1, np.inf), np.inf)[0])
+
+    monkeypatch.setattr(evolution, name, invalid)
+    cfg = write_cfg(tmp_path, RUN_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 def test_cmd_run_samples_every_state_once(tmp_path, monkeypatch, ledger_calls):
@@ -832,9 +854,10 @@ def test_cmd_semigroup_counts_its_heat_steps_in_the_manifest(tmp_path, monkeypat
     perf = json.loads((out / "manifest.json").read_text())["extra"]["perf"]
     assert perf["heat_steps"] == decay + sum(ladder.values())
     # the evolutions step in the radial eigenbasis: a factorization is one
-    # eigenbasis, L1's, then L0's and L1's per level, and a transform one
-    # conversion of a field to or from its modes
-    assert perf["factorizations"] == 1 + 2 * 3
+    # eigenbasis, L1's, then L0's and L1's per level, each with the two-mode
+    # tridiagonal factorization that checks its step's gains, and a transform
+    # one conversion of a field to or from its modes
+    assert perf["factorizations"] == 2 * (1 + 2 * 3)
     assert 0 < 5 * perf["transforms"] < perf["heat_steps"]
 
     # the counters only feed the manifest: with every increment dropped the

@@ -250,7 +250,7 @@ def test_solve_stream_from_the_l0p_spectrum_is_bit_identical(n):
     assert np.array_equal(psi, s.solve_stream(om))
     rhs = s.spectrum(om, "stream")
     assert np.array_equal(psi, s.field(s._stream.solve(rhs), "stream"))
-    S = s._factor("stream", 0.0, 1.0)
+    S = s._factor("stream", 0.0, 1.0, s._lam)
     assert np.array_equal(psi, s.field(np.negative(S.solve(rhs)), "stream"))
     neg = s._stream
     assert np.array_equal(neg._scale, np.negative(S._scale))
@@ -418,7 +418,9 @@ def test_modal_heat_steps_match_the_thomas_steps(n_r, n_z, op):
     thomas, eigen = s.field(block, op), s.field(modal, op)
     assert np.max(np.abs(eigen - thomas)) <= 1e-12 * np.max(np.abs(thomas))
     assert np.all(eigen[-1] == 0.0) and (op != "L0p" or np.all(eigen[0] == 0.0))
-    assert s.counts == {"heat_steps": 100, "factorizations": 2, "transforms": 4}
+    # the block layout's factorization, the eigenbasis, and the two-mode
+    # factorization that checks the modal gains
+    assert s.counts == {"heat_steps": 100, "factorizations": 3, "transforms": 4}
 
 
 @pytest.mark.parametrize("op", [*elliptic.HEAT_OPERATORS, "stream"])
@@ -430,6 +432,19 @@ def test_modes_need_a_symmetrizable_heat_operator(grid, op):
     coarse = replace(grid, h_r=4.0) if op != "stream" else grid
     with pytest.raises(ValueError, match=f"^{op} has no radial eigenbasis"):
         EllipticSolver(coarse).modes(np.ones(grid.shape), op)
+
+
+@pytest.mark.parametrize("op", ["L0", "L1"])
+def test_modal_steps_are_checked_against_the_tridiagonal_step(grid, op):
+    # with h_r = 1.9 on radii from 1 (interior from 1.0625) every
+    # sub_(i+1)/sup_i stays positive, so the eigenbasis is built, but the
+    # similarity D spans about 1e6 and more: a modal step misses the
+    # tridiagonal one by 4e-10 (L0) and 5e-9 (L1), and the first step says so
+    s = EllipticSolver(replace(grid, h_r=1.9))
+    coef = s.modes(np.ones(grid.shape), op)
+    with pytest.raises(ValueError, match=f"^{op}'s radial eigenbasis misses its Crank-Nicolson"):
+        s.heat_step(coef, 0.01, op)
+    assert s.counts["heat_steps"] == 0
 
 
 def _dense_l0p_radial(grid):

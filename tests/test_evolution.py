@@ -171,6 +171,7 @@ def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
         Stepper(cfg, state, sources).step(0.005)
     result = run_simulation(cfg, sources=sources, initial_state=state)
     assert result.status == "halted_blowup"
+    assert result.halt.startswith("non-finite fields at t = 0.005: ")
     assert result.final_state is state
 
 
@@ -265,6 +266,10 @@ def test_blowup_threshold_halts_at_the_first_step_over_it(small_solver):
         records="every_step",
     )
     assert result.status == "halted_blowup"
+    assert result.halt == (
+        f"max(sup|Gamma|, sup|omega|) = {sups[6]:.6g} exceeds run.blowup_threshold "
+        f"= {threshold:.6g} at t = {states[7].t:.6g}"
+    )
     assert result.records == records[:8]
     final, ref = result.final_state, states[7]
     assert final.t == ref.t
