@@ -11,6 +11,9 @@
 Every command writes its CSV outputs plus a manifest.json (config echo,
 code version, seed, wall times, output list, exit status) into the
 output directory (--out, else $AXICYL_OUT, else the working directory).
+run writes diagnostics.csv and then final_state.axns, the checkpoint of
+its last state, completed or halted (none with output.checkpoint = none).
+A negative --seed is a config error for every command.
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files (semigroup's for a given BLAS build and thread
 count: its modal transforms are dense products).
@@ -68,6 +71,7 @@ from .elliptic import (
     semigroup_experiment,
 )
 from .evolution import BlowupError, CFLError, picard_experiment, run_simulation
+from .fields import checkpoint_save
 from .grid import build_grid
 
 EXIT_OK = 0
@@ -250,11 +254,11 @@ def _command(body):
     """A subcommand running body(args, mapping, ctx) -> (status, exit code).
 
     Writes one manifest whatever happens.  A config key the command does
-    not read, or a ConfigError, exits 2, a CFLError or BlowupError 3 and an
-    OSError 4; the message goes to stderr and to the manifest's
-    extra.error, next to the config echo.  Any other exception propagates
-    (exit 1, with its traceback) once its type and message are in
-    extra.error.
+    not read, a negative --seed, or a ConfigError exits 2, a CFLError or
+    BlowupError 3 (a halted run: status halted_blowup) and an OSError 4;
+    the message goes to stderr and to the manifest's extra.error, next to
+    the config echo.  Any other exception propagates (exit 1, with its
+    traceback) once its type and message are in extra.error.
     """
 
     @functools.wraps(body)
@@ -265,6 +269,7 @@ def _command(body):
             mapping = {} if args.config is None else load_config(args.config)
             ctx.config_echo = dict(sorted(mapping.items()))
             _check_keys(args.command, mapping)
+            check_value("--seed", args.seed, ">= 0")
             status, code = body(args, mapping, ctx)
         except ConfigError as exc:
             code, error = EXIT_CONFIG, f"config error: {exc}"
@@ -309,17 +314,16 @@ def _settings(command: str, mapping) -> SimpleNamespace:
 def cmd_run(args, mapping, ctx):
     cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
     ctx.seed = cfg.seed
-    result = run_simulation(cfg, out_dir=ctx.out_dir)
+    result = run_simulation(cfg)
     csv_path = ctx.add_output(ctx.out_dir / "diagnostics.csv")
     write_csv(csv_path, CSV_COLUMNS, (r.csv_row() for r in result.records))
-    for chk in result.checkpoints:
-        ctx.add_output(Path(chk))
+    if cfg.checkpoint == "final":
+        checkpoint_save(result.final_state, ctx.add_output(ctx.out_dir / "final_state.axns"))
     ctx.extra["max_boundary_leakage"] = result.max_leakage
     ctx.extra["perf"] = dict(result.final_state.solver.counts)
     if result.halt:
-        ctx.extra["error"] = f"numerical halt: {result.halt}"
-        print(ctx.extra["error"], file=sys.stderr)
-    return result.status, EXIT_OK if result.status == "completed" else EXIT_NUMERICAL
+        raise BlowupError(result.halt)
+    return "completed", EXIT_OK
 
 
 @_command

@@ -29,29 +29,23 @@ from .config import ConfigError
 from .elliptic import EllipticSolver
 from .fields import AxisymState, bump_profile, make_initial_data
 from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
-from .grid import r_differences, z_differences
+from .grid import r_differences, square, z_differences
 
 
 # -- pointwise building blocks ------------------------------------------------
 
 
-def velocity_gradient_squared(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> np.ndarray:
-    """|grad v|^2 for v = (u_r, u_z), with the u_r/r metric term."""
+def full_velocity_gradient_squared(
+    grid: Grid, ur: np.ndarray, uth: np.ndarray, uz: np.ndarray
+) -> np.ndarray:
+    """|grad u|^2 of the full vector field: |grad v|^2 for v = (u_r, u_z),
+    with the u_r/r metric term, then |grad u_th|^2 and u_th/r."""
     return (
         ddr(grid, ur) ** 2
         + ddz(grid, ur) ** 2
         + (ur / grid.rcol) ** 2
         + ddr(grid, uz) ** 2
         + ddz(grid, uz) ** 2
-    )
-
-
-def full_velocity_gradient_squared(
-    grid: Grid, ur: np.ndarray, uth: np.ndarray, uz: np.ndarray
-) -> np.ndarray:
-    """|grad u|^2 of the full vector field, including u_th/r."""
-    return (
-        velocity_gradient_squared(grid, ur, uz)
         + ddr(grid, uth) ** 2
         + ddz(grid, uth) ** 2
         + (uth / grid.rcol) ** 2
@@ -78,8 +72,9 @@ def _row_squares(*fs: np.ndarray) -> np.ndarray:
 
 
 def _velocity_gradient_integral(grid: Grid, ur: np.ndarray, uz: np.ndarray) -> float:
-    """int |grad v|^2 (velocity_gradient_squared) from the rows' sums of
-    squares of the raw differences (dissipation_sample)."""
+    """int |grad v|^2, v = (u_r, u_z) with the u_r/r metric term, from the
+    rows' sums of squares of the raw differences (dissipation_sample): the
+    one integral of it that the ledger, (5.3) and its ratio E5_3 read."""
     q = grid.factors
     dr_rows = _row_squares(r_differences(ur), r_differences(uz))
     dz_rows = _row_squares(z_differences(ur), z_differences(uz))
@@ -218,7 +213,7 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
     grad_om = math.sqrt(weighted_integral(g, dr_om**2 + dz_om**2))
     l2_uth_r = lp_norm(g, uth / g.rcol, 2)
     l4_uth_r = lp_norm(g, uth / g.rcol, 4)
-    grad_v = math.sqrt(weighted_integral(g, velocity_gradient_squared(g, ur, uz)))
+    grad_v = math.sqrt(_velocity_gradient_integral(g, ur, uz))
     l2_om_r = lp_norm(g, om / g.rcol, 2)
     # ||grad(om e_th)||_2 in curl form: div(om e_th) = 0, and om vanishes on
     # both walls, so the cross term 2 int om d_r om dr telescopes to 0
@@ -232,7 +227,7 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
             lp_norm(g, uz, 4), lp_norm(g, uz, 2) ** 0.25 * (lp_norm(g, uz, 2) + l2_om) ** 0.75
         ),
         "E5_6": _safe_ratio(l4_om, l2_om**0.25 * grad_om**0.75),
-        "E5_7": _safe_ratio(grad_om_curl, math.sqrt(grad_om**2 + l2_om_r**2)),
+        "E5_7": _safe_ratio(grad_om_curl, math.sqrt(square(grad_om) + square(l2_om_r))),
         "E5_8": _safe_ratio(l4_uth_r, l4_uth),
         "E5_8_chain": _safe_ratio(l4_uth, math.sqrt(sup_gamma) * math.sqrt(l2_uth_r)),
     }

@@ -391,12 +391,6 @@ class EllipticSolver:
             omega_hat = self.spectrum(omega, "stream")
         return self.field(self._stream.solve(omega_hat), "stream")
 
-    def stream_residual(self, psi: np.ndarray, omega: np.ndarray) -> float:
-        """Relative residual of the discrete stream equation."""
-        res = pin(self.apply_heat_operator(psi, "stream") + omega, "stream")
-        scale = np.max(np.abs(omega)) + 1e-300
-        return float(np.max(np.abs(res)) / scale)
-
     # -- heat steps -----------------------------------------------------------
 
     def _basis(self, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

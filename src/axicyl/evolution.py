@@ -21,7 +21,7 @@ sup|Gamma| is exactly non-increasing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,14 +35,8 @@ from .diagnostics import (
     full_velocity_gradient_squared,
 )
 from .elliptic import EllipticSolver, pin
-from .fields import (
-    AxisymState,
-    checkpoint_save,
-    make_initial_data,
-    state_from_dynamic,
-    velocity_from_stream,
-)
-from .grid import Grid, build_grid, lp_norm, r_differences, z_differences
+from .fields import AxisymState, make_initial_data, state_from_dynamic, velocity_from_stream
+from .grid import Grid, build_grid, lp_norm, r_differences, square, z_differences
 
 
 class CFLError(RuntimeError):
@@ -216,10 +210,12 @@ def _strang_heun(
 class SimulationResult:
     records: list[DiagnosticsRecord]
     final_state: AxisymState
-    status: str  # completed | halted_blowup
     halt: str  # what halted the run, "" when it completed
     max_leakage: float
-    checkpoints: list[str] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        return "halted_blowup" if self.halt else "completed"
 
 
 class Stepper:
@@ -233,7 +229,7 @@ class Stepper:
     bit-identical to those of a recorded one.
 
     Each step builds its state with state_from_dynamic, whose check of the
-    six fields leaves their sup norms on the state (AxisymState.sup) for
+    five fields leaves their sup norms on the state (AxisymState.sup) for
     the blow-up threshold, the records and the next step's CFL bound; a
     non-finite field ends the step as BlowupError.
     """
@@ -254,27 +250,24 @@ class Stepper:
         self._prev: DissipationSample | None = None
         self.max_leakage = math.nan
 
-    def _open_ledger(self) -> None:
-        """The t = 0 references, the first sample and the first leakage."""
+    def _open_ledger(self, e_kin: float, l2_om_over_r: float) -> None:
+        """The t = 0 references, the first sample and the first leakage,
+        from the first record's E_kin and ||omega/r||_2."""
         if self.step_count:
             raise RuntimeError(
                 f"the budget ledger opens at t = 0, not after {self.step_count} step(s): "
                 "call record() before the first step"
             )
-        state, grid = self.state, self.grid
+        state = self.state
         self.integrals = DissipationSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         self._prev = dissipation_sample(state)
-        self.e_kin0 = state.kinetic_energy()
+        self.e_kin0 = e_kin
         self.sup_gamma0 = state.sup["Gamma"]
         self.l2_u0 = math.sqrt(self.e_kin0)
-        self.l2_om_over_r0 = lp_norm(grid, state.omega / grid.factors.r, 2)
+        self.l2_om_over_r0 = l2_om_over_r
         self.max_leakage = boundary_leakage(state)
-        # the right-hand side of (1.11); a float power raises, not overflows
-        # to inf, once sup|Gamma_0| passes about 1e154
-        try:
-            self.e_bound = self.l2_om_over_r0**2 + self.sup_gamma0**2 * self.e_kin0
-        except OverflowError:
-            self.e_bound = math.inf
+        # the right-hand side of (1.11)
+        self.e_bound = square(self.l2_om_over_r0) + square(self.sup_gamma0) * self.e_kin0
 
     def dt_bound(self) -> float:
         """Largest stable dt before the CFL number: the advective bound, plus
@@ -349,17 +342,16 @@ class Stepper:
         The first call opens the ledger, and raises RuntimeError once the
         stepper has stepped: the time integrals cannot start late.
         """
-        if self._prev is None:
-            self._open_ledger()
         st = self.state
         g = self.grid
+        e_kin = st.kinetic_energy()
+        l2_q = lp_norm(g, st.omega / g.factors.r, 2)
+        if self._prev is None:
+            self._open_ledger(e_kin, l2_q)
         sample = self._prev
         acc = self.integrals
-        e_kin = st.kinetic_energy()
         sup_gamma = st.sup["Gamma"]
         l4_uth = lp_norm(g, st.uth, 4)
-        q = st.omega / g.factors.r
-        l2_q = lp_norm(g, q, 2)
         l2_om = lp_norm(g, st.omega, 2)
         if self.e_kin0 > 0:
             residual = (
@@ -373,8 +365,8 @@ class Stepper:
             )
         else:
             residual = 0.0
-        lhs_1_11 = l2_q**2 + acc.grad_om_over_r
-        lhs_1_12 = l2_om**2 + acc.om_diss
+        lhs_1_11 = square(l2_q) + acc.grad_om_over_r
+        lhs_1_12 = square(l2_om) + acc.om_diss
         margin_1_6 = sup_gamma - self.sup_gamma0
         margin_1_7 = l4_uth - math.sqrt(self.sup_gamma0) * math.sqrt(self.l2_u0)
         return DiagnosticsRecord(
@@ -403,10 +395,10 @@ def run_simulation(
     cfg: SolverConfig,
     sources=None,
     initial_state: AxisymState | None = None,
-    out_dir=None,
     records: str = "outputs",
 ) -> SimulationResult:
-    """Drive one configured run to t_end, recording diagnostics.
+    """Drive one configured run to t_end, recording diagnostics; no file
+    is written (the caller saves result.final_state, as cmd_run does).
 
     Starts from initial_state, stepped on its own solver, whose grid must
     be the one cfg describes; else from the data cfg describes.
@@ -437,7 +429,7 @@ def run_simulation(
         )
     stepper = Stepper(cfg, state, sources=sources)
     recorded: list[DiagnosticsRecord] = []
-    status, halt = "completed", ""
+    halt = ""
     eps = 1e-12 * max(cfg.t_end, 1.0)
     next_out = cfg.output_interval
 
@@ -459,12 +451,11 @@ def run_simulation(
         try:
             stepper.step(dt)
         except BlowupError as exc:
-            status, halt = "halted_blowup", str(exc)
+            halt = str(exc)
             emit()
             break
         sup = max(stepper.state.sup["Gamma"], stepper.state.sup["omega"])
         if sup > cfg.blowup_threshold:
-            status = "halted_blowup"
             halt = (
                 f"max(sup|Gamma|, sup|omega|) = {sup:.6g} exceeds run.blowup_threshold "
                 f"= {cfg.blowup_threshold:.6g} at t = {stepper.state.t:.6g}"
@@ -478,19 +469,9 @@ def run_simulation(
             emit()
             while next_out <= stepper.state.t + eps:
                 next_out += cfg.output_interval
-    if status == "completed" and recorded and recorded[-1].t < cfg.t_end - eps:
+    if not halt and recorded and recorded[-1].t < cfg.t_end - eps:
         emit()
-
-    checkpoints: list[str] = []
-    if out_dir is not None and cfg.checkpoint == "final":
-        from pathlib import Path
-
-        path = Path(out_dir) / "final_state.axns"
-        checkpoint_save(stepper.state, path)
-        checkpoints.append(str(path))
-    return SimulationResult(
-        recorded, stepper.state, status, halt, stepper.max_leakage, checkpoints
-    )
+    return SimulationResult(recorded, stepper.state, halt, stepper.max_leakage)
 
 
 # -- Picard iteration -------------------------------------------------------------
@@ -612,7 +593,7 @@ def picard_experiment(
     state0 = make_initial_data(EllipticSolver(grid), cfg)
     result = picard_iterate(state0, T=T, j_max=j_max, p=p, dt=dt, scheme=cfg.scheme)
     dt = result.dt
-    run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T, checkpoint="none")
+    run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T)
     run = run_simulation(run_cfg, initial_state=state0, records="none")
     if run.status != "completed":
         raise BlowupError(

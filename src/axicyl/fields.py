@@ -1,8 +1,8 @@
 """The flow state, velocity reconstruction, initial data, checkpoints.
 
 The dynamical variables are the swirl momentum Gamma = r*u_theta and the
-azimuthal vorticity omega; everything else (stream function psi and the
-three velocity components) is derived:
+azimuthal vorticity omega; the three velocity components are derived,
+u_r and u_z through the stream function psi:
 
     u_r = -(1/r) d_z psi,   u_z = (1/r) d_r psi,   u_theta = Gamma / r.
 
@@ -19,9 +19,12 @@ for psi).
 
 A state is built from (Gamma, omega) by state_from_dynamic, for the
 initial data, every step of the coupled run and of Picard's iterates,
-and a loaded checkpoint alike.  Its construction checks each field once,
-and that pass leaves the fields' sup norms on the state (AxisymState.sup)
-for the blow-up threshold, the records and the CFL bound.
+and a loaded checkpoint alike.  psi lives only inside that call: the
+state keeps Gamma, omega and the velocities.  Its construction checks
+each field once, and that pass leaves the fields' sup norms on the state
+(AxisymState.sup) for the blow-up threshold, the records and the CFL
+bound.  Every interior psi node enters some u_r or u_z difference, so a
+non-finite psi fails that check as u_r or u_z.
 
 make_initial_data reads the init.* keys straight from a
 config.SolverConfig: their defaults are that dataclass's fields and
@@ -44,13 +47,13 @@ from .grid import Grid, build_grid, r_differences, weighted_integral, z_differen
 
 
 # the fields of a state, dynamical then derived
-STATE_FIELDS = ("Gamma", "omega", "psi", "ur", "uth", "uz")
+STATE_FIELDS = ("Gamma", "omega", "ur", "uth", "uz")
 
 
 @dataclass
 class AxisymState:
-    """Dynamical pair (Gamma, omega), the derived stream function and
-    velocities, and the solver that derived them (its grid is the state's).
+    """Dynamical pair (Gamma, omega), the derived velocities, and the
+    solver that derived them (its grid is the state's).
 
     Every field is a float array of the grid's shape with finite values;
     construction checks this in one max and one min reduction per field,
@@ -61,7 +64,6 @@ class AxisymState:
     solver: EllipticSolver
     Gamma: np.ndarray
     omega: np.ndarray
-    psi: np.ndarray
     ur: np.ndarray
     uth: np.ndarray
     uz: np.ndarray
@@ -122,7 +124,8 @@ def state_from_dynamic(
     omega: np.ndarray,
     omega_hat: np.ndarray | None = None,
 ) -> AxisymState:
-    """Assemble a full state from (Gamma, omega): solve for psi, derive velocities.
+    """Assemble a full state from (Gamma, omega): solve for psi, derive
+    velocities from it, and keep the velocities.
 
     The state holds copies of gamma and omega, with omega's wall rows set
     to zero (its Dirichlet walls); u_theta = Gamma / r.  A caller that
@@ -134,7 +137,7 @@ def state_from_dynamic(
     om = pin(np.array(omega, dtype=float), "L0p")
     psi = solver.solve_stream(om, omega_hat)
     ur, uz = velocity_from_stream(solver.grid, psi)
-    return AxisymState(t, solver, gamma, om, psi, ur, gamma / solver.grid.factors.r, uz)
+    return AxisymState(t, solver, gamma, om, ur, gamma / solver.grid.factors.r, uz)
 
 
 def make_initial_data(solver: EllipticSolver, cfg: SolverConfig) -> AxisymState:

@@ -176,12 +176,30 @@ def weighted_integral(grid: Grid, f: np.ndarray) -> float:
 
 
 def lp_norm(grid: Grid, f: np.ndarray, p: float) -> float:
-    """L^p norm under the cylindrical measure; p = inf gives the nodal max."""
+    """L^p norm under the cylindrical measure; p = inf gives the nodal max.
+
+    A finite field whose weighted sum of |f|^p overflows (|f| above about
+    1e51 at p = 6) is scaled by its sup first: sup|f| ||f / sup|f|||_p.
+    Every other field's norm is the plain formula's, bit for bit.
+    """
     if p == np.inf or p == math.inf:
         return float(np.max(np.abs(f))) if f.size else 0.0
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
-    return float(weighted_integral(grid, np.abs(f) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        plain = weighted_integral(grid, np.abs(f) ** p)
+    if math.isfinite(plain) or not math.isfinite(sup := float(np.max(np.abs(f)))):
+        return float(plain ** (1.0 / p))
+    return sup * float(weighted_integral(grid, np.abs(f / sup) ** p) ** (1.0 / p))
+
+
+def square(x: float) -> float:
+    """x**2, or inf where that overflows: a float power raises OverflowError
+    instead, and lp_norm's norm of a finite field may reach about 1e308."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def z_differences(f: np.ndarray) -> np.ndarray:

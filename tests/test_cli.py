@@ -130,7 +130,8 @@ def test_config_to_initial_state_raises_only_config_error(values):
             state = fields.make_initial_data(EllipticSolver(grid), cfg)
     except ConfigError:
         return
-    assert np.all(np.isfinite(state.psi))
+    for name in fields.STATE_FIELDS:
+        assert np.all(np.isfinite(getattr(state, name)))
 
 
 def test_cmd_info(capsys):
@@ -277,6 +278,40 @@ def test_cmd_run_overflowing_swirl_bound_halts_as_blowup(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["E_bound_1_11"] == "inf"
     assert float(rows[0]["sup_Gamma"]) > 1e299
+
+
+@pytest.mark.parametrize(
+    "lines, code, saved",
+    [
+        ("", 0, True),
+        ("run.blowup_threshold = 0.1\n", 3, True),  # sup|Gamma| = 0.5 halts the first step
+        ("output.checkpoint = none\n", 0, False),
+    ],
+)
+def test_cmd_run_writes_the_checkpoint_of_its_last_state(lines, code, saved, tmp_path):
+    # the command, not the run loop, saves the final state, after the CSV
+    cfg = write_cfg(tmp_path, RUN_CFG + lines)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == ("completed" if code == 0 else "halted_blowup")
+    names = [str(out / "diagnostics.csv")] + [str(out / "final_state.axns")] * saved
+    assert manifest["outputs"] == names
+    assert (out / "final_state.axns").exists() == saved
+    if saved:
+        with open(out / "diagnostics.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert fields.checkpoint_load(out / "final_state.axns").t == float(last["t"])
+
+
+@pytest.mark.parametrize("command", ["run", "mms"])
+def test_negative_seed_exits_2_naming_the_option(command, tmp_path):
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--seed", "-1"]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["outputs"] == []
+    assert manifest["extra"]["error"] == "config error: --seed must be >= 0, got -1"
 
 
 def test_cmd_run_blowup_exit_and_manifest(tmp_path):

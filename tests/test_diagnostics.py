@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from axicyl.config import SolverConfig
 from axicyl.diagnostics import (
+    _velocity_gradient_integral,
     boundary_leakage,
     dissipation_sample,
     energy_budget_check,
     eps_sweep,
+    full_velocity_gradient_squared,
     gagliardo_nirenberg_ratio,
     identity_5_3_check,
     interpolation_suite,
@@ -18,13 +20,20 @@ from axicyl.diagnostics import (
     sigma_exponent,
     state_inequality_ratios,
     swirl_bounds_check,
-    velocity_gradient_squared,
     vorticity_budgets_check,
 )
 from axicyl.elliptic import EllipticSolver
 from axicyl.evolution import Stepper, run_simulation
 from axicyl.fields import bump_profile, make_initial_data, state_from_dynamic
-from axicyl.grid import build_grid, ddr, ddz, weighted_integral
+from axicyl.grid import build_grid, ddr, ddz, lp_norm, weighted_integral
+
+
+def grad_v_squared(g, ur, uz):
+    """|grad v|^2 pointwise for v = (u_r, u_z), with the u_r/r metric term:
+    the reference for the row-sum integral."""
+    return (
+        ddr(g, ur) ** 2 + ddz(g, ur) ** 2 + (ur / g.rcol) ** 2 + ddr(g, uz) ** 2 + ddz(g, uz) ** 2
+    )
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +90,24 @@ def test_identity_5_3_truncation_insensitive():
         state = state_from_dynamic(s, 0.0, np.zeros(g.shape), om)
         devs.append(identity_5_3_check(state))
     assert devs[1] <= devs[0] * 1.05
+
+
+def test_ratio_5_3_reads_the_one_gradient_integral(sample_states):
+    # E5_3, the ledger and identity_5_3_check integrate |grad v|^2 one way
+    for st_ in sample_states:
+        g = st_.grid
+        grad_v = math.sqrt(_velocity_gradient_integral(g, st_.ur, st_.uz))
+        assert state_inequality_ratios(st_)["E5_3"] == grad_v / lp_norm(g, st_.omega, 2)
+
+
+def test_full_velocity_gradient_squared_sums_v_then_swirl(sample_states):
+    # Picard's norms read this sum: |grad v|^2's five terms, then u_th's three
+    for st_ in sample_states[:2]:
+        g, ur, uth, uz = st_.grid, st_.ur, st_.uth, st_.uz
+        expect = (
+            grad_v_squared(g, ur, uz) + ddr(g, uth) ** 2 + ddz(g, uth) ** 2 + (uth / g.rcol) ** 2
+        )
+        assert np.array_equal(full_velocity_gradient_squared(g, ur, uth, uz), expect)
 
 
 def test_ratio_5_7_is_exact_identity(sample_states):
@@ -178,7 +205,7 @@ def test_record_h1_and_leakage_finite(sample_states):
             state, rec = stepper.state, stepper.record()
             g = state.grid
             grads = weighted_integral(
-                g, velocity_gradient_squared(g, state.ur, state.uz)
+                g, grad_v_squared(g, state.ur, state.uz)
             ) + weighted_integral(g, ddr(g, state.uth) ** 2 + ddz(g, state.uth) ** 2)
             assert math.isfinite(rec.h1)
             assert rec.h1 == pytest.approx(math.sqrt(state.kinetic_energy() + grads), rel=1e-14)
@@ -198,7 +225,7 @@ def test_dissipation_sample_matches_the_pointwise_quadrature(sample_states):
             return ddr(g, f) ** 2 + ddz(g, f) ** 2
 
         expect = (
-            weighted_integral(g, velocity_gradient_squared(g, st_.ur, st_.uz)),
+            weighted_integral(g, grad_v_squared(g, st_.ur, st_.uz)),
             weighted_integral(g, grad_sq(uth)),
             weighted_integral(g, (uth / g.rcol) ** 2),
             4.0 * math.pi * g.h_z * float(np.sum(uth[0] ** 2)),

@@ -29,6 +29,7 @@ from axicyl.fields import (
     checkpoint_save,
     make_initial_data,
     state_from_dynamic,
+    velocity_from_stream,
 )
 from axicyl.grid import build_grid, lp_norm
 from axicyl.manufactured import build_mms, mms_convergence_study
@@ -184,7 +185,7 @@ def test_nan_in_gamma_ends_the_step_as_blowup(small_solver):
         Stepper(cfg, state, (lambda t: nan, lambda t: zero)).step(0.005)
 
 
-@pytest.mark.parametrize("name", ["psi", "ur", "uth", "uz"])
+@pytest.mark.parametrize("name", ["ur", "uth", "uz"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_derived_field_still_raises(name, bad, small_solver, monkeypatch):
     # the step builds its state with state_from_dynamic, whose construction
@@ -204,6 +205,38 @@ def test_non_finite_derived_field_still_raises(name, bad, small_solver, monkeypa
     stepper = Stepper(make_cfg(), state)
     message = f"non-finite fields at t = 0.005: {name} contains non-finite values"
     with pytest.raises(BlowupError, match=message):
+        stepper.step(0.005)
+    assert stepper.state is state
+
+
+@pytest.mark.parametrize(
+    "node", [(1, 0), (3, 4), (-2, -1)], ids=["first_row", "interior", "last_row"]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_stream_function_ends_the_step(node, bad, small_solver, monkeypatch):
+    # psi is not kept on the state: a non-finite node of the stream solve
+    # that builds the stepped state reaches u_r or u_z, whose check ends
+    # the step as BlowupError and leaves the stepper on its old state
+    build = evolution.state_from_dynamic
+
+    def spoiled(solver, t, gamma, omega, omega_hat=None):
+        solve = solver.solve_stream
+
+        def solve_with_a_bad_node(*args):
+            psi = solve(*args)
+            psi[node] = bad
+            return psi
+
+        solver.solve_stream = solve_with_a_bad_node  # this call's solve only
+        try:
+            return build(solver, t, gamma, omega, omega_hat)
+        finally:
+            del solver.solve_stream
+
+    monkeypatch.setattr(evolution, "state_from_dynamic", spoiled)
+    state = make_initial_data(small_solver, make_cfg())
+    stepper = Stepper(make_cfg(), state)
+    with pytest.raises(BlowupError, match="(ur|uz) contains non-finite values"):
         stepper.step(0.005)
     assert stepper.state is state
 
@@ -373,13 +406,17 @@ def test_carried_spectra_match_spectra_rebuilt_each_step(case, small_solver):
     carried = _twenty_steps(cfg, state, sources)
     rebuilt = _twenty_steps(cfg, state, sources, carry=False)
     assert carried.t == rebuilt.t
-    for name in ("Gamma", "omega", "psi"):
+    for name in ("Gamma", "omega", "ur", "uz"):
         a, b = getattr(carried, name), getattr(rebuilt, name)
         if case == "monotone":
             assert np.array_equal(a, b)
         else:
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
-    assert carried.solver.stream_residual(carried.psi, carried.omega) < 1e-12
+    # the velocities are those of the stream solve of the state's omega
+    ur, uz = velocity_from_stream(carried.grid, carried.solver.solve_stream(carried.omega))
+    for name, expect in (("ur", ur), ("uz", uz)):
+        got = getattr(carried, name)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), name
 
 
 def test_run_simulation_rejects_an_unknown_records_value():
@@ -422,7 +459,7 @@ def test_final_state_callers_raise_on_a_halted_run(monkeypatch):
 
     def halting(cfg, *args, **kwargs):
         result = real(cfg, *args, **kwargs)
-        result.status = "halted_blowup"
+        result.halt = "halted for the test"
         return result
 
     monkeypatch.setattr(evolution, "run_simulation", halting)

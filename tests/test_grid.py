@@ -129,6 +129,29 @@ def test_lp_norm_one_over_r():
     assert lp_norm(g, f, 2) == pytest.approx(exact, rel=2e-5)
 
 
+def test_lp_norm_of_a_field_past_the_power_overflow_is_finite():
+    # |f|^6 overflows once |f| passes about 1e51: the norm is sup|f| times
+    # the norm of f / sup|f|, and nothing warns
+    g = build_grid(1.0, 3.0, 2.0, 33, 32)
+    f = np.sin(g.r)[:, None] * np.cos(2 * np.pi * g.z / g.L_z)[None, :]
+    f *= 1e60 / np.max(np.abs(f))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = lp_norm(g, f, 6)
+    assert math.isfinite(norm)
+    assert norm == pytest.approx(1e60 * lp_norm(g, f / 1e60, 6), rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 6, 7.5])
+def test_lp_norm_below_the_overflow_is_the_plain_formula(p):
+    g = build_grid(1.0, 3.0, 2.0, 33, 32)
+    rng = np.random.default_rng(3)
+    for scale in (1e-30, 1.0, 1e40):
+        f = scale * rng.normal(size=g.shape)
+        plain = float(weighted_integral(g, np.abs(f) ** p) ** (1.0 / p))
+        assert lp_norm(g, f, p) == plain
+
+
 def test_lp_norm_rejects_bad_p():
     g = build_grid(1, 2, 1, 9, 8)
     with pytest.raises(ValueError):
