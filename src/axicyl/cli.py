@@ -156,11 +156,21 @@ EXPERIMENT_KEYS = {
 # step count (its memory does not)
 PICARD_MAX_STEPS = 10_000
 
-# the config keys each command reads: mms and semigroup build their own
-# grids, the other commands read the solver keys as well
+# the solver keys each command reads: mms and semigroup build their own
+# grids; picard steps with picard.dt to picard.t_end, though its direct run
+# keeps time.cfl's check (picard_experiment); only run writes a checkpoint;
+# inequalities steps nothing and draws random_modes data (inequality_batch)
+_SOLVER_KEYS_READ = {
+    "run": frozenset(SOLVER_KEYS),
+    "picard": frozenset(SOLVER_KEYS)
+    - {"time.dt", "time.t_end", "time.output_interval", "output.checkpoint"},
+    "sweep-eps": frozenset(SOLVER_KEYS) - {"output.checkpoint"},
+    "inequalities": frozenset(k for k in SOLVER_KEYS if k.startswith(("grid.", "init.")))
+    - {"init.kind", "init.z_mode"},
+}
+# the config keys each command reads
 COMMAND_KEYS = {
-    command: frozenset(keys)
-    | (frozenset() if command in ("mms", "semigroup") else frozenset(SOLVER_KEYS))
+    command: _SOLVER_KEYS_READ.get(command, frozenset()) | frozenset(keys)
     for command, keys in {"run": {}, **EXPERIMENT_KEYS}.items()
 }
 
@@ -293,7 +303,7 @@ def _command(body):
 def _check_keys(command: str, mapping) -> None:
     unknown = sorted(set(mapping) - COMMAND_KEYS[command])
     if unknown:
-        raise ConfigError(f"unknown key(s) for {command}: {', '.join(unknown)}")
+        raise ConfigError(f"{', '.join(unknown)} not read by {command}")
 
 
 def _settings(command: str, mapping) -> SimpleNamespace:
@@ -358,7 +368,7 @@ def cmd_semigroup(args, mapping, ctx):
     s = _settings("semigroup", mapping)
     perf: Counter = Counter()
     try:
-        results = semigroup_experiment(s.n, s.dt, s.cases, counts=perf)
+        results = semigroup_experiment(s.n, s.dt, s.cases, perf)
     except FitWindowError as exc:
         raise ConfigError(f"semigroup.n = {s.n} with semigroup.dt = {s.dt}: {exc}") from exc
     write_csv(
@@ -384,6 +394,7 @@ def cmd_semigroup(args, mapping, ctx):
 @_command
 def cmd_picard(args, mapping, ctx):
     cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
+    ctx.seed = cfg.seed
     s = _settings("picard", mapping)
     if not s.t_end / s.dt <= PICARD_MAX_STEPS:
         raise ConfigError(
@@ -415,6 +426,7 @@ def cmd_picard(args, mapping, ctx):
 @_command
 def cmd_sweep_eps(args, mapping, ctx):
     template = SolverConfig.from_mapping(mapping, seed_override=args.seed)
+    ctx.seed = template.seed
     summaries = eps_sweep(template, _settings("sweep-eps", mapping).eps)
     write_csv(
         ctx.add_output(ctx.out_dir / "eps_sweep.csv"),
@@ -429,6 +441,7 @@ def cmd_sweep_eps(args, mapping, ctx):
 @_command
 def cmd_inequalities(args, mapping, ctx):
     cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
+    ctx.seed = cfg.seed
     s = _settings("inequalities", mapping)
     try:
         sigma_exponent(s.q, s.p)
@@ -481,7 +494,7 @@ def cmd_info(args) -> int:
     print(f"axicyl {__version__}")
     print(f"numpy {np.__version__}")
     print(f"python {sys.version.split()[0]}")
-    print("subcommands: run, mms, semigroup, picard, sweep-eps, inequalities, info")
+    print(f"subcommands: {', '.join(args.subcommands)}")
     return EXIT_OK
 
 
@@ -507,6 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default $AXICYL_OUT or .)")
         p.add_argument("--seed", type=int, default=None, help="override init.seed")
         p.set_defaults(handler=fn)
+    parser.set_defaults(subcommands=tuple(sub.choices))  # what info lists
     return parser
 
 

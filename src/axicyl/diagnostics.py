@@ -270,18 +270,19 @@ def vorticity_budgets_check(records: list[DiagnosticsRecord]) -> VorticityBudget
     no_swirl = first.sup_gamma == 0.0
     closure = math.nan
     if no_swirl:
-        base = first.l2_om_over_r**2
+        base = square(first.l2_om_over_r)
         closure = 0.0
         for r in records:
-            diss_acc = r.lhs_1_11 - r.l2_om_over_r**2  # int_0^t ||grad(om/r)||^2
+            diss_acc = r.lhs_1_11 - square(r.l2_om_over_r)  # int_0^t ||grad(om/r)||^2
             closure = max(
-                closure, abs(r.l2_om_over_r**2 + 2.0 * diss_acc - base) / max(base, 1e-300)
+                closure, abs(square(r.l2_om_over_r) + 2.0 * diss_acc - base) / max(base, 1e-300)
             )
 
-    l2_om0_sq = first.l2_om**2
+    l2_om0_sq = square(first.l2_om)
     sup_gamma0 = first.sup_gamma
     l2_u0 = math.sqrt(first.e_kin)
-    denom = (e_bound**0.75 * math.sqrt(l2_u0) + sup_gamma0**2) * l2_u0**2
+    # a float power past the float range raises (grid.square); e_bound**0.75 cannot get there
+    denom = (e_bound**0.75 * math.sqrt(l2_u0) + square(sup_gamma0)) * square(l2_u0)
     fitted_c = 0.0
     if denom > 0:
         fitted_c = max(0.0, max((r.lhs_1_12 - l2_om0_sq) / denom for r in records))
@@ -384,8 +385,8 @@ def interpolation_suite(
     states: list[AxisymState],
     q: float,
     p: float,
-    scalar_samples_b1: list[np.ndarray] | None = None,
-    scalar_samples_b2: list[np.ndarray] | None = None,
+    scalar_samples_b1: list[np.ndarray],
+    scalar_samples_b2: list[np.ndarray],
 ) -> list[InequalityReport]:
     """Per-inequality reports over sample states and scalar fields.
 
@@ -402,8 +403,6 @@ def interpolation_suite(
         ("B1", scalar_samples_b1, False),
         ("B2", scalar_samples_b2, True),
     ):
-        if samples is None:
-            continue
         for phi in samples:
             if name == "B1" and np.max(np.abs(phi[0, :])) > 0:
                 raise ValueError("B1 samples must vanish at the inner wall")
@@ -443,9 +442,7 @@ def inequality_batch(
     seed_b1, seed_b2 = sample_seeds
     b1 = random_scalar_samples(solver.grid, len(states), seed=seed_b1, vanish_at_wall=True)
     b2 = random_scalar_samples(solver.grid, len(states), seed=seed_b2, vanish_at_wall=False)
-    return interpolation_suite(
-        solver.grid, states, q, p, scalar_samples_b1=b1, scalar_samples_b2=b2
-    )
+    return interpolation_suite(solver.grid, states, q, p, b1, b2)
 
 
 # -- epsilon sweep -------------------------------------------------------------
@@ -468,12 +465,14 @@ def _summarize_eps_run(eps: float, result) -> EpsSummary:
     sup_h1 = max(r_.h1 for r_ in recs)
     vort = vorticity_budgets_check(recs)
     first = recs[0]
-    l2_om0 = first.l2_om
     l2_u0 = math.sqrt(first.e_kin)
-    denom = first.l2_om_over_r**1.5 * l2_u0**2.5
+    try:
+        denom = first.l2_om_over_r**1.5 * l2_u0**2.5
+    except OverflowError:  # a power past the float range; a product of floats would read inf
+        denom = math.inf
     c63 = 0.0
     if denom > 0:
-        c63 = max(0.0, max((r_.lhs_1_12 - l2_om0**2) / denom for r_ in recs))
+        c63 = max(0.0, max((r_.lhs_1_12 - square(first.l2_om)) / denom for r_ in recs))
     return EpsSummary(
         eps,
         result.status,

@@ -647,7 +647,7 @@ def _decay_series(
     t_window: tuple[float, float],
     dt: float,
     n_samples: int,
-    mask: np.ndarray | None,
+    mask: np.ndarray,
 ):
     """One evolution of f0 recording masked sup norms for every k in ks."""
     t0, t1 = t_window
@@ -676,7 +676,7 @@ def _decay_series(
                 else:
                     field, fz = ddr(grid, f), ddz(grid, f)
                     np.hypot(field, fz, out=field)
-                norms[k].append(float(np.max(np.abs(field[mask] if mask is not None else field))))
+                norms[k].append(float(np.max(np.abs(field[mask]))))
     return np.array(times), {k: np.array(v) for k, v in norms.items()}
 
 
@@ -712,28 +712,23 @@ DEFAULT_SEMIGROUP_CASES: tuple[tuple[str, float, int], ...] = tuple(
 
 
 def semigroup_experiment(
-    n: int,
-    dt: float,
-    cases: tuple[tuple[str, float, int], ...],
-    R: float = 17.0,
-    L_z: float = 16.0,
-    center: tuple[float, float] = (9.0, 8.0),
-    envelope: tuple[float, float] = (5.0, 7.0),
-    counts: Counter | None = None,
+    n: int, dt: float, cases: tuple[tuple[str, float, int], ...], counts: Counter
 ) -> list[SemigroupCase]:
     """Run the decay-rate harness over (op, p, k) cases.
 
-    The grid is [1, R] x [0, L_z) with n x (n - 1) nodes; each evolution
-    is sampled at 24 log-spaced times of the fit window.  The sup is taken
-    over the core disc rho <= rho1/2, where the spike agrees with the
-    scale-invariant profile; outside it the truncating envelope and walls
-    contaminate the power law.  Cases sharing
-    (op, p) reuse a single evolution.  The solver's counters
-    (EllipticSolver.counts) are added to counts if it is given.
+    The grid is [1, 17] x [0, 16) with n x (n - 1) nodes, and each spike
+    is centred at (r, z) = (9, 8) with the envelope (rho1, rho2) = (5, 7);
+    each evolution is sampled at 24 log-spaced times of the fit window.
+    The sup is taken over the core disc rho <= rho1/2, where the spike
+    agrees with the scale-invariant profile; outside it the truncating
+    envelope and walls contaminate the power law.  Cases sharing (op, p)
+    reuse a single evolution.  The solver's counters (EllipticSolver.counts)
+    are added to counts.
     """
-    grid = build_grid(1.0, R, L_z, n, n - 1)
+    grid = build_grid(1.0, 17.0, 16.0, n, n - 1)
     solver = EllipticSolver(grid)
-    rho1, rho2 = envelope
+    center, envelope = (9.0, 8.0), (5.0, 7.0)
+    rho1 = envelope[0]
     r0, z0 = center
     dz_abs = np.abs(grid.z - z0)
     dz_per = np.minimum(dz_abs, grid.L_z - dz_abs)
@@ -761,8 +756,7 @@ def semigroup_experiment(
             fitted, stderr, prefactor = _loglog_fit(times, norms[k])
             target = (0.0 if math.isinf(p) else 3.0 / (2.0 * p)) + 0.5 * k
             results.append(SemigroupCase(op, p, k, target, fitted, stderr, prefactor))
-    if counts is not None:
-        counts.update(solver.counts)
+    counts.update(solver.counts)
     return results
 
 

@@ -224,7 +224,7 @@ _HEADER = struct.Struct("<4sIIIdddd")
 
 
 class CheckpointError(IOError):
-    """Malformed or mismatched checkpoint file."""
+    """Malformed checkpoint file."""
 
 
 def checkpoint_save(state: AxisymState, path) -> None:
@@ -238,12 +238,11 @@ def checkpoint_save(state: AxisymState, path) -> None:
         fh.write(np.ascontiguousarray(state.omega, dtype="<f8").tobytes())
 
 
-def checkpoint_load(path, solver: EllipticSolver | None = None) -> AxisymState:
-    """The state a checkpoint holds, on solver (its grid must match the file's)
-    or, for None, on a solver of the file's own grid.
+def checkpoint_load(path) -> AxisymState:
+    """The state a checkpoint holds, on a solver of the file's own grid.
 
     A file that does not hold a finite state on a valid grid raises
-    CheckpointError, and so does a grid mismatch.
+    CheckpointError.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -262,14 +261,7 @@ def checkpoint_load(path, solver: EllipticSolver | None = None) -> AxisymState:
     gamma = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size)
     omega = np.frombuffer(raw, dtype="<f8", count=count, offset=_HEADER.size + count * 8)
     try:
-        file_grid = build_grid(r_min, R, L_z, n_r, n_z)
-        if solver is None:
-            solver = EllipticSolver(file_grid)
-        elif not solver.grid.same_geometry(file_grid):
-            raise CheckpointError(
-                f"{path}: checkpoint grid ({r_min}, {R}, {L_z}, {n_r}, {n_z}) "
-                "does not match the target grid"
-            )
+        solver = EllipticSolver(build_grid(r_min, R, L_z, n_r, n_z))
         return state_from_dynamic(solver, t, gamma.reshape(n_r, n_z), omega.reshape(n_r, n_z))
     except (ValueError, ArithmeticError) as exc:
         # a bad grid (GridError), non-finite data, or a grid the solver cannot handle

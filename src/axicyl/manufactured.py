@@ -206,9 +206,7 @@ class MMSLevel:
     order: float  # nan on the first level
 
 
-def mms_convergence_study(
-    levels: int, n_base: int, t_end: float, mms: ManufacturedSolution | None = None
-) -> list[MMSLevel]:
+def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLevel]:
     """Refinement ladder n_base, 2 n_base, ... with dt halved alongside h.
 
     The coarsest dt is 0.4 h; the scheme is the default one (centered
@@ -224,8 +222,7 @@ def mms_convergence_study(
     from .fields import state_from_dynamic
     from .grid import build_grid, lp_norm
 
-    if mms is None:
-        mms = build_mms()
+    mms = build_mms()
     dt_base = 0.4 * (mms.R - mms.r_min) / n_base
     out: list[MMSLevel] = []
     for lvl in range(levels):

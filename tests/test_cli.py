@@ -55,7 +55,7 @@ SWEEP_CFG = (
     "grid.r_min = 1.0\ngrid.R = 3.0\ngrid.L_z = 2.0\ngrid.n_r = 33\ngrid.n_z = 32\n"
     "time.dt = 0.004\ntime.t_end = 0.02\ntime.output_interval = 0.01\n"
     "init.kind = no_swirl_bump\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
-    "sweep.eps = 1,0.5\noutput.checkpoint = none\n"
+    "sweep.eps = 1,0.5\n"
 )
 
 
@@ -138,6 +138,9 @@ def test_cmd_info(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out
     assert "axicyl" in out
+    # the subcommands it lists are the parser's
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    assert out.split("subcommands: ", 1)[1].strip().split(", ") == list(sub.choices)
 
 
 def test_cmd_run_outputs(tmp_path):
@@ -478,12 +481,14 @@ def test_out_of_range_grid_key_exits_2(tmp_path, command, line):
     [pytest.param(c, "init.z_mode = 1" + "0" * 400, id=f"{c}-z_mode")
      for c in ("picard", "run", "sweep-eps")]
     + [pytest.param(c, "init.kind = random_modes\ninit.n_modes = 1000000000", id=f"{c}-n_modes")
-       for c in sorted(SMALL_RUNS)],
+       for c in ("picard", "run", "sweep-eps")]
+    + [pytest.param("inequalities", "init.n_modes = 1000000000", id="inequalities-n_modes")],
 )
 def test_mode_past_nyquist_exits_2_before_building_data(tmp_path, monkeypatch, command, line):
     # a 401-digit z mode overflows a float, and 10**9 modes would run a loop
     # of that length: both are refused before any field is built
-    # (inequalities always draws random_modes, so it never reads z_mode)
+    # (inequalities always draws random_modes, so it reads neither init.kind
+    # nor init.z_mode)
     def build(*args, **kwargs):
         raise AssertionError("initial data built")
 
@@ -529,6 +534,12 @@ def test_sweep_eps_data_below_one_exits_2(tmp_path):
         # the two scheme keys before the single scheme switch
         ("run", "scheme.advection = upwind1"),
         ("picard", "scheme.diffusion = explicit"),
+        # solver keys a command ignores: picard steps with picard.dt, only
+        # run writes a checkpoint, inequalities steps nothing
+        ("picard", "time.dt = 0.5"),
+        ("sweep-eps", "output.checkpoint = none"),
+        ("inequalities", "scheme = monotone"),
+        ("inequalities", "init.kind = swirl_bump"),
     ],
 )
 def test_unknown_config_key_exits_2(tmp_path, command, line):
@@ -664,6 +675,29 @@ def test_cmd_sweep_eps_small(tmp_path):
     rows = (out / "eps_sweep.csv").read_text().splitlines()
     assert len(rows) == 3
     assert rows[1].split(",")[1] == "completed"
+
+
+@pytest.mark.parametrize("amplitude", ["1e160", "1e300"])
+def test_cmd_sweep_eps_completes_a_run_whose_budget_powers_overflow(tmp_path, amplitude):
+    # the budget checks square the t = 0 record's norms: a float power past
+    # the float range raised OverflowError, and the run read failed
+    cfg = write_cfg(tmp_path, SMALL_RUNS["sweep-eps"] + f"init.amplitude = {amplitude}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "eps_sweep.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["status"], row["error"]) == ("completed", "")
+
+
+@pytest.mark.parametrize("command", ["picard", "sweep-eps", "inequalities"])
+@pytest.mark.parametrize("argv, seed", [([], 5), (["--seed", "7"], 7)])
+def test_manifest_records_the_seed_the_command_used(tmp_path, command, argv, seed):
+    cfg = write_cfg(tmp_path, SMALL_RUNS[command] + "init.seed = 5\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
 def test_cmd_sweep_eps_records_why_a_run_failed(tmp_path, monkeypatch):

@@ -117,7 +117,7 @@ def test_ratio_5_7_is_exact_identity(sample_states):
 
 
 def test_constant_free_inequalities_hold(sample_states, grid):
-    reports = interpolation_suite(grid, sample_states, 2.0, 4.0)
+    reports = interpolation_suite(grid, sample_states, 2.0, 4.0, [], [])
     by_id = {r.inequality: r for r in reports}
     for key in ("E1_7", "E5_8", "E5_8_chain", "E5_7"):
         assert by_id[key].n_violations == 0, key
@@ -153,20 +153,20 @@ def test_gagliardo_nirenberg_scale_invariance(lam):
 def test_b1_requires_vanishing_trace(grid):
     phi = np.ones(grid.shape)
     with pytest.raises(ValueError):
-        interpolation_suite(grid, [], 2.0, 4.0, scalar_samples_b1=[phi])
+        interpolation_suite(grid, [], 2.0, 4.0, [phi], [])
 
 
 def test_interpolation_suite_fitted_constants_stable(grid):
     b1a = random_scalar_samples(grid, 40, seed=1, vanish_at_wall=True)
     b1b = random_scalar_samples(grid, 40, seed=2, vanish_at_wall=True)
-    ca = interpolation_suite(grid, [], 2.0, 4.0, scalar_samples_b1=b1a)[0].max_ratio
-    cb = interpolation_suite(grid, [], 2.0, 4.0, scalar_samples_b1=b1b)[0].max_ratio
+    ca = interpolation_suite(grid, [], 2.0, 4.0, b1a, [])[0].max_ratio
+    cb = interpolation_suite(grid, [], 2.0, 4.0, b1b, [])[0].max_ratio
     assert abs(ca - cb) / max(ca, cb) < 0.2
 
 
 def test_zero_state_ratios_skipped(grid, solver):
     zero = state_from_dynamic(solver, 0.0, np.zeros(grid.shape), np.zeros(grid.shape))
-    reports = interpolation_suite(grid, [zero], 2.0, 4.0)
+    reports = interpolation_suite(grid, [zero], 2.0, 4.0, [], [])
     assert all(r.n_samples == 0 for r in reports) or reports == []
 
 

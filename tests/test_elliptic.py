@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -521,27 +522,27 @@ def test_decay_fit_sup_norm_plateau():
     g = build_grid(1, 9, 8.0, 129, 128)
     s = EllipticSolver(g)
     f0 = power_spike(g, math.inf, (5.0, 4.0), envelope=(2.0, 3.2))
-    times, norms = elliptic._decay_series(s, "L1", f0, (0,), (0.05, 0.4), 0.005, 24, None)
+    every = np.full(g.shape, True)
+    times, norms = elliptic._decay_series(s, "L1", f0, (0,), (0.05, 0.4), 0.005, 24, every)
     exponent, _, _ = elliptic._loglog_fit(times, norms[0])
     assert abs(exponent) < 0.03
 
 
 def test_decay_fit_rejects_bad_window(solver, grid):
-    f0 = np.ones(grid.shape)
+    f0, every = np.ones(grid.shape), np.full(grid.shape, True)
     with pytest.raises(FitWindowError):
-        elliptic._decay_series(solver, "L0", f0, (0,), (0.5, 0.1), 0.01, 24, None)
+        elliptic._decay_series(solver, "L0", f0, (0,), (0.5, 0.1), 0.01, 24, every)
     with pytest.raises(FitWindowError):  # fewer than three steps inside the window
-        elliptic._decay_series(solver, "L0", f0, (0,), (0.1, 0.12), 0.05, 24, None)
+        elliptic._decay_series(solver, "L0", f0, (0,), (0.1, 0.12), 0.05, 24, every)
     with pytest.raises(ValueError, match="k must be 0 or 1"):
-        elliptic._decay_series(solver, "L0", f0, (2,), (0.1, 0.5), 0.01, 24, None)
+        elliptic._decay_series(solver, "L0", f0, (2,), (0.1, 0.5), 0.01, 24, every)
 
 
 def test_semigroup_experiment_small():
-    # a cheap scaled-down harness run: exponents land within a loose band
+    # a cheap coarse harness run, n = 129 on the bundled geometry: exponents
+    # land within a loose band
     cases = (("L1", 6.0, 0), ("L1", math.inf, 0))
-    results = semigroup_experiment(
-        n=129, dt=1 / 150.0, R=9.0, L_z=8.0, center=(5.0, 4.0), envelope=(2.5, 3.5), cases=cases
-    )
+    results = semigroup_experiment(n=129, dt=1 / 150.0, cases=cases, counts=Counter())
     by_key = {(r.op, r.p, r.k): r for r in results}
     assert abs(by_key[("L1", 6.0, 0)].fitted - 0.25) < 0.1
     assert abs(by_key[("L1", math.inf, 0)].fitted) < 0.1
@@ -553,8 +554,8 @@ def test_semigroup_experiment_leaves_numpy_ma_unloaded():
     code = (
         "import sys\n"
         "from axicyl.elliptic import semigroup_experiment\n"
-        "semigroup_experiment(n=129, dt=1 / 150.0, R=9.0, L_z=8.0, center=(5.0, 4.0),\n"
-        "                     envelope=(2.5, 3.5), cases=(('L1', 6.0, 0),))\n"
+        "from collections import Counter\n"
+        "semigroup_experiment(n=129, dt=1 / 150.0, cases=(('L1', 6.0, 0),), counts=Counter())\n"
         "sys.exit('numpy.ma' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)

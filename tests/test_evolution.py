@@ -252,7 +252,7 @@ def test_stepped_state_and_its_sups_match_the_checked_path(scheme, small_solver,
     cfg = make_cfg(dt=dt, amplitude=2.0, scheme=scheme)
     state0 = make_initial_data(small_solver, cfg)
     checkpoint_save(state0, tmp_path / "state.axns")
-    states = [state0, checkpoint_load(tmp_path / "state.axns", small_solver)]
+    states = [state0, checkpoint_load(tmp_path / "state.axns")]
     stepper = Stepper(cfg, state0)
     for _ in range(5):
         stepper.step(dt)

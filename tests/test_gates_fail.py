@@ -29,7 +29,7 @@ from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experi
 from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic, velocity_from_stream
 from axicyl.grid import build_grid, ddr, ddz, lp_norm, radial_weights, weighted_integral
-from axicyl.manufactured import TERMS, build_mms, mms_convergence_study
+from axicyl.manufactured import TERMS, mms_convergence_study
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -222,7 +222,7 @@ def test_flattened_spike_trips_the_semigroup_decay_gate(monkeypatch):
     # 0.003 clean, 0.24-0.25 defective)
     def worst_error():
         cases = (("L0", 2.0, 0), ("L1", 2.0, 0))
-        results = semigroup_experiment(n=129, dt=1.0 / 300.0, cases=cases)
+        results = semigroup_experiment(n=129, dt=1.0 / 300.0, cases=cases, counts=Counter())
         return max(abs(r.fitted - r.target) for r in results)
 
     assert worst_error() <= 0.08  # criterion 8's bound
@@ -363,10 +363,8 @@ def test_skipped_second_half_step_drops_the_mms_order(monkeypatch):
     # Strang splitting takes a Crank-Nicolson half step of L1 and of L0' on
     # each side of the Heun step.  Skipping the second pair, with the first
     # taking the whole dt, is Lie splitting: first order in time.
-    mms = build_mms()
-
     def orders():
-        levels = mms_convergence_study(levels=3, n_base=32, t_end=0.25, mms=mms)
+        levels = mms_convergence_study(levels=3, n_base=32, t_end=0.25)
         return [lv.order for lv in levels[1:]]
 
     assert all(1.8 <= o <= 2.2 for o in orders())  # criterion 1's gate
