@@ -71,16 +71,21 @@ O(n_r n_z log n_z), so each layout serves its own callers.  The
 heat-only evolutions (_decay_series, commutation_check) step hundreds of
 times with one (op, dt) and read a field only at their sample times:
 they run in the modal layout, where a step streams two arrays instead of
-a two-level sweep's.  The coupled step reads a field after every
-half-step and hands omega's z spectrum to the stream solve, whose
-operator has no such basis (its d_zz is divided by r); at 129^2 one
-dense transform costs more than the whole solve, so it stays in the
-block layout.  A dense product's bits may depend on the BLAS build and
-its thread count, so the modal results are reproducible for a fixed BLAS
-and thread count; the block layout's are not affected.  The gains of each
-(op, dt) are checked once against the tridiagonal step on two z modes
-(_check_gains): the eigenbasis loses accuracy as the similarity grows
-ill-conditioned, which h_r near 2 r on a hand-built grid brings about.
+a two-level sweep's.  A decay sample reads back only the row band of its
+mask (_field_rows, of which field() is the band of all rows): the
+product with those rows of D Q and their irfft, a third of the field's
+for the semigroup harness's core disc.  The coupled step reads a field
+after every half-step and hands omega's z spectrum to the stream solve,
+whose operator has no such basis (its d_zz is divided by r); at 129^2
+one dense transform costs more than the whole solve, so it stays in the
+block layout.  A dense product's bits may depend on the BLAS build, its
+thread count and its row count (a band's rows may differ from the whole
+field's in the last bit), so the modal results are reproducible for a
+fixed BLAS, thread count and mask; the block layout's are not affected.
+The gains of each (op, dt) are checked once against the tridiagonal step
+on two z modes (_check_gains): the eigenbasis loses accuracy as the
+similarity grows ill-conditioned, which h_r near 2 r on a hand-built
+grid brings about.
 """
 
 from __future__ import annotations
@@ -508,11 +513,12 @@ class EllipticSolver:
         fhat /= d[:, None]
         return Q.T @ fhat.view(float)
 
-    def _from_modes(self, coef: np.ndarray, op: str) -> np.ndarray:
-        """The spectrum (n, 2M) on op's unknown rows of modal coefficients: D Q coef, a new array.
+    def _from_modes(self, coef: np.ndarray, op: str, rows: slice) -> np.ndarray:
+        """The spectrum (rows, 2M) on op's unknown rows `rows` of modal coefficients:
+        those rows of D Q coef, a new array.
 
-        Its scratch copy of coef is freed on return, before field() allocates
-        the mesh field.
+        Its scratch copy of coef is freed on return, before the mesh rows are
+        allocated.
         """
         Q, d, _ = self._basis(op)
         # coefficients under 2^-900 of the largest lie far below the rounding
@@ -522,9 +528,30 @@ class EllipticSolver:
         negligible = kept < 2.0**-900 * np.max(kept)
         np.copyto(kept, coef)
         kept[negligible] = 0.0
-        rows = Q @ kept
-        rows *= d[:, None]
-        return rows
+        out = Q[rows] @ kept
+        out *= d[rows, None]
+        return out
+
+    def _field_rows(self, fhat: np.ndarray, op: str, lo: int, hi: int) -> np.ndarray:
+        """Mesh rows lo:hi of field(fhat, op), a new (hi - lo, n_z) array.
+
+        Only op's unknown rows inside lo:hi are rebuilt: in the modal layout
+        that is a product with those rows of D Q alone.  One transform.
+        """
+        g = self.grid
+        unk = _unknown_rows(g, op)
+        a, b = max(lo, unk.start), min(hi, unk.stop)  # the band's unknown rows
+        band = slice(a - unk.start, b - unk.start)  # their rows in the spectrum
+        if fhat.ndim == 2:
+            rows = self._from_modes(fhat, op, band)
+        else:
+            rows = _from_blocks(fhat, unk.stop - unk.start)[band]
+        self.counts["transforms"] += 1
+        out = np.empty((hi - lo, g.n_z))
+        np.fft.irfft(rows.view(complex), n=g.n_z, axis=1, out=out[a - lo : b - lo])
+        out[: a - lo] = 0.0
+        out[b - lo :] = 0.0
+        return out
 
     def field(self, fhat: np.ndarray, op: str) -> np.ndarray:
         """The mesh field of a spectrum in either layout; op's pinned rows are 0.
@@ -532,18 +559,7 @@ class EllipticSolver:
         A 3-d fhat is in spectrum()'s block layout, a 2-d one in modes()'
         modal layout; fhat is not modified.
         """
-        g = self.grid
-        unk = _unknown_rows(g, op)
-        if fhat.ndim == 2:
-            rows = self._from_modes(fhat, op)
-        else:
-            rows = _from_blocks(fhat, unk.stop - unk.start)
-        self.counts["transforms"] += 1
-        out = np.empty(g.shape)
-        np.fft.irfft(rows.view(complex), n=g.n_z, axis=1, out=out[unk])
-        out[: unk.start] = 0.0
-        out[unk.stop :] = 0.0
-        return out
+        return self._field_rows(fhat, op, 0, self.grid.n_r)
 
     def heat_step(self, fhat: np.ndarray, dt: float, op: str) -> np.ndarray:
         """One Crank-Nicolson step of d_t f = op f (unconditionally stable), in place.
@@ -649,7 +665,13 @@ def _decay_series(
     n_samples: int,
     mask: np.ndarray,
 ):
-    """One evolution of f0 recording masked sup norms for every k in ks."""
+    """One evolution of f0 recording masked sup norms for every k in ks.
+
+    A sample reads back only the mask's row band: the rows holding a masked
+    node and one halo row on each side, which ddr's centred differences
+    read, clipped to the grid and widened to the 4 rows its wall stencils
+    need.  The band's masked norms are those of the whole field.
+    """
     t0, t1 = t_window
     if not (0 < t0 < t1):
         raise FitWindowError(f"bad fit window [{t0}, {t1}]")
@@ -657,6 +679,14 @@ def _decay_series(
         if k not in (0, 1):
             raise ValueError(f"k must be 0 or 1, got {k}")
     grid = solver.grid
+    masked_rows = np.flatnonzero(np.any(mask, axis=1))
+    if masked_rows.size == 0:
+        raise ValueError("the mask selects no node")
+    lo, hi = max(int(masked_rows[0]) - 1, 0), min(int(masked_rows[-1]) + 2, grid.n_r)
+    if hi - lo < 4:
+        hi = min(lo + 4, grid.n_r)
+        lo = hi - 4
+    band = mask[lo:hi]
     # a set of ints, not np.unique: that one's first call imports numpy.ma
     target = {int(n) for n in np.rint(np.geomspace(t0, t1, n_samples) / dt) if n >= 1}
     if len(target) < 3:
@@ -668,7 +698,7 @@ def _decay_series(
     for n in range(1, max(target) + 1):
         solver.heat_step(fhat, dt, op)
         if n in target:
-            f = solver.field(fhat, op)
+            f = solver._field_rows(fhat, op, lo, hi)
             times.append(n * dt)
             for k in ks:
                 if k == 0:
@@ -676,7 +706,7 @@ def _decay_series(
                 else:
                     field, fz = ddr(grid, f), ddz(grid, f)
                     np.hypot(field, fz, out=field)
-                norms[k].append(float(np.max(np.abs(field[mask]))))
+                norms[k].append(float(np.max(np.abs(field[band]))))
     return np.array(times), {k: np.array(v) for k, v in norms.items()}
 
 

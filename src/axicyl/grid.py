@@ -129,12 +129,22 @@ def check_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> None:
         if n < 4:
             raise GridError(name, f"must be >= 4, got {n}")
     # every second difference divides by h^2
-    for name, spacing, h in (
-        ("R", "(R - r_min) / (n_r - 1)", float(R - r_min) / (n_r - 1)),
-        ("L_z", "L_z / n_z", float(L_z) / n_z),
-    ):
+    h_r, h_z = float(R - r_min) / (n_r - 1), float(L_z) / n_z
+    for name, spacing, h in (("R", "(R - r_min) / (n_r - 1)", h_r), ("L_z", "L_z / n_z", h_z)):
         if h**2 == 0 or not math.isfinite(1 / h**2):
             raise GridError(name, f"too small: the spacing {spacing} = {h!r} has no finite 1/h^2")
+    # Grid.factors divides by r^2 and r^3, largest at the wall r = r_min:
+    # 1/r^2, 1/(h_z r^3) and quad/(r^2 (2 h_z)^2), quad = radial_quadrature
+    r = np.float64(r_min)
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        quad = 2.0 * np.pi * h_z * (0.5 * h_r) * r
+        factors = (1.0 / r**2, 1.0 / (h_z * r**3), quad / r**2 / (2.0 * h_z) ** 2)
+    if not np.all(np.isfinite(factors)):
+        raise GridError(
+            "r_min",
+            f"too small: {r_min!r} leaves 1/r_min^2, 1/(h_z r_min^3) or "
+            "quad/(r_min^2 (2 h_z)^2) without a finite value",
+        )
 
 
 def build_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> Grid:

@@ -458,7 +458,7 @@ SMALL_RUNS = {
 @pytest.mark.parametrize(
     "line",
     ["grid.n_r = 3", "grid.n_z = 2", "grid.R = 0.5", "grid.r_min = 0", "grid.L_z = -1",
-     "grid.r_min = nan",
+     "grid.r_min = nan", "grid.r_min = 1e-200",
      # non-finite values and initial data that cannot be built on the grid
      "init.amplitude = nan", "init.omega_amplitude = inf", "time.dt = nan",
      "time.output_interval = nan", "run.blowup_threshold = nan", "init.n_modes = 0",
@@ -911,23 +911,25 @@ def test_cmd_semigroup_counts_its_heat_steps_in_the_manifest(tmp_path, monkeypat
         return heat_step(self, *args)
 
     monkeypatch.setattr(EllipticSolver, "heat_step", counted)
-    text = "semigroup.n = 97\nsemigroup.dt = 0.01\nsemigroup.cases = L1:6:0;L1:6:1\n"
-    cfg = write_cfg(tmp_path, text)
+    # the benchmark's config: one L1 evolution at 385 x 384, dt = 1/300
+    cfg = ROOT / "perfbench" / "configs" / "semigroup_heat.cfg"
     out = tmp_path / "counted"
     assert main(["semigroup", "--config", str(cfg), "--out", str(out)]) == 0
     # the decay series runs to its last sample time (rho1/4)^2 = 1.5625; each
     # commutation level steps L0 and L1 to t = 0.05
-    decay = round(1.5625 / 0.01)
+    decay = round(1.5625 * 300)
     ladder = {(65, 64): 2 * 16, (129, 128): 2 * 32, (257, 256): 2 * 64}
-    assert by_grid == {(97, 96): decay, **ladder}
+    assert by_grid == {(385, 384): decay, **ladder}
     perf = json.loads((out / "manifest.json").read_text())["extra"]["perf"]
-    assert perf["heat_steps"] == decay + sum(ladder.values())
+    assert perf["heat_steps"] == decay + sum(ladder.values()) == 693
     # the evolutions step in the radial eigenbasis: a factorization is one
     # eigenbasis, L1's, then L0's and L1's per level, each with the two-mode
-    # tridiagonal factorization that checks its step's gains, and a transform
-    # one conversion of a field to or from its modes
-    assert perf["factorizations"] == 2 * (1 + 2 * 3)
-    assert 0 < 5 * perf["transforms"] < perf["heat_steps"]
+    # tridiagonal factorization that checks its step's gains
+    assert perf["factorizations"] == 2 * (1 + 2 * 3) == 14
+    # a transform is one conversion of a field to or from its modes: the
+    # decay series' modes and its 24 sample read-backs, then per level the
+    # modes of both fields and both fields at t
+    assert perf["transforms"] == 1 + 24 + 3 * 4 == 37
 
     # the counters only feed the manifest: with every increment dropped the
     # CSVs are the same bytes

@@ -24,7 +24,7 @@ from axicyl.elliptic import (
     semigroup_experiment,
 )
 from axicyl.fields import bump_profile
-from axicyl.grid import build_grid, lp_norm
+from axicyl.grid import build_grid, ddr, ddz, lp_norm
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +536,54 @@ def test_decay_fit_rejects_bad_window(solver, grid):
         elliptic._decay_series(solver, "L0", f0, (0,), (0.1, 0.12), 0.05, 24, every)
     with pytest.raises(ValueError, match="k must be 0 or 1"):
         elliptic._decay_series(solver, "L0", f0, (2,), (0.1, 0.5), 0.01, 24, every)
+    with pytest.raises(ValueError, match="^the mask selects no node$"):
+        elliptic._decay_series(solver, "L1", f0, (0, 1), (0.1, 0.5), 0.01, 24, ~every)
+
+
+@pytest.mark.parametrize("op", elliptic.HEAT_OPERATORS)
+def test_field_rows_are_the_fields_rows(grid, op):
+    # in both layouts, bands at either wall (pinned rows included) and inside
+    s = EllipticSolver(grid)
+    f = elliptic.pin(np.random.default_rng(5).normal(size=grid.shape), op)
+    for fhat in (s.spectrum(f, op), s.modes(f, op)):
+        full = s.field(fhat, op)
+        for lo, hi in ((0, 4), (9, 21), (grid.n_r - 4, grid.n_r)):
+            band = s._field_rows(fhat, op, lo, hi)
+            assert np.max(np.abs(band - full[lo:hi])) <= 1e-15 * np.max(np.abs(full))
+            assert band.shape == (hi - lo, grid.n_z)
+
+
+@pytest.mark.parametrize(
+    "op, rows",
+    [
+        ("L1", slice(0, 3)),  # the inner wall, a Robin row solved for
+        ("L0p", slice(0, 3)),  # the inner wall, row 0 pinned
+        ("L0", slice(30, 33)),  # the outer wall, pinned
+        ("L0", slice(10, 20)),  # inside, as the semigroup harness's core disc
+        ("L1", slice(16, 17)),  # one row: the band is widened to 4 rows
+        ("L0p", slice(32, 33)),  # one row at the outer wall: widened inwards
+    ],
+)
+def test_decay_series_band_norms_are_the_full_fields(grid, op, rows):
+    # the decay series reads back only the mask's row band; its masked sup
+    # norms of f and of |grad f| are those of the whole field's
+    s = EllipticSolver(grid)
+    f0 = elliptic.pin(np.random.default_rng(3).normal(size=grid.shape), op)
+    mask = np.full(grid.shape, False)
+    mask[rows, 5:12] = True
+    dt = 1e-3
+    times, norms = elliptic._decay_series(s, op, f0, (0, 1), (2e-3, 1e-2), dt, 6, mask)
+    steps = {int(n) for n in np.rint(times / dt)}
+    coef, full = s.modes(f0, op), {0: [], 1: []}
+    for n in range(1, max(steps) + 1):
+        s.heat_step(coef, dt, op)
+        if n in steps:
+            f = s.field(coef, op)
+            full[0].append(np.max(np.abs(f[mask])))
+            full[1].append(np.max(np.hypot(ddr(grid, f), ddz(grid, f))[mask]))
+    for k in (0, 1):
+        assert len(norms[k]) == len(steps) >= 3
+        np.testing.assert_allclose(norms[k], full[k], rtol=1e-15, atol=0)
 
 
 def test_semigroup_experiment_small():

@@ -354,6 +354,18 @@ def test_checkpoint_with_a_vanishing_spacing_is_rejected_quietly(tmp_path):
             checkpoint_load(path)
 
 
+@pytest.mark.parametrize("r_min", [1e-200, 5e-324])
+def test_checkpoint_with_a_tiny_r_min_is_rejected_quietly(tmp_path, r_min):
+    # r_min^2 underflows to 0: the grid check rejects the header before
+    # Grid.factors divides by it
+    path = tmp_path / "tiny.axns"
+    path.write_bytes(_header(5, 4, r_min, 3.0, 2.0, 0.0) + np.zeros(2 * 5 * 4).tobytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CheckpointError, match="r_min too small"):
+            checkpoint_load(path)
+
+
 def _loads_finite_or_rejects(path):
     """A file either loads as a finite state or raises CheckpointError."""
     try:

@@ -71,6 +71,19 @@ def test_build_grid_rejects_a_spacing_with_no_finite_inverse_square(args, param)
     assert err.value.param == param
 
 
+@pytest.mark.parametrize("r_min", [1e-200, 5e-324, 1e-103])
+def test_build_grid_rejects_an_r_min_whose_grid_factors_overflow(r_min):
+    # Grid.factors divides by r^2 and r^3: r_min^2 underflows at 1e-200 and
+    # 5e-324, and h_z r_min^3 is subnormal at 1e-103, so a factor is inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GridError, match="^r_min too small") as err:
+            build_grid(r_min, 3.0, 2.0, 17, 16)
+    assert err.value.param == "r_min"
+    # 1e-100 is small but leaves every factor finite
+    assert all(np.all(np.isfinite(f)) for f in build_grid(1e-100, 3.0, 2.0, 17, 16).factors)
+
+
 def test_weighted_integral_constant():
     # integrand f*r is linear in r, so the trapezoid rule is exact: 3*pi
     g = build_grid(1, 2, 1, 9, 4)
