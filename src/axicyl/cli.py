@@ -71,8 +71,7 @@ from .elliptic import (
     semigroup_experiment,
 )
 from .evolution import BlowupError, CFLError, picard_experiment, run_simulation
-from .fields import checkpoint_save
-from .grid import build_grid
+from .fields import checkpoint_save, make_initial_data
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -324,7 +323,7 @@ def _settings(command: str, mapping) -> SimpleNamespace:
 def cmd_run(args, mapping, ctx):
     cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
     ctx.seed = cfg.seed
-    result = run_simulation(cfg)
+    result = run_simulation(cfg, make_initial_data(EllipticSolver(cfg.grid), cfg))
     csv_path = ctx.add_output(ctx.out_dir / "diagnostics.csv")
     write_csv(csv_path, CSV_COLUMNS, (r.csv_row() for r in result.records))
     if cfg.checkpoint == "final":
@@ -447,7 +446,7 @@ def cmd_inequalities(args, mapping, ctx):
         sigma_exponent(s.q, s.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    solver = EllipticSolver(build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z))
+    solver = EllipticSolver(cfg.grid)
 
     def batch(seed0, count):
         seeds = range(seed0, seed0 + count)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .grid import GridError, check_grid
+from .grid import Grid, GridError, build_grid
 
 
 class ConfigError(ValueError):
@@ -117,7 +117,12 @@ def check_value(key: str, value, allowed) -> None:
 
 @dataclass
 class SolverConfig:
-    """Grid, stepping, scheme, and initial-data parameters of one run."""
+    """Grid, stepping, scheme, and initial-data parameters of one run.
+
+    grid is the Grid of the five grid keys, built once at construction (and
+    again by dataclasses.replace); a key build_grid rejects is a
+    ConfigError naming it.
+    """
 
     r_min: float = 1.0
     R: float = 3.0
@@ -146,9 +151,11 @@ class SolverConfig:
     blowup_threshold: float = 1e12
     checkpoint: str = "final"  # final | none
 
+    grid: Grid = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         try:
-            check_grid(self.r_min, self.R, self.L_z, self.n_r, self.n_z)
+            self.grid = build_grid(self.r_min, self.R, self.L_z, self.n_r, self.n_z)
         except GridError as exc:
             raise ConfigError(f"grid.{exc.param} {exc.message}") from exc
         for key, (name, _, allowed) in SOLVER_KEYS.items():

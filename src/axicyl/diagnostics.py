@@ -28,7 +28,7 @@ import numpy as np
 from .config import ConfigError
 from .elliptic import EllipticSolver
 from .fields import AxisymState, bump_profile, make_initial_data
-from .grid import Grid, build_grid, ddr, ddz, lp_norm, weighted_integral
+from .grid import Grid, ddr, ddz, lp_norm, weighted_integral
 from .grid import r_differences, square, z_differences
 
 
@@ -198,11 +198,26 @@ def _safe_ratio(lhs: float, rhs: float) -> float:
 
 
 def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
-    """Per-state lhs/(rhs without constant) for (1.7), (1.10), (5.3)-(5.8)."""
-    g = state.grid
-    ur, uth, uz, om = state.ur, state.uth, state.uz, state.omega
-    sup_gamma = state.sup["Gamma"]
-    l2_u = math.sqrt(state.kinetic_energy())
+    """Per-state lhs/(rhs without constant) for (1.7), (1.10), (5.3)-(5.8).
+
+    Every ratio is homogeneous of degree 0 in the state's fields, so where
+    an integral of a finite state overflows (|u| past about 1e154), the
+    ratios are those of the fields times a power of two near 1/max sup,
+    which scales them exactly.
+    """
+    fields = (state.sup["Gamma"], state.ur, state.uth, state.uz, state.omega)
+    with np.errstate(over="ignore"):
+        ratios = _field_ratios(state.grid, *fields)
+    if ratios is None:
+        scale = math.ldexp(1.0, -math.frexp(max(state.sup.values()))[1])
+        ratios = _field_ratios(state.grid, *(f * scale for f in fields))
+    return ratios
+
+
+def _field_ratios(g: Grid, sup_gamma, ur, uth, uz, om) -> dict[str, float] | None:
+    """state_inequality_ratios of these fields, or None where an integral
+    does not come out finite."""
+    l2_u = math.sqrt(weighted_integral(g, ur**2 + uth**2 + uz**2))  # AxisymState.kinetic_energy
     l4_uth = lp_norm(g, uth, 4)
     v_mag = np.hypot(ur, uz)
     l2_v = lp_norm(g, v_mag, 2)
@@ -218,14 +233,18 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
     # ||grad(om e_th)||_2 in curl form: div(om e_th) = 0, and om vanishes on
     # both walls, so the cross term 2 int om d_r om dr telescopes to 0
     grad_om_curl = math.sqrt(weighted_integral(g, dz_om**2 + (dr_om + om / g.rcol) ** 2))
+    l2_ur, l4_ur = lp_norm(g, ur, 2), lp_norm(g, ur, 4)
+    l2_uz, l4_uz = lp_norm(g, uz, 2), lp_norm(g, uz, 4)
+    norms = (l2_u, l4_uth, l2_v, l4_v, l2_om, l4_om, grad_om, l2_uth_r, l4_uth_r, grad_v)
+    norms += (square(l2_om_r), grad_om_curl, l2_ur, l4_ur, l2_uz, l4_uz)
+    if not all(map(math.isfinite, norms)):
+        return None
     return {
         "E1_7": _safe_ratio(l4_uth, math.sqrt(sup_gamma) * math.sqrt(l2_u)),
         "E1_10": _safe_ratio(l4_v, l2_v**0.25 * (l2_v + l2_om) ** 0.75),
         "E5_3": _safe_ratio(grad_v, l2_om),
-        "E5_4": _safe_ratio(lp_norm(g, ur, 4), lp_norm(g, ur, 2) ** 0.25 * l2_om**0.75),
-        "E5_5": _safe_ratio(
-            lp_norm(g, uz, 4), lp_norm(g, uz, 2) ** 0.25 * (lp_norm(g, uz, 2) + l2_om) ** 0.75
-        ),
+        "E5_4": _safe_ratio(l4_ur, l2_ur**0.25 * l2_om**0.75),
+        "E5_5": _safe_ratio(l4_uz, l2_uz**0.25 * (l2_uz + l2_om) ** 0.75),
         "E5_6": _safe_ratio(l4_om, l2_om**0.25 * grad_om**0.75),
         "E5_7": _safe_ratio(grad_om_curl, math.sqrt(square(grad_om) + square(l2_om_r))),
         "E5_8": _safe_ratio(l4_uth_r, l4_uth),
@@ -506,21 +525,19 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
             f"init.r_lo must be >= 1 in an eps sweep (data supported in r >= 1), "
             f"got {template.r_lo}"
         )
-    h_template = (template.R - template.r_min) / (template.n_r - 1)
     runs = []
     for eps in map(float, eps_list):
         try:
-            n_r = 1 + round((template.R - eps) / h_template)
+            n_r = 1 + round((template.R - eps) / template.grid.h_r)
             cfg = replace(template, r_min=eps, n_r=n_r)
         except (ValueError, OverflowError) as exc:  # the grid check, or a non-finite eps
             raise ConfigError(f"sweep.eps = {eps}: {exc}") from exc
-        grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
-        runs.append((eps, cfg, make_initial_data(EllipticSolver(grid), cfg)))
+        runs.append((eps, cfg, make_initial_data(EllipticSolver(cfg.grid), cfg)))
 
     def run_one(item):
         eps, cfg, state = item
         try:
-            return _summarize_eps_run(eps, run_simulation(cfg, initial_state=state))
+            return _summarize_eps_run(eps, run_simulation(cfg, state))
         except Exception as exc:  # one failed run must not end the sweep
             nan = math.nan
             error = f"{type(exc).__name__}: {exc}"

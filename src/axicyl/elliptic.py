@@ -348,7 +348,6 @@ class EllipticSolver:
     def __init__(self, grid: Grid):
         self.grid = grid
         self._lam = _z_eigenvalues(grid)
-        self._n_modes = grid.n_z // 2 + 1
         # per (op, dt, modal): the CN gains (modal) or the factorization of A/2
         self._heat_cache: dict[tuple[str, float, bool], TridiagBatch | np.ndarray] = {}
         self._bases: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

@@ -36,7 +36,7 @@ from .diagnostics import (
 )
 from .elliptic import EllipticSolver, pin
 from .fields import AxisymState, make_initial_data, state_from_dynamic, velocity_from_stream
-from .grid import Grid, build_grid, lp_norm, r_differences, square, z_differences
+from .grid import Grid, lp_norm, r_differences, square, z_differences
 
 
 class CFLError(RuntimeError):
@@ -392,20 +392,17 @@ class Stepper:
 
 
 def run_simulation(
-    cfg: SolverConfig,
-    sources=None,
-    initial_state: AxisymState | None = None,
-    records: str = "outputs",
+    cfg: SolverConfig, state: AxisymState, sources=None, records: str = "outputs"
 ) -> SimulationResult:
-    """Drive one configured run to t_end, recording diagnostics; no file
-    is written (the caller saves result.final_state, as cmd_run does).
+    """Step state to cfg's t_end on the state's own solver, recording
+    diagnostics; no file is written (the caller saves result.final_state,
+    as cmd_run does).
 
-    Starts from initial_state, stepped on its own solver, whose grid must
-    be the one cfg describes; else from the data cfg describes.
-    Deterministic for a fixed (config, seed): the adaptive dt depends only
-    on the evolving state.  Halts with status "halted_blowup" when Gamma
-    or omega exceeds the blow-up threshold or a field goes non-finite;
-    result.halt says which.
+    cfg gives the stepping, scheme and halt keys; its grid keys are not
+    read, so the grid is the state's.  Deterministic for a fixed state and
+    config: the adaptive dt depends only on the evolving state.  Halts
+    with status "halted_blowup" when Gamma or omega exceeds the blow-up
+    threshold or a field goes non-finite; result.halt says which.
 
     records chooses the diagnostics: "outputs" records t = 0, every output
     time and the last state, "every_step" every step, and "none" nothing,
@@ -415,18 +412,6 @@ def run_simulation(
     """
     if records not in ("outputs", "every_step", "none"):
         raise ValueError(f"records must be outputs, every_step or none, got {records!r}")
-    grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
-    if initial_state is None:
-        state = make_initial_data(EllipticSolver(grid), cfg)
-    elif initial_state.grid.same_geometry(grid):
-        state = initial_state
-    else:
-        g = initial_state.grid
-        raise ValueError(
-            f"initial state grid ({g.r_min}, {g.R}, {g.L_z}, {g.n_r}, {g.n_z}) "
-            f"does not match the configured grid ({cfg.r_min}, {cfg.R}, {cfg.L_z}, "
-            f"{cfg.n_r}, {cfg.n_z})"
-        )
     stepper = Stepper(cfg, state, sources=sources)
     recorded: list[DiagnosticsRecord] = []
     halt = ""
@@ -589,12 +574,12 @@ def picard_experiment(
     at T, and its tolerance 10 (h_r^2 + step^2) ||u_0||_2.  A direct run
     that halts raises BlowupError.
     """
-    grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
+    grid = cfg.grid
     state0 = make_initial_data(EllipticSolver(grid), cfg)
     result = picard_iterate(state0, T=T, j_max=j_max, p=p, dt=dt, scheme=cfg.scheme)
     dt = result.dt
     run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T)
-    run = run_simulation(run_cfg, initial_state=state0, records="none")
+    run = run_simulation(run_cfg, state0, records="none")
     if run.status != "completed":
         raise BlowupError(
             f"picard's direct run to t = {T:.6g} halted at t = {run.final_state.t:.6g}"

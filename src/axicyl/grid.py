@@ -104,18 +104,11 @@ class Grid:
             a.setflags(write=False)
         return GridFactors(*fields, *vectors)
 
-    def same_geometry(self, other: "Grid") -> bool:
-        return (
-            self.n_r == other.n_r
-            and self.n_z == other.n_z
-            and math.isclose(self.r_min, other.r_min, rel_tol=0, abs_tol=1e-14)
-            and math.isclose(self.R, other.R, rel_tol=0, abs_tol=1e-14)
-            and math.isclose(self.L_z, other.L_z, rel_tol=0, abs_tol=1e-14)
-        )
 
-
-def check_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> None:
-    """Raise GridError, naming the parameter, for non-finite or out-of-range values."""
+def build_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> Grid:
+    """The grid of these parameters; GridError, naming the parameter, for
+    non-finite or out-of-range values.  A run's grid is its config's
+    (SolverConfig.grid), built once from the config's grid keys."""
     for name, val in (("r_min", r_min), ("R", R), ("L_z", L_z)):
         if not np.isfinite(val):
             raise GridError(name, f"must be finite, got {val!r}")
@@ -135,23 +128,16 @@ def check_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> None:
             raise GridError(name, f"too small: the spacing {spacing} = {h!r} has no finite 1/h^2")
     # Grid.factors divides by r^2 and r^3, largest at the wall r = r_min:
     # 1/r^2, 1/(h_z r^3) and quad/(r^2 (2 h_z)^2), quad = radial_quadrature
-    r = np.float64(r_min)
+    r0 = np.float64(r_min)
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        quad = 2.0 * np.pi * h_z * (0.5 * h_r) * r
-        factors = (1.0 / r**2, 1.0 / (h_z * r**3), quad / r**2 / (2.0 * h_z) ** 2)
+        quad = 2.0 * np.pi * h_z * (0.5 * h_r) * r0
+        factors = (1.0 / r0**2, 1.0 / (h_z * r0**3), quad / r0**2 / (2.0 * h_z) ** 2)
     if not np.all(np.isfinite(factors)):
         raise GridError(
             "r_min",
             f"too small: {r_min!r} leaves 1/r_min^2, 1/(h_z r_min^3) or "
             "quad/(r_min^2 (2 h_z)^2) without a finite value",
         )
-
-
-def build_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> Grid:
-    """Construct a grid, rejecting non-finite or out-of-range parameters."""
-    check_grid(r_min, R, L_z, n_r, n_z)
-    h_r = (R - r_min) / (n_r - 1)
-    h_z = L_z / n_z
     r = r_min + h_r * np.arange(n_r)
     z = h_z * np.arange(n_z)
     return Grid(float(r_min), float(R), float(L_z), int(n_r), int(n_z), h_r, h_z, r, z)

@@ -220,7 +220,7 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
     from .elliptic import EllipticSolver
     from .evolution import BlowupError, run_simulation
     from .fields import state_from_dynamic
-    from .grid import build_grid, lp_norm
+    from .grid import lp_norm
 
     mms = build_mms()
     dt_base = 0.4 * (mms.R - mms.r_min) / n_base
@@ -229,11 +229,6 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
         n = n_base * 2**lvl
         steps = max(1, int(round(t_end / (dt_base / 2**lvl))))
         dt = t_end / steps
-        grid = build_grid(mms.r_min, mms.R, mms.L_z, n + 1, n)
-        bound = mms.bind(grid)
-        state0 = state_from_dynamic(
-            EllipticSolver(grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
-        )
         cfg = SolverConfig(
             r_min=mms.r_min,
             R=mms.R,
@@ -245,12 +240,13 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
             t_end=t_end,
             output_interval=t_end,
         )
-        result = run_simulation(
-            cfg,
-            sources=(bound["source_gamma"], bound["source_omega"]),
-            initial_state=state0,
-            records="none",
+        grid = cfg.grid
+        bound = mms.bind(grid)
+        state0 = state_from_dynamic(
+            EllipticSolver(grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
         )
+        sources = (bound["source_gamma"], bound["source_omega"])
+        result = run_simulation(cfg, state0, sources, records="none")
         st = result.final_state
         if result.status != "completed":
             raise BlowupError(f"MMS level n = {n} halted at t = {st.t:.6g} of {t_end:.6g}")

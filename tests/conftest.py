@@ -2,6 +2,15 @@ import pytest
 
 from axicyl import evolution
 from axicyl.elliptic import EllipticSolver, TridiagBatch
+from axicyl.evolution import run_simulation
+from axicyl.fields import make_initial_data
+
+
+def run_config(cfg, **kwargs):
+    """run_simulation of cfg's initial data on a solver of cfg.grid, as
+    `axicyl run` starts it; kwargs go to run_simulation."""
+    state = make_initial_data(EllipticSolver(cfg.grid), cfg)
+    return run_simulation(cfg, state, **kwargs)
 
 
 @pytest.fixture

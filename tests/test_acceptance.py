@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_config
 
 from axicyl.config import SolverConfig, load_config
 from axicyl.diagnostics import (
@@ -30,7 +31,6 @@ from axicyl.diagnostics import (
     vorticity_budgets_check,
 )
 from axicyl.elliptic import EllipticSolver
-from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic
 from axicyl.grid import build_grid
 
@@ -94,7 +94,7 @@ def swirl_records_129(cli_runs):
 @pytest.fixture(scope="module")
 def swirl_run_257():
     cfg = bundled("energy_budget.cfg")[0]
-    return run_simulation(replace(cfg, n_r=257, n_z=256, dt=0.0015))
+    return run_config(replace(cfg, n_r=257, n_z=256, dt=0.0015))
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,7 @@ def noswirl_run_129():
         r_hi=2.75,
         checkpoint="none",
     )
-    return run_simulation(cfg, records="every_step")
+    return run_config(cfg, records="every_step")
 
 
 def test_criterion_1_manufactured_convergence(cli_runs):
@@ -149,7 +149,7 @@ def test_criterion_2_energy_equality(swirl_records_129, swirl_run_257):
 
 def test_criterion_3_swirl_maximum_principle(swirl_records_129):
     # monotone scheme: exact discrete maximum principle, every step
-    mono = run_simulation(bundled("monotone_max_principle.cfg")[0], records="every_step")
+    mono = run_config(bundled("monotone_max_principle.cfg")[0], records="every_step")
     sup0 = mono.records[0].sup_gamma
     mono_margin = max(r.margin_1_6 for r in mono.records)
     # default centered scheme at 128^2
@@ -225,7 +225,7 @@ def test_criterion_7_interpolation_suite(cli_runs):
     q, p = float(mapping["ineq.q"]), float(mapping["ineq.p"])
 
     def batch(cfg, seeds, sample_seeds):
-        solver = EllipticSolver(build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z))
+        solver = EllipticSolver(cfg.grid)
         return {r.inequality: r for r in inequality_batch(cfg, solver, seeds, sample_seeds, q, p)}
 
     rep_a = batch(template, range(100), (1000, 2000))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from axicyl.config import (
 )
 from axicyl.diagnostics import CSV_COLUMNS
 from axicyl.elliptic import DEFAULT_SEMIGROUP_CASES, HEAT_OPERATORS, OPERATORS, EllipticSolver
-from axicyl.evolution import CFLError, run_simulation
+from axicyl.evolution import CFLError
 from axicyl.grid import build_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,6 +84,27 @@ def test_solver_config_validation():
         SolverConfig.from_mapping({"grid.n_r": "many"})
 
 
+def test_solver_config_grid_is_the_grid_of_its_keys():
+    keys = ("r_min", "R", "L_z", "n_r", "n_z")
+
+    def assert_grid_of_keys(cfg):
+        ref = build_grid(*(getattr(cfg, k) for k in keys))
+        for name in keys + ("h_r", "h_z"):
+            assert getattr(cfg.grid, name) == getattr(ref, name), name
+        for name in ("r", "z"):
+            assert np.array_equal(getattr(cfg.grid, name), getattr(ref, name)), name
+
+    cfg = SolverConfig(r_min=1.5, R=3.7, L_z=2.3, n_r=17, n_z=12)
+    assert_grid_of_keys(cfg)
+    wider = replace(cfg, R=5.0, n_r=33)
+    assert_grid_of_keys(wider)
+    assert (wider.grid.R, wider.grid.n_r) == (5.0, 33)
+    # the grid is derived: neither in repr nor in equality
+    assert "grid" not in repr(cfg)
+    assert replace(cfg, t_end=0.5) == replace(cfg, t_end=0.5)
+    assert replace(cfg, t_end=0.5).grid is not cfg.grid
+
+
 _TEXT = st.text(
     st.characters(codec="ascii", exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e#"),
     min_size=1,
@@ -125,9 +147,8 @@ def test_config_to_initial_state_raises_only_config_error(values):
     text += "".join(f"{key} = {val}\n" for key, val in values.items())
     try:
         cfg = SolverConfig.from_mapping(parse_config_text(text))
-        grid = build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z)
         with np.errstate(all="ignore"):
-            state = fields.make_initial_data(EllipticSolver(grid), cfg)
+            state = fields.make_initial_data(EllipticSolver(cfg.grid), cfg)
     except ConfigError:
         return
     for name in fields.STATE_FIELDS:
@@ -691,6 +712,25 @@ def test_cmd_sweep_eps_completes_a_run_whose_budget_powers_overflow(tmp_path, am
     assert (row["status"], row["error"]) == ("completed", "")
 
 
+def test_cmd_inequalities_counts_past_overflow_as_at_unit_amplitude(tmp_path):
+    # the ratios are homogeneous of degree 0 in the fields: a state whose
+    # integrals of squares overflow keeps every sample and every verdict
+    def counts(amplitude):
+        cfg = write_cfg(tmp_path, SMALL_RUNS["inequalities"] + f"init.amplitude = {amplitude}\n")
+        out = tmp_path / f"out_{amplitude}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["inequalities", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "inequalities.csv", newline="") as fh:
+            samples = {row["inequality"]: row["n_samples"] for row in csv.DictReader(fh)}
+        manifest = json.loads((out / "manifest.json").read_text())
+        return samples, manifest["extra"]["total_violations"]
+
+    unit = counts(1.0)
+    assert counts(1e160) == unit
+    assert counts(1e300) == unit
+
+
 @pytest.mark.parametrize("command", ["picard", "sweep-eps", "inequalities"])
 @pytest.mark.parametrize("argv, seed", [([], 5), (["--seed", "7"], 7)])
 def test_manifest_records_the_seed_the_command_used(tmp_path, command, argv, seed):
@@ -862,7 +902,7 @@ def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, text)
     assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     run_cfg = SolverConfig.from_mapping(parse_config_text(text))
-    start = run_simulation(replace(run_cfg, t_end=0.0, checkpoint="none")).final_state
+    start = run_config(replace(run_cfg, t_end=0.0, checkpoint="none")).final_state
     np.testing.assert_array_equal(starts[0].Gamma, start.Gamma)
     np.testing.assert_array_equal(starts[0].omega, start.omega)
 

@@ -1,7 +1,10 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import run_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,7 @@ from axicyl.diagnostics import (
     vorticity_budgets_check,
 )
 from axicyl.elliptic import EllipticSolver
-from axicyl.evolution import Stepper, run_simulation
+from axicyl.evolution import Stepper
 from axicyl.fields import bump_profile, make_initial_data, state_from_dynamic
 from axicyl.grid import build_grid, ddr, ddz, lp_norm, weighted_integral
 
@@ -110,6 +113,25 @@ def test_full_velocity_gradient_squared_sums_v_then_swirl(sample_states):
         assert np.array_equal(full_velocity_gradient_squared(g, ur, uth, uz), expect)
 
 
+@pytest.mark.parametrize("amplitude", [1e160, 1e300])
+def test_inequality_ratios_past_overflow_are_the_unit_amplitude_ratios(amplitude):
+    # |u| past about 1e154 overflows the integrals of squares; every ratio is
+    # homogeneous of degree 0 in the fields, so it must not move
+    cfg = SolverConfig(
+        R=4.0, n_r=17, n_z=16, init_kind="random_modes", r_lo=1.3, r_hi=3.2, seed=3
+    )
+    solver = EllipticSolver(cfg.grid)
+    unit = state_inequality_ratios(make_initial_data(solver, cfg))
+    large_state = make_initial_data(solver, replace(cfg, amplitude=amplitude))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        large = state_inequality_ratios(large_state)
+    assert large.keys() == unit.keys()
+    for key, ratio in unit.items():
+        assert math.isfinite(ratio), key
+        assert large[key] == pytest.approx(ratio, rel=1e-12), key
+
+
 def test_ratio_5_7_is_exact_identity(sample_states):
     for st_ in sample_states:
         ratios = state_inequality_ratios(st_)
@@ -176,7 +198,7 @@ def test_vorticity_budget_report_no_swirl():
         output_interval=0.02, init_kind="no_swirl_bump", amplitude=1.0,
         omega_amplitude=1.0, r_lo=1.4, r_hi=2.8, checkpoint="none",
     )
-    res = run_simulation(cfg)
+    res = run_config(cfg)
     report = vorticity_budgets_check(res.records)
     assert report.max_violation_1_11 <= 1e-10
     # the 1e-3 closure residual is an acceptance-resolution statement; this
@@ -245,7 +267,7 @@ def test_eps_sweep_single_eps_matches_run():
     assert len(summaries) == 1
     s = summaries[0]
     assert s.status == "completed"
-    direct = run_simulation(template)
+    direct = run_config(template)
     assert s.res_energy_6_1 == pytest.approx(energy_budget_check(direct.records), rel=1e-12)
     assert s.sup_h1_proxy == pytest.approx(max(r.h1 for r in direct.records), rel=1e-12)
 

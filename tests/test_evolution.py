@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import run_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -155,7 +156,7 @@ def test_cfl_violation_raises(small_grid, small_solver):
 
 def test_blowup_detection():
     cfg = make_cfg(t_end=1.0, amplitude=1e9, omega_amplitude=1e9, blowup_threshold=1e3)
-    result = run_simulation(cfg)
+    result = run_config(cfg)
     assert result.status == "halted_blowup"
     assert result.records[-1].t < 1.0
 
@@ -170,7 +171,7 @@ def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
     state = make_initial_data(small_solver, cfg)
     with pytest.raises(BlowupError, match="non-finite"):
         Stepper(cfg, state, sources).step(0.005)
-    result = run_simulation(cfg, sources=sources, initial_state=state)
+    result = run_simulation(cfg, state, sources)
     assert result.status == "halted_blowup"
     assert result.halt.startswith("non-finite fields at t = 0.005: ")
     assert result.final_state is state
@@ -293,10 +294,7 @@ def test_blowup_threshold_halts_at_the_first_step_over_it(small_solver):
     assert all(b > a for a, b in zip(sups, sups[1:]))
     threshold = 0.5 * (sups[5] + sups[6])
     result = run_simulation(
-        replace(cfg, blowup_threshold=threshold),
-        sources=sources,
-        initial_state=state,
-        records="every_step",
+        replace(cfg, blowup_threshold=threshold), state, sources, records="every_step"
     )
     assert result.status == "halted_blowup"
     assert result.halt == (
@@ -311,24 +309,21 @@ def test_blowup_threshold_halts_at_the_first_step_over_it(small_solver):
 
 
 def test_run_simulation_steps_the_initial_state_on_its_solver(small_solver, construction_counts):
+    # the grid is the state's: cfg's grid keys are not read, so a cfg whose
+    # grid differs steps the same state to the same fields
     cfg = make_cfg(dt=0.01, t_end=0.02)
     state = make_initial_data(small_solver, cfg)
-    result = run_simulation(cfg, initial_state=state)
+    result = run_simulation(cfg, state)
     assert construction_counts["solvers"] == 0
     assert result.final_state.solver is small_solver
-
-
-@pytest.mark.parametrize(
-    "change", [{"R": 4.0}, {"r_min": 1.5}, {"L_z": 3.0}, {"n_r": 17}, {"n_z": 16}]
-)
-def test_run_simulation_rejects_a_state_of_another_grid(change):
-    cfg = make_cfg(t_end=0.0)
-    other = replace(cfg, **change)
-    g = build_grid(other.r_min, other.R, other.L_z, other.n_r, other.n_z)
-    state = make_initial_data(EllipticSolver(g), replace(other, r_lo=1.6))
-    with pytest.raises(ValueError, match="does not match the configured grid"):
-        run_simulation(cfg, initial_state=state)
-    assert run_simulation(other, initial_state=state).status == "completed"
+    for change in ({"R": 4.0}, {"r_min": 1.5}, {"L_z": 3.0}, {"n_r": 17}, {"n_z": 16}):
+        other = run_simulation(replace(cfg, **change), state)
+        assert other.final_state.solver is small_solver
+        assert other.final_state.t == result.final_state.t
+        for name in STATE_FIELDS:
+            a, b = getattr(other.final_state, name), getattr(result.final_state, name)
+            assert np.array_equal(a, b), name
+    assert construction_counts["solvers"] == 0
 
 
 def test_mms_study_builds_one_solver_per_level(construction_counts):
@@ -341,27 +336,22 @@ def test_mms_study_builds_one_solver_per_level(construction_counts):
 def test_unrecorded_run_ends_in_the_recorded_runs_state():
     # a swirl run stepped on its CFL bound, and one MMS level with sources
     mms = build_mms()
-    grid = build_grid(mms.r_min, mms.R, mms.L_z, 17, 16)
-    bound = mms.bind(grid)
-    mms_start = state_from_dynamic(
-        EllipticSolver(grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
+    mms_cfg = SolverConfig(
+        r_min=mms.r_min, R=mms.R, L_z=mms.L_z, n_r=17, n_z=16, dt=0.025,
+        cfl=1.0, t_end=0.0625, output_interval=0.0625,
     )
+    bound = mms.bind(mms_cfg.grid)
+    mms_start = state_from_dynamic(
+        EllipticSolver(mms_cfg.grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
+    )
+    swirl_cfg = make_cfg(dt=None, cfl=0.4, amplitude=1.0, t_end=0.05)
     cases = [
-        (make_cfg(dt=None, cfl=0.4, amplitude=1.0, t_end=0.05), {}),
-        (
-            SolverConfig(
-                r_min=mms.r_min, R=mms.R, L_z=mms.L_z, n_r=17, n_z=16, dt=0.025,
-                cfl=1.0, t_end=0.0625, output_interval=0.0625,
-            ),
-            {
-                "sources": (bound["source_gamma"], bound["source_omega"]),
-                "initial_state": mms_start,
-            },
-        ),
+        (swirl_cfg, make_initial_data(EllipticSolver(swirl_cfg.grid), swirl_cfg), None),
+        (mms_cfg, mms_start, (bound["source_gamma"], bound["source_omega"])),
     ]
-    for cfg, kw in cases:
-        recorded = run_simulation(cfg, **kw)
-        bare = run_simulation(cfg, records="none", **kw)
+    for cfg, state, sources in cases:
+        recorded = run_simulation(cfg, state, sources)
+        bare = run_simulation(cfg, state, sources, records="none")
         assert bare.status == recorded.status == "completed"
         assert bare.records == [] and math.isnan(bare.max_leakage)
         assert bare.final_state.t == recorded.final_state.t
@@ -389,15 +379,14 @@ def test_carried_spectra_match_spectra_rebuilt_each_step(case, small_solver):
     sources = None
     if case == "mms":
         mms = build_mms()
-        grid = build_grid(mms.r_min, mms.R, mms.L_z, 33, 32)
-        bound = mms.bind(grid)
-        sources = (bound["source_gamma"], bound["source_omega"])
         cfg = SolverConfig(
             r_min=mms.r_min, R=mms.R, L_z=mms.L_z, n_r=33, n_z=32, dt=0.0125,
             cfl=1.0, t_end=0.25, output_interval=0.25,
         )
+        bound = mms.bind(cfg.grid)
+        sources = (bound["source_gamma"], bound["source_omega"])
         state = state_from_dynamic(
-            EllipticSolver(grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
+            EllipticSolver(cfg.grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
         )
     else:
         scheme, dt = ("strang_cn", 0.005) if case == "swirl" else ("monotone", 1e-4)
@@ -421,7 +410,7 @@ def test_carried_spectra_match_spectra_rebuilt_each_step(case, small_solver):
 
 def test_run_simulation_rejects_an_unknown_records_value():
     with pytest.raises(ValueError, match="records"):
-        run_simulation(make_cfg(), records="all")
+        run_config(make_cfg(), records="all")
 
 
 def test_final_state_callers_keep_no_ledger(ledger_calls, monkeypatch):
@@ -471,15 +460,15 @@ def test_final_state_callers_raise_on_a_halted_run(monkeypatch):
 
 def test_run_simulation_t_end_zero():
     cfg = make_cfg(t_end=0.0)
-    result = run_simulation(cfg)
+    result = run_config(cfg)
     assert len(result.records) == 1
     assert result.records[0].t == 0.0
 
 
 def test_run_simulation_deterministic():
     cfg = make_cfg(init_kind="random_modes", seed=5, t_end=0.05)
-    a = run_simulation(cfg)
-    b = run_simulation(cfg)
+    a = run_config(cfg)
+    b = run_config(cfg)
     ra = [r.csv_row() for r in a.records]
     rb = [r.csv_row() for r in b.records]
     assert ra == rb
@@ -487,7 +476,7 @@ def test_run_simulation_deterministic():
 
 def test_swirl_max_principle_default_scheme():
     cfg = make_cfg(t_end=0.2, amplitude=1.0)
-    result = run_simulation(cfg)
+    result = run_config(cfg)
     sup0 = result.records[0].sup_gamma
     for rec in result.records:
         assert rec.margin_1_6 <= 1e-6 * sup0
@@ -613,7 +602,7 @@ def test_run_regression_anchor():
     for scheme, anchors in expected.items():
         cfl = 0.9 if scheme == "monotone" else 0.4
         cfg = make_cfg(amplitude=1.0, omega_amplitude=0.5, scheme=scheme, cfl=cfl)
-        last = run_simulation(cfg).records[-1]
+        last = run_config(cfg).records[-1]
         assert last.t == pytest.approx(0.1)
         for key, val in anchors.items():
             assert getattr(last, key) == pytest.approx(val, rel=1e-12), (scheme, key)
@@ -621,7 +610,7 @@ def test_run_regression_anchor():
 
 def test_accumulated_budget_nonnegative_terms():
     cfg = make_cfg(t_end=0.1)
-    result = run_simulation(cfg)
+    result = run_config(cfg)
     last = result.records[-1]
     assert last.diss_v >= 0
     assert last.diss_uth >= 0

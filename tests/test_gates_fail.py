@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_config
 from mms_derivation import mismatches
 
 from axicyl import diagnostics, elliptic, evolution, grid as grid_module
@@ -26,7 +27,6 @@ from axicyl.diagnostics import (
     vorticity_budgets_check,
 )
 from axicyl.elliptic import EllipticSolver, commutation_ladder, semigroup_experiment
-from axicyl.evolution import run_simulation
 from axicyl.fields import bump_profile, state_from_dynamic, velocity_from_stream
 from axicyl.grid import build_grid, ddr, ddz, lp_norm, radial_weights, weighted_integral
 from axicyl.manufactured import TERMS, mms_convergence_study
@@ -70,7 +70,7 @@ def test_wrong_l1_robin_coefficient_trips_the_energy_residual(monkeypatch):
     cfg = replace(cfg, t_end=0.1)
 
     def residual():
-        return energy_budget_check(run_simulation(cfg).records)
+        return energy_budget_check(run_config(cfg).records)
 
     assert residual() < 1e-3  # criterion 2's bound
     _wrong_l1_robin_coefficient(monkeypatch)
@@ -86,7 +86,7 @@ def test_stale_carried_spectra_trip_the_energy_residual(monkeypatch):
     cfg = replace(cfg, t_end=0.1)
 
     def residual():
-        return energy_budget_check(run_simulation(cfg).records)
+        return energy_budget_check(run_config(cfg).records)
 
     assert residual() < 1e-3  # criterion 2's bound
     step = evolution._strang_heun
@@ -112,7 +112,7 @@ def test_dropped_wall_flux_trips_the_energy_residual(monkeypatch):
     cfg = replace(cfg, t_end=0.1)
 
     def residual():
-        return energy_budget_check(run_simulation(cfg).records)
+        return energy_budget_check(run_config(cfg).records)
 
     assert residual() < 1e-3  # criteria 2 and 12's bound
     sample = evolution.dissipation_sample
@@ -137,7 +137,7 @@ def test_wall_radius_swirl_velocity_trips_the_l4_bound(monkeypatch):
     cfg = replace(cfg, n_r=33, n_z=32, dt=0.012, t_end=0.1, r_lo=1.5, r_hi=3.5)
 
     def margin():
-        records = run_simulation(cfg).records
+        records = run_config(cfg).records
         first = records[0]
         bound_scale = np.sqrt(first.sup_gamma * np.sqrt(first.e_kin))
         return max(r.margin_1_7 for r in records) / bound_scale
@@ -178,7 +178,7 @@ def test_dropped_vorticity_reaction_trips_the_no_swirl_closure(monkeypatch):
     )
 
     def closure():
-        records = run_simulation(cfg, records="every_step").records
+        records = run_config(cfg, records="every_step").records
         return vorticity_budgets_check(records).closure_residual_no_swirl
 
     assert closure() < 1e-3  # criterion 5's bound
@@ -324,7 +324,7 @@ def test_unweighted_quadrature_trips_the_e5_7_identity(monkeypatch):
     # without the weight it is int 2 om d_r om / r dr, no longer a
     # difference (deviation 2e-16 clean, 1.6e-3 to 7.6e-3 defective)
     cfg = SolverConfig.from_mapping(load_config(CONFIGS / "inequalities.cfg"))
-    solver = EllipticSolver(build_grid(cfg.r_min, cfg.R, cfg.L_z, cfg.n_r, cfg.n_z))
+    solver = EllipticSolver(cfg.grid)
 
     def e5_7():
         reports = inequality_batch(cfg, solver, range(4), (1000, 2000), 2.0, 4.0)
