@@ -12,7 +12,7 @@ Every command writes its CSV outputs plus a manifest.json (config echo,
 code version, seed, wall times, output list, exit status) into the
 output directory (--out, else $AXICYL_OUT, else the working directory).
 run writes diagnostics.csv and then final_state.axns, the checkpoint of
-its last state, completed or halted (none with output.checkpoint = none).
+its last state, completed or halted.
 A negative --seed is a config error for every command.
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files (semigroup's for a given BLAS build and thread
@@ -28,8 +28,9 @@ Every manifest adds extra.process: the minor page faults taken during the
 command, the peak resident memory of the whole process so far, and whether
 main could raise glibc's heap thresholds (_keep_freed_heap).
 
-A config key the command does not read (COMMAND_KEYS) is a config error,
-and so is a SOLVER_KEYS or EXPERIMENT_KEYS value outside its allowed
+COMMANDS gives each command's body, the solver keys it reads and its
+experiment keys; _run_command does the rest.  A config key the command
+does not read is a config error, and so is a value outside its allowed
 values (config.check_value) or non-finite (inf is allowed only as a
 Lebesgue exponent); the message names the key.
 sweep-eps runs its eps values in threads, one per value up to the CPU
@@ -46,7 +47,6 @@ import argparse
 import csv
 import ctypes
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -54,8 +54,10 @@ import resource
 import sys
 import time
 from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +96,8 @@ def _finite(raw: str) -> float:
 
 
 def _exponent(raw: str) -> float:
-    """A Lebesgue exponent: a finite number, or inf (also spelled oo)."""
-    return math.inf if raw.strip() in ("inf", "oo") else _finite(raw)
+    """A Lebesgue exponent: a finite number, or inf."""
+    return math.inf if raw.strip() == "inf" else _finite(raw)
 
 
 def _parse_cases(raw: str):
@@ -122,56 +124,10 @@ def _float_list(raw: str) -> list[float]:
     return values
 
 
-# each command's experiment keys: key -> (parser, default, allowed range in
-# check_value's notation), None where the parser, eps_sweep or
-# sigma_exponent checks it
-EXPERIMENT_KEYS = {
-    "mms": {
-        "mms.levels": (int, 3, ">= 1"),
-        "mms.n_base": (int, 64, ">= 4"),
-        "mms.t_end": (_finite, 0.25, "> 0"),
-    },
-    "semigroup": {
-        "semigroup.n": (int, 385, ">= 5"),
-        "semigroup.dt": (_finite, 1.0 / 300.0, "> 0"),
-        "semigroup.cases": (_parse_cases, DEFAULT_SEMIGROUP_CASES, None),
-        "semigroup.commutation_t": (_finite, 0.05, "> 0"),
-    },
-    "picard": {
-        "picard.t_end": (_finite, 0.4, "> 0"),
-        "picard.j_max": (int, 7, ">= 2"),
-        "picard.p": (_finite, 6.0, "> 3"),
-        "picard.dt": (_finite, 0.004, "> 0"),
-    },
-    "sweep-eps": {"sweep.eps": (_float_list, [1.0, 0.5, 0.25, 0.125], None)},
-    "inequalities": {
-        "ineq.samples": (int, 200, ">= 1"),
-        "ineq.q": (_finite, 2.0, None),
-        "ineq.p": (_exponent, 4.0, None),
-    },
-}
 # the most steps picard.t_end / picard.dt may ask for: it rejects a ratio
 # that overflows and bounds the iteration's wall time, which grows with the
 # step count (its memory does not)
 PICARD_MAX_STEPS = 10_000
-
-# the solver keys each command reads: mms and semigroup build their own
-# grids; picard steps with picard.dt to picard.t_end, though its direct run
-# keeps time.cfl's check (picard_experiment); only run writes a checkpoint;
-# inequalities steps nothing and draws random_modes data (inequality_batch)
-_SOLVER_KEYS_READ = {
-    "run": frozenset(SOLVER_KEYS),
-    "picard": frozenset(SOLVER_KEYS)
-    - {"time.dt", "time.t_end", "time.output_interval", "output.checkpoint"},
-    "sweep-eps": frozenset(SOLVER_KEYS) - {"output.checkpoint"},
-    "inequalities": frozenset(k for k in SOLVER_KEYS if k.startswith(("grid.", "init.")))
-    - {"init.kind", "init.z_mode"},
-}
-# the config keys each command reads
-COMMAND_KEYS = {
-    command: _SOLVER_KEYS_READ.get(command, frozenset()) | frozenset(keys)
-    for command, keys in {"run": {}, **EXPERIMENT_KEYS}.items()
-}
 
 
 def _fmt(x) -> str:
@@ -226,9 +182,13 @@ class RunContext:
         self.heap_thresholds_set = heap_thresholds_set
         self.minflt_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    def add_output(self, path: Path) -> Path:
+    def add_output(self, name: str) -> Path:
+        path = self.out_dir / name
         self.outputs.append(str(path))
         return path
+
+    def write_csv(self, name: str, header: tuple[str, ...], rows) -> None:
+        write_csv(self.add_output(name), header, rows)
 
     def finish(self, status: str) -> None:
         usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -259,87 +219,23 @@ def _resolve_out(args) -> Path:
     return path
 
 
-def _command(body):
-    """A subcommand running body(args, mapping, ctx) -> (status, exit code).
-
-    Writes one manifest whatever happens.  A config key the command does
-    not read, a negative --seed, or a ConfigError exits 2, a CFLError or
-    BlowupError 3 (a halted run: status halted_blowup) and an OSError 4;
-    the message goes to stderr and to the manifest's extra.error, next to
-    the config echo.  Any other exception propagates (exit 1, with its
-    traceback) once its type and message are in extra.error.
-    """
-
-    @functools.wraps(body)
-    def run(args) -> int:
-        ctx = RunContext(args.command, _resolve_out(args), args.seed, args.heap_thresholds_set)
-        status, code, error = "failed", EXIT_UNEXPECTED, None
-        try:
-            mapping = {} if args.config is None else load_config(args.config)
-            ctx.config_echo = dict(sorted(mapping.items()))
-            _check_keys(args.command, mapping)
-            check_value("--seed", args.seed, ">= 0")
-            status, code = body(args, mapping, ctx)
-        except ConfigError as exc:
-            code, error = EXIT_CONFIG, f"config error: {exc}"
-        except (CFLError, BlowupError) as exc:
-            status, code, error = "halted_blowup", EXIT_NUMERICAL, f"numerical halt: {exc}"
-        except OSError as exc:
-            code, error = EXIT_IO, f"io failure: {exc}"
-        except Exception as exc:
-            error = f"unexpected error: {type(exc).__name__}: {exc}"
-            raise
-        finally:
-            if error is not None:
-                print(error, file=sys.stderr)
-                ctx.extra["error"] = error
-            ctx.finish(status)
-        return code
-
-    return run
-
-
-def _check_keys(command: str, mapping) -> None:
-    unknown = sorted(set(mapping) - COMMAND_KEYS[command])
-    if unknown:
-        raise ConfigError(f"{', '.join(unknown)} not read by {command}")
-
-
-def _settings(command: str, mapping) -> SimpleNamespace:
-    """The command's EXPERIMENT_KEYS values, parsed from mapping or defaulted,
-    by the name after the key's dot (picard.t_end -> t_end)."""
-    values = {}
-    for key, (parse, default, allowed) in EXPERIMENT_KEYS[command].items():
-        value = _get(mapping, key, default, parse)
-        check_value(key, value, allowed)
-        values[key.split(".", 1)[1]] = value
-    return SimpleNamespace(**values)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
-@_command
-def cmd_run(args, mapping, ctx):
-    cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
-    ctx.seed = cfg.seed
+def cmd_run(cfg, s, ctx):
     result = run_simulation(cfg, make_initial_data(EllipticSolver(cfg.grid), cfg))
-    csv_path = ctx.add_output(ctx.out_dir / "diagnostics.csv")
-    write_csv(csv_path, CSV_COLUMNS, (r.csv_row() for r in result.records))
-    if cfg.checkpoint == "final":
-        checkpoint_save(result.final_state, ctx.add_output(ctx.out_dir / "final_state.axns"))
+    ctx.write_csv("diagnostics.csv", CSV_COLUMNS, (r.csv_row() for r in result.records))
+    checkpoint_save(result.final_state, ctx.add_output("final_state.axns"))
     ctx.extra["max_boundary_leakage"] = result.max_leakage
     ctx.extra["perf"] = dict(result.final_state.solver.counts)
     if result.halt:
         raise BlowupError(result.halt)
-    return "completed", EXIT_OK
+    return EXIT_OK
 
 
-@_command
-def cmd_mms(args, mapping, ctx):
+def cmd_mms(cfg, s, ctx):
     from .manufactured import mms_convergence_study
 
-    s = _settings("mms", mapping)
     results = mms_convergence_study(s.levels, s.n_base, s.t_end)
     rows = [
         (
@@ -354,47 +250,39 @@ def cmd_mms(args, mapping, ctx):
         )
         for i, lv in enumerate(results)
     ]
-    write_csv(
-        ctx.add_output(ctx.out_dir / "mms_orders.csv"),
+    ctx.write_csv(
+        "mms_orders.csv",
         ("level", "n", "h", "dt", "err_gamma_l2", "err_omega_l2", "err_combined", "observed_order"),
         rows,
     )
-    return "completed", EXIT_OK
+    return EXIT_OK
 
 
-@_command
-def cmd_semigroup(args, mapping, ctx):
-    s = _settings("semigroup", mapping)
+def cmd_semigroup(cfg, s, ctx):
     perf: Counter = Counter()
     try:
         results = semigroup_experiment(s.n, s.dt, s.cases, perf)
     except FitWindowError as exc:
         raise ConfigError(f"semigroup.n = {s.n} with semigroup.dt = {s.dt}: {exc}") from exc
-    write_csv(
-        ctx.add_output(ctx.out_dir / "semigroup_fits.csv"),
+    ctx.write_csv(
+        "semigroup_fits.csv",
         ("op", "p", "k", "target_exponent", "fitted_exponent", "stderr", "prefactor"),
         ((r.op, r.p, r.k, r.target, r.fitted, r.stderr, r.prefactor) for r in results),
     )
     comm_rows = []
     prev = None
-    for lvl, (nc, dt_c, dev) in enumerate(commutation_ladder(s.commutation_t, perf)):
+    for lvl, (nc, dt_c, dev) in enumerate(commutation_ladder(perf)):
         comm_rows.append((lvl, nc, dt_c, dev, "" if prev is None else _fmt(prev / dev)))
         prev = dev
-    write_csv(
-        ctx.add_output(ctx.out_dir / "commutation.csv"),
-        ("level", "n", "dt", "deviation", "reduction_ratio"),
-        comm_rows,
+    ctx.write_csv(
+        "commutation.csv", ("level", "n", "dt", "deviation", "reduction_ratio"), comm_rows
     )
     ctx.extra["max_abs_error"] = max(abs(r.fitted - r.target) for r in results)
     ctx.extra["perf"] = dict(perf)
-    return "completed", EXIT_OK
+    return EXIT_OK
 
 
-@_command
-def cmd_picard(args, mapping, ctx):
-    cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
-    ctx.seed = cfg.seed
-    s = _settings("picard", mapping)
+def cmd_picard(cfg, s, ctx):
     if not s.t_end / s.dt <= PICARD_MAX_STEPS:
         raise ConfigError(
             f"picard.t_end / picard.dt must be at most {PICARD_MAX_STEPS} steps, "
@@ -406,11 +294,7 @@ def cmd_picard(args, mapping, ctx):
         delta = result.delta[j] if j < len(result.delta) else ""
         ratio = result.ratios[j] if j < len(result.ratios) else ""
         rows.append((j + 1, result.K[j], delta, ratio))
-    write_csv(
-        ctx.add_output(ctx.out_dir / "picard.csv"),
-        ("j", "K_j", "delta_j", "delta_ratio"),
-        rows,
-    )
+    ctx.write_csv("picard.csv", ("j", "K_j", "delta_j", "delta_ratio"), rows)
     ctx.extra.update(
         {
             "direct_match_l2": diff,
@@ -419,29 +303,22 @@ def cmd_picard(args, mapping, ctx):
             "perf": dict(result.final_state.solver.counts),
         }
     )
-    return "completed", EXIT_OK if not result.diverged else EXIT_NUMERICAL
+    return EXIT_NUMERICAL if result.diverged else EXIT_OK
 
 
-@_command
-def cmd_sweep_eps(args, mapping, ctx):
-    template = SolverConfig.from_mapping(mapping, seed_override=args.seed)
-    ctx.seed = template.seed
-    summaries = eps_sweep(template, _settings("sweep-eps", mapping).eps)
-    write_csv(
-        ctx.add_output(ctx.out_dir / "eps_sweep.csv"),
+def cmd_sweep_eps(cfg, s, ctx):
+    summaries = eps_sweep(cfg, s.eps)
+    ctx.write_csv(
+        "eps_sweep.csv",
         tuple(f.name for f in dataclasses.fields(EpsSummary)),
         map(dataclasses.astuple, summaries),
     )
-    ctx.extra["n_failed"] = sum(1 for s in summaries if s.status != "completed")
-    ctx.extra["failures"] = {_fmt(s.eps): s.error for s in summaries if s.error}
-    return "completed", EXIT_OK
+    ctx.extra["n_failed"] = sum(1 for r in summaries if r.status != "completed")
+    ctx.extra["failures"] = {_fmt(r.eps): r.error for r in summaries if r.error}
+    return EXIT_OK
 
 
-@_command
-def cmd_inequalities(args, mapping, ctx):
-    cfg = SolverConfig.from_mapping(mapping, seed_override=args.seed)
-    ctx.seed = cfg.seed
-    s = _settings("inequalities", mapping)
+def cmd_inequalities(cfg, s, ctx):
     try:
         sigma_exponent(s.q, s.p)
     except ValueError as exc:
@@ -470,8 +347,8 @@ def cmd_inequalities(args, mapping, ctx):
                 b[rep.inequality].max_ratio if rep.inequality in b else math.nan,
             )
         )
-    write_csv(
-        ctx.add_output(ctx.out_dir / "inequalities.csv"),
+    ctx.write_csv(
+        "inequalities.csv",
         (
             "inequality",
             "n_samples",
@@ -486,7 +363,110 @@ def cmd_inequalities(args, mapping, ctx):
     )
     ctx.extra["total_violations"] = sum(r.n_violations for r in full if r.constant_free)
     ctx.extra["perf"] = dict(solver.counts)
-    return "completed", EXIT_OK
+    return EXIT_OK
+
+
+class Command(NamedTuple):
+    """One experiment command.  body(cfg, s, ctx) returns the exit code: cfg
+    is the SolverConfig of the solver keys it reads (None if it reads none)
+    and s holds the experiment keys' values by the name after the dot
+    (picard.t_end -> s.t_end).  An experiment key maps to (parser, default,
+    allowed range in check_value's notation, or None where the parser,
+    eps_sweep or sigma_exponent checks it)."""
+
+    body: Callable
+    solver_keys: frozenset
+    experiment_keys: dict
+
+    @property
+    def config_keys(self) -> frozenset:
+        """Every config key the command reads."""
+        return self.solver_keys | frozenset(self.experiment_keys)
+
+
+# the solver keys each command reads: mms and semigroup build their own
+# grids; picard steps with picard.dt to picard.t_end, though its direct run
+# keeps time.cfl's check (picard_experiment); inequalities steps nothing and
+# draws random_modes data (inequality_batch)
+_ALL = frozenset(SOLVER_KEYS)
+_GRID_INIT = frozenset(k for k in SOLVER_KEYS if k.startswith(("grid.", "init.")))
+COMMANDS = {
+    "run": Command(cmd_run, _ALL, {}),
+    "mms": Command(cmd_mms, frozenset(), {
+        "mms.levels": (int, 3, ">= 1"),
+        "mms.n_base": (int, 64, ">= 4"),
+        "mms.t_end": (_finite, 0.25, "> 0"),
+    }),
+    "semigroup": Command(cmd_semigroup, frozenset(), {
+        "semigroup.n": (int, 385, ">= 5"),
+        "semigroup.dt": (_finite, 1.0 / 300.0, "> 0"),
+        "semigroup.cases": (_parse_cases, DEFAULT_SEMIGROUP_CASES, None),
+    }),
+    "picard": Command(cmd_picard, _ALL - {"time.dt", "time.t_end", "time.output_interval"}, {
+        "picard.t_end": (_finite, 0.4, "> 0"),
+        "picard.j_max": (int, 7, ">= 2"),
+        "picard.p": (_finite, 6.0, "> 3"),
+        "picard.dt": (_finite, 0.004, "> 0"),
+    }),
+    "sweep-eps": Command(cmd_sweep_eps, _ALL, {
+        "sweep.eps": (_float_list, [1.0, 0.5, 0.25, 0.125], None),
+    }),
+    "inequalities": Command(cmd_inequalities, _GRID_INIT - {"init.kind", "init.z_mode"}, {
+        "ineq.samples": (int, 200, ">= 1"),
+        "ineq.q": (_finite, 2.0, None),
+        "ineq.p": (_exponent, 4.0, None),
+    }),
+}
+
+
+def _run_command(args, heap_thresholds_set: bool) -> int:
+    """Run args.command's COMMANDS entry and write one manifest whatever happens.
+
+    A config key the command does not read, a negative --seed, or a
+    ConfigError exits 2, a CFLError or BlowupError 3 (a halted run: status
+    halted_blowup) and an OSError 4; the message goes to stderr and to the
+    manifest's extra.error, next to the config echo (the file's own keys).
+    Any other exception propagates (exit 1, with its traceback) once its
+    type and message are in extra.error.
+    """
+    command = COMMANDS[args.command]
+    ctx = RunContext(args.command, _resolve_out(args), args.seed, heap_thresholds_set)
+    status, code, error = "failed", EXIT_UNEXPECTED, None
+    try:
+        mapping = {} if args.config is None else load_config(args.config)
+        ctx.config_echo = dict(sorted(mapping.items()))
+        unknown = sorted(set(mapping) - command.config_keys)
+        if unknown:
+            raise ConfigError(f"{', '.join(unknown)} not read by {args.command}")
+        check_value("--seed", args.seed, ">= 0")
+        cfg = None
+        if command.solver_keys:
+            if args.seed is not None:
+                mapping = {**mapping, "init.seed": str(args.seed)}
+            cfg = SolverConfig.from_mapping(mapping)
+            ctx.seed = cfg.seed
+        s = SimpleNamespace()
+        for key, (parse, default, allowed) in command.experiment_keys.items():
+            value = _get(mapping, key, default, parse)
+            check_value(key, value, allowed)
+            setattr(s, key.split(".", 1)[1], value)
+        code = command.body(cfg, s, ctx)
+        status = "completed"
+    except ConfigError as exc:
+        code, error = EXIT_CONFIG, f"config error: {exc}"
+    except (CFLError, BlowupError) as exc:
+        status, code, error = "halted_blowup", EXIT_NUMERICAL, f"numerical halt: {exc}"
+    except OSError as exc:
+        code, error = EXIT_IO, f"io failure: {exc}"
+    except Exception as exc:
+        error = f"unexpected error: {type(exc).__name__}: {exc}"
+        raise
+    finally:
+        if error is not None:
+            print(error, file=sys.stderr)
+            ctx.extra["error"] = error
+        ctx.finish(status)
+    return code
 
 
 def cmd_info(args) -> int:
@@ -504,30 +484,21 @@ def build_parser() -> argparse.ArgumentParser:
         "solver and estimate-verification experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "run": cmd_run,
-        "mms": cmd_mms,
-        "semigroup": cmd_semigroup,
-        "picard": cmd_picard,
-        "sweep-eps": cmd_sweep_eps,
-        "inequalities": cmd_inequalities,
-        "info": cmd_info,
-    }
-    for name, fn in handlers.items():
+    for name in (*COMMANDS, "info"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output directory (default $AXICYL_OUT or .)")
         p.add_argument("--seed", type=int, default=None, help="override init.seed")
-        p.set_defaults(handler=fn)
     parser.set_defaults(subcommands=tuple(sub.choices))  # what info lists
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.heap_thresholds_set = _keep_freed_heap()
+    if args.command == "info":
+        return cmd_info(args)
     try:
-        return args.handler(args)
+        return _run_command(args, _keep_freed_heap())
     except OSError as exc:  # the output directory itself is unusable
         print(f"io failure: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -61,7 +61,6 @@ def _get(mapping, key, default, cast):
 # first-order upwind advection, explicit diffusion
 SCHEMES = ("strang_cn", "monotone")
 INIT_KINDS = ("no_swirl_bump", "swirl_bump", "random_modes")
-CHECKPOINTS = ("final", "none")
 
 
 def _auto_or_float(raw: str) -> float | None:
@@ -92,7 +91,6 @@ SOLVER_KEYS = {
     "init.n_modes": ("n_modes", int, ">= 1"),
     "init.seed": ("seed", int, ">= 0"),
     "run.blowup_threshold": ("blowup_threshold", float, None),
-    "output.checkpoint": ("checkpoint", str, CHECKPOINTS),
 }
 
 _RELATIONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
@@ -149,7 +147,6 @@ class SolverConfig:
     seed: int = 0
 
     blowup_threshold: float = 1e12
-    checkpoint: str = "final"  # final | none
 
     grid: Grid = field(init=False, repr=False, compare=False)
 
@@ -165,13 +162,11 @@ class SolverConfig:
             check_value(key, val, allowed)
 
     @classmethod
-    def from_mapping(cls, m: dict[str, str], seed_override: int | None = None) -> "SolverConfig":
+    def from_mapping(cls, m: dict[str, str]) -> "SolverConfig":
         """The config the SOLVER_KEYS present in m give; absent keys keep the defaults."""
         fields = {
             name: _get(m, key, None, cast)
             for key, (name, cast, _) in SOLVER_KEYS.items()
             if key in m
         }
-        if seed_override is not None:
-            fields["seed"] = seed_override
         return cls(**fields)

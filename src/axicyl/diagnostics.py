@@ -209,7 +209,8 @@ def state_inequality_ratios(state: AxisymState) -> dict[str, float]:
     with np.errstate(over="ignore"):
         ratios = _field_ratios(state.grid, *fields)
     if ratios is None:
-        scale = math.ldexp(1.0, -math.frexp(max(state.sup.values()))[1])
+        largest = max(*state.sup.values(), float(np.max(np.abs(state.uth))))
+        scale = math.ldexp(1.0, -math.frexp(largest)[1])
         ratios = _field_ratios(state.grid, *(f * scale for f in fields))
     return ratios
 

@@ -804,8 +804,9 @@ def commutation_check(solver: EllipticSolver, gamma0: np.ndarray, t: float, dt: 
     return float(np.max(np.abs(grid.rcol * small - big)))
 
 
-def commutation_ladder(t: float, counts: Counter) -> list[tuple[int, float, float]]:
-    """(n, dt, commutation_check deviation) at t on a joint (h, dt) refinement ladder.
+def commutation_ladder(counts: Counter) -> list[tuple[int, float, float]]:
+    """(n, dt, commutation_check deviation) at t = 0.05 on a joint (h, dt)
+    refinement ladder.
 
     The data is the compact bump 1.4 < r < 2.5 times 1 + 0.3 sin(2 pi z / L_z)
     on [1, 3] x [0, 2) with n x (n - 1) nodes, n = 65, 129, 257, stepped
@@ -814,6 +815,7 @@ def commutation_ladder(t: float, counts: Counter) -> list[tuple[int, float, floa
     """
     from .fields import bump_profile
 
+    t = 0.05
     out = []
     for n, steps in ((65, 16), (129, 32), (257, 64)):
         grid = build_grid(1.0, 3.0, 2.0, n, n - 1)

@@ -229,7 +229,7 @@ class Stepper:
     bit-identical to those of a recorded one.
 
     Each step builds its state with state_from_dynamic, whose check of the
-    five fields leaves their sup norms on the state (AxisymState.sup) for
+    four fields it keeps leaves their sup norms on the state (AxisymState.sup) for
     the blow-up threshold, the records and the next step's CFL bound; a
     non-finite field ends the step as BlowupError.
     """

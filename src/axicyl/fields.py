@@ -20,11 +20,13 @@ for psi).
 A state is built from (Gamma, omega) by state_from_dynamic, for the
 initial data, every step of the coupled run and of Picard's iterates,
 and a loaded checkpoint alike.  psi lives only inside that call: the
-state keeps Gamma, omega and the velocities.  Its construction checks
-each field once, and that pass leaves the fields' sup norms on the state
-(AxisymState.sup) for the blow-up threshold, the records and the CFL
-bound.  Every interior psi node enters some u_r or u_z difference, so a
-non-finite psi fails that check as u_r or u_z.
+state keeps Gamma, omega, u_r and u_z, the fields the next step reads,
+and derives u_theta = Gamma / r once, when it is first read.  Its
+construction checks each kept field once, and that pass leaves the
+fields' sup norms on the state (AxisymState.sup) for the blow-up
+threshold, the records and the CFL bound.  Every interior psi node
+enters some u_r or u_z difference, so a non-finite psi fails that check
+as u_r or u_z.
 
 make_initial_data reads the init.* keys straight from a
 config.SolverConfig: their defaults are that dataclass's fields and
@@ -34,6 +36,7 @@ the keys at fault.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -46,8 +49,8 @@ from .elliptic import EllipticSolver, pin
 from .grid import Grid, build_grid, r_differences, weighted_integral, z_differences
 
 
-# the fields of a state, dynamical then derived
-STATE_FIELDS = ("Gamma", "omega", "ur", "uth", "uz")
+# the fields a state keeps, dynamical then derived
+STATE_FIELDS = ("Gamma", "omega", "ur", "uz")
 
 
 @dataclass
@@ -55,9 +58,11 @@ class AxisymState:
     """Dynamical pair (Gamma, omega), the derived velocities, and the
     solver that derived them (its grid is the state's).
 
-    Every field is a float array of the grid's shape with finite values;
-    construction checks this in one max and one min reduction per field,
-    which also give the fields' sup norms max|f|, by name, as sup.
+    Every kept field is a float array of the grid's shape with finite
+    values; construction checks this in one max and one min reduction per
+    field, which also give the fields' sup norms max|f|, by name, as sup.
+    u_theta = Gamma / r is finite too: |Gamma / r| <= sup|Gamma| / r_min,
+    which construction checks, as r >= r_min > 0.
     """
 
     t: float
@@ -65,7 +70,6 @@ class AxisymState:
     Gamma: np.ndarray
     omega: np.ndarray
     ur: np.ndarray
-    uth: np.ndarray
     uz: np.ndarray
     sup: dict[str, float] = field(init=False)
 
@@ -81,10 +85,17 @@ class AxisymState:
                 raise ValueError(f"{name} contains non-finite values")
             self.sup[name] = max(hi, lo)
             setattr(self, name, vals)
+        if not math.isfinite(self.sup["Gamma"] / self.grid.r_min):
+            raise ValueError("uth contains non-finite values")
 
     @property
     def grid(self) -> Grid:
         return self.solver.grid
+
+    @functools.cached_property
+    def uth(self) -> np.ndarray:
+        """u_theta = Gamma / r, computed when first read."""
+        return self.Gamma / self.grid.factors.r
 
     def kinetic_energy(self) -> float:
         return weighted_integral(self.grid, self.ur**2 + self.uth**2 + self.uz**2)
@@ -128,7 +139,7 @@ def state_from_dynamic(
     velocities from it, and keep the velocities.
 
     The state holds copies of gamma and omega, with omega's wall rows set
-    to zero (its Dirichlet walls); u_theta = Gamma / r.  A caller that
+    to zero (its Dirichlet walls).  A caller that
     holds omega's spectrum on L0''s rows passes it as omega_hat, and the
     stream solve starts from it (solve_stream).  Non-finite fields raise
     ValueError (AxisymState).
@@ -137,7 +148,7 @@ def state_from_dynamic(
     om = pin(np.array(omega, dtype=float), "L0p")
     psi = solver.solve_stream(om, omega_hat)
     ur, uz = velocity_from_stream(solver.grid, psi)
-    return AxisymState(t, solver, gamma, om, ur, gamma / solver.grid.factors.r, uz)
+    return AxisymState(t, solver, gamma, om, ur, uz)
 
 
 def make_initial_data(solver: EllipticSolver, cfg: SolverConfig) -> AxisymState:

@@ -121,11 +121,15 @@ def build_grid(r_min: float, R: float, L_z: float, n_r: int, n_z: int) -> Grid:
     for name, n in (("n_r", n_r), ("n_z", n_z)):
         if n < 4:
             raise GridError(name, f"must be >= 4, got {n}")
-    # every second difference divides by h^2
+    # every second difference divides by h^2, which must be a finite nonzero
+    # float (h * h: h**2 past the float range raises OverflowError)
     h_r, h_z = float(R - r_min) / (n_r - 1), float(L_z) / n_z
     for name, spacing, h in (("R", "(R - r_min) / (n_r - 1)", h_r), ("L_z", "L_z / n_z", h_z)):
-        if h**2 == 0 or not math.isfinite(1 / h**2):
+        h2 = h * h
+        if h2 == 0 or not math.isfinite(1 / h2):
             raise GridError(name, f"too small: the spacing {spacing} = {h!r} has no finite 1/h^2")
+        if not math.isfinite(h2):
+            raise GridError(name, f"too large: the spacing {spacing} = {h!r} has no finite h^2")
     # Grid.factors divides by r^2 and r^3, largest at the wall r = r_min:
     # 1/r^2, 1/(h_z r^3) and quad/(r^2 (2 h_z)^2), quad = radial_quadrature
     r0 = np.float64(r_min)

@@ -35,7 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid
+from .config import SolverConfig
+from .elliptic import EllipticSolver
+from .evolution import BlowupError, run_simulation
+from .fields import state_from_dynamic
+from .grid import Grid, lp_norm
 
 N_DERIVS = 5  # the profile and its first four r-derivatives
 FIELDS = ("gamma", "omega", "source_gamma", "source_omega")
@@ -216,12 +220,6 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
     exact fields at t_end; consecutive-level ratios give the observed
     space-time order.  A level whose run halts raises BlowupError.
     """
-    from .config import SolverConfig
-    from .elliptic import EllipticSolver
-    from .evolution import BlowupError, run_simulation
-    from .fields import state_from_dynamic
-    from .grid import lp_norm
-
     mms = build_mms()
     dt_base = 0.4 * (mms.R - mms.r_min) / n_base
     out: list[MMSLevel] = []

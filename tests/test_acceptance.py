@@ -113,7 +113,6 @@ def noswirl_run_129():
         omega_amplitude=1.0,
         r_lo=1.25,
         r_hi=2.75,
-        checkpoint="none",
     )
     return run_config(cfg, records="every_step")
 

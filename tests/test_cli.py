@@ -245,7 +245,7 @@ def test_cmd_run_vanishing_grid_spacing_exits_2(tmp_path):
         pytest.param("run", RUN_CFG, 0, id="run"),
         pytest.param(
             "semigroup",
-            "semigroup.n = 97\nsemigroup.cases = L0:2:0\nsemigroup.commutation_t = 0.01\n",
+            "semigroup.n = 97\nsemigroup.cases = L0:2:0\n",
             0,
             id="semigroup",
         ),
@@ -309,7 +309,6 @@ def test_cmd_run_overflowing_swirl_bound_halts_as_blowup(tmp_path):
     [
         ("", 0, True),
         ("run.blowup_threshold = 0.1\n", 3, True),  # sup|Gamma| = 0.5 halts the first step
-        ("output.checkpoint = none\n", 0, False),
     ],
 )
 def test_cmd_run_writes_the_checkpoint_of_its_last_state(lines, code, saved, tmp_path):
@@ -408,7 +407,6 @@ def test_cmd_mms_bad_levels_keeps_config_echo(tmp_path):
         ("mms", "mms.t_end = soon"),
         ("semigroup", "semigroup.n = abc"),
         ("semigroup", "semigroup.dt = abc"),
-        ("semigroup", "semigroup.commutation_t = abc"),
         ("semigroup", "semigroup.cases = L9:2:0"),
         ("semigroup", "semigroup.cases = L1:2"),
         ("semigroup", "semigroup.cases = L1:abc:0"),
@@ -452,7 +450,6 @@ def test_the_stream_operator_is_not_a_semigroup_case(tmp_path):
         ("picard", "picard.dt = 0"),
         ("semigroup", "semigroup.n = 3"),
         ("semigroup", "semigroup.n = 9"),  # parses, but leaves no decay-fit window
-        ("semigroup", "semigroup.commutation_t = 0"),
         ("mms", "mms.n_base = 0"),
         ("mms", "mms.n_base = 2"),
         ("inequalities", "ineq.samples = 0"),
@@ -479,14 +476,16 @@ SMALL_RUNS = {
 @pytest.mark.parametrize(
     "line",
     ["grid.n_r = 3", "grid.n_z = 2", "grid.R = 0.5", "grid.r_min = 0", "grid.L_z = -1",
-     "grid.r_min = nan", "grid.r_min = 1e-200",
+     "grid.r_min = nan", "grid.r_min = 1e-200", "grid.R = 1e300", "grid.L_z = 1e300",
      # non-finite values and initial data that cannot be built on the grid
      "init.amplitude = nan", "init.omega_amplitude = inf", "time.dt = nan",
      "time.output_interval = nan", "run.blowup_threshold = nan", "init.n_modes = 0",
      "init.seed = -1", "init.r_lo = 5\ninit.r_hi = 6", "init.z_lo = 1\ninit.z_hi = 0.5",
      # outside the allowed values of SOLVER_KEYS
      "time.cfl = 2", "time.dt = -1", "time.t_end = -1", "time.output_interval = 0",
-     "scheme = rk4", "init.kind = vortex", "output.checkpoint = every"],
+     "scheme = rk4", "init.kind = vortex",
+     # a key no command reads
+     "output.checkpoint = every"],
 )
 def test_out_of_range_grid_key_exits_2(tmp_path, command, line):
     cfg = write_cfg(tmp_path, SMALL_RUNS[command] + line + "\n")
@@ -555,12 +554,16 @@ def test_sweep_eps_data_below_one_exits_2(tmp_path):
         # the two scheme keys before the single scheme switch
         ("run", "scheme.advection = upwind1"),
         ("picard", "scheme.diffusion = explicit"),
-        # solver keys a command ignores: picard steps with picard.dt, only
-        # run writes a checkpoint, inequalities steps nothing
+        # solver keys a command ignores: picard steps with picard.dt,
+        # inequalities steps nothing
         ("picard", "time.dt = 0.5"),
-        ("sweep-eps", "output.checkpoint = none"),
         ("inequalities", "scheme = monotone"),
         ("inequalities", "init.kind = swirl_bump"),
+        # settings no command reads: run always saves its final state, and
+        # the commutation ladder always steps to t = 0.05
+        ("run", "output.checkpoint = final"),
+        ("sweep-eps", "output.checkpoint = none"),
+        ("semigroup", "semigroup.commutation_t = 0.05"),
     ],
 )
 def test_unknown_config_key_exits_2(tmp_path, command, line):
@@ -573,9 +576,9 @@ def test_unknown_config_key_exits_2(tmp_path, command, line):
 
 
 FLOAT_KEYS = [
-    (command, key, value)
-    for command, keys in cli.EXPERIMENT_KEYS.items()
-    for key, (parse, default, _) in keys.items()
+    (name, key, value)
+    for name, command in cli.COMMANDS.items()
+    for key, (parse, default, _) in command.experiment_keys.items()
     if isinstance(default, float)
     for value in ("nan", "inf", "-inf")
     if not (value == "inf" and parse is cli._exponent)  # the exponent infinity
@@ -597,7 +600,7 @@ def test_readme_config_table_names_every_key():
     table = text.split("### Config keys", 1)[1].split("\n\n", 2)[1]
     rows = [line.split("|")[2] for line in table.splitlines()[2:]]
     listed = [key.strip(" `") for row in rows for key in row.split(",")]
-    assert sorted(listed) == sorted(set().union(*cli.COMMAND_KEYS.values()))
+    assert sorted(listed) == sorted(set().union(*(c.config_keys for c in cli.COMMANDS.values())))
 
 
 def test_bundled_configs_pass_the_key_check():
@@ -610,7 +613,7 @@ def test_bundled_configs_pass_the_key_check():
         for stem, command in perfbench.items()
     ]
     for command, path in pairs:
-        cli._check_keys(command, load_config(path))
+        assert set(load_config(path)) <= cli.COMMANDS[command].config_keys, path
 
 
 def test_run_all_experiments_names_each_bundled_config_once():
@@ -731,13 +734,27 @@ def test_cmd_inequalities_counts_past_overflow_as_at_unit_amplitude(tmp_path):
     assert counts(1e300) == unit
 
 
-@pytest.mark.parametrize("command", ["picard", "sweep-eps", "inequalities"])
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
 @pytest.mark.parametrize("argv, seed", [([], 5), (["--seed", "7"], 7)])
-def test_manifest_records_the_seed_the_command_used(tmp_path, command, argv, seed):
-    cfg = write_cfg(tmp_path, SMALL_RUNS[command] + "init.seed = 5\n")
+def test_manifest_records_the_seed_the_command_used(tmp_path, monkeypatch, command, argv, seed):
+    # --seed is init.seed of the SolverConfig the command's body gets; the
+    # manifest records that seed, and its config echo is the file's own
+    seeds = []
+    entry = cli.COMMANDS[command]
+
+    def body(cfg, s, ctx):
+        seeds.append(cfg.seed)
+        return entry.body(cfg, s, ctx)
+
+    monkeypatch.setitem(cli.COMMANDS, command, entry._replace(body=body))
+    text = SMALL_RUNS[command] + "init.seed = 5\n"
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out), *argv]) == 0
-    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert seeds == [seed]
+    assert manifest["seed"] == seed
+    assert manifest["config"] == parse_config_text(text)
 
 
 def test_cmd_sweep_eps_records_why_a_run_failed(tmp_path, monkeypatch):
@@ -822,10 +839,10 @@ def test_cmd_picard_non_finite_iterate_exits_3(tmp_path):
 def test_unexpected_error_propagates_once_the_manifest_names_it(tmp_path, monkeypatch):
     # an exception outside the four handled classes keeps its traceback
     # (exit 1), and the manifest records its type and message first
-    def body(args, mapping, ctx):
+    def body(cfg, s, ctx):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_run", cli._command(body))
+    monkeypatch.setitem(cli.COMMANDS, "run", cli.COMMANDS["run"]._replace(body=body))
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="boom"):
         main(["run", "--out", str(out)])
@@ -902,7 +919,7 @@ def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, text)
     assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     run_cfg = SolverConfig.from_mapping(parse_config_text(text))
-    start = run_config(replace(run_cfg, t_end=0.0, checkpoint="none")).final_state
+    start = run_config(replace(run_cfg, t_end=0.0)).final_state
     np.testing.assert_array_equal(starts[0].Gamma, start.Gamma)
     np.testing.assert_array_equal(starts[0].omega, start.omega)
 

@@ -196,7 +196,7 @@ def test_vorticity_budget_report_no_swirl():
     cfg = SolverConfig(
         r_min=1, R=4, L_z=2, n_r=65, n_z=32, dt=0.002, t_end=0.2,
         output_interval=0.02, init_kind="no_swirl_bump", amplitude=1.0,
-        omega_amplitude=1.0, r_lo=1.4, r_hi=2.8, checkpoint="none",
+        omega_amplitude=1.0, r_lo=1.4, r_hi=2.8,
     )
     res = run_config(cfg)
     report = vorticity_budgets_check(res.records)
@@ -220,7 +220,7 @@ def test_energy_and_swirl_checks_raise_on_empty():
 def test_record_h1_and_leakage_finite(sample_states):
     # the record takes h1 and dev_5_3 from the step's dissipation sample;
     # they must be those of the state it records, before and after a step
-    cfg = SolverConfig(r_min=1, R=4, L_z=2, n_r=49, n_z=32, dt=0.004, checkpoint="none")
+    cfg = SolverConfig(r_min=1, R=4, L_z=2, n_r=49, n_z=32, dt=0.004)
     for st_ in sample_states[:3]:
         stepper = Stepper(cfg, st_)
         for _ in range(2):
@@ -261,7 +261,7 @@ def test_eps_sweep_single_eps_matches_run():
     template = SolverConfig(
         r_min=1.0, R=4, L_z=2, n_r=49, n_z=32, dt=0.004, t_end=0.1,
         output_interval=0.02, init_kind="no_swirl_bump", amplitude=0.8,
-        omega_amplitude=0.8, r_lo=1.4, r_hi=2.8, checkpoint="none",
+        omega_amplitude=0.8, r_lo=1.4, r_hi=2.8,
     )
     summaries = eps_sweep(template, [1.0])
     assert len(summaries) == 1
@@ -275,7 +275,7 @@ def test_eps_sweep_single_eps_matches_run():
 def test_eps_sweep_rejects_data_below_one():
     template = SolverConfig(
         r_min=1.0, R=4, L_z=2, n_r=49, n_z=32, t_end=0.05,
-        init_kind="no_swirl_bump", r_lo=0.8, r_hi=2.0, checkpoint="none",
+        init_kind="no_swirl_bump", r_lo=0.8, r_hi=2.0,
     )
     with pytest.raises(ValueError):
         eps_sweep(template, [0.5])

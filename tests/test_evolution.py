@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from axicyl import evolution
+from axicyl import evolution, manufactured
 from axicyl.config import SCHEMES, SolverConfig
 from axicyl.elliptic import EllipticSolver
 from axicyl.evolution import (
@@ -60,7 +60,6 @@ def make_cfg(**kw):
         omega_amplitude=0.25,
         r_lo=1.3,
         r_hi=2.4,
-        checkpoint="none",
     )
     base.update(kw)
     return SolverConfig(**base)
@@ -188,22 +187,31 @@ def test_nan_in_gamma_ends_the_step_as_blowup(small_solver):
 
 @pytest.mark.parametrize("name", ["ur", "uth", "uz"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_derived_field_still_raises(name, bad, small_solver, monkeypatch):
+def test_non_finite_derived_field_still_raises(name, bad, monkeypatch):
     # the step builds its state with state_from_dynamic, whose construction
     # rejects a non-finite field with a ValueError naming it
     # (test_state_validation); the step must end as BlowupError naming the
-    # field, and leave the stepper on the state it started from
+    # field, and leave the stepper on the state it started from.  u_theta =
+    # Gamma / r is derived when read, and construction checks the bound
+    # sup|Gamma| / r_min for it; a finite Gamma can only make it overflow,
+    # never NaN, so for uth both cases put a Gamma near the float limit at
+    # a wall r_min < 1
+    cfg = make_cfg(r_min=0.5, R=2.5, n_r=17, n_z=16)
     build = evolution.state_from_dynamic
 
     def spoiled(solver, t, gamma, omega, omega_hat=None):
+        if name == "uth":
+            gamma = gamma.copy()
+            gamma[0, 4] = 1.5e308
+            return build(solver, t, gamma, omega, omega_hat)
         state = build(solver, t, gamma, omega, omega_hat)
         values = {n: getattr(state, n).copy() for n in STATE_FIELDS}
         values[name][3, 4] = bad
         return AxisymState(t, solver, **values)
 
     monkeypatch.setattr(evolution, "state_from_dynamic", spoiled)
-    state = make_initial_data(small_solver, make_cfg())
-    stepper = Stepper(make_cfg(), state)
+    state = make_initial_data(EllipticSolver(cfg.grid), cfg)
+    stepper = Stepper(cfg, state)
     message = f"non-finite fields at t = 0.005: {name} contains non-finite values"
     with pytest.raises(BlowupError, match=message):
         stepper.step(0.005)
@@ -452,6 +460,7 @@ def test_final_state_callers_raise_on_a_halted_run(monkeypatch):
         return result
 
     monkeypatch.setattr(evolution, "run_simulation", halting)
+    monkeypatch.setattr(manufactured, "run_simulation", halting)
     with pytest.raises(BlowupError, match="MMS level n = 16 halted"):
         mms_convergence_study(levels=2, n_base=16, t_end=0.0625)
     with pytest.raises(BlowupError, match="direct run"):
@@ -496,7 +505,7 @@ def test_monotone_scheme_exact_max_principle(gamma0, omega0, steps):
     cfg = SolverConfig(
         r_min=1, R=2, L_z=1, n_r=16, n_z=16,
         scheme="monotone", cfl=0.95,
-        t_end=1.0, init_kind="swirl_bump", checkpoint="none",
+        t_end=1.0, init_kind="swirl_bump",
     )
     state = state_from_dynamic(solver, 0.0, gamma0, omega0)
     stepper = Stepper(cfg, state)

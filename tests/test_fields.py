@@ -13,6 +13,7 @@ from axicyl.elliptic import EllipticSolver
 from axicyl.fields import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    STATE_FIELDS,
     AxisymState,
     CheckpointError,
     bump_profile,
@@ -42,14 +43,14 @@ def grid():
 
 def make_state(grid, **fields):
     """A state of zero fields, with the given ones replaced."""
-    arrays = {name: np.zeros(grid.shape) for name in ("Gamma", "omega", "ur", "uth", "uz")}
+    arrays = {name: np.zeros(grid.shape) for name in STATE_FIELDS}
     arrays.update(fields)
     return AxisymState(0.0, EllipticSolver(grid), **arrays)
 
 
 def test_state_validation(grid):
     assert make_state(grid).grid is grid
-    for name in ("Gamma", "omega", "ur", "uth", "uz"):
+    for name in STATE_FIELDS:
         with pytest.raises(ValueError, match="does not match grid"):
             make_state(grid, **{name: np.zeros((3, 3))})
         for bad in (np.nan, np.inf):

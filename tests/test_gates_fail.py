@@ -44,7 +44,7 @@ def file_budget():
 
 def _commutation_reductions() -> list[float]:
     """Criterion 9's deviation ratios at t = 0.05."""
-    devs = [dev for _, _, dev in commutation_ladder(0.05, Counter())]
+    devs = [dev for _, _, dev in commutation_ladder(Counter())]
     return [devs[0] / devs[1], devs[1] / devs[2]]
 
 
@@ -174,7 +174,6 @@ def test_dropped_vorticity_reaction_trips_the_no_swirl_closure(monkeypatch):
         omega_amplitude=20.0,
         r_lo=1.25,
         r_hi=2.75,
-        checkpoint="none",
     )
 
     def closure():
