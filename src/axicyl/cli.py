@@ -171,11 +171,11 @@ def _keep_freed_heap() -> bool:
 class RunContext:
     """Tracks outputs and writes the manifest even when a command fails."""
 
-    def __init__(self, command: str, out_dir: Path, seed, heap_thresholds_set: bool):
+    def __init__(self, command: str, out_dir: Path, heap_thresholds_set: bool):
         self.command = command
         self.out_dir = out_dir
         self.config_echo: dict[str, str] = {}
-        self.seed = seed
+        self.seed = None  # the config's seed, for the commands that read one
         self.outputs: list[str] = []
         self.extra: dict = {}
         self.started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
@@ -430,7 +430,7 @@ def _run_command(args, heap_thresholds_set: bool) -> int:
     type and message are in extra.error.
     """
     command = COMMANDS[args.command]
-    ctx = RunContext(args.command, _resolve_out(args), args.seed, heap_thresholds_set)
+    ctx = RunContext(args.command, _resolve_out(args), heap_thresholds_set)
     status, code, error = "failed", EXIT_UNEXPECTED, None
     try:
         mapping = {} if args.config is None else load_config(args.config)

@@ -74,7 +74,13 @@ they run in the modal layout, where a step streams two arrays instead of
 a two-level sweep's.  A decay sample reads back only the row band of its
 mask (_field_rows, of which field() is the band of all rows): the
 product with those rows of D Q and their irfft, a third of the field's
-for the semigroup harness's core disc.  The coupled step reads a field
+for the semigroup harness's core disc.  Its sups are taken on the mask's
+bounding box in that band (the masked columns and a halo column on each
+side, or all columns when the mask reaches a z end, where d_z wraps
+around), and sup |grad f| calls hypot only at the nodes whose squared
+magnitude is within 1e-12 of the largest, which bounds the largest
+hypot; every node goes through hypot when that square is not finite or
+lies below 2^-900 (_gradient_sup).  The coupled step reads a field
 after every half-step and hands omega's z spectrum to the stream solve,
 whose operator has no such basis (its d_zz is divided by r); at 129^2
 one dense transform costs more than the whole solve, so it stays in the
@@ -654,6 +660,25 @@ def power_spike(
     return vals / lp_norm(grid, vals, p)
 
 
+def _gradient_sup(fr: np.ndarray, fz: np.ndarray, where: np.ndarray) -> float:
+    """np.max(np.hypot(fr, fz)[where]) bit for bit, with few hypot calls.
+
+    The square fr*fr + fz*fz and hypot are each within a few ulp of the
+    exact magnitude, so only the nodes whose square lies within a relative
+    1e-12 of the largest can hold the largest hypot, and only they go
+    through hypot.  Every node does when the largest square is inf or nan
+    (a square overflowed, or the field holds inf or nan) or lies below
+    2^-900, where the squares lose their precision to underflow.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.multiply(fr, fr)
+        sq += np.multiply(fz, fz)
+    top = float(np.max(sq, where=where, initial=0.0))
+    if math.isfinite(top) and top >= 2.0**-900:
+        where = (sq >= top * (1.0 - 1e-12)) & where
+    return float(np.max(np.hypot(fr[where], fz[where])))
+
+
 def _decay_series(
     solver: EllipticSolver,
     op: str,
@@ -669,7 +694,12 @@ def _decay_series(
     A sample reads back only the mask's row band: the rows holding a masked
     node and one halo row on each side, which ddr's centred differences
     read, clipped to the grid and widened to the 4 rows its wall stencils
-    need.  The band's masked norms are those of the whole field.
+    need.  Its sups are taken on the band's bounding box of the mask: the
+    masked columns and one halo column on each side, which ddz's centred
+    differences read, or all columns when the mask reaches column 0 or
+    n_z - 1, where ddz wraps around.  sup |grad f| is the exact hypot of
+    the nodes of largest squared magnitude (_gradient_sup).  The box's
+    masked norms are those of the whole field, bit for bit.
     """
     t0, t1 = t_window
     if not (0 < t0 < t1):
@@ -685,7 +715,11 @@ def _decay_series(
     if hi - lo < 4:
         hi = min(lo + 4, grid.n_r)
         lo = hi - 4
-    band = mask[lo:hi]
+    masked_cols = np.flatnonzero(np.any(mask, axis=0))
+    c0, c1 = int(masked_cols[0]) - 1, int(masked_cols[-1]) + 2
+    if c0 < 0 or c1 > grid.n_z:
+        c0, c1 = 0, grid.n_z
+    box = mask[lo:hi, c0:c1]
     # a set of ints, not np.unique: that one's first call imports numpy.ma
     target = {int(n) for n in np.rint(np.geomspace(t0, t1, n_samples) / dt) if n >= 1}
     if len(target) < 3:
@@ -697,15 +731,13 @@ def _decay_series(
     for n in range(1, max(target) + 1):
         solver.heat_step(fhat, dt, op)
         if n in target:
-            f = solver._field_rows(fhat, op, lo, hi)
+            f = np.ascontiguousarray(solver._field_rows(fhat, op, lo, hi)[:, c0:c1])
             times.append(n * dt)
             for k in ks:
                 if k == 0:
-                    field = f
+                    norms[k].append(float(np.max(np.abs(f[box]))))
                 else:
-                    field, fz = ddr(grid, f), ddz(grid, f)
-                    np.hypot(field, fz, out=field)
-                norms[k].append(float(np.max(np.abs(field[band]))))
+                    norms[k].append(_gradient_sup(ddr(grid, f), ddz(grid, f), box))
     return np.array(times), {k: np.array(v) for k, v in norms.items()}
 
 

@@ -757,6 +757,21 @@ def test_manifest_records_the_seed_the_command_used(tmp_path, monkeypatch, comma
     assert manifest["config"] == parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("mms", "mms.levels = 1\nmms.n_base = 16\nmms.t_end = 0.02\n"),
+        ("semigroup", "semigroup.n = 97\nsemigroup.dt = 0.01\nsemigroup.cases = L1:inf:0\n"),
+    ],
+)
+def test_commands_without_a_seed_record_none_under_seed_flag(tmp_path, command, text):
+    # mms and semigroup read no seed, so --seed does not reach their manifest
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] is None
+
+
 def test_cmd_sweep_eps_records_why_a_run_failed(tmp_path, monkeypatch):
     real = evolution.run_simulation
     message = "dt = 0.004 exceeds the bound, at eps 0.5"

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axicyl import elliptic
@@ -554,23 +554,28 @@ def test_field_rows_are_the_fields_rows(grid, op):
 
 
 @pytest.mark.parametrize(
-    "op, rows",
+    "op, rows, cols",
     [
-        ("L1", slice(0, 3)),  # the inner wall, a Robin row solved for
-        ("L0p", slice(0, 3)),  # the inner wall, row 0 pinned
-        ("L0", slice(30, 33)),  # the outer wall, pinned
-        ("L0", slice(10, 20)),  # inside, as the semigroup harness's core disc
-        ("L1", slice(16, 17)),  # one row: the band is widened to 4 rows
-        ("L0p", slice(32, 33)),  # one row at the outer wall: widened inwards
+        ("L1", slice(0, 3), slice(5, 12)),  # the inner wall, a Robin row solved for
+        ("L0p", slice(0, 3), slice(5, 12)),  # the inner wall, row 0 pinned
+        ("L0", slice(30, 33), slice(5, 12)),  # the outer wall, pinned
+        ("L0", slice(10, 20), slice(5, 12)),  # inside, as the semigroup harness's core disc
+        ("L1", slice(16, 17), slice(5, 12)),  # one row: the band is widened to 4 rows
+        ("L0p", slice(32, 33), slice(5, 12)),  # one row at the outer wall: widened inwards
+        ("L0", slice(10, 20), slice(0, 4)),  # column 0: ddz wraps, all columns are read
+        ("L1", slice(10, 20), slice(28, 32)),  # column n_z - 1: likewise
+        ("L0p", slice(16, 17), slice(9, 10)),  # one node: a 4 x 3 box
+        ("L0", slice(10, 20), [2, 3, 4, 26, 27, 28]),  # two column groups far apart
     ],
 )
-def test_decay_series_band_norms_are_the_full_fields(grid, op, rows):
-    # the decay series reads back only the mask's row band; its masked sup
-    # norms of f and of |grad f| are those of the whole field's
+def test_decay_series_band_norms_are_the_full_fields(grid, op, rows, cols):
+    # the decay series reads back only the mask's row band and takes its
+    # sups on the mask's bounding box; its masked sup norms of f and of
+    # |grad f| are those of the whole field's, bit for bit
     s = EllipticSolver(grid)
     f0 = elliptic.pin(np.random.default_rng(3).normal(size=grid.shape), op)
     mask = np.full(grid.shape, False)
-    mask[rows, 5:12] = True
+    mask[rows, cols] = True
     dt = 1e-3
     times, norms = elliptic._decay_series(s, op, f0, (0, 1), (2e-3, 1e-2), dt, 6, mask)
     steps = {int(n) for n in np.rint(times / dt)}
@@ -583,7 +588,35 @@ def test_decay_series_band_norms_are_the_full_fields(grid, op, rows):
             full[1].append(np.max(np.hypot(ddr(grid, f), ddz(grid, f))[mask]))
     for k in (0, 1):
         assert len(norms[k]) == len(steps) >= 3
-        np.testing.assert_allclose(norms[k], full[k], rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(norms[k], full[k])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-300, 300),
+    special=st.sampled_from([None, 0.0, math.inf, -math.inf, math.nan]),
+)
+@example(seed=68, exponent=-163, special=None)  # subnormal squares rank two nodes wrongly
+@settings(max_examples=60, deadline=None)
+def test_gradient_sup_is_the_largest_hypot(grid, seed, exponent, special):
+    # the sup of |grad f| over a mask, from the squared magnitudes' largest,
+    # is the largest hypot bit for bit: for fields whose squares overflow or
+    # underflow, for an all-zero field, and for fields holding inf or nan
+    # (nan, when the reference is nan); no square may warn
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=grid.shape) * 10.0**exponent
+    if special == 0.0:
+        f[:] = 0.0
+    elif special is not None:
+        f[tuple(rng.integers(grid.shape))] = special
+    mask = rng.random(grid.shape) < rng.uniform(0.01, 1.0)
+    mask[tuple(rng.integers(grid.shape))] = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fr, fz = ddr(grid, f), ddz(grid, f)
+        sup = elliptic._gradient_sup(fr, fz, mask)
+        reference = np.max(np.hypot(fr, fz)[mask])
+    np.testing.assert_array_equal(sup, reference)
 
 
 def test_semigroup_experiment_small():
@@ -597,13 +630,15 @@ def test_semigroup_experiment_small():
 
 
 def test_semigroup_experiment_leaves_numpy_ma_unloaded():
-    # np.unique's first call imports numpy.ma, which costs milliseconds of set-up
+    # np.unique's first call imports numpy.ma, which costs milliseconds of
+    # set-up; k = 1 runs the gradient sup's box and where= reductions too
     src = str(Path(elliptic.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         "from axicyl.elliptic import semigroup_experiment\n"
         "from collections import Counter\n"
-        "semigroup_experiment(n=129, dt=1 / 150.0, cases=(('L1', 6.0, 0),), counts=Counter())\n"
+        "cases = (('L1', 6.0, 0), ('L1', 6.0, 1))\n"
+        "semigroup_experiment(n=129, dt=1 / 150.0, cases=cases, counts=Counter())\n"
         "sys.exit('numpy.ma' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)
