@@ -553,22 +553,7 @@ def test_field_rows_are_the_fields_rows(grid, op):
             assert band.shape == (hi - lo, grid.n_z)
 
 
-@pytest.mark.parametrize(
-    "op, rows, cols",
-    [
-        ("L1", slice(0, 3), slice(5, 12)),  # the inner wall, a Robin row solved for
-        ("L0p", slice(0, 3), slice(5, 12)),  # the inner wall, row 0 pinned
-        ("L0", slice(30, 33), slice(5, 12)),  # the outer wall, pinned
-        ("L0", slice(10, 20), slice(5, 12)),  # inside, as the semigroup harness's core disc
-        ("L1", slice(16, 17), slice(5, 12)),  # one row: the band is widened to 4 rows
-        ("L0p", slice(32, 33), slice(5, 12)),  # one row at the outer wall: widened inwards
-        ("L0", slice(10, 20), slice(0, 4)),  # column 0: ddz wraps, all columns are read
-        ("L1", slice(10, 20), slice(28, 32)),  # column n_z - 1: likewise
-        ("L0p", slice(16, 17), slice(9, 10)),  # one node: a 4 x 3 box
-        ("L0", slice(10, 20), [2, 3, 4, 26, 27, 28]),  # two column groups far apart
-    ],
-)
-def test_decay_series_band_norms_are_the_full_fields(grid, op, rows, cols):
+def _assert_decay_series_norms_are_the_full_fields(grid, op, rows, cols):
     # the decay series reads back only the mask's row band and takes its
     # sups on the mask's bounding box; its masked sup norms of f and of
     # |grad f| are those of the whole field's, bit for bit
@@ -589,6 +574,36 @@ def test_decay_series_band_norms_are_the_full_fields(grid, op, rows, cols):
     for k in (0, 1):
         assert len(norms[k]) == len(steps) >= 3
         np.testing.assert_array_equal(norms[k], full[k])
+
+
+@pytest.mark.parametrize(
+    "op, rows",
+    [
+        ("L1", slice(0, 3)),  # the inner wall, a Robin row solved for
+        ("L0p", slice(0, 3)),  # the inner wall, row 0 pinned
+        ("L0", slice(30, 33)),  # the outer wall, pinned
+        ("L0", slice(10, 20)),  # inside, as the semigroup harness's core disc
+        ("L1", slice(16, 17)),  # one row: the band is widened to 4 rows
+        ("L0p", slice(32, 33)),  # one row at the outer wall: widened inwards
+    ],
+)
+def test_decay_series_band_norms_are_the_full_fields(grid, op, rows):
+    # masks of columns 5..11 at either wall and inside
+    _assert_decay_series_norms_are_the_full_fields(grid, op, rows, slice(5, 12))
+
+
+@pytest.mark.parametrize(
+    "op, rows, cols",
+    [
+        ("L0", slice(10, 20), slice(0, 4)),  # column 0: ddz wraps, all columns are read
+        ("L1", slice(10, 20), slice(28, 32)),  # column n_z - 1: likewise
+        ("L0p", slice(16, 17), slice(9, 10)),  # one node: a 4 x 3 box
+        ("L0", slice(10, 20), [2, 3, 4, 26, 27, 28]),  # two column groups far apart
+    ],
+)
+def test_decay_series_box_norms_are_the_full_fields(grid, op, rows, cols):
+    # masks whose column span sets the bounding box's shape
+    _assert_decay_series_norms_are_the_full_fields(grid, op, rows, cols)
 
 
 @given(
