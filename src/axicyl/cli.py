@@ -223,7 +223,7 @@ def _resolve_out(args) -> Path:
 
 
 def cmd_run(cfg, s, ctx):
-    result = run_simulation(cfg, make_initial_data(EllipticSolver(cfg.grid), cfg))
+    result = run_simulation(cfg, make_initial_data(EllipticSolver(cfg.grid), cfg), records=True)
     ctx.write_csv("diagnostics.csv", CSV_COLUMNS, (r.csv_row() for r in result.records))
     checkpoint_save(result.final_state, ctx.add_output("final_state.axns"))
     ctx.extra["max_boundary_leakage"] = result.max_leakage
@@ -422,8 +422,10 @@ COMMANDS = {
 def _run_command(args, heap_thresholds_set: bool) -> int:
     """Run args.command's COMMANDS entry and write one manifest whatever happens.
 
-    A config key the command does not read, a negative --seed, or a
-    ConfigError exits 2, a CFLError or BlowupError 3 (a halted run: status
+    A config key the command does not read, a negative --seed, no time.dt
+    where the command reads it (run, sweep-eps; checked before any step,
+    as a sweep records its runs' errors and exits 0), or a ConfigError
+    exits 2, a CFLError or BlowupError 3 (a halted run: status
     halted_blowup) and an OSError 4; the message goes to stderr and to the
     manifest's extra.error, next to the config echo (the file's own keys).
     Any other exception propagates (exit 1, with its traceback) once its
@@ -445,6 +447,8 @@ def _run_command(args, heap_thresholds_set: bool) -> int:
                 mapping = {**mapping, "init.seed": str(args.seed)}
             cfg = SolverConfig.from_mapping(mapping)
             ctx.seed = cfg.seed
+            if "time.dt" in command.solver_keys and cfg.dt is None:
+                raise ConfigError(f"time.dt is required by {args.command}")
         s = SimpleNamespace()
         for key, (parse, default, allowed) in command.experiment_keys.items():
             value = _get(mapping, key, default, parse)

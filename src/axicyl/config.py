@@ -63,19 +63,15 @@ SCHEMES = ("strang_cn", "monotone")
 INIT_KINDS = ("no_swirl_bump", "swirl_bump", "random_modes")
 
 
-def _auto_or_float(raw: str) -> float | None:
-    return None if raw == "auto" else float(raw)
-
-
 # config key -> (SolverConfig field, parser, allowed values): None, a tuple
-# of choices, or a range in check_value's notation; a range holds for auto
+# of choices, or a range in check_value's notation
 SOLVER_KEYS = {
     "grid.r_min": ("r_min", float, None),
     "grid.R": ("R", float, None),
     "grid.L_z": ("L_z", float, None),
     "grid.n_r": ("n_r", int, None),
     "grid.n_z": ("n_z", int, None),
-    "time.dt": ("dt", _auto_or_float, "> 0"),
+    "time.dt": ("dt", float, "> 0"),
     "time.cfl": ("cfl", float, "> 0, <= 1"),
     "time.t_end": ("t_end", float, ">= 0"),
     "time.output_interval": ("output_interval", float, "> 0"),
@@ -100,8 +96,8 @@ def check_value(key: str, value, allowed) -> None:
     """Raise ConfigError naming key unless value is allowed.
 
     allowed is None (anything), a tuple of choices, or comma-separated
-    relations to a number, e.g. "> 0, <= 1".  A None value (a key's auto)
-    passes every range.
+    relations to a number, e.g. "> 0, <= 1".  A None value (an absent key
+    without a default) passes every range.
     """
     if isinstance(allowed, tuple):
         if value not in allowed:
@@ -128,7 +124,7 @@ class SolverConfig:
     n_r: int = 129
     n_z: int = 128
 
-    dt: float | None = None  # None: adaptive from the CFL bound
+    dt: float | None = None  # None: time.dt absent, which run_simulation rejects
     cfl: float = 0.4
     t_end: float = 1.0
     output_interval: float = 0.05

@@ -263,13 +263,6 @@ def energy_budget_check(records: list[DiagnosticsRecord]) -> float:
     return max(r.budget_residual_1_5 for r in records)
 
 
-def swirl_bounds_check(records: list[DiagnosticsRecord]) -> tuple[float, float]:
-    """(max maximum-principle margin, max L4-bound margin); both should be <= 0."""
-    if not records:
-        raise ValueError("empty record series")
-    return max(r.margin_1_6 for r in records), max(r.margin_1_7 for r in records)
-
-
 @dataclass(frozen=True)
 class VorticityBudgetReport:
     """Outcome of the two vorticity budgets over a run."""
@@ -538,7 +531,7 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
     def run_one(item):
         eps, cfg, state = item
         try:
-            return _summarize_eps_run(eps, run_simulation(cfg, state))
+            return _summarize_eps_run(eps, run_simulation(cfg, state, records=True))
         except Exception as exc:  # one failed run must not end the sweep
             nan = math.nan
             error = f"{type(exc).__name__}: {exc}"

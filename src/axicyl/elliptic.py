@@ -459,8 +459,6 @@ class EllipticSolver:
             self._check_gains(op, dt, hit)
         else:
             hit = self._factor(op, 0.5, -0.25 * dt, self._lam)
-        if len(self._heat_cache) > 16:
-            self._heat_cache.clear()
         self._heat_cache[key] = hit
         return hit
 

@@ -392,26 +392,26 @@ class Stepper:
 
 
 def run_simulation(
-    cfg: SolverConfig, state: AxisymState, sources=None, records: str = "outputs"
+    cfg: SolverConfig, state: AxisymState, sources=None, *, records: bool
 ) -> SimulationResult:
-    """Step state to cfg's t_end on the state's own solver, recording
-    diagnostics; no file is written (the caller saves result.final_state,
-    as cmd_run does).
+    """Step state to cfg's t_end in steps of cfg.dt, the last one cut to end
+    there, on the state's own solver; no file is written (the caller saves
+    result.final_state, as cmd_run does).
 
-    cfg gives the stepping, scheme and halt keys; its grid keys are not
-    read, so the grid is the state's.  Deterministic for a fixed state and
-    config: the adaptive dt depends only on the evolving state.  Halts
+    cfg gives the step, scheme and halt keys; its grid keys are not read,
+    so the grid is the state's.  A cfg without dt is a ValueError.  Halts
     with status "halted_blowup" when Gamma or omega exceeds the blow-up
     threshold or a field goes non-finite; result.halt says which.
 
-    records chooses the diagnostics: "outputs" records t = 0, every output
-    time and the last state, "every_step" every step, and "none" nothing,
-    for a caller that reads only the final state.  Without records the
-    stepper keeps no budget ledger (result.max_leakage is nan); the steps,
-    and so the final state, are the same bit for bit.
+    With records, t = 0, every output time and the last state are
+    recorded (output_interval = dt records every step), and a budget
+    ledger that opens with a non-finite E_kin or (1.11) bound halts the run
+    at t = 0.  Without, nothing is recorded, for a caller that reads only
+    the final state: the stepper keeps no ledger (result.max_leakage is
+    nan), and the steps, and so the final state, are the same bit for bit.
     """
-    if records not in ("outputs", "every_step", "none"):
-        raise ValueError(f"records must be outputs, every_step or none, got {records!r}")
+    if cfg.dt is None:
+        raise ValueError("run_simulation needs a cfg with dt")
     stepper = Stepper(cfg, state, sources=sources)
     recorded: list[DiagnosticsRecord] = []
     halt = ""
@@ -419,22 +419,22 @@ def run_simulation(
     next_out = cfg.output_interval
 
     def emit():
-        if records != "none":
+        if records:
             recorded.append(stepper.record())
 
     emit()
-    while stepper.state.t < cfg.t_end - eps:
-        remaining = cfg.t_end - stepper.state.t
-        if cfg.dt is not None:
-            dt = min(cfg.dt, remaining)
-        else:
-            dt = min(
-                cfg.cfl * stepper.dt_bound(),
-                0.25 * cfg.output_interval,
-                remaining,
-            )
+    if records:
+        first = recorded[0]
+        bad = ", ".join(
+            f"{name} = {value}"
+            for name, value in (("E_kin", first.e_kin), ("E_bound_1_11", first.e_bound_1_11))
+            if not math.isfinite(value)
+        )
+        if bad:
+            halt = f"the budget ledger opens non-finite at t = 0: {bad}"
+    while not halt and stepper.state.t < cfg.t_end - eps:
         try:
-            stepper.step(dt)
+            stepper.step(min(cfg.dt, cfg.t_end - stepper.state.t))
         except BlowupError as exc:
             halt = str(exc)
             emit()
@@ -447,9 +447,6 @@ def run_simulation(
             )
             emit()
             break
-        if records == "every_step":
-            emit()
-            continue
         if stepper.state.t >= next_out - eps:
             emit()
             while next_out <= stepper.state.t + eps:
@@ -579,7 +576,7 @@ def picard_experiment(
     result = picard_iterate(state0, T=T, j_max=j_max, p=p, dt=dt, scheme=cfg.scheme)
     dt = result.dt
     run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T)
-    run = run_simulation(run_cfg, state0, records="none")
+    run = run_simulation(run_cfg, state0, records=False)
     if run.status != "completed":
         raise BlowupError(
             f"picard's direct run to t = {T:.6g} halted at t = {run.final_state.t:.6g}"

@@ -244,7 +244,7 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
             EllipticSolver(grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
         )
         sources = (bound["source_gamma"], bound["source_omega"])
-        result = run_simulation(cfg, state0, sources, records="none")
+        result = run_simulation(cfg, state0, sources, records=False)
         st = result.final_state
         if result.status != "completed":
             raise BlowupError(f"MMS level n = {n} halted at t = {st.t:.6g} of {t_end:.6g}")

@@ -6,11 +6,11 @@ from axicyl.evolution import run_simulation
 from axicyl.fields import make_initial_data
 
 
-def run_config(cfg, **kwargs):
-    """run_simulation of cfg's initial data on a solver of cfg.grid, as
-    `axicyl run` starts it; kwargs go to run_simulation."""
+def run_config(cfg):
+    """The recorded run_simulation of cfg's initial data on a solver of
+    cfg.grid, as `axicyl run` starts it."""
     state = make_initial_data(EllipticSolver(cfg.grid), cfg)
-    return run_simulation(cfg, state, **kwargs)
+    return run_simulation(cfg, state, records=True)
 
 
 @pytest.fixture

@@ -4,10 +4,10 @@ One test per criterion; each prints a PASS/FAIL line with the measured
 quantities (run with -s to see them live).  The bundled experiments run
 once, through the CLI (scripts/run_all_experiments.run_all), and the
 criteria read the CSVs and manifests it writes: 1, the 128^2 half of 2,
-the centred half of 3, 4, the swirl half of 5, 7's chain check, and 8 to
-12.  The runs no bundled config describes stay library calls: 2's 257^2
-run, 3's monotone and 5's no-swirl runs (checked at every step), 6's
-states and 7's seeded batches.  Tolerances are the stated ones.
+3 (the monotone run records every step), 4, the swirl half of 5, 7's
+chain check, and 8 to 12.  The runs no bundled config describes stay
+library calls: 2's 257^2 run, 5's no-swirl run (recorded at every step),
+6's states and 7's seeded batches.  Tolerances are the stated ones.
 """
 
 import csv
@@ -27,7 +27,6 @@ from axicyl.diagnostics import (
     energy_budget_check,
     identity_5_3_check,
     inequality_batch,
-    swirl_bounds_check,
     vorticity_budgets_check,
 )
 from axicyl.elliptic import EllipticSolver
@@ -107,14 +106,14 @@ def noswirl_run_129():
         n_z=128,
         dt=0.002,
         t_end=0.5,
-        output_interval=0.5,
+        output_interval=0.002,
         init_kind="no_swirl_bump",
         amplitude=1.0,
         omega_amplitude=1.0,
         r_lo=1.25,
         r_hi=2.75,
     )
-    return run_config(cfg, records="every_step")
+    return run_config(cfg)
 
 
 def test_criterion_1_manufactured_convergence(cli_runs):
@@ -146,11 +145,11 @@ def test_criterion_2_energy_equality(swirl_records_129, swirl_run_257):
     )
 
 
-def test_criterion_3_swirl_maximum_principle(swirl_records_129):
+def test_criterion_3_swirl_maximum_principle(cli_runs, swirl_records_129):
     # monotone scheme: exact discrete maximum principle, every step
-    mono = run_config(bundled("monotone_max_principle.cfg")[0], records="every_step")
-    sup0 = mono.records[0].sup_gamma
-    mono_margin = max(r.margin_1_6 for r in mono.records)
+    mono = read_records(cli_runs[0] / "monotone_max_principle" / "diagnostics.csv")
+    sup0 = mono[0].sup_gamma
+    mono_margin = max(r.margin_1_6 for r in mono)
     # default centered scheme at 128^2
     sup0_d = swirl_records_129[0].sup_gamma
     default_margin = max(r.margin_1_6 for r in swirl_records_129)
@@ -158,7 +157,7 @@ def test_criterion_3_swirl_maximum_principle(swirl_records_129):
     check(
         3,
         ok,
-        f"monotone margin {mono_margin:.2e} <= 0 (machine, {len(mono.records) - 1} steps); "
+        f"monotone margin {mono_margin:.2e} <= 0 (machine, {len(mono) - 1} steps); "
         f"centered margin {default_margin:.2e} <= 1e-6 * sup|Gamma_0|",
     )
 
@@ -345,7 +344,8 @@ def test_criterion_12_global_regularity_smoke(cli_runs):
     sup0 = recs[0].sup_gamma
     e0 = recs[0].e_kin
     r15 = energy_budget_check(recs)
-    m16, m17 = swirl_bounds_check(recs)
+    m16 = max(r.margin_1_6 for r in recs)
+    m17 = max(r.margin_1_7 for r in recs)
     vb = vorticity_budgets_check(recs)
     bound_scale = math.sqrt(sup0 * math.sqrt(e0))
     ok = (

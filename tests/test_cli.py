@@ -125,8 +125,6 @@ def _value_strategy(key, cast):
         value = st.sampled_from(_CHOICES[key])
     elif cast is int:
         value = st.integers(-3, 40).map(str)
-    elif key == "time.dt":
-        value = st.one_of(_FLOATS, st.just("auto"))
     else:
         value = _FLOATS
     # free text one draw in ten, so that most draws get past the parser
@@ -285,23 +283,27 @@ def test_cli_run_takes_no_page_faults_per_step(tmp_path):
 
 
 def test_cmd_run_overflowing_swirl_bound_halts_as_blowup(tmp_path):
-    # sup|Gamma_0|^2 overflows a float: the (1.11) bound is inf, and the
-    # run halts on its first step
-    text = SMALL_GRID + "time.t_end = 0.01\ninit.amplitude = 1e300\n"
-    cfg = write_cfg(tmp_path, text)
-    out = tmp_path / "out"
-    with warnings.catch_warnings():  # the overflow halts the run, without a warning
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "halted_blowup"
-    error = manifest["extra"]["error"]
-    assert error.startswith("numerical halt: non-finite fields at t = ")
-    assert error.endswith("contains non-finite values")
-    with open(out / "diagnostics.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["E_bound_1_11"] == "inf"
-    assert float(rows[0]["sup_Gamma"]) > 1e299
+    # E_kin and sup|Gamma_0|^2 overflow a float: the budget ledger opens
+    # with E_kin and the (1.11) bound inf, and the run halts at t = 0, with
+    # t_end = 0 too, its t = 0 row and checkpoint written
+    for t_end in ("0.01", "0"):
+        text = SMALL_GRID + f"time.dt = 0.005\ntime.t_end = {t_end}\ninit.amplitude = 1e300\n"
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / f"out_{t_end}"
+        with warnings.catch_warnings():  # the overflow halts the run, without a warning
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "halted_blowup"
+        assert manifest["extra"]["error"] == (
+            "numerical halt: the budget ledger opens non-finite at t = 0: "
+            "E_kin = inf, E_bound_1_11 = inf"
+        )
+        with open(out / "diagnostics.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (float(row["t"]), row["E_kin"], row["E_bound_1_11"]) == (0.0, "inf", "inf")
+        assert float(row["sup_Gamma"]) > 1e299
+        assert fields.checkpoint_load(out / "final_state.axns").t == 0.0
 
 
 @pytest.mark.parametrize(
@@ -465,9 +467,9 @@ def test_out_of_range_experiment_key_exits_2(tmp_path, command, line):
 
 SMALL_GRID = "grid.n_r = 17\ngrid.n_z = 16\n"
 SMALL_RUNS = {
-    "run": SMALL_GRID + "time.t_end = 0\n",
+    "run": SMALL_GRID + "time.dt = 0.01\ntime.t_end = 0\n",
     "picard": SMALL_GRID + "picard.t_end = 0.01\npicard.dt = 0.01\npicard.j_max = 2\n",
-    "sweep-eps": SMALL_GRID + "time.t_end = 0\nsweep.eps = 1\n",
+    "sweep-eps": SMALL_GRID + "time.dt = 0.01\ntime.t_end = 0\nsweep.eps = 1\n",
     "inequalities": SMALL_GRID + "ineq.samples = 2\n",
 }
 
@@ -494,6 +496,27 @@ def test_out_of_range_grid_key_exits_2(tmp_path, command, line):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["extra"]["error"].startswith("config error: " + line.split(" =")[0] + " ")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-eps"])
+@pytest.mark.parametrize("line", ["", "time.dt = auto\n"], ids=["absent", "auto"])
+def test_stepping_command_without_a_step_exits_2(tmp_path, monkeypatch, command, line):
+    # run and sweep-eps step with time.dt, which has no default and no
+    # spelling but a number: the command exits 2 naming it before any step.
+    # A sweep must not start: its runs would record the error and exit 0
+    def step(self, dt):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(evolution.Stepper, "step", step)
+    text = SMALL_RUNS[command].replace("time.dt = 0.01\n", line)
+    cfg = write_cfg(tmp_path, text.replace("time.t_end = 0\n", "time.t_end = 0.02\n"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["outputs"] == []
+    error = manifest["extra"]["error"]
+    assert error.startswith("config error: ") and "time.dt" in error
 
 
 @pytest.mark.parametrize(
@@ -704,7 +727,9 @@ def test_cmd_sweep_eps_small(tmp_path):
 @pytest.mark.parametrize("amplitude", ["1e160", "1e300"])
 def test_cmd_sweep_eps_completes_a_run_whose_budget_powers_overflow(tmp_path, amplitude):
     # the budget checks square the t = 0 record's norms: a float power past
-    # the float range raised OverflowError, and the run read failed
+    # the float range raised OverflowError, and the run read failed.  E_kin
+    # overflows too, so the run halts at t = 0 (run_simulation), and its
+    # one record is summarized all the same
     cfg = write_cfg(tmp_path, SMALL_RUNS["sweep-eps"] + f"init.amplitude = {amplitude}\n")
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -712,7 +737,8 @@ def test_cmd_sweep_eps_completes_a_run_whose_budget_powers_overflow(tmp_path, am
         assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "eps_sweep.csv", newline="") as fh:
         (row,) = list(csv.DictReader(fh))
-    assert (row["status"], row["error"]) == ("completed", "")
+    assert (row["status"], row["error"]) == ("halted_blowup", "")
+    assert float(row["sup_h1_proxy"]) == math.inf
 
 
 def test_cmd_inequalities_counts_past_overflow_as_at_unit_amplitude(tmp_path):
@@ -858,9 +884,10 @@ def test_unexpected_error_propagates_once_the_manifest_names_it(tmp_path, monkey
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli.COMMANDS, "run", cli.COMMANDS["run"]._replace(body=body))
+    cfg = write_cfg(tmp_path, RUN_CFG)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="boom"):
-        main(["run", "--out", str(out)])
+        main(["run", "--config", str(cfg), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert manifest["extra"]["error"] == "unexpected error: RuntimeError: boom"
@@ -934,7 +961,7 @@ def test_cmd_picard_starts_from_the_run_initial_state(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, text)
     assert main(["picard", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     run_cfg = SolverConfig.from_mapping(parse_config_text(text))
-    start = run_config(replace(run_cfg, t_end=0.0)).final_state
+    start = run_config(replace(run_cfg, dt=0.01, t_end=0.0)).final_state
     np.testing.assert_array_equal(starts[0].Gamma, start.Gamma)
     np.testing.assert_array_equal(starts[0].omega, start.omega)
 

@@ -22,7 +22,6 @@ from axicyl.diagnostics import (
     random_scalar_samples,
     sigma_exponent,
     state_inequality_ratios,
-    swirl_bounds_check,
     vorticity_budgets_check,
 )
 from axicyl.elliptic import EllipticSolver
@@ -211,8 +210,6 @@ def test_vorticity_budget_report_no_swirl():
 def test_energy_and_swirl_checks_raise_on_empty():
     with pytest.raises(ValueError):
         energy_budget_check([])
-    with pytest.raises(ValueError):
-        swirl_bounds_check([])
     with pytest.raises(ValueError):
         vorticity_budgets_check([])
 

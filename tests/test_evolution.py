@@ -53,6 +53,7 @@ def make_cfg(**kw):
         L_z=2.0,
         n_r=33,
         n_z=32,
+        dt=0.005,
         t_end=0.1,
         output_interval=0.02,
         init_kind="swirl_bump",
@@ -154,7 +155,10 @@ def test_cfl_violation_raises(small_grid, small_solver):
 
 
 def test_blowup_detection():
-    cfg = make_cfg(t_end=1.0, amplitude=1e9, omega_amplitude=1e9, blowup_threshold=1e3)
+    # under cfl = 0.4 times the CFL bound of these velocities, 3.2e-10
+    cfg = make_cfg(
+        dt=1e-10, t_end=1.0, amplitude=1e9, omega_amplitude=1e9, blowup_threshold=1e3
+    )
     result = run_config(cfg)
     assert result.status == "halted_blowup"
     assert result.records[-1].t < 1.0
@@ -170,7 +174,7 @@ def test_non_finite_stage_ends_the_step_as_blowup(small_solver):
     state = make_initial_data(small_solver, cfg)
     with pytest.raises(BlowupError, match="non-finite"):
         Stepper(cfg, state, sources).step(0.005)
-    result = run_simulation(cfg, state, sources)
+    result = run_simulation(cfg, state, sources, records=True)
     assert result.status == "halted_blowup"
     assert result.halt.startswith("non-finite fields at t = 0.005: ")
     assert result.final_state is state
@@ -301,9 +305,8 @@ def test_blowup_threshold_halts_at_the_first_step_over_it(small_solver):
         sups.append(max(lp_norm(g, stepper.state.Gamma, np.inf), lp_norm(g, stepper.state.omega, np.inf)))
     assert all(b > a for a, b in zip(sups, sups[1:]))
     threshold = 0.5 * (sups[5] + sups[6])
-    result = run_simulation(
-        replace(cfg, blowup_threshold=threshold), state, sources, records="every_step"
-    )
+    every_step = replace(cfg, blowup_threshold=threshold, output_interval=cfg.dt)
+    result = run_simulation(every_step, state, sources, records=True)
     assert result.status == "halted_blowup"
     assert result.halt == (
         f"max(sup|Gamma|, sup|omega|) = {sups[6]:.6g} exceeds run.blowup_threshold "
@@ -321,11 +324,11 @@ def test_run_simulation_steps_the_initial_state_on_its_solver(small_solver, cons
     # grid differs steps the same state to the same fields
     cfg = make_cfg(dt=0.01, t_end=0.02)
     state = make_initial_data(small_solver, cfg)
-    result = run_simulation(cfg, state)
+    result = run_simulation(cfg, state, records=True)
     assert construction_counts["solvers"] == 0
     assert result.final_state.solver is small_solver
     for change in ({"R": 4.0}, {"r_min": 1.5}, {"L_z": 3.0}, {"n_r": 17}, {"n_z": 16}):
-        other = run_simulation(replace(cfg, **change), state)
+        other = run_simulation(replace(cfg, **change), state, records=True)
         assert other.final_state.solver is small_solver
         assert other.final_state.t == result.final_state.t
         for name in STATE_FIELDS:
@@ -342,7 +345,7 @@ def test_mms_study_builds_one_solver_per_level(construction_counts):
 
 
 def test_unrecorded_run_ends_in_the_recorded_runs_state():
-    # a swirl run stepped on its CFL bound, and one MMS level with sources
+    # a swirl run, and one MMS level with sources
     mms = build_mms()
     mms_cfg = SolverConfig(
         r_min=mms.r_min, R=mms.R, L_z=mms.L_z, n_r=17, n_z=16, dt=0.025,
@@ -352,14 +355,14 @@ def test_unrecorded_run_ends_in_the_recorded_runs_state():
     mms_start = state_from_dynamic(
         EllipticSolver(mms_cfg.grid), 0.0, bound["gamma"](0.0), bound["omega"](0.0)
     )
-    swirl_cfg = make_cfg(dt=None, cfl=0.4, amplitude=1.0, t_end=0.05)
+    swirl_cfg = make_cfg(amplitude=1.0, t_end=0.05)
     cases = [
         (swirl_cfg, make_initial_data(EllipticSolver(swirl_cfg.grid), swirl_cfg), None),
         (mms_cfg, mms_start, (bound["source_gamma"], bound["source_omega"])),
     ]
     for cfg, state, sources in cases:
-        recorded = run_simulation(cfg, state, sources)
-        bare = run_simulation(cfg, state, sources, records="none")
+        recorded = run_simulation(cfg, state, sources, records=True)
+        bare = run_simulation(cfg, state, sources, records=False)
         assert bare.status == recorded.status == "completed"
         assert bare.records == [] and math.isnan(bare.max_leakage)
         assert bare.final_state.t == recorded.final_state.t
@@ -416,9 +419,28 @@ def test_carried_spectra_match_spectra_rebuilt_each_step(case, small_solver):
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), name
 
 
-def test_run_simulation_rejects_an_unknown_records_value():
-    with pytest.raises(ValueError, match="records"):
-        run_config(make_cfg(), records="all")
+def test_run_simulation_needs_a_step(small_solver):
+    cfg = replace(make_cfg(), dt=None)
+    state = make_initial_data(small_solver, cfg)
+    for records in (True, False):
+        with pytest.raises(ValueError, match="dt"):
+            run_simulation(cfg, state, records=records)
+
+
+def test_an_output_interval_of_dt_records_every_step(small_solver):
+    # 8 steps of 2^-7 reach t_end = 2^-4 exactly: the run's records are
+    # those of a stepper stepped and recorded by hand, bit for bit
+    cfg = make_cfg(dt=0.0078125, t_end=0.0625, output_interval=0.0078125)
+    state = make_initial_data(small_solver, cfg)
+    stepper = Stepper(cfg, state)
+    records = [stepper.record()]
+    for _ in range(8):
+        stepper.step(cfg.dt)
+        records.append(stepper.record())
+    result = run_simulation(cfg, state, records=True)
+    assert result.records == records
+    for name in STATE_FIELDS:
+        assert np.array_equal(getattr(result.final_state, name), getattr(stepper.state, name))
 
 
 def test_final_state_callers_keep_no_ledger(ledger_calls, monkeypatch):
@@ -593,7 +615,8 @@ def test_step_without_velocity_is_two_crank_nicolson_half_steps(small_grid, smal
 
 
 def test_run_regression_anchor():
-    # frozen last-row diagnostics of a default and a monotone run
+    # frozen last-row diagnostics of a default and a monotone run; the
+    # monotone step is under its t = 0 CFL step of 8.2e-4
     expected = {
         "strang_cn": {
             "e_kin": 1.6720137853241563,
@@ -602,15 +625,15 @@ def test_run_regression_anchor():
             "margin_1_6": -0.47386805949038757,
         },
         "monotone": {
-            "e_kin": 1.6709478097973076,
-            "sup_gamma": 0.5238378729988968,
-            "l2_om": 0.3018183336846523,
-            "margin_1_6": -0.4740938754123568,
+            "e_kin": 1.6709475125975959,
+            "sup_gamma": 0.5238375622758645,
+            "l2_om": 0.3018178817238985,
+            "margin_1_6": -0.4740941861353891,
         },
     }
     for scheme, anchors in expected.items():
-        cfl = 0.9 if scheme == "monotone" else 0.4
-        cfg = make_cfg(amplitude=1.0, omega_amplitude=0.5, scheme=scheme, cfl=cfl)
+        cfl, dt = (0.9, 0.0008) if scheme == "monotone" else (0.4, 0.005)
+        cfg = make_cfg(amplitude=1.0, omega_amplitude=0.5, scheme=scheme, cfl=cfl, dt=dt)
         last = run_config(cfg).records[-1]
         assert last.t == pytest.approx(0.1)
         for key, val in anchors.items():

@@ -168,7 +168,7 @@ def test_dropped_vorticity_reaction_trips_the_no_swirl_closure(monkeypatch):
         n_z=128,
         dt=0.001,
         t_end=0.1,
-        output_interval=0.1,
+        output_interval=0.001,
         init_kind="no_swirl_bump",
         amplitude=1.0,
         omega_amplitude=20.0,
@@ -177,7 +177,7 @@ def test_dropped_vorticity_reaction_trips_the_no_swirl_closure(monkeypatch):
     )
 
     def closure():
-        records = run_config(cfg, records="every_step").records
+        records = run_config(cfg).records
         return vorticity_budgets_check(records).closure_residual_no_swirl
 
     assert closure() < 1e-3  # criterion 5's bound
