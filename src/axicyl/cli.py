@@ -12,7 +12,7 @@ Every command writes its CSV outputs plus a manifest.json (config echo,
 code version, seed, wall times, output list, exit status) into the
 output directory (--out, else $AXICYL_OUT, else the working directory).
 run writes diagnostics.csv and then final_state.axns, the checkpoint of
-its last state, completed or halted.
+its last state, completed or halted (a CFL excess included).
 A negative --seed is a config error for every command.
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files (semigroup's for a given BLAS build and thread
@@ -35,7 +35,7 @@ values (config.check_value) or non-finite (inf is allowed only as a
 Lebesgue exponent); the message names the key.
 sweep-eps runs its eps values in threads, one per value up to the CPU
 count; the error column of eps_sweep.csv and the manifest's
-extra.failures hold the exception of each failed run.
+extra.failures hold what halted each halted run.
 
 Exit codes: 0 success, 2 config error, 3 numerical halt, 4 I/O failure,
 1 unexpected error.
@@ -72,7 +72,7 @@ from .elliptic import (
     commutation_ladder,
     semigroup_experiment,
 )
-from .evolution import BlowupError, CFLError, picard_experiment, run_simulation
+from .evolution import BlowupError, picard_experiment, run_simulation
 from .fields import checkpoint_save, make_initial_data
 
 EXIT_OK = 0
@@ -423,13 +423,13 @@ def _run_command(args, heap_thresholds_set: bool) -> int:
     """Run args.command's COMMANDS entry and write one manifest whatever happens.
 
     A config key the command does not read, a negative --seed, no time.dt
-    where the command reads it (run, sweep-eps; checked before any step,
-    as a sweep records its runs' errors and exits 0), or a ConfigError
-    exits 2, a CFLError or BlowupError 3 (a halted run: status
-    halted_blowup) and an OSError 4; the message goes to stderr and to the
-    manifest's extra.error, next to the config echo (the file's own keys).
-    Any other exception propagates (exit 1, with its traceback) once its
-    type and message are in extra.error.
+    where the command reads it (run, sweep-eps; checked before any step),
+    or a ConfigError exits 2, a BlowupError 3 (a numerical halt, a step
+    past the CFL bound included: status halted_blowup) and an OSError 4;
+    the message goes to stderr and to the manifest's extra.error, next to
+    the config echo (the file's own keys).  Any other exception, one in a
+    sweep-eps run included, propagates (exit 1, with its traceback) once
+    its type and message are in extra.error.
     """
     command = COMMANDS[args.command]
     ctx = RunContext(args.command, _resolve_out(args), heap_thresholds_set)
@@ -458,7 +458,7 @@ def _run_command(args, heap_thresholds_set: bool) -> int:
         status = "completed"
     except ConfigError as exc:
         code, error = EXIT_CONFIG, f"config error: {exc}"
-    except (CFLError, BlowupError) as exc:
+    except BlowupError as exc:
         status, code, error = "halted_blowup", EXIT_NUMERICAL, f"numerical halt: {exc}"
     except OSError as exc:
         code, error = EXIT_IO, f"io failure: {exc}"

@@ -470,7 +470,7 @@ class EpsSummary:
     closure_6_2: float
     fitted_c_6_3: float
     max_leakage: float
-    error: str = ""  # "ExceptionType: message" of a failed run
+    error: str  # what halted the run (SimulationResult.halt), "" when it completed
 
 
 def _summarize_eps_run(eps: float, result) -> EpsSummary:
@@ -494,6 +494,7 @@ def _summarize_eps_run(eps: float, result) -> EpsSummary:
         vort.closure_residual_no_swirl,
         c63,
         result.max_leakage,
+        result.halt,
     )
 
 
@@ -505,8 +506,9 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
     template's radial spacing as the domain widens.  An eps that gives no
     valid grid, or initial data that cannot be built on its grid, is a
     ConfigError before any run starts; the initial states are built here,
-    one solver each, and each run steps its own.  A run that fails is
-    recorded with its exception and the sweep continues.  The runs are
+    one solver each, and each run steps its own.  A run that halts is
+    summarized up to the state it stopped at, with its halt reason, and the
+    sweep continues; any other exception ends the sweep.  The runs are
     independent and go in threads, one per eps up to the CPU count; numpy
     releases the GIL for much of each step, so the runs overlap.
     """
@@ -530,12 +532,7 @@ def eps_sweep(template, eps_list) -> list[EpsSummary]:
 
     def run_one(item):
         eps, cfg, state = item
-        try:
-            return _summarize_eps_run(eps, run_simulation(cfg, state, records=True))
-        except Exception as exc:  # one failed run must not end the sweep
-            nan = math.nan
-            error = f"{type(exc).__name__}: {exc}"
-            return EpsSummary(eps, "failed", nan, nan, nan, nan, nan, error)
+        return _summarize_eps_run(eps, run_simulation(cfg, state, records=True))
 
     workers = max(1, min(len(runs), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -39,12 +39,9 @@ from .fields import AxisymState, make_initial_data, state_from_dynamic, velocity
 from .grid import Grid, lp_norm, r_differences, square, z_differences
 
 
-class CFLError(RuntimeError):
-    """Requested dt exceeds the stability bound of the chosen scheme."""
-
-
 class BlowupError(RuntimeError):
-    """Fields left the finite range; the run must halt."""
+    """A step cannot be taken: its dt exceeds the scheme's CFL bound, or the
+    fields it makes leave the finite range.  The run must halt."""
 
 
 # A blowing-up run overflows, and numpy's warnings would only repeat what the
@@ -139,7 +136,7 @@ def _coupled_rates(grid: Grid, scheme: str, gamma, omega, ur, uz, gamma_feed):
 
 @_quiet_step
 def _strang_heun(
-    solver: EllipticSolver, gamma, omega, dt: float, tendency, scheme: str, spectra=None
+    solver: EllipticSolver, gamma, omega, dt: float, tendency, scheme: str, spectra
 ):
     """One Strang-split step of d_t Gamma = L1 Gamma + k_Gamma and
     d_t omega = L0' omega + k_omega.
@@ -230,8 +227,9 @@ class Stepper:
 
     Each step builds its state with state_from_dynamic, whose check of the
     four fields it keeps leaves their sup norms on the state (AxisymState.sup) for
-    the blow-up threshold, the records and the next step's CFL bound; a
-    non-finite field ends the step as BlowupError.
+    the blow-up threshold, the records and the next step's CFL bound.  A
+    dt past cfg.cfl * dt_bound() or a non-finite field ends the step as
+    BlowupError, on the state it started from.
     """
 
     def __init__(self, cfg: SolverConfig, state: AxisymState, sources=None):
@@ -293,7 +291,7 @@ class Stepper:
             raise ValueError(f"dt must be positive, got {dt}")
         bound = self.dt_bound()
         if dt > self.cfg.cfl * bound * (1 + 1e-9):
-            raise CFLError(
+            raise BlowupError(
                 f"dt = {dt:.3e} exceeds cfl * bound = {self.cfg.cfl * bound:.3e} "
                 f"({self.cfg.scheme})"
             )
@@ -400,15 +398,17 @@ def run_simulation(
 
     cfg gives the step, scheme and halt keys; its grid keys are not read,
     so the grid is the state's.  A cfg without dt is a ValueError.  Halts
-    with status "halted_blowup" when Gamma or omega exceeds the blow-up
-    threshold or a field goes non-finite; result.halt says which.
+    with status "halted_blowup" when a step exceeds the CFL bound or makes
+    a field non-finite, or Gamma or omega exceeds the blow-up threshold;
+    result.halt says which, and the run stops at the last state it made.
 
-    With records, t = 0, every output time and the last state are
-    recorded (output_interval = dt records every step), and a budget
-    ledger that opens with a non-finite E_kin or (1.11) bound halts the run
-    at t = 0.  Without, nothing is recorded, for a caller that reads only
-    the final state: the stepper keeps no ledger (result.max_leakage is
-    nan), and the steps, and so the final state, are the same bit for bit.
+    With records, t = 0, every output time and the final state are
+    recorded, each state once (output_interval = dt records every step),
+    and a budget ledger that opens with a non-finite E_kin or (1.11) bound
+    halts the run at t = 0.  Without, nothing is recorded, for a caller
+    that reads only the final state: the stepper keeps no ledger
+    (result.max_leakage is nan), and the steps, and so the final state,
+    are the same bit for bit.
     """
     if cfg.dt is None:
         raise ValueError("run_simulation needs a cfg with dt")
@@ -437,7 +437,6 @@ def run_simulation(
             stepper.step(min(cfg.dt, cfg.t_end - stepper.state.t))
         except BlowupError as exc:
             halt = str(exc)
-            emit()
             break
         sup = max(stepper.state.sup["Gamma"], stepper.state.sup["omega"])
         if sup > cfg.blowup_threshold:
@@ -445,13 +444,12 @@ def run_simulation(
                 f"max(sup|Gamma|, sup|omega|) = {sup:.6g} exceeds run.blowup_threshold "
                 f"= {cfg.blowup_threshold:.6g} at t = {stepper.state.t:.6g}"
             )
-            emit()
             break
         if stepper.state.t >= next_out - eps:
             emit()
             while next_out <= stepper.state.t + eps:
                 next_out += cfg.output_interval
-    if not halt and recorded and recorded[-1].t < cfg.t_end - eps:
+    if recorded and recorded[-1].t < stepper.state.t:
         emit()
     return SimulationResult(recorded, stepper.state, halt, stepper.max_leakage)
 
@@ -569,7 +567,7 @@ def picard_experiment(
     steps the same initial state to T with the step they took, on the same
     solver.  Returns the iteration, the L2 distance of the two velocities
     at T, and its tolerance 10 (h_r^2 + step^2) ||u_0||_2.  A direct run
-    that halts raises BlowupError.
+    that halts raises BlowupError with the run's halt reason.
     """
     grid = cfg.grid
     state0 = make_initial_data(EllipticSolver(grid), cfg)
@@ -577,9 +575,10 @@ def picard_experiment(
     dt = result.dt
     run_cfg = replace(cfg, dt=dt, t_end=T, output_interval=T)
     run = run_simulation(run_cfg, state0, records=False)
-    if run.status != "completed":
+    if run.halt:
         raise BlowupError(
-            f"picard's direct run to t = {T:.6g} halted at t = {run.final_state.t:.6g}"
+            f"picard's direct run to t = {T:.6g} halted at t = {run.final_state.t:.6g}: "
+            f"{run.halt}"
         )
     direct = run.final_state
     du = result.final_state

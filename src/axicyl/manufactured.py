@@ -218,7 +218,8 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
 
     The error is the relative L2 distance of (Gamma, omega) from the
     exact fields at t_end; consecutive-level ratios give the observed
-    space-time order.  A level whose run halts raises BlowupError.
+    space-time order.  A level whose run halts raises BlowupError with the
+    run's halt reason.
     """
     mms = build_mms()
     dt_base = 0.4 * (mms.R - mms.r_min) / n_base
@@ -246,8 +247,10 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
         sources = (bound["source_gamma"], bound["source_omega"])
         result = run_simulation(cfg, state0, sources, records=False)
         st = result.final_state
-        if result.status != "completed":
-            raise BlowupError(f"MMS level n = {n} halted at t = {st.t:.6g} of {t_end:.6g}")
+        if result.halt:
+            raise BlowupError(
+                f"MMS level n = {n} halted at t = {st.t:.6g} of {t_end:.6g}: {result.halt}"
+            )
         ref_g = bound["gamma"](t_end)
         ref_w = bound["omega"](t_end)
         scale_g = max(lp_norm(grid, ref_g, 2), 1e-300)

@@ -30,7 +30,6 @@ from axicyl.config import (
 )
 from axicyl.diagnostics import CSV_COLUMNS
 from axicyl.elliptic import DEFAULT_SEMIGROUP_CASES, HEAT_OPERATORS, OPERATORS, EllipticSolver
-from axicyl.evolution import CFLError
 from axicyl.grid import build_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -348,6 +347,39 @@ def test_cmd_run_blowup_exit_and_manifest(tmp_path):
     assert manifest["status"] == "halted_blowup"
     # the step the CFL bound of these velocities allows is under 1e-9
     assert manifest["extra"]["error"].startswith("numerical halt: dt = 5.000e-03 exceeds cfl")
+
+
+def _large_swirl_cfg(tmp_path, name, **keys):
+    """configs/smoke_large_swirl.cfg at 33x32 with the given keys replaced."""
+    mapping = load_config(ROOT / "configs" / "smoke_large_swirl.cfg")
+    mapping = {**mapping, "grid.n_r": "33", "grid.n_z": "32", **keys}
+    return write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in mapping.items()), name)
+
+
+def test_cmd_run_halted_on_the_cfl_bound_keeps_its_records_and_checkpoint(tmp_path):
+    # a step of 0.5 passes the CFL check at t = 0 (cfl * bound 0.930) and
+    # fails it at t = 0.5 (0.201): the run halts there, and writes its two
+    # rows and the checkpoint of the state it stopped at, which a run that
+    # ends at t = 0.5 completes with
+    steps = {"time.dt": "0.5", "time.output_interval": "0.5"}
+    out, done = tmp_path / "out", tmp_path / "done"
+    halting = _large_swirl_cfg(tmp_path, "halting.cfg", **steps)
+    assert main(["run", "--config", str(halting), "--out", str(out)]) == 3
+    complete = _large_swirl_cfg(tmp_path, "complete.cfg", **steps, **{"time.t_end": "0.5"})
+    assert main(["run", "--config", str(complete), "--out", str(done)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "halted_blowup"
+    assert manifest["outputs"] == [str(out / "diagnostics.csv"), str(out / "final_state.axns")]
+    error = manifest["extra"]["error"]
+    assert error.startswith("numerical halt: dt = 5.000e-01 exceeds cfl * bound = ")
+    assert error.endswith(" (strang_cn)")
+    assert (out / "diagnostics.csv").read_bytes() == (done / "diagnostics.csv").read_bytes()
+    with open(out / "diagnostics.csv", newline="") as fh:
+        assert [float(row["t"]) for row in csv.DictReader(fh)] == [0.0, 0.5]
+    final, ref = (fields.checkpoint_load(d / "final_state.axns") for d in (out, done))
+    assert final.t == ref.t == 0.5
+    for name in ("Gamma", "omega", "ur", "uz"):
+        assert np.array_equal(getattr(final, name), getattr(ref, name)), name
 
 
 @pytest.mark.parametrize("name", ["deviation_5_3", "boundary_leakage"])
@@ -729,7 +761,7 @@ def test_cmd_sweep_eps_completes_a_run_whose_budget_powers_overflow(tmp_path, am
     # the budget checks square the t = 0 record's norms: a float power past
     # the float range raised OverflowError, and the run read failed.  E_kin
     # overflows too, so the run halts at t = 0 (run_simulation), and its
-    # one record is summarized all the same
+    # one record is summarized all the same, with the halt's reason
     cfg = write_cfg(tmp_path, SMALL_RUNS["sweep-eps"] + f"init.amplitude = {amplitude}\n")
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -737,8 +769,11 @@ def test_cmd_sweep_eps_completes_a_run_whose_budget_powers_overflow(tmp_path, am
         assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "eps_sweep.csv", newline="") as fh:
         (row,) = list(csv.DictReader(fh))
-    assert (row["status"], row["error"]) == ("halted_blowup", "")
+    halt = "the budget ledger opens non-finite at t = 0: E_kin = inf, E_bound_1_11 = inf"
+    assert (row["status"], row["error"]) == ("halted_blowup", halt)
     assert float(row["sup_h1_proxy"]) == math.inf
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["extra"]["n_failed"], manifest["extra"]["failures"]) == (1, {"1": halt})
 
 
 def test_cmd_inequalities_counts_past_overflow_as_at_unit_amplitude(tmp_path):
@@ -798,26 +833,47 @@ def test_commands_without_a_seed_record_none_under_seed_flag(tmp_path, command, 
     assert json.loads((out / "manifest.json").read_text())["seed"] is None
 
 
-def test_cmd_sweep_eps_records_why_a_run_failed(tmp_path, monkeypatch):
+def test_cmd_sweep_eps_records_what_halted_a_run(tmp_path):
+    # a step of 0.92 passes the CFL check at eps = 1 (cfl * bound 0.930 at
+    # t = 0) and fails it at eps = 0.5 (0.912): that run halts at t = 0, the
+    # sweep goes on, and the halt's reason is in its row and the manifest
+    cfg = _large_swirl_cfg(tmp_path, "sweep.cfg", **{
+        "time.dt": "0.92", "time.t_end": "0.92", "time.output_interval": "0.92",
+        "sweep.eps": "1, 0.5",
+    })
+    out = tmp_path / "out"
+    assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "eps_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["completed", "halted_blowup"]
+    assert rows[0]["error"] == ""
+    halt = rows[1]["error"]
+    assert halt.startswith("dt = 9.200e-01 exceeds cfl * bound = ")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "completed"
+    assert manifest["extra"]["n_failed"] == 1
+    assert manifest["extra"]["failures"] == {"0.5": halt}
+
+
+def test_cmd_sweep_eps_unexpected_error_in_a_run_exits_1(tmp_path, monkeypatch):
+    # an exception that is not a numerical halt ends the sweep as it ends
+    # every other command: it propagates once the manifest names it
     real = evolution.run_simulation
-    message = "dt = 0.004 exceeds the bound, at eps 0.5"
 
     def failing_at_half(cfg, *args, **kwargs):
         if cfg.r_min == 0.5:
-            raise CFLError(message)
+            raise RuntimeError("boom at eps 0.5")
         return real(cfg, *args, **kwargs)
 
     monkeypatch.setattr(evolution, "run_simulation", failing_at_half)
     cfg = write_cfg(tmp_path, SWEEP_CFG)
     out = tmp_path / "out"
-    assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
-    with open(out / "eps_sweep.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["status"] for r in rows] == ["completed", "failed"]
-    assert [r["error"] for r in rows] == ["", f"CFLError: {message}"]
+    with pytest.raises(RuntimeError, match="boom at eps 0.5"):
+        main(["sweep-eps", "--config", str(cfg), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["extra"]["n_failed"] == 1
-    assert manifest["extra"]["failures"] == {"0.5": f"CFLError: {message}"}
+    assert manifest["status"] == "failed"
+    assert manifest["outputs"] == []
+    assert manifest["extra"]["error"] == "unexpected error: RuntimeError: boom at eps 0.5"
 
 
 def test_cmd_picard_small(tmp_path):
@@ -838,7 +894,8 @@ def test_cmd_picard_small(tmp_path):
 
 def test_cmd_picard_halted_direct_run_exits_3(tmp_path):
     # the direct run halts after one step at this threshold; its distance
-    # from the iterates (1.08 against a tolerance of 0.66) is not reported
+    # from the iterates (1.08 against a tolerance of 0.66) is not reported,
+    # and the error says what halted it
     text = (
         "grid.r_min = 1.0\ngrid.R = 3.0\ngrid.L_z = 2.0\ngrid.n_r = 17\ngrid.n_z = 16\n"
         "init.kind = swirl_bump\ninit.amplitude = 2.0\ninit.omega_amplitude = 1.5\n"
@@ -852,7 +909,8 @@ def test_cmd_picard_halted_direct_run_exits_3(tmp_path):
     assert manifest["status"] == "halted_blowup"
     manifest["extra"].pop("process")  # the process's own numbers, not a result
     assert manifest["extra"] == {
-        "error": "numerical halt: picard's direct run to t = 0.04 halted at t = 0.004"
+        "error": "numerical halt: picard's direct run to t = 0.04 halted at t = 0.004: "
+        "max(sup|Gamma|, sup|omega|) = 1.95684 exceeds run.blowup_threshold = 0.5 at t = 0.004"
     }
 
 

@@ -14,7 +14,6 @@ from axicyl.config import SCHEMES, SolverConfig
 from axicyl.elliptic import EllipticSolver
 from axicyl.evolution import (
     BlowupError,
-    CFLError,
     Stepper,
     _coupled_rates,
     picard_experiment,
@@ -150,7 +149,7 @@ def test_cfl_violation_raises(small_grid, small_solver):
     cfg = make_cfg(scheme="monotone")
     state = make_initial_data(small_solver, SolverConfig(amplitude=1.0))
     stepper = Stepper(cfg, state)
-    with pytest.raises(CFLError):
+    with pytest.raises(BlowupError, match="exceeds cfl"):
         stepper.step(1.0)
 
 
@@ -473,6 +472,44 @@ def test_the_ledger_cannot_open_after_a_step(small_solver):
     np.testing.assert_array_equal(opened.state.Gamma, stepper.state.Gamma)
 
 
+# configs/smoke_large_swirl.cfg's data at 33x32: a step of 0.5 passes the
+# CFL check at t = 0 (cfl * bound 0.930) and fails it at t = 0.5 (0.201)
+LARGE_SWIRL = dict(
+    R=4.5, amplitude=5.0, omega_amplitude=0.45, r_lo=1.1, r_hi=2.4, z_lo=0.4, z_hi=1.6
+)
+
+
+def _halting_run(kind):
+    """(cfg, sources, the halt's first words, the record times) of a run
+    that halts the given way."""
+    if kind == "cfl":
+        cfg = make_cfg(**LARGE_SWIRL, dt=0.5, t_end=2.0, output_interval=0.5)
+        return cfg, None, "dt = 5.000e-01 exceeds cfl * bound = ", [0.0, 0.5]
+    if kind == "non_finite":  # omega's source turns NaN past the output time 0.01
+        cfg = make_cfg(n_r=17, n_z=16, dt=0.005, output_interval=0.005)
+        zero, nan = np.zeros(cfg.grid.shape), np.full(cfg.grid.shape, np.nan)
+        sources = (lambda t: zero, lambda t: nan if t > 0.012 else zero)
+        return cfg, sources, "non-finite fields at t = 0.015: ", [0.0, 0.005, 0.01]
+    if kind == "threshold":  # sup|Gamma| = 0.5 is over it after the first step
+        cfg = make_cfg(n_r=17, n_z=16, output_interval=0.005, blowup_threshold=0.1)
+        return cfg, None, "max(sup|Gamma|, sup|omega|) = ", [0.0, 0.005]
+    cfg = make_cfg(n_r=17, n_z=16, amplitude=1e300)  # the ledger opens with E_kin = inf
+    return cfg, None, "the budget ledger opens non-finite at t = 0: E_kin = inf", [0.0]
+
+
+@pytest.mark.parametrize("kind", ["cfl", "non_finite", "threshold", "ledger"])
+def test_every_halt_records_the_state_it_stops_at_once(kind):
+    # every halt, a CFL excess included, ends the records with the final
+    # state, recorded once even when the halt comes right after an output
+    cfg, sources, halt, times = _halting_run(kind)
+    state = make_initial_data(EllipticSolver(cfg.grid), cfg)
+    result = run_simulation(cfg, state, sources, records=True)
+    assert result.status == "halted_blowup"
+    assert result.halt.startswith(halt)
+    assert [r.t for r in result.records] == times
+    assert result.final_state.t == times[-1]
+
+
 def test_final_state_callers_raise_on_a_halted_run(monkeypatch):
     real = evolution.run_simulation
 
@@ -483,9 +520,10 @@ def test_final_state_callers_raise_on_a_halted_run(monkeypatch):
 
     monkeypatch.setattr(evolution, "run_simulation", halting)
     monkeypatch.setattr(manufactured, "run_simulation", halting)
-    with pytest.raises(BlowupError, match="MMS level n = 16 halted"):
+    # each message carries the run's halt reason
+    with pytest.raises(BlowupError, match="MMS level n = 16 halted .*: halted for the test$"):
         mms_convergence_study(levels=2, n_base=16, t_end=0.0625)
-    with pytest.raises(BlowupError, match="direct run"):
+    with pytest.raises(BlowupError, match="direct run .*: halted for the test$"):
         picard_experiment(make_cfg(n_r=17, n_z=16), T=0.02, j_max=2, p=6.0, dt=0.01)
 
 
