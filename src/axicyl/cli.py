@@ -14,6 +14,9 @@ output directory (--out, else $AXICYL_OUT, else the working directory).
 run writes diagnostics.csv and then final_state.axns, the checkpoint of
 its last state, completed or halted (a CFL excess included).
 A negative --seed is a config error for every command.
+Each CSV's header is its row type's field names (RunContext.write_rows;
+run's diagnostics.csv leaves out DiagnosticsRecord.h1), and a field that
+is None is an empty cell; only picard.csv spells its header out.
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files (semigroup's for a given BLAS build and thread
 count: its modal transforms are dense products).
@@ -63,12 +66,15 @@ import numpy as np
 
 from . import __version__
 from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, check_value, load_config
-from .diagnostics import CSV_COLUMNS, EpsSummary, eps_sweep, inequality_batch, sigma_exponent
+from .diagnostics import CSV_COLUMNS, EpsSummary, InequalityReport, eps_sweep
+from .diagnostics import inequality_batch, sigma_exponent
 from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
     HEAT_OPERATORS,
+    CommutationLevel,
     EllipticSolver,
     FitWindowError,
+    SemigroupCase,
     commutation_ladder,
     semigroup_experiment,
 )
@@ -131,6 +137,9 @@ PICARD_MAX_STEPS = 10_000
 
 
 def _fmt(x) -> str:
+    """A CSV cell; None, a value the row lacks, is an empty one."""
+    if x is None:
+        return ""
     return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
@@ -190,6 +199,11 @@ class RunContext:
     def write_csv(self, name: str, header: tuple[str, ...], rows) -> None:
         write_csv(self.add_output(name), header, rows)
 
+    def write_rows(self, name: str, row_type, rows) -> None:
+        """rows, instances of the dataclass row_type, one column per field."""
+        columns = tuple(f.name for f in dataclasses.fields(row_type))
+        self.write_csv(name, columns, ([getattr(r, c) for c in columns] for r in rows))
+
     def finish(self, status: str) -> None:
         usage = resource.getrusage(resource.RUSAGE_SELF)
         self.extra["process"] = {
@@ -234,27 +248,13 @@ def cmd_run(cfg, s, ctx):
 
 
 def cmd_mms(cfg, s, ctx):
-    from .manufactured import mms_convergence_study
+    from .manufactured import MMSLevel, NoOrderError, mms_convergence_study
 
-    results = mms_convergence_study(s.levels, s.n_base, s.t_end)
-    rows = [
-        (
-            i,
-            lv.n,
-            lv.h,
-            lv.dt,
-            lv.err_gamma,
-            lv.err_omega,
-            lv.err_combined,
-            "" if math.isnan(lv.order) else _fmt(lv.order),
-        )
-        for i, lv in enumerate(results)
-    ]
-    ctx.write_csv(
-        "mms_orders.csv",
-        ("level", "n", "h", "dt", "err_gamma_l2", "err_omega_l2", "err_combined", "observed_order"),
-        rows,
-    )
+    try:
+        levels = mms_convergence_study(s.levels, s.n_base, s.t_end)
+    except NoOrderError as exc:
+        raise ConfigError(f"mms.t_end = {s.t_end}: {exc}") from exc
+    ctx.write_rows("mms_orders.csv", MMSLevel, levels)
     return EXIT_OK
 
 
@@ -264,20 +264,9 @@ def cmd_semigroup(cfg, s, ctx):
         results = semigroup_experiment(s.n, s.dt, s.cases, perf)
     except FitWindowError as exc:
         raise ConfigError(f"semigroup.n = {s.n} with semigroup.dt = {s.dt}: {exc}") from exc
-    ctx.write_csv(
-        "semigroup_fits.csv",
-        ("op", "p", "k", "target_exponent", "fitted_exponent", "stderr", "prefactor"),
-        ((r.op, r.p, r.k, r.target, r.fitted, r.stderr, r.prefactor) for r in results),
-    )
-    comm_rows = []
-    prev = None
-    for lvl, (nc, dt_c, dev) in enumerate(commutation_ladder(perf)):
-        comm_rows.append((lvl, nc, dt_c, dev, "" if prev is None else _fmt(prev / dev)))
-        prev = dev
-    ctx.write_csv(
-        "commutation.csv", ("level", "n", "dt", "deviation", "reduction_ratio"), comm_rows
-    )
-    ctx.extra["max_abs_error"] = max(abs(r.fitted - r.target) for r in results)
+    ctx.write_rows("semigroup_fits.csv", SemigroupCase, results)
+    ctx.write_rows("commutation.csv", CommutationLevel, commutation_ladder(perf))
+    ctx.extra["max_abs_error"] = max(abs(r.fitted_exponent - r.target_exponent) for r in results)
     ctx.extra["perf"] = dict(perf)
     return EXIT_OK
 
@@ -308,12 +297,7 @@ def cmd_picard(cfg, s, ctx):
 
 def cmd_sweep_eps(cfg, s, ctx):
     summaries = eps_sweep(cfg, s.eps)
-    ctx.write_csv(
-        "eps_sweep.csv",
-        tuple(f.name for f in dataclasses.fields(EpsSummary)),
-        map(dataclasses.astuple, summaries),
-    )
-    ctx.extra["n_failed"] = sum(1 for r in summaries if r.status != "completed")
+    ctx.write_rows("eps_sweep.csv", EpsSummary, summaries)
     ctx.extra["failures"] = {_fmt(r.eps): r.error for r in summaries if r.error}
     return EXIT_OK
 
@@ -331,36 +315,15 @@ def cmd_inequalities(cfg, s, ctx):
 
     half = max(1, s.samples // 2)
     full = batch(cfg.seed, s.samples)
-    a = {r.inequality: r for r in batch(cfg.seed, half)}
-    b = {r.inequality: r for r in batch(cfg.seed + half, half)}
-    rows = []
-    for rep in full:
-        rows.append(
-            (
-                rep.inequality,
-                rep.n_samples,
-                rep.n_violations,
-                rep.max_ratio,
-                rep.tolerance,
-                int(rep.constant_free),
-                a[rep.inequality].max_ratio if rep.inequality in a else math.nan,
-                b[rep.inequality].max_ratio if rep.inequality in b else math.nan,
-            )
+    a = {r.inequality: r.max_ratio for r in batch(cfg.seed, half)}
+    b = {r.inequality: r.max_ratio for r in batch(cfg.seed + half, half)}
+    rows = [
+        dataclasses.replace(
+            r, batch1_c=a.get(r.inequality, math.nan), batch2_c=b.get(r.inequality, math.nan)
         )
-    ctx.write_csv(
-        "inequalities.csv",
-        (
-            "inequality",
-            "n_samples",
-            "n_violations",
-            "max_ratio",
-            "tolerance",
-            "constant_free",
-            "batch1_c",
-            "batch2_c",
-        ),
-        rows,
-    )
+        for r in full
+    ]
+    ctx.write_rows("inequalities.csv", InequalityReport, rows)
     ctx.extra["total_violations"] = sum(r.n_violations for r in full if r.constant_free)
     ctx.extra["perf"] = dict(solver.counts)
     return EXIT_OK

@@ -6,13 +6,17 @@ The config format is plain text, one `dotted.key = value` per line, with
     grid.n_r = 129
     time.t_end = 1.0
     scheme = monotone
+
+Each solver key is declared once, as the SolverConfig field it sets, with
+its parser, default and allowed values; SOLVER_KEYS maps each key to that
+field.  The experiment keys live in cli.COMMANDS.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .grid import Grid, GridError, build_grid
@@ -63,32 +67,6 @@ SCHEMES = ("strang_cn", "monotone")
 INIT_KINDS = ("no_swirl_bump", "swirl_bump", "random_modes")
 
 
-# config key -> (SolverConfig field, parser, allowed values): None, a tuple
-# of choices, or a range in check_value's notation
-SOLVER_KEYS = {
-    "grid.r_min": ("r_min", float, None),
-    "grid.R": ("R", float, None),
-    "grid.L_z": ("L_z", float, None),
-    "grid.n_r": ("n_r", int, None),
-    "grid.n_z": ("n_z", int, None),
-    "time.dt": ("dt", float, "> 0"),
-    "time.cfl": ("cfl", float, "> 0, <= 1"),
-    "time.t_end": ("t_end", float, ">= 0"),
-    "time.output_interval": ("output_interval", float, "> 0"),
-    "scheme": ("scheme", str, SCHEMES),
-    "init.kind": ("init_kind", str, INIT_KINDS),
-    "init.amplitude": ("amplitude", float, None),
-    "init.omega_amplitude": ("omega_amplitude", float, None),
-    "init.r_lo": ("r_lo", float, None),
-    "init.r_hi": ("r_hi", float, None),
-    "init.z_lo": ("z_lo", float, None),
-    "init.z_hi": ("z_hi", float, None),
-    "init.z_mode": ("z_mode", int, None),
-    "init.n_modes": ("n_modes", int, ">= 1"),
-    "init.seed": ("seed", int, ">= 0"),
-    "run.blowup_threshold": ("blowup_threshold", float, None),
-}
-
 _RELATIONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
@@ -109,40 +87,53 @@ def check_value(key: str, value, allowed) -> None:
                 raise ConfigError(f"{key} must be {allowed}, got {value}")
 
 
+def _key(key: str, parser, default, allowed):
+    """The SolverConfig field of a config key, with its default.
+
+    Its metadata holds the key, the parser of the key's text and the
+    allowed values: None, a tuple of choices, or a range in check_value's
+    notation.
+    """
+    return field(default=default, metadata={"key": key, "parser": parser, "allowed": allowed})
+
+
 @dataclass
 class SolverConfig:
     """Grid, stepping, scheme, and initial-data parameters of one run.
 
-    grid is the Grid of the five grid keys, built once at construction (and
-    again by dataclasses.replace); a key build_grid rejects is a
-    ConfigError naming it.
+    Each field but grid is one solver key, declared once here with its
+    default, parser and allowed values (_key); SOLVER_KEYS indexes them by
+    key.  grid is the Grid of the five grid keys, built once at
+    construction (and again by dataclasses.replace); a key build_grid
+    rejects is a ConfigError naming it.
     """
 
-    r_min: float = 1.0
-    R: float = 3.0
-    L_z: float = 2.0
-    n_r: int = 129
-    n_z: int = 128
+    r_min: float = _key("grid.r_min", float, 1.0, None)
+    R: float = _key("grid.R", float, 3.0, None)
+    L_z: float = _key("grid.L_z", float, 2.0, None)
+    n_r: int = _key("grid.n_r", int, 129, None)
+    n_z: int = _key("grid.n_z", int, 128, None)
 
-    dt: float | None = None  # None: time.dt absent, which run_simulation rejects
-    cfl: float = 0.4
-    t_end: float = 1.0
-    output_interval: float = 0.05
+    # None: time.dt absent, which run_simulation rejects
+    dt: float | None = _key("time.dt", float, None, "> 0")
+    cfl: float = _key("time.cfl", float, 0.4, "> 0, <= 1")
+    t_end: float = _key("time.t_end", float, 1.0, ">= 0")
+    output_interval: float = _key("time.output_interval", float, 0.05, "> 0")
 
-    scheme: str = "strang_cn"
+    scheme: str = _key("scheme", str, "strang_cn", SCHEMES)
 
-    init_kind: str = "swirl_bump"
-    amplitude: float = 1.0
-    omega_amplitude: float | None = None
-    r_lo: float | None = None
-    r_hi: float | None = None
-    z_lo: float | None = None
-    z_hi: float | None = None
-    z_mode: int = 1
-    n_modes: int = 4
-    seed: int = 0
+    init_kind: str = _key("init.kind", str, "swirl_bump", INIT_KINDS)
+    amplitude: float = _key("init.amplitude", float, 1.0, None)
+    omega_amplitude: float | None = _key("init.omega_amplitude", float, None, None)
+    r_lo: float | None = _key("init.r_lo", float, None, None)
+    r_hi: float | None = _key("init.r_hi", float, None, None)
+    z_lo: float | None = _key("init.z_lo", float, None, None)
+    z_hi: float | None = _key("init.z_hi", float, None, None)
+    z_mode: int = _key("init.z_mode", int, 1, None)
+    n_modes: int = _key("init.n_modes", int, 4, ">= 1")
+    seed: int = _key("init.seed", int, 0, ">= 0")
 
-    blowup_threshold: float = 1e12
+    blowup_threshold: float = _key("run.blowup_threshold", float, 1e12, None)
 
     grid: Grid = field(init=False, repr=False, compare=False)
 
@@ -151,18 +142,21 @@ class SolverConfig:
             self.grid = build_grid(self.r_min, self.R, self.L_z, self.n_r, self.n_z)
         except GridError as exc:
             raise ConfigError(f"grid.{exc.param} {exc.message}") from exc
-        for key, (name, _, allowed) in SOLVER_KEYS.items():
-            val = getattr(self, name)
+        for key, f in SOLVER_KEYS.items():
+            val = getattr(self, f.name)
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"{key} must be finite, got {val}")
-            check_value(key, val, allowed)
+            check_value(key, val, f.metadata["allowed"])
 
     @classmethod
     def from_mapping(cls, m: dict[str, str]) -> "SolverConfig":
         """The config the SOLVER_KEYS present in m give; absent keys keep the defaults."""
-        fields = {
-            name: _get(m, key, None, cast)
-            for key, (name, cast, _) in SOLVER_KEYS.items()
+        return cls(**{
+            f.name: _get(m, key, None, f.metadata["parser"])
+            for key, f in SOLVER_KEYS.items()
             if key in m
-        }
-        return cls(**fields)
+        })
+
+
+# config key -> its SolverConfig field
+SOLVER_KEYS = {f.metadata["key"]: f for f in fields(SolverConfig) if "key" in f.metadata}

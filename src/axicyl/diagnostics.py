@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -126,27 +126,6 @@ def boundary_leakage(state: AxisymState) -> float:
 
 # -- per-time record ----------------------------------------------------------
 
-CSV_COLUMNS = (
-    "t",
-    "E_kin",
-    "diss_v",
-    "diss_uth",
-    "diss_swirl_weight",
-    "bdry_flux",
-    "budget_residual_1_5",
-    "sup_Gamma",
-    "l4_uth",
-    "l2_om_over_r",
-    "l2_om",
-    "E_bound_1_11",
-    "lhs_1_11",
-    "lhs_1_12",
-    "margin_1_6",
-    "margin_1_7",
-    "dev_5_3",
-)
-
-
 @dataclass
 class DiagnosticsRecord:
     """All norms and budget terms at one output time.
@@ -157,17 +136,17 @@ class DiagnosticsRecord:
     """
 
     t: float
-    e_kin: float
+    E_kin: float
     diss_v: float
     diss_uth: float
     diss_swirl_weight: float
     bdry_flux: float
     budget_residual_1_5: float
-    sup_gamma: float
+    sup_Gamma: float
     l4_uth: float
     l2_om_over_r: float
     l2_om: float
-    e_bound_1_11: float
+    E_bound_1_11: float
     lhs_1_11: float
     lhs_1_12: float
     margin_1_6: float
@@ -176,7 +155,11 @@ class DiagnosticsRecord:
     h1: float  # (||u||_2^2 + ||grad v||_2^2 + ||grad u_th||_2^2)^(1/2); not a CSV column
 
     def csv_row(self) -> tuple[float, ...]:
-        return tuple(getattr(self, c.lower()) for c in CSV_COLUMNS)
+        return tuple(getattr(self, c) for c in CSV_COLUMNS)
+
+
+# diagnostics.csv's columns: the record's fields but h1, which eps_sweep reads
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "h1")
 
 
 def deviation_5_3(grad_v_sq: float, l2_om: float) -> float:
@@ -277,10 +260,10 @@ def vorticity_budgets_check(records: list[DiagnosticsRecord]) -> VorticityBudget
     if not records:
         raise ValueError("empty record series")
     first = records[0]
-    e_bound = first.e_bound_1_11
-    max_viol = max((r.lhs_1_11 - r.e_bound_1_11) / max(r.e_bound_1_11, 1e-300) for r in records)
+    e_bound = first.E_bound_1_11
+    max_viol = max((r.lhs_1_11 - r.E_bound_1_11) / max(r.E_bound_1_11, 1e-300) for r in records)
 
-    no_swirl = first.sup_gamma == 0.0
+    no_swirl = first.sup_Gamma == 0.0
     closure = math.nan
     if no_swirl:
         base = square(first.l2_om_over_r)
@@ -292,8 +275,8 @@ def vorticity_budgets_check(records: list[DiagnosticsRecord]) -> VorticityBudget
             )
 
     l2_om0_sq = square(first.l2_om)
-    sup_gamma0 = first.sup_gamma
-    l2_u0 = math.sqrt(first.e_kin)
+    sup_gamma0 = first.sup_Gamma
+    l2_u0 = math.sqrt(first.E_kin)
     # a float power past the float range raises (grid.square); e_bound**0.75 cannot get there
     denom = (e_bound**0.75 * math.sqrt(l2_u0) + square(sup_gamma0)) * square(l2_u0)
     fitted_c = 0.0
@@ -333,7 +316,11 @@ class InequalityReport:
     n_violations: int
     max_ratio: float  # fitted constant for constant-bearing inequalities
     tolerance: float
-    constant_free: bool
+    constant_free: int  # 0 or 1, as inequalities.csv writes it
+    # max_ratio over two disjoint sample batches (cmd_inequalities); nan
+    # where not filled, or where a batch has no sample of this inequality
+    batch1_c: float
+    batch2_c: float
 
 
 def sigma_exponent(q: float, p: float) -> float:
@@ -434,7 +421,9 @@ def interpolation_suite(
         else:
             violations = 0
         reports.append(
-            InequalityReport(key, len(vals), violations, max(vals), tol_k, constant_free)
+            InequalityReport(
+                key, len(vals), violations, max(vals), tol_k, int(constant_free), math.nan, math.nan
+            )
         )
     return sorted(reports, key=lambda r: r.inequality)
 
@@ -478,7 +467,7 @@ def _summarize_eps_run(eps: float, result) -> EpsSummary:
     sup_h1 = max(r_.h1 for r_ in recs)
     vort = vorticity_budgets_check(recs)
     first = recs[0]
-    l2_u0 = math.sqrt(first.e_kin)
+    l2_u0 = math.sqrt(first.E_kin)
     try:
         denom = first.l2_om_over_r**1.5 * l2_u0**2.5
     except OverflowError:  # a power past the float range; a product of floats would read inf

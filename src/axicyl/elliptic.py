@@ -759,8 +759,8 @@ class SemigroupCase:
     op: str
     p: float
     k: int
-    target: float
-    fitted: float
+    target_exponent: float
+    fitted_exponent: float
     stderr: float
     prefactor: float
 
@@ -831,8 +831,20 @@ def commutation_check(solver: EllipticSolver, gamma0: np.ndarray, t: float, dt: 
     return float(np.max(np.abs(grid.rcol * small - big)))
 
 
-def commutation_ladder(counts: Counter) -> list[tuple[int, float, float]]:
-    """(n, dt, commutation_check deviation) at t = 0.05 on a joint (h, dt)
+@dataclass
+class CommutationLevel:
+    """One rung of commutation_ladder: reduction_ratio is the previous
+    rung's deviation over this one's, None on level 0."""
+
+    level: int
+    n: int
+    dt: float
+    deviation: float
+    reduction_ratio: float | None
+
+
+def commutation_ladder(counts: Counter) -> list[CommutationLevel]:
+    """commutation_check's deviation at t = 0.05 on a joint (h, dt)
     refinement ladder.
 
     The data is the compact bump 1.4 < r < 2.5 times 1 + 0.3 sin(2 pi z / L_z)
@@ -843,13 +855,15 @@ def commutation_ladder(counts: Counter) -> list[tuple[int, float, float]]:
     from .fields import bump_profile
 
     t = 0.05
-    out = []
-    for n, steps in ((65, 16), (129, 32), (257, 64)):
+    out: list[CommutationLevel] = []
+    for level, (n, steps) in enumerate(((65, 16), (129, 32), (257, 64))):
         grid = build_grid(1.0, 3.0, 2.0, n, n - 1)
         solver = EllipticSolver(grid)
         gamma = bump_profile(grid.r, 1.4, 2.5)[:, None] * (
             1 + 0.3 * np.sin(2 * np.pi * grid.z / grid.L_z)[None, :]
         )
-        out.append((n, t / steps, commutation_check(solver, gamma, t, t / steps)))
+        dev = commutation_check(solver, gamma, t, t / steps)
+        ratio = out[-1].deviation / dev if out else None
+        out.append(CommutationLevel(level, n, t / steps, dev, ratio))
         counts.update(solver.counts)
     return out

@@ -369,17 +369,17 @@ class Stepper:
         margin_1_7 = l4_uth - math.sqrt(self.sup_gamma0) * math.sqrt(self.l2_u0)
         return DiagnosticsRecord(
             t=st.t,
-            e_kin=e_kin,
+            E_kin=e_kin,
             diss_v=acc.diss_v,
             diss_uth=acc.diss_uth,
             diss_swirl_weight=acc.diss_sw,
             bdry_flux=acc.flux,
             budget_residual_1_5=residual,
-            sup_gamma=sup_gamma,
+            sup_Gamma=sup_gamma,
             l4_uth=l4_uth,
             l2_om_over_r=l2_q,
             l2_om=l2_om,
-            e_bound_1_11=self.e_bound,
+            E_bound_1_11=self.e_bound,
             lhs_1_11=lhs_1_11,
             lhs_1_12=lhs_1_12,
             margin_1_6=margin_1_6,
@@ -427,7 +427,7 @@ def run_simulation(
         first = recorded[0]
         bad = ", ".join(
             f"{name} = {value}"
-            for name, value in (("E_kin", first.e_kin), ("E_bound_1_11", first.e_bound_1_11))
+            for name, value in (("E_kin", first.E_kin), ("E_bound_1_11", first.E_bound_1_11))
             if not math.isfinite(value)
         )
         if bad:

@@ -201,13 +201,18 @@ def build_mms() -> ManufacturedSolution:
 
 @dataclass
 class MMSLevel:
+    level: int
     n: int
     h: float
     dt: float
-    err_gamma: float
-    err_omega: float
+    err_gamma_l2: float
+    err_omega_l2: float
     err_combined: float
-    order: float  # nan on the first level
+    observed_order: float | None  # None on level 0
+
+
+class NoOrderError(ValueError):
+    """A level's error, or the one before it, is exactly 0: no order is observable."""
 
 
 def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLevel]:
@@ -219,7 +224,8 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
     The error is the relative L2 distance of (Gamma, omega) from the
     exact fields at t_end; consecutive-level ratios give the observed
     space-time order.  A level whose run halts raises BlowupError with the
-    run's halt reason.
+    run's halt reason, and an error of exactly 0 next to another level
+    NoOrderError.
     """
     mms = build_mms()
     dt_base = 0.4 * (mms.R - mms.r_min) / n_base
@@ -258,6 +264,14 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
         err_g = lp_norm(grid, st.Gamma - ref_g, 2) / scale_g
         err_w = lp_norm(grid, st.omega - ref_w, 2) / scale_w
         err = math.hypot(err_g, err_w)
-        order = math.nan if not out else math.log2(out[-1].err_combined / err)
-        out.append(MMSLevel(n, grid.h_r, dt, err_g, err_w, err, order))
+        order = None
+        if out:
+            prev = out[-1].err_combined
+            if err == 0.0 or prev == 0.0:
+                raise NoOrderError(
+                    f"error {err!r} at level {lvl} (n = {n}) after {prev!r} at level "
+                    f"{lvl - 1}: no order can be observed"
+                )
+            order = math.log2(prev / err)
+        out.append(MMSLevel(lvl, n, grid.h_r, dt, err_g, err_w, err, order))
     return out

@@ -61,7 +61,7 @@ def read_manifest(out_dir: Path) -> dict:
 def read_records(path: Path) -> list[DiagnosticsRecord]:
     """The records of a diagnostics.csv (17 significant digits parse back exactly)."""
     return [
-        DiagnosticsRecord(h1=math.nan, **{col.lower(): float(v) for col, v in row.items()})
+        DiagnosticsRecord(h1=math.nan, **{col: float(v) for col, v in row.items()})
         for row in read_csv(path)
     ]
 
@@ -148,10 +148,10 @@ def test_criterion_2_energy_equality(swirl_records_129, swirl_run_257):
 def test_criterion_3_swirl_maximum_principle(cli_runs, swirl_records_129):
     # monotone scheme: exact discrete maximum principle, every step
     mono = read_records(cli_runs[0] / "monotone_max_principle" / "diagnostics.csv")
-    sup0 = mono[0].sup_gamma
+    sup0 = mono[0].sup_Gamma
     mono_margin = max(r.margin_1_6 for r in mono)
     # default centered scheme at 128^2
-    sup0_d = swirl_records_129[0].sup_gamma
+    sup0_d = swirl_records_129[0].sup_Gamma
     default_margin = max(r.margin_1_6 for r in swirl_records_129)
     ok = mono_margin <= 1e-12 * sup0 and default_margin <= 1e-6 * sup0_d
     check(
@@ -164,7 +164,7 @@ def test_criterion_3_swirl_maximum_principle(cli_runs, swirl_records_129):
 
 def test_criterion_4_l4_swirl_bound(swirl_records_129):
     first = swirl_records_129[0]
-    bound_scale = math.sqrt(first.sup_gamma * math.sqrt(first.e_kin))
+    bound_scale = math.sqrt(first.sup_Gamma * math.sqrt(first.E_kin))
     margin = max(r.margin_1_7 for r in swirl_records_129)
     ok = margin <= 1e-8 * bound_scale
     check(4, ok, f"L4 bound margin {margin:.3e} <= 0 at every output (tol 1e-8 relative)")
@@ -341,8 +341,8 @@ def test_criterion_12_global_regularity_smoke(cli_runs):
     out = cli_runs[0] / "smoke_large_swirl"
     status = read_manifest(out)["status"]
     recs = read_records(out / "diagnostics.csv")
-    sup0 = recs[0].sup_gamma
-    e0 = recs[0].e_kin
+    sup0 = recs[0].sup_Gamma
+    e0 = recs[0].E_kin
     r15 = energy_budget_check(recs)
     m16 = max(r.margin_1_6 for r in recs)
     m17 = max(r.margin_1_7 for r in recs)

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from axicyl.config import (
     load_config,
     parse_config_text,
 )
-from axicyl.diagnostics import CSV_COLUMNS
+from axicyl.diagnostics import CSV_COLUMNS, EpsSummary
 from axicyl.elliptic import DEFAULT_SEMIGROUP_CASES, HEAT_OPERATORS, OPERATORS, EllipticSolver
 from axicyl.grid import build_grid
 
@@ -57,6 +58,24 @@ SWEEP_CFG = (
     "init.kind = no_swirl_bump\ninit.r_lo = 1.3\ninit.r_hi = 2.4\n"
     "sweep.eps = 1,0.5\n"
 )
+
+
+# the header line of every CSV the commands write, spelled out: the headers
+# are the row types' field names, and perfbench's checks and the acceptance
+# gate read these columns by name, so a renamed field must fail here
+HEADERS = {
+    "diagnostics.csv": "t,E_kin,diss_v,diss_uth,diss_swirl_weight,bdry_flux,budget_residual_1_5,"
+    "sup_Gamma,l4_uth,l2_om_over_r,l2_om,E_bound_1_11,lhs_1_11,lhs_1_12,margin_1_6,margin_1_7,"
+    "dev_5_3",
+    "mms_orders.csv": "level,n,h,dt,err_gamma_l2,err_omega_l2,err_combined,observed_order",
+    "semigroup_fits.csv": "op,p,k,target_exponent,fitted_exponent,stderr,prefactor",
+    "commutation.csv": "level,n,dt,deviation,reduction_ratio",
+    "picard.csv": "j,K_j,delta_j,delta_ratio",
+    "eps_sweep.csv": "eps,status,sup_h1_proxy,res_energy_6_1,closure_6_2,fitted_c_6_3,"
+    "max_leakage,error",
+    "inequalities.csv": "inequality,n_samples,n_violations,max_ratio,tolerance,constant_free,"
+    "batch1_c,batch2_c",
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -115,7 +134,9 @@ _FLOATS = st.one_of(
     st.floats(0.01, 3.0),  # values a run could use, to reach the initial data
 ).map(repr)
 _CHOICES = {
-    key: allowed for key, (_, _, allowed) in SOLVER_KEYS.items() if isinstance(allowed, tuple)
+    key: f.metadata["allowed"]
+    for key, f in SOLVER_KEYS.items()
+    if isinstance(f.metadata["allowed"], tuple)
 }
 
 
@@ -131,8 +152,8 @@ def _value_strategy(key, cast):
 
 
 _DRAWN_KEYS = {
-    key: _value_strategy(key, cast)
-    for key, (_, cast, _) in SOLVER_KEYS.items()
+    key: _value_strategy(key, f.metadata["parser"])
+    for key, f in SOLVER_KEYS.items()
     if not key.startswith("grid.")
 }
 
@@ -166,7 +187,7 @@ def test_cmd_run_outputs(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     csv = (out / "diagnostics.csv").read_text().splitlines()
-    assert csv[0] == ",".join(CSV_COLUMNS)
+    assert csv[0] == HEADERS["diagnostics.csv"]
     assert len(csv) >= 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "completed"
@@ -419,8 +440,23 @@ def test_cmd_mms_single_level_empty_order(tmp_path):
     out = tmp_path / "out"
     assert main(["mms", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "mms_orders.csv").read_text().splitlines()
+    assert rows[0] == HEADERS["mms_orders.csv"]
     assert len(rows) == 2
     assert rows[1].endswith(",")  # empty observed_order column
+
+
+def test_cmd_mms_zero_error_exits_2_naming_t_end(tmp_path):
+    # at t_end = 1e-20 both levels reproduce the exact fields to the bit:
+    # log2(0 / 0) has no order to observe, and the ratio raised
+    # ZeroDivisionError (exit 1, with a traceback)
+    cfg = write_cfg(tmp_path, "mms.levels = 2\nmms.n_base = 8\nmms.t_end = 1e-20\n")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    error = manifest["extra"]["error"]
+    assert error.startswith("config error: mms.t_end = 1e-20: error 0.0 at level 1 (n = 16)")
+    assert error.endswith("no order can be observed")
+    assert manifest["outputs"] == []
 
 
 def test_cmd_mms_bad_levels_keeps_config_echo(tmp_path):
@@ -658,6 +694,19 @@ def test_readme_config_table_names_every_key():
     assert sorted(listed) == sorted(set().union(*(c.config_keys for c in cli.COMMANDS.values())))
 
 
+def test_readme_csv_column_lists_are_the_row_types_fields():
+    # the README's `run` CSV columns section and its eps_sweep.csv list
+    text = (ROOT / "README.md").read_text()
+
+    def listed(block):
+        return [name.strip(" `\n") for name in block.split(",")]
+
+    run = text.split("### `run` CSV columns", 1)[1].split("\n\n", 2)[1]
+    assert listed(run) == list(CSV_COLUMNS)
+    eps = text.split("`diagnostics.EpsSummary` as its columns: ", 1)[1].split("`.", 1)[0]
+    assert listed(eps) == [f.name for f in dataclasses.fields(EpsSummary)]
+
+
 def test_bundled_configs_pass_the_key_check():
     experiments = runpy.run_path(str(ROOT / "scripts" / "run_all_experiments.py"))["EXPERIMENTS"]
     perfbench = {"coupled_swirl": "run", "mms_ladder": "mms", "semigroup_heat": "semigroup"}
@@ -738,7 +787,7 @@ def test_cmd_inequalities_small(tmp_path):
     out = tmp_path / "out"
     assert main(["inequalities", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "inequalities.csv").read_text().splitlines()
-    assert rows[0].startswith("inequality,")
+    assert rows[0] == HEADERS["inequalities.csv"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extra"]["total_violations"] == 0
     # the batches share one solver: one stream solve of two transforms for
@@ -752,6 +801,7 @@ def test_cmd_sweep_eps_small(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep-eps", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "eps_sweep.csv").read_text().splitlines()
+    assert rows[0] == HEADERS["eps_sweep.csv"]
     assert len(rows) == 3
     assert rows[1].split(",")[1] == "completed"
 
@@ -773,7 +823,7 @@ def test_cmd_sweep_eps_completes_a_run_whose_budget_powers_overflow(tmp_path, am
     assert (row["status"], row["error"]) == ("halted_blowup", halt)
     assert float(row["sup_h1_proxy"]) == math.inf
     manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["extra"]["n_failed"], manifest["extra"]["failures"]) == (1, {"1": halt})
+    assert manifest["extra"]["failures"] == {"1": halt}
 
 
 def test_cmd_inequalities_counts_past_overflow_as_at_unit_amplitude(tmp_path):
@@ -851,7 +901,6 @@ def test_cmd_sweep_eps_records_what_halted_a_run(tmp_path):
     assert halt.startswith("dt = 9.200e-01 exceeds cfl * bound = ")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "completed"
-    assert manifest["extra"]["n_failed"] == 1
     assert manifest["extra"]["failures"] == {"0.5": halt}
 
 
@@ -887,6 +936,7 @@ def test_cmd_picard_small(tmp_path):
     out = tmp_path / "out"
     assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "picard.csv").read_text().splitlines()
+    assert rows[0] == HEADERS["picard.csv"]
     assert len(rows) == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extra"]["direct_match_l2"] < manifest["extra"]["direct_match_tolerance"]
@@ -1053,8 +1103,12 @@ def test_cmd_semigroup_tiny(tmp_path):
     out = tmp_path / "out"
     assert main(["semigroup", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "semigroup_fits.csv").read_text().splitlines()
+    assert rows[0] == HEADERS["semigroup_fits.csv"]
     assert len(rows) == 2
-    assert (out / "commutation.csv").exists()
+    rows = (out / "commutation.csv").read_text().splitlines()
+    assert rows[0] == HEADERS["commutation.csv"]
+    # level 0 has no previous level to reduce from: an empty ratio
+    assert len(rows) == 4 and rows[1].endswith(",")
 
 
 def test_cmd_semigroup_counts_its_heat_steps_in_the_manifest(tmp_path, monkeypatch):

@@ -638,8 +638,8 @@ def test_semigroup_experiment_small():
     cases = (("L1", 6.0, 0), ("L1", math.inf, 0))
     results = semigroup_experiment(n=129, dt=1 / 150.0, cases=cases, counts=Counter())
     by_key = {(r.op, r.p, r.k): r for r in results}
-    assert abs(by_key[("L1", 6.0, 0)].fitted - 0.25) < 0.1
-    assert abs(by_key[("L1", math.inf, 0)].fitted) < 0.1
+    assert abs(by_key[("L1", 6.0, 0)].fitted_exponent - 0.25) < 0.1
+    assert abs(by_key[("L1", math.inf, 0)].fitted_exponent) < 0.1
 
 
 def test_semigroup_experiment_leaves_numpy_ma_unloaded():

@@ -543,7 +543,7 @@ def test_run_simulation_deterministic():
 def test_swirl_max_principle_default_scheme():
     cfg = make_cfg(t_end=0.2, amplitude=1.0)
     result = run_config(cfg)
-    sup0 = result.records[0].sup_gamma
+    sup0 = result.records[0].sup_Gamma
     for rec in result.records:
         assert rec.margin_1_6 <= 1e-6 * sup0
 
@@ -654,14 +654,14 @@ def test_run_regression_anchor():
     # monotone step is under its t = 0 CFL step of 8.2e-4
     expected = {
         "strang_cn": {
-            "e_kin": 1.6720137853241563,
-            "sup_gamma": 0.5240636889208661,
+            "E_kin": 1.6720137853241563,
+            "sup_Gamma": 0.5240636889208661,
             "l2_om": 0.30195661369281046,
             "margin_1_6": -0.47386805949038757,
         },
         "monotone": {
-            "e_kin": 1.6709475125975959,
-            "sup_gamma": 0.5238375622758645,
+            "E_kin": 1.6709475125975959,
+            "sup_Gamma": 0.5238375622758645,
             "l2_om": 0.3018178817238985,
             "margin_1_6": -0.4740941861353891,
         },
