@@ -14,9 +14,8 @@ output directory (--out, else $AXICYL_OUT, else the working directory).
 run writes diagnostics.csv and then final_state.axns, the checkpoint of
 its last state, completed or halted (a CFL excess included).
 A negative --seed is a config error for every command.
-Each CSV's header is its row type's field names (RunContext.write_rows;
-run's diagnostics.csv leaves out DiagnosticsRecord.h1), and a field that
-is None is an empty cell; only picard.csv spells its header out.
+Each CSV's header is its row type's field names (RunContext.write_rows),
+and a field that is None is an empty cell.
 Floats are serialized with 17 significant digits, so identical configs
 give byte-identical files (semigroup's for a given BLAS build and thread
 count: its modal transforms are dense products).
@@ -24,18 +23,19 @@ count: its modal transforms are dense products).
 The manifests of run, semigroup, picard and inequalities add extra.perf:
 the heat steps, factorizations (tridiagonal or radial eigenbasis) and
 transforms (a field to or from either spectral layout) of their solvers
-(EllipticSolver.counts); picard's iterates and direct run share
-one solver, and so do inequalities' sample batches.  Only counts: timings
-never go into the outputs.
+(EllipticSolver.counts); picard's iterates and direct run share one
+solver, and inequalities builds each sample state once, on one solver,
+for its report and both batch columns.  Only counts: timings never go
+into the outputs.
 Every manifest adds extra.process: the minor page faults taken during the
 command, the peak resident memory of the whole process so far, and whether
 main could raise glibc's heap thresholds (_keep_freed_heap).
 
 COMMANDS gives each command's body, the solver keys it reads and its
 experiment keys; _run_command does the rest.  A config key the command
-does not read is a config error, and so is a value outside its allowed
-values (config.check_value) or non-finite (inf is allowed only as a
-Lebesgue exponent); the message names the key.
+does not read is a config error, and so is a key given twice, a value
+outside its allowed values (config.check_value) or a non-finite one (inf
+is allowed only as a Lebesgue exponent); the message names the key.
 sweep-eps runs its eps values in threads, one per value up to the CPU
 count; the error column of eps_sweep.csv and the manifest's
 extra.failures hold what halted each halted run.
@@ -66,7 +66,7 @@ import numpy as np
 
 from . import __version__
 from .config import SOLVER_KEYS, ConfigError, SolverConfig, _get, check_value, load_config
-from .diagnostics import CSV_COLUMNS, EpsSummary, InequalityReport, eps_sweep
+from .diagnostics import DiagnosticsRecord, EpsSummary, InequalityReport, eps_sweep
 from .diagnostics import inequality_batch, sigma_exponent
 from .elliptic import (
     DEFAULT_SEMIGROUP_CASES,
@@ -78,7 +78,7 @@ from .elliptic import (
     commutation_ladder,
     semigroup_experiment,
 )
-from .evolution import BlowupError, picard_experiment, run_simulation
+from .evolution import BlowupError, PicardRow, picard_experiment, run_simulation
 from .fields import checkpoint_save, make_initial_data
 
 EXIT_OK = 0
@@ -196,13 +196,10 @@ class RunContext:
         self.outputs.append(str(path))
         return path
 
-    def write_csv(self, name: str, header: tuple[str, ...], rows) -> None:
-        write_csv(self.add_output(name), header, rows)
-
     def write_rows(self, name: str, row_type, rows) -> None:
         """rows, instances of the dataclass row_type, one column per field."""
         columns = tuple(f.name for f in dataclasses.fields(row_type))
-        self.write_csv(name, columns, ([getattr(r, c) for c in columns] for r in rows))
+        write_csv(self.add_output(name), columns, ([getattr(r, c) for c in columns] for r in rows))
 
     def finish(self, status: str) -> None:
         usage = resource.getrusage(resource.RUSAGE_SELF)
@@ -238,7 +235,7 @@ def _resolve_out(args) -> Path:
 
 def cmd_run(cfg, s, ctx):
     result = run_simulation(cfg, make_initial_data(EllipticSolver(cfg.grid), cfg), records=True)
-    ctx.write_csv("diagnostics.csv", CSV_COLUMNS, (r.csv_row() for r in result.records))
+    ctx.write_rows("diagnostics.csv", DiagnosticsRecord, result.records)
     checkpoint_save(result.final_state, ctx.add_output("final_state.axns"))
     ctx.extra["max_boundary_leakage"] = result.max_leakage
     ctx.extra["perf"] = dict(result.final_state.solver.counts)
@@ -278,12 +275,10 @@ def cmd_picard(cfg, s, ctx):
             f"got {s.t_end!r} / {s.dt!r}"
         )
     result, diff, tol = picard_experiment(cfg, s.t_end, s.j_max, s.p, s.dt)
-    rows = []
-    for j in range(len(result.K)):
-        delta = result.delta[j] if j < len(result.delta) else ""
-        ratio = result.ratios[j] if j < len(result.ratios) else ""
-        rows.append((j + 1, result.K[j], delta, ratio))
-    ctx.write_csv("picard.csv", ("j", "K_j", "delta_j", "delta_ratio"), rows)
+    # the last iterate has no delta_j, and the last two no delta_ratio
+    delta, ratios = result.delta + [None], result.ratios + [None, None]
+    rows = map(PicardRow, range(1, len(result.K) + 1), result.K, delta, ratios)
+    ctx.write_rows("picard.csv", PicardRow, rows)
     ctx.extra.update(
         {
             "direct_match_l2": diff,
@@ -308,23 +303,10 @@ def cmd_inequalities(cfg, s, ctx):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     solver = EllipticSolver(cfg.grid)
-
-    def batch(seed0, count):
-        seeds = range(seed0, seed0 + count)
-        return inequality_batch(cfg, solver, seeds, (seed0 + 7000, seed0 + 9000), s.q, s.p)
-
-    half = max(1, s.samples // 2)
-    full = batch(cfg.seed, s.samples)
-    a = {r.inequality: r.max_ratio for r in batch(cfg.seed, half)}
-    b = {r.inequality: r.max_ratio for r in batch(cfg.seed + half, half)}
-    rows = [
-        dataclasses.replace(
-            r, batch1_c=a.get(r.inequality, math.nan), batch2_c=b.get(r.inequality, math.nan)
-        )
-        for r in full
-    ]
+    seeds = range(cfg.seed, cfg.seed + s.samples)
+    rows = inequality_batch(cfg, solver, seeds, (cfg.seed + 7000, cfg.seed + 9000), s.q, s.p)
     ctx.write_rows("inequalities.csv", InequalityReport, rows)
-    ctx.extra["total_violations"] = sum(r.n_violations for r in full if r.constant_free)
+    ctx.extra["total_violations"] = sum(r.n_violations for r in rows if r.constant_free)
     ctx.extra["perf"] = dict(solver.counts)
     return EXIT_OK
 

@@ -27,7 +27,9 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """The text's key = value lines; a key given twice is a ConfigError."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}  # each key's line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -39,7 +41,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value in {raw!r}")
-        out[key] = value
+        if key in out:
+            raise ConfigError(f"{key} given twice, on lines {lines[key]} and {lineno}")
+        out[key], lines[key] = value, lineno
     return out
 
 

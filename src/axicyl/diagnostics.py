@@ -14,13 +14,18 @@ Budgets tracked against the run records:
 
 |grad v|^2 is the full cylindrical tensor norm, including the u_r/r
 metric term; |grad(u_th e_th)|^2 = |grad u_th|^2 + |u_th/r|^2.
+
+The interpolation-inequality harness (inequality_batch) builds, measures
+and drops its sample states and scalar fields one at a time, keeping
+only each inequality's ratio per sample; every InequalityReport, its
+two batch columns included, is built whole from those lists.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -128,11 +133,14 @@ def boundary_leakage(state: AxisymState) -> float:
 
 @dataclass
 class DiagnosticsRecord:
-    """All norms and budget terms at one output time.
+    """All norms and budget terms at one output time: one diagnostics.csv
+    row, its fields the columns.
 
     diss_* and bdry_flux are the accumulated time integrals entering the
     energy equality (without their factors of 2; the residual applies
-    them).  lhs/E fields refer to the two vorticity budgets.
+    them).  lhs/E fields refer to the two vorticity budgets.  The H1 proxy
+    eps_sweep reads is not a column: the stepper keeps its largest value
+    over the records (SimulationResult.max_h1).
     """
 
     t: float
@@ -152,14 +160,6 @@ class DiagnosticsRecord:
     margin_1_6: float
     margin_1_7: float
     dev_5_3: float
-    h1: float  # (||u||_2^2 + ||grad v||_2^2 + ||grad u_th||_2^2)^(1/2); not a CSV column
-
-    def csv_row(self) -> tuple[float, ...]:
-        return tuple(getattr(self, c) for c in CSV_COLUMNS)
-
-
-# diagnostics.csv's columns: the record's fields but h1, which eps_sweep reads
-CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "h1")
 
 
 def deviation_5_3(grad_v_sq: float, l2_om: float) -> float:
@@ -317,8 +317,8 @@ class InequalityReport:
     max_ratio: float  # fitted constant for constant-bearing inequalities
     tolerance: float
     constant_free: int  # 0 or 1, as inequalities.csv writes it
-    # max_ratio over two disjoint sample batches (cmd_inequalities); nan
-    # where not filled, or where a batch has no sample of this inequality
+    # max_ratio over the two disjoint sample batches of inequality_batch;
+    # nan where a batch has no sample of this inequality
     batch1_c: float
     batch2_c: float
 
@@ -338,9 +338,12 @@ def gagliardo_nirenberg_ratio(
 ) -> float:
     """||phi||_p / (||phi||_q^(1-sigma) * denom^sigma).
 
-    denom is ||grad phi||_q for the vanishing-trace form and the full
-    W^(1,q) norm for the general form.
+    denom is ||grad phi||_q for the vanishing-trace form, which needs phi
+    to vanish at the inner wall (B1), and the full W^(1,q) norm for the
+    general form (B2).
     """
+    if not use_full_norm and np.any(phi[0, :]):
+        raise ValueError("the vanishing-trace form needs phi = 0 at the inner wall")
     sigma = sigma_exponent(q, p)
     lp = lp_norm(grid, phi, p)
     lq = lp_norm(grid, phi, q)
@@ -350,12 +353,12 @@ def gagliardo_nirenberg_ratio(
     return _safe_ratio(lp, lq ** (1.0 - sigma) * denom_base**sigma)
 
 
-def random_scalar_samples(grid: Grid, n: int, seed: int, vanish_at_wall: bool) -> list[np.ndarray]:
-    """Smooth random fields, each a sum of three bump-times-Fourier-mode terms;
-    optionally vanishing at the inner wall (B.1 needs it)."""
+def random_scalar_samples(grid: Grid, n: int, seed: int, vanish_at_wall: bool):
+    """n smooth random fields, each a sum of three bump-times-Fourier-mode
+    terms, optionally vanishing at the inner wall (B.1 needs it); drawn one
+    at a time from one rng, so the first k are the k the seed gives alone."""
     rng = np.random.default_rng(seed)
     width = grid.R - grid.r_min
-    out = []
     for _ in range(n):
         vals = np.zeros(grid.shape)
         for _ in range(3):
@@ -374,77 +377,69 @@ def random_scalar_samples(grid: Grid, n: int, seed: int, vanish_at_wall: bool) -
             prof = bump_profile(grid.r, 2 * grid.r_min - grid.R, grid.r_min + 0.5 * width)
             vals += amp * prof[:, None] * np.ones(grid.shape)
         else:
-            vals[0, :] = 0.0
-            vals[-1, :] = 0.0
-        out.append(vals)
-    return out
+            vals[[0, -1], :] = 0.0
+        yield vals
 
 
-def interpolation_suite(
-    grid: Grid,
-    states: list[AxisymState],
-    q: float,
-    p: float,
-    scalar_samples_b1: list[np.ndarray],
-    scalar_samples_b2: list[np.ndarray],
-) -> list[InequalityReport]:
-    """Per-inequality reports over sample states and scalar fields.
-
+def inequality_reports(ratios, batch1, batch2) -> list[InequalityReport]:
+    """One report per inequality of ratios, which maps each to its samples'
+    ratios, as batch1 and batch2 do for the two batches.  A nan ratio (0/0)
+    is skipped, and an inequality with no other sample has no report.
     Constant-free inequalities must show zero violations; constant-bearing
-    ones report the max ratio as the fitted constant.
-    """
-    ratios: dict[str, list[float]] = {}
-    for state in states:
-        for key, val in state_inequality_ratios(state).items():
-            if math.isnan(val):
-                continue  # 0/0 cases are skipped
-            ratios.setdefault(key, []).append(val)
-    for name, samples, full in (
-        ("B1", scalar_samples_b1, False),
-        ("B2", scalar_samples_b2, True),
-    ):
-        for phi in samples:
-            if name == "B1" and np.max(np.abs(phi[0, :])) > 0:
-                raise ValueError("B1 samples must vanish at the inner wall")
-            val = gagliardo_nirenberg_ratio(grid, phi, q, p, use_full_norm=full)
-            if not math.isnan(val):
-                ratios.setdefault(name, []).append(val)
-
+    ones report the max ratio as the fitted constant."""
     reports = []
-    for key, vals in ratios.items():
+    for key in sorted(ratios):
+        vals = [v for v in ratios[key] if not math.isnan(v)]
+        if not vals:
+            continue
         constant_free = key in CONSTANT_FREE
-        tol_k = TOLERANCES.get(key, 1e-8 if constant_free else math.inf)
-        if key in IDENTITIES:
-            violations = sum(1 for v in vals if abs(v - 1.0) > tol_k)
-        elif constant_free:
-            violations = sum(1 for v in vals if v > 1.0 + tol_k)
-        else:
-            violations = 0
-        reports.append(
-            InequalityReport(
-                key, len(vals), violations, max(vals), tol_k, int(constant_free), math.nan, math.nan
-            )
+        # a constant-bearing inequality's tolerance is inf: no ratio exceeds it
+        tol = TOLERANCES.get(key, 1e-8 if constant_free else math.inf)
+        violations = sum(abs(v - 1.0) > tol if key in IDENTITIES else v > 1.0 + tol for v in vals)
+        c1, c2 = (
+            max((v for v in batch.get(key, ()) if not math.isnan(v)), default=math.nan)
+            for batch in (batch1, batch2)
         )
-    return sorted(reports, key=lambda r: r.inequality)
+        row = (key, len(vals), violations, max(vals), tol, int(constant_free), c1, c2)
+        reports.append(InequalityReport(*row))
+    return reports
 
 
 def inequality_batch(
-    template, solver: EllipticSolver, seeds, sample_seeds: tuple[int, int], q: float, p: float
+    template, solver: EllipticSolver, seeds: range, sample_seeds, q: float, p: float
 ) -> list[InequalityReport]:
-    """interpolation_suite over one batch of samples on the solver's grid.
+    """The inequality reports of n = len(seeds) samples on the solver's grid.
 
-    The states are template's data with init.kind = random_modes, one per
-    seed; as many B1 and B2 scalar samples are drawn from the two
-    sample_seeds.
+    Sample i is template's data with init.kind = random_modes and seed
+    seeds[i], with the i-th B1 and B2 fields drawn from the two
+    sample_seeds.  With half = max(1, n // 2), batch 1 is the first half
+    samples, and batch 2 the states of the next half seeds (past seeds at
+    n = 1) with half B1 and B2 fields drawn from sample_seeds + half.  One
+    pass builds, measures and drops max(n, 2 half) states and n + half
+    fields of each kind, one at a time.
     """
-    states = [
-        make_initial_data(solver, replace(template, init_kind="random_modes", seed=seed))
-        for seed in seeds
-    ]
-    seed_b1, seed_b2 = sample_seeds
-    b1 = random_scalar_samples(solver.grid, len(states), seed=seed_b1, vanish_at_wall=True)
-    b2 = random_scalar_samples(solver.grid, len(states), seed=seed_b2, vanish_at_wall=False)
-    return interpolation_suite(solver.grid, states, q, p, b1, b2)
+    n = len(seeds)
+    half = max(1, n // 2)
+    states: dict[str, list[float]] = {}  # each inequality's ratio per state
+    for seed in range(seeds.start, seeds.start + max(n, 2 * half)):
+        state = make_initial_data(solver, replace(template, init_kind="random_modes", seed=seed))
+        for key, val in state_inequality_ratios(state).items():
+            states.setdefault(key, []).append(val)
+
+    def scalar_ratios(count, seed_b1, seed_b2):
+        return {
+            name: [
+                gagliardo_nirenberg_ratio(solver.grid, phi, q, p, use_full_norm=full)
+                for phi in random_scalar_samples(solver.grid, count, seed, vanish_at_wall=not full)
+            ]
+            for name, seed, full in (("B1", seed_b1, False), ("B2", seed_b2, True))
+        }
+
+    ratios = {key: vals[:n] for key, vals in states.items()} | scalar_ratios(n, *sample_seeds)
+    batch1 = {key: vals[:half] for key, vals in ratios.items()}
+    batch2 = {key: vals[half : 2 * half] for key, vals in states.items()}
+    batch2 |= scalar_ratios(half, *(seed + half for seed in sample_seeds))
+    return inequality_reports(ratios, batch1, batch2)
 
 
 # -- epsilon sweep -------------------------------------------------------------
@@ -464,7 +459,6 @@ class EpsSummary:
 
 def _summarize_eps_run(eps: float, result) -> EpsSummary:
     recs = result.records
-    sup_h1 = max(r_.h1 for r_ in recs)
     vort = vorticity_budgets_check(recs)
     first = recs[0]
     l2_u0 = math.sqrt(first.E_kin)
@@ -478,7 +472,7 @@ def _summarize_eps_run(eps: float, result) -> EpsSummary:
     return EpsSummary(
         eps,
         result.status,
-        sup_h1,
+        result.max_h1,
         energy_budget_check(recs),
         vort.closure_residual_no_swirl,
         c63,

@@ -209,6 +209,7 @@ class SimulationResult:
     final_state: AxisymState
     halt: str  # what halted the run, "" when it completed
     max_leakage: float
+    max_h1: float  # the largest h1 of a recorded state (Stepper), 0 without records
 
     @property
     def status(self) -> str:
@@ -247,6 +248,9 @@ class Stepper:
         # trapezoid
         self._prev: DissipationSample | None = None
         self.max_leakage = math.nan
+        # the largest h1 = (||u||_2^2 + ||grad v||_2^2 + ||grad u_th||_2^2)^(1/2)
+        # of a recorded state, eps_sweep's sup_h1_proxy
+        self.max_h1 = 0.0
 
     def _open_ledger(self, e_kin: float, l2_om_over_r: float) -> None:
         """The t = 0 references, the first sample and the first leakage,
@@ -367,6 +371,7 @@ class Stepper:
         lhs_1_12 = square(l2_om) + acc.om_diss
         margin_1_6 = sup_gamma - self.sup_gamma0
         margin_1_7 = l4_uth - math.sqrt(self.sup_gamma0) * math.sqrt(self.l2_u0)
+        self.max_h1 = max(self.max_h1, math.sqrt(e_kin + sample.diss_v + sample.diss_uth))
         return DiagnosticsRecord(
             t=st.t,
             E_kin=e_kin,
@@ -385,7 +390,6 @@ class Stepper:
             margin_1_6=margin_1_6,
             margin_1_7=margin_1_7,
             dev_5_3=deviation_5_3(sample.diss_v, l2_om),
-            h1=math.sqrt(e_kin + sample.diss_v + sample.diss_uth),
         )
 
 
@@ -451,7 +455,7 @@ def run_simulation(
                 next_out += cfg.output_interval
     if recorded and recorded[-1].t < stepper.state.t:
         emit()
-    return SimulationResult(recorded, stepper.state, halt, stepper.max_leakage)
+    return SimulationResult(recorded, stepper.state, halt, stepper.max_leakage, stepper.max_h1)
 
 
 # -- Picard iteration -------------------------------------------------------------
@@ -476,6 +480,17 @@ class PicardResult:
             self.delta[j + 1] / self.delta[j] if self.delta[j] > 0 else math.nan
             for j in range(len(self.delta) - 1)
         ]
+
+
+@dataclass
+class PicardRow:
+    """One picard.csv row: iterate j's K_j, delta_j and delta_(j+1) / delta_j,
+    None where the iterates end first (an empty cell)."""
+
+    j: int
+    K_j: float
+    delta_j: float | None
+    delta_ratio: float | None
 
 
 def picard_iterate(

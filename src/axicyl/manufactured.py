@@ -212,7 +212,8 @@ class MMSLevel:
 
 
 class NoOrderError(ValueError):
-    """A level's error, or the one before it, is exactly 0: no order is observable."""
+    """No order is observable at this t_end: a level's error, or the one
+    before it, is exactly 0, or a level's step count overflows."""
 
 
 def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLevel]:
@@ -224,15 +225,18 @@ def mms_convergence_study(levels: int, n_base: int, t_end: float) -> list[MMSLev
     The error is the relative L2 distance of (Gamma, omega) from the
     exact fields at t_end; consecutive-level ratios give the observed
     space-time order.  A level whose run halts raises BlowupError with the
-    run's halt reason, and an error of exactly 0 next to another level
-    NoOrderError.
+    run's halt reason; a level whose step count t_end / dt overflows, or an
+    error of exactly 0 next to another level, raises NoOrderError.
     """
     mms = build_mms()
     dt_base = 0.4 * (mms.R - mms.r_min) / n_base
     out: list[MMSLevel] = []
     for lvl in range(levels):
         n = n_base * 2**lvl
-        steps = max(1, int(round(t_end / (dt_base / 2**lvl))))
+        ratio = t_end / (dt_base / 2**lvl)
+        if not math.isfinite(ratio):
+            raise NoOrderError(f"{ratio} steps at level {lvl} (n = {n}): no order can be observed")
+        steps = max(1, int(round(ratio)))
         dt = t_end / steps
         cfg = SolverConfig(
             r_min=mms.r_min,

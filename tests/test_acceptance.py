@@ -61,7 +61,7 @@ def read_manifest(out_dir: Path) -> dict:
 def read_records(path: Path) -> list[DiagnosticsRecord]:
     """The records of a diagnostics.csv (17 significant digits parse back exactly)."""
     return [
-        DiagnosticsRecord(h1=math.nan, **{col: float(v) for col, v in row.items()})
+        DiagnosticsRecord(**{col: float(v) for col, v in row.items()})
         for row in read_csv(path)
     ]
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axicyl
-from axicyl import cli, evolution, fields
+from axicyl import cli, diagnostics, evolution, fields
 from axicyl.cli import main
 from axicyl.config import (
     SOLVER_KEYS,
@@ -29,8 +29,18 @@ from axicyl.config import (
     load_config,
     parse_config_text,
 )
-from axicyl.diagnostics import CSV_COLUMNS, EpsSummary
+from axicyl.diagnostics import (
+    CONSTANT_FREE,
+    IDENTITIES,
+    TOLERANCES,
+    DiagnosticsRecord,
+    EpsSummary,
+    gagliardo_nirenberg_ratio,
+    random_scalar_samples,
+    state_inequality_ratios,
+)
 from axicyl.elliptic import DEFAULT_SEMIGROUP_CASES, HEAT_OPERATORS, OPERATORS, EllipticSolver
+from axicyl.fields import make_initial_data
 from axicyl.grid import build_grid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,6 +94,14 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
+def with_lines(base, lines):
+    """The config text base with lines in place of its lines of the same
+    keys: a key given twice is a config error."""
+    keys = {line.split(" =")[0] for line in lines.splitlines()}
+    kept = [line for line in base.splitlines() if line.split(" =")[0] not in keys]
+    return "\n".join(kept + lines.splitlines()) + "\n"
+
+
 def test_parse_config_text():
     m = parse_config_text("a.b = 1 # comment\n\n# full line\nc.d = x\n")
     assert m == {"a.b": "1", "c.d": "x"}
@@ -91,6 +109,17 @@ def test_parse_config_text():
         parse_config_text("novalue\n")
     with pytest.raises(ConfigError):
         parse_config_text("a = \n")
+
+
+def test_repeated_key_exits_2_naming_it_and_both_lines(tmp_path):
+    # the second value silently won: a base config with an override appended
+    # ran at the override, and the base's own value was never checked
+    cfg = write_cfg(tmp_path, RUN_CFG + "# override\ngrid.n_r = 65\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["extra"]["error"] == "config error: grid.n_r given twice, on lines 6 and 17"
+    assert manifest["outputs"] == []
 
 
 def test_solver_config_validation():
@@ -219,7 +248,7 @@ def test_cmd_run_t_end_zero_single_row(tmp_path):
 
 
 def test_cmd_run_deterministic(tmp_path):
-    cfg = write_cfg(tmp_path, RUN_CFG + "init.kind = random_modes\ninit.seed = 3\n")
+    cfg = write_cfg(tmp_path, with_lines(RUN_CFG, "init.kind = random_modes\ninit.seed = 3"))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out_b)]) == 0
@@ -227,7 +256,7 @@ def test_cmd_run_deterministic(tmp_path):
 
 
 def test_cmd_run_seed_override_changes_output(tmp_path):
-    cfg = write_cfg(tmp_path, RUN_CFG + "init.kind = random_modes\ninit.seed = 3\n")
+    cfg = write_cfg(tmp_path, with_lines(RUN_CFG, "init.kind = random_modes\ninit.seed = 3"))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out_b), "--seed", "4"]) == 0
@@ -360,7 +389,8 @@ def test_negative_seed_exits_2_naming_the_option(command, tmp_path):
 
 
 def test_cmd_run_blowup_exit_and_manifest(tmp_path):
-    text = RUN_CFG + "init.amplitude = 1e9\ninit.omega_amplitude = 1e9\nrun.blowup_threshold = 1e3\n"
+    lines = "init.amplitude = 1e9\ninit.omega_amplitude = 1e9\nrun.blowup_threshold = 1e3"
+    text = with_lines(RUN_CFG, lines)
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
@@ -456,6 +486,21 @@ def test_cmd_mms_zero_error_exits_2_naming_t_end(tmp_path):
     error = manifest["extra"]["error"]
     assert error.startswith("config error: mms.t_end = 1e-20: error 0.0 at level 1 (n = 16)")
     assert error.endswith("no order can be observed")
+    assert manifest["outputs"] == []
+
+
+def test_cmd_mms_overflowing_step_count_exits_2_naming_t_end(tmp_path):
+    # t_end / dt overflows at level 0, and int(round(inf)) raised OverflowError
+    # (exit 1, with a traceback)
+    cfg = write_cfg(tmp_path, "mms.levels = 1\nmms.n_base = 8\nmms.t_end = 1e308\n")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", str(cfg), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["extra"]["error"] == (
+        "config error: mms.t_end = 1e+308: inf steps at level 0 (n = 8): "
+        "no order can be observed"
+    )
     assert manifest["outputs"] == []
 
 
@@ -558,7 +603,7 @@ SMALL_RUNS = {
      "output.checkpoint = every"],
 )
 def test_out_of_range_grid_key_exits_2(tmp_path, command, line):
-    cfg = write_cfg(tmp_path, SMALL_RUNS[command] + line + "\n")
+    cfg = write_cfg(tmp_path, with_lines(SMALL_RUNS[command], line))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     manifest = json.loads((out / "manifest.json").read_text())
@@ -702,7 +747,7 @@ def test_readme_csv_column_lists_are_the_row_types_fields():
         return [name.strip(" `\n") for name in block.split(",")]
 
     run = text.split("### `run` CSV columns", 1)[1].split("\n\n", 2)[1]
-    assert listed(run) == list(CSV_COLUMNS)
+    assert listed(run) == [f.name for f in dataclasses.fields(DiagnosticsRecord)]
     eps = text.split("`diagnostics.EpsSummary` as its columns: ", 1)[1].split("`.", 1)[0]
     assert listed(eps) == [f.name for f in dataclasses.fields(EpsSummary)]
 
@@ -790,10 +835,82 @@ def test_cmd_inequalities_small(tmp_path):
     assert rows[0] == HEADERS["inequalities.csv"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["extra"]["total_violations"] == 0
-    # the batches share one solver: one stream solve of two transforms for
-    # each of the 6 states of the full batch and the 3 of each half
+    # one solver and one pass: one stream solve of two transforms for each of
+    # the 6 states, which the two batches share (three batches built apart
+    # made 2 * (6 + 3 + 3))
     perf = manifest["extra"]["perf"]
-    assert perf == {"heat_steps": 0, "factorizations": 1, "transforms": 2 * (6 + 3 + 3)}
+    assert perf == {"heat_steps": 0, "factorizations": 1, "transforms": 2 * 6}
+
+
+def _three_batch_rows(cfg, n, q, p):
+    """inequalities.csv's rows as three batches built apart give them: all
+    n samples, the first half and the next half (half = max(1, n // 2)),
+    each drawing its own states and fields (state seeds from seed0, B1 and
+    B2 fields from seed0 + 7000 and seed0 + 9000)."""
+    solver = EllipticSolver(cfg.grid)
+
+    def batch(seed0, count):
+        ratios = {}
+        for seed in range(seed0, seed0 + count):
+            state = make_initial_data(solver, replace(cfg, init_kind="random_modes", seed=seed))
+            for key, val in state_inequality_ratios(state).items():
+                ratios.setdefault(key, []).append(val)
+        for name, seed, full in (("B1", seed0 + 7000, False), ("B2", seed0 + 9000, True)):
+            fields_ = list(random_scalar_samples(cfg.grid, count, seed, vanish_at_wall=not full))
+            ratios[name] = [gagliardo_nirenberg_ratio(cfg.grid, f, q, p, full) for f in fields_]
+        return {k: [v for v in vals if not math.isnan(v)] for k, vals in ratios.items()}
+
+    half = max(1, n // 2)
+    full, first, second = batch(cfg.seed, n), batch(cfg.seed, half), batch(cfg.seed + half, half)
+    rows = []
+    for key, vals in sorted(full.items()):
+        if not vals:
+            continue
+        tol = TOLERANCES.get(key, 1e-8 if key in CONSTANT_FREE else math.inf)
+        if key in IDENTITIES:
+            violations = sum(abs(v - 1.0) > tol for v in vals)
+        else:
+            violations = sum(v > 1.0 + tol for v in vals) if key in CONSTANT_FREE else 0
+        c1, c2 = (max(b[key]) if b.get(key) else math.nan for b in (first, second))
+        row = (key, len(vals), violations, max(vals), tol, int(key in CONSTANT_FREE), c1, c2)
+        rows.append(",".join(map(cli._fmt, row)))
+    return rows
+
+
+@pytest.mark.parametrize("samples", [1, 2, 5, 8])
+def test_cmd_inequalities_one_pass_writes_the_three_batch_rows(tmp_path, samples):
+    # one pass builds each state and field once: batch 1 is the first half of
+    # the reported samples, batch 2 the states from seed0 + half with fields
+    # drawn from seed0 + half + 7000 and + 9000 (at 1 sample, state seed0 + 1,
+    # outside the reported one)
+    text = "grid.n_r = 17\ngrid.n_z = 16\ngrid.R = 4.0\ninit.r_lo = 1.3\ninit.r_hi = 3.2\n"
+    text += f"init.seed = 3\nineq.samples = {samples}\n"
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["inequalities", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "inequalities.csv").read_text().splitlines()
+    assert rows[0] == HEADERS["inequalities.csv"]
+    reference = SolverConfig.from_mapping(parse_config_text(text))
+    assert rows[1:] == _three_batch_rows(reference, samples, 2.0, 4.0)
+
+
+def test_cmd_inequalities_builds_and_measures_each_sample_once(tmp_path, monkeypatch):
+    # configs/inequalities.cfg: 200 states, and 200 + 100 fields of each of
+    # B1 and B2 (three batches built apart made 400 states and 800 fields)
+    calls = Counter()
+    for name in ("make_initial_data", "state_inequality_ratios", "gagliardo_nirenberg_ratio"):
+        real = getattr(diagnostics, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, name, counted)
+    cfg = ROOT / "configs" / "inequalities.cfg"
+    assert main(["inequalities", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {
+        "make_initial_data": 200, "state_inequality_ratios": 200, "gagliardo_nirenberg_ratio": 600
+    }
 
 
 def test_cmd_sweep_eps_small(tmp_path):

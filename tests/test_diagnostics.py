@@ -18,7 +18,7 @@ from axicyl.diagnostics import (
     full_velocity_gradient_squared,
     gagliardo_nirenberg_ratio,
     identity_5_3_check,
-    interpolation_suite,
+    inequality_reports,
     random_scalar_samples,
     sigma_exponent,
     state_inequality_ratios,
@@ -36,6 +36,15 @@ def grad_v_squared(g, ur, uz):
     return (
         ddr(g, ur) ** 2 + ddz(g, ur) ** 2 + (ur / g.rcol) ** 2 + ddr(g, uz) ** 2 + ddz(g, uz) ** 2
     )
+
+
+def state_ratios(states):
+    """Each inequality's ratio per state, in state order."""
+    ratios = {}
+    for st_ in states:
+        for key, val in state_inequality_ratios(st_).items():
+            ratios.setdefault(key, []).append(val)
+    return ratios
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +147,7 @@ def test_ratio_5_7_is_exact_identity(sample_states):
 
 
 def test_constant_free_inequalities_hold(sample_states, grid):
-    reports = interpolation_suite(grid, sample_states, 2.0, 4.0, [], [])
+    reports = inequality_reports(state_ratios(sample_states), {}, {})
     by_id = {r.inequality: r for r in reports}
     for key in ("E1_7", "E5_8", "E5_8_chain", "E5_7"):
         assert by_id[key].n_violations == 0, key
@@ -174,20 +183,22 @@ def test_gagliardo_nirenberg_scale_invariance(lam):
 def test_b1_requires_vanishing_trace(grid):
     phi = np.ones(grid.shape)
     with pytest.raises(ValueError):
-        interpolation_suite(grid, [], 2.0, 4.0, [phi], [])
+        gagliardo_nirenberg_ratio(grid, phi, 2.0, 4.0, use_full_norm=False)
 
 
 def test_interpolation_suite_fitted_constants_stable(grid):
-    b1a = random_scalar_samples(grid, 40, seed=1, vanish_at_wall=True)
-    b1b = random_scalar_samples(grid, 40, seed=2, vanish_at_wall=True)
-    ca = interpolation_suite(grid, [], 2.0, 4.0, b1a, [])[0].max_ratio
-    cb = interpolation_suite(grid, [], 2.0, 4.0, b1b, [])[0].max_ratio
+    def fitted(seed):
+        fields = random_scalar_samples(grid, 40, seed=seed, vanish_at_wall=True)
+        ratios = [gagliardo_nirenberg_ratio(grid, phi, 2.0, 4.0, False) for phi in fields]
+        return inequality_reports({"B1": ratios}, {}, {})[0].max_ratio
+
+    ca, cb = fitted(1), fitted(2)
     assert abs(ca - cb) / max(ca, cb) < 0.2
 
 
 def test_zero_state_ratios_skipped(grid, solver):
     zero = state_from_dynamic(solver, 0.0, np.zeros(grid.shape), np.zeros(grid.shape))
-    reports = interpolation_suite(grid, [zero], 2.0, 4.0, [], [])
+    reports = inequality_reports(state_ratios([zero]), {}, {})
     assert all(r.n_samples == 0 for r in reports) or reports == []
 
 
@@ -217,17 +228,20 @@ def test_energy_and_swirl_checks_raise_on_empty():
 def test_record_h1_and_leakage_finite(sample_states):
     # the record takes h1 and dev_5_3 from the step's dissipation sample;
     # they must be those of the state it records, before and after a step
+    # (the stepper keeps the largest h1 it recorded, here of one record)
     cfg = SolverConfig(r_min=1, R=4, L_z=2, n_r=49, n_z=32, dt=0.004)
     for st_ in sample_states[:3]:
         stepper = Stepper(cfg, st_)
         for _ in range(2):
+            stepper.max_h1 = 0.0
             state, rec = stepper.state, stepper.record()
             g = state.grid
             grads = weighted_integral(
                 g, grad_v_squared(g, state.ur, state.uz)
             ) + weighted_integral(g, ddr(g, state.uth) ** 2 + ddz(g, state.uth) ** 2)
-            assert math.isfinite(rec.h1)
-            assert rec.h1 == pytest.approx(math.sqrt(state.kinetic_energy() + grads), rel=1e-14)
+            h1 = math.sqrt(state.kinetic_energy() + grads)
+            assert math.isfinite(stepper.max_h1)
+            assert stepper.max_h1 == pytest.approx(h1, rel=1e-14)
             assert rec.dev_5_3 == identity_5_3_check(state)
             assert boundary_leakage(state) >= 0.0
             stepper.step(0.004)
@@ -266,7 +280,7 @@ def test_eps_sweep_single_eps_matches_run():
     assert s.status == "completed"
     direct = run_config(template)
     assert s.res_energy_6_1 == pytest.approx(energy_budget_check(direct.records), rel=1e-12)
-    assert s.sup_h1_proxy == pytest.approx(max(r.h1 for r in direct.records), rel=1e-12)
+    assert s.sup_h1_proxy == pytest.approx(direct.max_h1, rel=1e-12)
 
 
 def test_eps_sweep_rejects_data_below_one():

@@ -535,9 +535,7 @@ def test_run_simulation_deterministic():
     cfg = make_cfg(init_kind="random_modes", seed=5, t_end=0.05)
     a = run_config(cfg)
     b = run_config(cfg)
-    ra = [r.csv_row() for r in a.records]
-    rb = [r.csv_row() for r in b.records]
-    assert ra == rb
+    assert a.records == b.records
 
 
 def test_swirl_max_principle_default_scheme():
